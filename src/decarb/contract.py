@@ -129,21 +129,17 @@ def lambda_pair(params: ModelParams) -> tuple[float, float]:
     return lam12, lam21
 
 
-def single_rate_factors(params: ModelParams) -> tuple[float, float]:
-    """Per-technology ratios r_i with z_i* = r_i * v_i in the single-firm model."""
-    _require_kind(params, Kind.SINGLE_FIRM)
-    out = []
-    for gamma, sigma in ((params.gamma1, params.sigma1), (params.gamma2, params.sigma2)):
-        s = sigma * sigma
-        out.append((gamma + s * params.eta_p) / (s * params.eta_p + gamma + params.eta_a * s))
-    return tuple(out)
-
-
 def rates_single(params: ModelParams, grad_v: Sequence[float]) -> SingleFirmRates:
-    """Optimal single-firm rates z_i* = (gamma_i + sigma_i^2*eta_p) v_i / (sigma_i^2*eta_p + gamma_i + eta_a*sigma_i^2)."""
-    r1, r2 = single_rate_factors(params)
+    """Optimal single-firm rates z_i* = (gamma_i + sigma_i^2*eta_p) v_i / (sigma_i^2*eta_p + gamma_i + eta_a*sigma_i^2).
+
+    ``grad_v`` is one gradient (v1, v2) or a batch with the components on the first axis.
+    """
+    _require_kind(params, Kind.SINGLE_FIRM)
+    sq = (params.sigma1 * params.sigma1, params.sigma2 * params.sigma2)
+    r = [(g + s * params.eta_p) / (s * params.eta_p + g + params.eta_a * s)
+         for g, s in zip((params.gamma1, params.gamma2), sq)]
     v = np.asarray(grad_v, dtype=float)
-    return SingleFirmRates(z1=r1 * v[0], z2=r2 * v[1])
+    return SingleFirmRates(z1=r[0] * v[0], z2=r[1] * v[1])
 
 
 def rates_two(params: ModelParams, grad_v: Sequence[float]) -> TwoFirmRates:
@@ -151,7 +147,8 @@ def rates_two(params: ModelParams, grad_v: Sequence[float]) -> TwoFirmRates:
 
     Own rates z_ii* = Lambda_ij * v_i; cross rates z_ij* = eta_ip * (v_j - z_jj*),
     the amount of the other firm's residual exposure the principal shifts onto
-    firm i.
+    firm i.  ``grad_v`` is one gradient (v1, v2) or a batch with the
+    components on the first axis.
     """
     lam12, lam21 = lambda_pair(params)
     av = effective_aversions(params)

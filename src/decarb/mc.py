@@ -7,14 +7,19 @@ sampling (the default) even-numbered paths consume their substream's draws and
 odd-numbered paths the negated draws; statistics then treat pair averages as
 the independent samples.
 
-Two stepping schemes are available.  ``scheme="pc"`` (default) is an
-Euler-Maruyama step with a drift predictor-corrector and trapezoidal
+Both simulators run on one path engine, which owns chunking, antithetic
+mirroring, path order, stepping and the non-finite checks; each model
+supplies only a small step (its rates or controls, the drift they induce,
+its flows).  Two stepping schemes are available.  ``scheme="pc"`` (default)
+is an Euler-Maruyama step with a drift predictor-corrector and trapezoidal
 quadrature of all running flows; the state noise is additive, so this is
 weak order 2 and its bias is negligible against the Monte Carlo error at the
-default resolution.  ``scheme="euler"`` is the classic left-point scheme
-(weak order 1); under it the agents' utility estimates are exactly unbiased
-(the payment compensators telescope against the Gaussian increments step by
-step), which the indifference tests exploit.
+default resolution.  A pc step makes 2 rate evaluations and 1 flow
+evaluation: the end-of-step ones are carried over as the next step's start.
+``scheme="euler"`` is the classic left-point scheme (weak order 1); under it
+the agents' utility estimates are exactly unbiased (the payment compensators
+telescope against the Gaussian increments step by step), which the
+indifference tests exploit.
 
 The simulators verify solved value functions against the dynamics they price:
 
@@ -32,13 +37,15 @@ The simulators verify solved value functions against the dynamics they price:
 from __future__ import annotations
 
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import model
-from .contract import effective_aversions, lambda_pair, single_rate_factors
+from .contract import rates_single, rates_two
 from .errors import ConfigMismatch, Empty, NonFinitePath, OutOfRange
 from .model import Kind, ModelParams, Scope
 from .nash import FeedbackStrategy, payoff_rate
@@ -46,6 +53,7 @@ from .riccati import QuadraticValueFn
 
 _CHUNK = 4096
 _SCHEMES = ("pc", "euler")
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -130,50 +138,33 @@ def _check_scheme(scheme: str) -> str:
     return scheme
 
 
-def path_increments(seed: int, substream: int, n_draws: int) -> np.ndarray:
+def _check_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise OutOfRange(name, f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+_philox = threading.local()
+
+
+def path_increments(seed: int, substream: int, n_draws: int, out: np.ndarray | None = None) -> np.ndarray:
     """Standard-normal draws (n_draws, 2) of one path's RNG substream.
 
     The substream is a counter-based generator keyed by the 64-bit seed and
     the substream index, so any path's draws are well defined in isolation.
+    Each thread keeps one Philox generator and resets it to a fresh state
+    with the path's key on every call, which draws exactly what a new
+    ``Generator(Philox(key))`` would without building one.  ``out``, a
+    C-contiguous float array of shape (n_draws, 2), receives the draws in place.
     """
-    key = ((int(seed) & 0xFFFFFFFFFFFFFFFF) << 64) | (int(substream) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal((n_draws, 2))
-
-
-def _chunk_increments(seed: int, start: int, count: int, n_steps: int, refinement: int) -> np.ndarray:
-    """Per-step normals (count, n_steps, 2) for substreams start..start+count-1.
-
-    ``refinement`` draws that many sub-normals per step and aggregates them,
-    which keeps the underlying Brownian path fixed across a ladder of step
-    sizes with constant dt*refinement, for weak-convergence studies.
-    """
-    out = np.empty((count, n_steps, 2))
-    for j in range(count):
-        z = path_increments(seed, start + j, n_steps * refinement)
-        if refinement == 1:
-            out[j] = z
-        else:
-            out[j] = z.reshape(n_steps, refinement, 2).sum(axis=1) / math.sqrt(refinement)
-    return out
-
-
-def _canonical_index(start: int, local: int, block: int, antithetic: bool) -> int:
-    if not antithetic:
-        return start + local
-    if local < block:
-        return 2 * (start + local)
-    return 2 * (start + local - block) + 1
-
-
-def _interleave(base: np.ndarray, mirror: np.ndarray) -> np.ndarray:
-    out = np.empty(base.size + mirror.size)
-    out[0::2] = base
-    out[1::2] = mirror
-    return out
-
-
-def _collect(chunks: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(chunks)
+    gen = getattr(_philox, "gen", None)
+    if gen is None:
+        gen = _philox.gen = np.random.Generator(np.random.Philox(key=0))
+        _philox.fresh = gen.bit_generator.state  # counter 0, empty buffer
+    fresh = _philox.fresh
+    fresh["state"]["key"] = np.array([int(substream) & _MASK64, int(seed) & _MASK64], dtype=np.uint64)
+    gen.bit_generator.state = fresh
+    return gen.standard_normal((n_draws, 2), out=out)
 
 
 def _stats(utilities: np.ndarray, antithetic: bool) -> tuple[float, float]:
@@ -217,63 +208,174 @@ def _interp_coeffs(v: QuadraticValueFn, ts: np.ndarray) -> tuple[np.ndarray, np.
     return A, B
 
 
-class _PrincipalStepper:
-    """Per-step flow evaluation for one principal model."""
+def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int) -> np.ndarray:
+    """Per-step normals (count, n_steps, 2) for substreams start..start+count-1.
 
-    def __init__(self, params: ModelParams):
+    ``refinement`` draws that many sub-normals per step and aggregates them,
+    which keeps the underlying Brownian path fixed across a ladder of step
+    sizes with constant dt*refinement, for weak-convergence studies.
+    """
+    inc = np.empty((count, n_steps, 2))
+    fine = np.empty((n_steps * refinement, 2)) if refinement > 1 else None
+    for j in range(count):
+        if fine is None:
+            path_increments(seed, start + j, n_steps, out=inc[j])
+        else:
+            path_increments(seed, start + j, fine.shape[0], out=fine)
+            np.divide(fine.reshape(n_steps, refinement, 2).sum(axis=1), math.sqrt(refinement), out=inc[j])
+    return inc
+
+
+def _advance(S: np.ndarray, drift, dt: float, noise: np.ndarray) -> np.ndarray:
+    """S + drift*dt + noise, row by row; ``drift`` is a pair of rows."""
+    out = np.empty_like(S)
+    for i in (0, 1):
+        np.add(S[i] + drift[i] * dt, noise[i], out=out[i])
+    return out
+
+
+def _first_non_finite(S: np.ndarray, checked, start: int, m: int, antithetic: bool) -> int | None:
+    """Lowest canonical index of a row with a non-finite value, or None."""
+    if np.isfinite(S).all() and all(np.isfinite(a).all() for a in checked):
+        return None
+    finite = np.isfinite(S).all(axis=0)
+    for a in checked:
+        finite &= np.isfinite(a)
+    local = np.flatnonzero(~finite)
+    # under antithetic sampling row j < m is path 2*(start+j), row m+j its mirror
+    return int(np.min(2 * (start + local % m) + local // m if antithetic else start + local))
+
+
+def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
+               chunk_size: int | None, brownian_refinement: int) -> list[np.ndarray]:
+    """Per-path payoffs of one model in canonical order (pair-interleaved under
+    antithetic sampling), bit-identical for every chunking.
+
+    ``make_step(nodes)`` builds the model's step on the grid's time nodes.  A
+    step has ``sigma`` (state volatilities, shape (2, 1)), ``acc0`` (initial
+    accumulator values), ``n_checked`` (leading accumulators checked with the
+    state) and methods ``rates(k, S)`` -> (rates, drift rows), ``flows(S,
+    rates)``, ``accumulate(acc, rates, flows, dW, dt)`` and ``payoffs(acc)``;
+    the state S has shape (2, rows).  :class:`NonFinitePath` names the
+    earliest time any path turns non-finite and the lowest path failing then.
+    """
+    scheme = _check_scheme(scheme)
+    n_sub = _check_cfg(cfg)
+    n_steps = _n_steps(params.horizon, cfg.dt)
+    x0 = _check_x0(cfg)
+    chunk = _CHUNK if chunk_size is None else _check_count("chunk_size", chunk_size)
+    refinement = _check_count("brownian_refinement", brownian_refinement)
+    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
+    step = make_step(np.arange(n_steps + 1) * dt)
+    width = 2 if cfg.antithetic else 1
+    outs = None
+    failure = None  # (steps done, canonical index) of the earliest non-finite value
+    for start in range(0, n_sub, chunk):
+        m = min(chunk, n_sub - start)
+        rows = width * m
+        inc = _draw_chunk(cfg.seed, start, m, n_steps, refinement)
+        S = np.repeat(x0[:, None], rows, axis=1)
+        acc = [np.full(rows, a) for a in step.acc0]
+        dW = np.empty((2, rows))
+        r = None
+        # after a failure, later chunks only look for an earlier or equal one
+        for k in range(n_steps if failure is None else failure[0]):
+            if r is None:
+                r, d = step.rates(k, S)
+                flow = step.flows(S, r)
+            np.multiply(sqdt, inc[:, k].T, out=dW[:, :m])
+            if width == 2:
+                np.negative(dW[:, :m], out=dW[:, m:])
+            noise = dW * step.sigma
+            if scheme == "pc":
+                _, d_pred = step.rates(k + 1, _advance(S, d, dt, noise))
+                S_next = _advance(S, [0.5 * (a + b) for a, b in zip(d, d_pred)], dt, noise)
+                r_next, d = step.rates(k + 1, S_next)
+                flow_next = step.flows(S_next, r_next)
+                step.accumulate(acc, r, tuple(0.5 * (a + b) for a, b in zip(flow, flow_next)), dW, dt)
+                r, flow = r_next, flow_next
+            else:
+                S_next = _advance(S, d, dt, noise)
+                step.accumulate(acc, r, flow, dW, dt)
+                r = None
+            S = S_next
+            bad = _first_non_finite(S, acc[:step.n_checked], start, m, width == 2)
+            if bad is not None:
+                if failure is None or (k + 1, bad) < failure:
+                    failure = (k + 1, bad)
+                break
+        else:
+            if failure is None:
+                pays = step.payoffs(acc)
+                outs = outs or [np.empty(cfg.n_paths) for _ in pays]
+                for out, pay in zip(outs, pays):
+                    out.reshape(-1, width)[start:start + m] = pay.reshape(width, m).T
+    if failure is not None:
+        raise NonFinitePath(failure[1], failure[0] * dt)
+    return outs
+
+
+class _PrincipalStep:
+    """Optimal incentive rates and flows of one principal model.
+
+    Accumulators: the payment Y_i per agent, the revenue-less-cost flow F_i
+    per agent, then the social cost G.
+    """
+
+    def __init__(self, params: ModelParams, v: QuadraticValueFn, nodes: np.ndarray, y0: tuple[float, ...]):
         self.p = params
         self.single = params.kind is Kind.SINGLE_FIRM
+        self.n_agents = self.n_checked = len(y0)
+        self.acc0 = (*y0, *(0.0 for _ in y0), 0.0)
+        self.sigma = np.array([[params.sigma1], [params.sigma2]])
         self.s1, self.s2 = params.sigma1 ** 2, params.sigma2 ** 2
-        if self.single:
-            self.r1, self.r2 = single_rate_factors(params)
-        else:
-            self.lam12, self.lam21 = lambda_pair(params)
-            self.av = effective_aversions(params)
+        self.A_t, self.B_t = _interp_coeffs(v, nodes)
 
-    def rates(self, X: np.ndarray, A: np.ndarray, B: np.ndarray):
-        grad = X @ A + B
+    def rates(self, k: int, S: np.ndarray):
+        grad = self.A_t[k].T @ S + self.B_t[k][:, None]
         if self.single:
-            return self.r1 * grad[:, 0], self.r2 * grad[:, 1]
-        z11 = self.lam12 * grad[:, 0]
-        z22 = self.lam21 * grad[:, 1]
-        z12 = self.av.eta_1p * (grad[:, 1] - z22)
-        z21 = self.av.eta_2p * (grad[:, 0] - z11)
-        return z11, z12, z21, z22
+            z = rates_single(self.p, grad)
+            return z, (self.p.gamma1 * z.z1, self.p.gamma2 * z.z2)
+        z = rates_two(self.p, grad)
+        return z, (self.p.gamma1 * z.z11, self.p.gamma2 * z.z22)
 
-    def drift(self, z) -> np.ndarray:
-        if self.single:
-            return np.column_stack([self.p.gamma1 * z[0], self.p.gamma2 * z[1]])
-        return np.column_stack([self.p.gamma1 * z[0], self.p.gamma2 * z[3]])
-
-    def flows(self, X: np.ndarray, z):
-        """(payment drifts per agent, revenue-less-cost flows per agent, social cost)."""
-        p = self.p
+    def flows(self, S: np.ndarray, z):
+        """(payment drift per agent, revenue-less-cost flow per agent, social cost)."""
+        p, X = self.p, S.T
         g = model.social_cost_g(p, X)
         if self.single:
-            z1, z2 = z
+            z1, z2 = z.z1, z.z2
             f = model.revenue_f(p, X, Scope.TOTAL)
             c = 0.5 * (p.gamma1 * z1 * z1 + p.gamma2 * z2 * z2)
             risk = 0.5 * p.eta_a * (self.s1 * z1 * z1 + self.s2 * z2 * z2)
-            return (risk + c - f,), (f - c,), g
-        z11, z12, z21, z22 = z
+            return risk + c - f, f - c, g
+        z11, z12, z21, z22 = z.z11, z.z12, z.z21, z.z22
         f1 = model.revenue_f(p, X, Scope.FIRM1)
         f2 = model.revenue_f(p, X, Scope.FIRM2)
         c1 = 0.5 * p.gamma1 * z11 * z11
         c2 = 0.5 * p.gamma2 * z22 * z22
         d1 = c1 - f1 + 0.5 * p.eta1 * (self.s1 * z11 * z11 + self.s2 * z12 * z12)
         d2 = c2 - f2 + 0.5 * p.eta2 * (self.s2 * z22 * z22 + self.s1 * z21 * z21)
-        return (d1, d2), (f1 - c1, f2 - c2), g
+        return d1, d2, f1 - c1, f2 - c2, g
 
-    def payment_noise(self, z, dW: np.ndarray):
-        p = self.p
+    def accumulate(self, acc, z, flow, dW: np.ndarray, dt: float) -> None:
+        p, n = self.p, self.n_agents
         if self.single:
-            z1, z2 = z
-            return (p.sigma1 * z1 * dW[:, 0] + p.sigma2 * z2 * dW[:, 1],)
-        z11, z12, z21, z22 = z
-        return (
-            p.sigma1 * z11 * dW[:, 0] + p.sigma2 * z12 * dW[:, 1],
-            p.sigma2 * z22 * dW[:, 1] + p.sigma1 * z21 * dW[:, 0],
-        )
+            noise = (p.sigma1 * z.z1 * dW[0] + p.sigma2 * z.z2 * dW[1],)
+        else:
+            noise = (
+                p.sigma1 * z.z11 * dW[0] + p.sigma2 * z.z12 * dW[1],
+                p.sigma2 * z.z22 * dW[1] + p.sigma1 * z.z21 * dW[0],
+            )
+        for i in range(n):
+            acc[i] += flow[i] * dt + noise[i]
+            acc[n + i] += flow[n + i] * dt
+        acc[-1] += flow[-1] * dt
+
+    def payoffs(self, acc):
+        n = self.n_agents
+        Y, F, G = acc[:n], acc[n:2 * n], acc[-1]
+        return (-sum(Y) - G, *(Y[i] + F[i] for i in range(n)))
 
 
 def principal_path_payoffs(
@@ -295,76 +397,10 @@ def principal_path_payoffs(
         raise ConfigMismatch(f"value function solved for {v.kind.value}, params are {params.kind.value}")
     if abs(v.grid.t_end - params.horizon) > 1e-9:
         raise ConfigMismatch(f"value function horizon {v.grid.t_end} != params horizon {params.horizon}")
-    scheme = _check_scheme(scheme)
-    n_sub = _check_cfg(cfg)
-    n_steps = _n_steps(params.horizon, cfg.dt)
     y0 = _agent_y0(params, cfg)
-    x0 = _check_x0(cfg)
-
-    dt = cfg.dt
-    sqdt = math.sqrt(dt)
-    ts = np.arange(n_steps + 1) * dt
-    A_t, B_t = _interp_coeffs(v, ts)
-    stepper = _PrincipalStepper(params)
-    n_agents = len(y0)
-    sig = np.array([params.sigma1, params.sigma2])
-
-    chunk = chunk_size or _CHUNK
-    principal_out: list[np.ndarray] = []
-    agents_out: list[list[np.ndarray]] = [[] for _ in range(n_agents)]
-    for start in range(0, n_sub, chunk):
-        m = min(chunk, n_sub - start)
-        inc = _chunk_increments(cfg.seed, start, m, n_steps, brownian_refinement)
-        if cfg.antithetic:
-            inc = np.concatenate([inc, -inc], axis=0)
-        rows = inc.shape[0]
-
-        X = np.tile(x0, (rows, 1))
-        Y = [np.full(rows, y) for y in y0]
-        F = [np.zeros(rows) for _ in range(n_agents)]
-        G = np.zeros(rows)
-
-        for k in range(n_steps):
-            z = stepper.rates(X, A_t[k], B_t[k])
-            pay_drift, agent_flow, g_flow = stepper.flows(X, z)
-            dW = sqdt * inc[:, k, :]
-            noise = dW * sig
-            X_pred = X + stepper.drift(z) * dt + noise
-            if scheme == "pc":
-                z_pred = stepper.rates(X_pred, A_t[k + 1], B_t[k + 1])
-                X_next = X + 0.5 * (stepper.drift(z) + stepper.drift(z_pred)) * dt + noise
-                z_next = stepper.rates(X_next, A_t[k + 1], B_t[k + 1])
-                pay_next, flow_next, g_next = stepper.flows(X_next, z_next)
-                pay_drift = tuple(0.5 * (a + b) for a, b in zip(pay_drift, pay_next))
-                agent_flow = tuple(0.5 * (a + b) for a, b in zip(agent_flow, flow_next))
-                g_flow = 0.5 * (g_flow + g_next)
-            else:
-                X_next = X_pred
-            pay_noise = stepper.payment_noise(z, dW)
-            for i in range(n_agents):
-                Y[i] += pay_drift[i] * dt + pay_noise[i]
-                F[i] += agent_flow[i] * dt
-            G += g_flow * dt
-            X = X_next
-            finite = np.isfinite(X).all(axis=1)
-            for i in range(n_agents):
-                finite &= np.isfinite(Y[i])
-            if not finite.all():
-                local = int(np.argmax(~finite))
-                raise NonFinitePath(_canonical_index(start, local, m, cfg.antithetic), (k + 1) * dt)
-
-        pay_p = -sum(Y) - G
-        pays_a = [Y[i] + F[i] for i in range(n_agents)]
-        if cfg.antithetic:
-            principal_out.append(_interleave(pay_p[:m], pay_p[m:]))
-            for i in range(n_agents):
-                agents_out[i].append(_interleave(pays_a[i][:m], pays_a[i][m:]))
-        else:
-            principal_out.append(pay_p)
-            for i in range(n_agents):
-                agents_out[i].append(pays_a[i])
-
-    return _collect(principal_out), [_collect(agents_out[i]) for i in range(n_agents)]
+    pay_p, *pays_a = _run_paths(lambda nodes: _PrincipalStep(params, v, nodes, y0), params, cfg,
+                                scheme, chunk_size, brownian_refinement)
+    return pay_p, pays_a
 
 
 def agent_labels(params: ModelParams) -> tuple[str, ...]:
@@ -402,6 +438,40 @@ def simulate_principal(
     return principal_estimates_from_payoffs(params, cfg, pay_p, pays_a)
 
 
+class _NashStep:
+    """Feedback controls and payoff flows of the two-firm game.
+
+    The state is (x, y); the accumulators are the payoff flows Z1, Z2.
+    """
+
+    acc0 = (0.0, 0.0)
+    n_checked = 2
+
+    def __init__(self, params: ModelParams, strategies: tuple[FeedbackStrategy, FeedbackStrategy],
+                 deviation: Deviation | None, nodes: np.ndarray):
+        self.p = params
+        self.deviation = deviation
+        self.sigma = np.array([[params.sigma1], [params.sigma2]])
+        self.gains = [(s.gamma, *(np.interp(nodes, s.nodes, c) for c in (s.kx, s.ky, s.k0)))
+                      for s in strategies]
+
+    def rates(self, k: int, S: np.ndarray):
+        a = [-gamma * (kx[k] * S[0] + ky[k] * S[1] + k0[k]) for gamma, kx, ky, k0 in self.gains]
+        if self.deviation is not None:
+            a = [self.deviation.apply(firm, a_i) for firm, a_i in zip((1, 2), a)]
+        return a, a
+
+    def flows(self, S: np.ndarray, a):
+        return payoff_rate(self.p, 1, S[0], S[1], a[0]), payoff_rate(self.p, 2, S[0], S[1], a[1])
+
+    def accumulate(self, acc, a, flow, dW: np.ndarray, dt: float) -> None:
+        for z, pi in zip(acc, flow):
+            z += pi * dt
+
+    def payoffs(self, acc):
+        return acc
+
+
 def nash_path_payoffs(
     params: ModelParams,
     strategies: tuple[FeedbackStrategy, FeedbackStrategy],
@@ -416,71 +486,9 @@ def nash_path_payoffs(
         raise ConfigMismatch(f"simulate_nash needs the no-incentive game, got {params.kind.value}")
     if deviation is not None and deviation.firm not in (1, 2):
         raise OutOfRange("firm", f"deviation firm must be 1 or 2, got {deviation.firm}")
-    scheme = _check_scheme(scheme)
-    n_sub = _check_cfg(cfg)
-    n_steps = _n_steps(params.horizon, cfg.dt)
-    x0 = _check_x0(cfg)
-
-    dt = cfg.dt
-    sqdt = math.sqrt(dt)
-    ts = np.arange(n_steps + 1) * dt
-    sa, sb = strategies
-    ka = np.array([sa.coeffs_at(t) for t in ts])
-    kb = np.array([sb.coeffs_at(t) for t in ts])
-
-    def controls(k: int, X, Y):
-        a1 = -sa.gamma * (ka[k, 0] * X + ka[k, 1] * Y + ka[k, 2])
-        a2 = -sb.gamma * (kb[k, 0] * X + kb[k, 1] * Y + kb[k, 2])
-        if deviation is not None:
-            a1 = deviation.apply(1, a1)
-            a2 = deviation.apply(2, a2)
-        return a1, a2
-
-    chunk = chunk_size or _CHUNK
-    z1_out: list[np.ndarray] = []
-    z2_out: list[np.ndarray] = []
-    for start in range(0, n_sub, chunk):
-        m = min(chunk, n_sub - start)
-        inc = _chunk_increments(cfg.seed, start, m, n_steps, brownian_refinement)
-        if cfg.antithetic:
-            inc = np.concatenate([inc, -inc], axis=0)
-        rows = inc.shape[0]
-
-        X = np.full(rows, x0[0])
-        Y = np.full(rows, x0[1])
-        Z1 = np.zeros(rows)
-        Z2 = np.zeros(rows)
-        for k in range(n_steps):
-            a1, a2 = controls(k, X, Y)
-            pi1 = payoff_rate(params, 1, X, Y, a1)
-            pi2 = payoff_rate(params, 2, X, Y, a2)
-            dW = sqdt * inc[:, k, :]
-            X_pred = X + a1 * dt + params.sigma1 * dW[:, 0]
-            Y_pred = Y + a2 * dt + params.sigma2 * dW[:, 1]
-            if scheme == "pc":
-                a1p, a2p = controls(k + 1, X_pred, Y_pred)
-                X_next = X + 0.5 * (a1 + a1p) * dt + params.sigma1 * dW[:, 0]
-                Y_next = Y + 0.5 * (a2 + a2p) * dt + params.sigma2 * dW[:, 1]
-                a1n, a2n = controls(k + 1, X_next, Y_next)
-                pi1 = 0.5 * (pi1 + payoff_rate(params, 1, X_next, Y_next, a1n))
-                pi2 = 0.5 * (pi2 + payoff_rate(params, 2, X_next, Y_next, a2n))
-            else:
-                X_next, Y_next = X_pred, Y_pred
-            Z1 += pi1 * dt
-            Z2 += pi2 * dt
-            X, Y = X_next, Y_next
-            finite = np.isfinite(X) & np.isfinite(Y) & np.isfinite(Z1) & np.isfinite(Z2)
-            if not finite.all():
-                local = int(np.argmax(~finite))
-                raise NonFinitePath(_canonical_index(start, local, m, cfg.antithetic), (k + 1) * dt)
-
-        if cfg.antithetic:
-            z1_out.append(_interleave(Z1[:m], Z1[m:]))
-            z2_out.append(_interleave(Z2[:m], Z2[m:]))
-        else:
-            z1_out.append(Z1)
-            z2_out.append(Z2)
-    return _collect(z1_out), _collect(z2_out)
+    z1, z2 = _run_paths(lambda nodes: _NashStep(params, strategies, deviation, nodes), params, cfg,
+                        scheme, chunk_size, brownian_refinement)
+    return z1, z2
 
 
 def nash_estimates_from_payoffs(

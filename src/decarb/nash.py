@@ -85,15 +85,8 @@ class FeedbackStrategy:
     ky: np.ndarray
     k0: np.ndarray
 
-    def coeffs_at(self, t: float) -> tuple[float, float, float]:
-        return (
-            float(np.interp(t, self.nodes, self.kx)),
-            float(np.interp(t, self.nodes, self.ky)),
-            float(np.interp(t, self.nodes, self.k0)),
-        )
-
     def __call__(self, t: float, x, y):
-        cx, cy, c0 = self.coeffs_at(t)
+        cx, cy, c0 = (float(np.interp(t, self.nodes, c)) for c in (self.kx, self.ky, self.k0))
         return -self.gamma * (cx * np.asarray(x) + cy * np.asarray(y) + c0)
 
 

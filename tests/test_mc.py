@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,9 +20,23 @@ from decarb import (
     simulate_principal,
     solve_nash,
     solve_principal,
+    validate_params,
 )
-from decarb.mc import nash_path_payoffs, paired_difference, principal_path_payoffs
+from decarb import mc
+from decarb.mc import nash_path_payoffs, paired_difference, path_increments, principal_path_payoffs
 from decarb.nash import FeedbackStrategy
+from decarb.riccati import QuadraticValueFn, TimeGrid
+
+from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
+
+# engine arguments that must be rejected at the boundary, with the field named
+BAD_ENGINE_ARGS = [
+    ("chunk_size", -3),
+    ("chunk_size", 0),
+    ("brownian_refinement", 0),
+    ("brownian_refinement", -1),
+    ("brownian_refinement", 1.5),
+]
 
 
 class TestEstimateUtility:
@@ -154,6 +169,37 @@ class TestPrincipalSimulation:
         with pytest.raises(OutOfRange):
             simulate_principal(two_firm, v, SimConfig(n_paths=4, x0=(1.0, float("nan"))))
 
+    @pytest.mark.parametrize("field,value", BAD_ENGINE_ARGS)
+    def test_engine_arguments_validated(self, two_firm, field, value):
+        v = solve_principal(two_firm, 101)
+        with pytest.raises(OutOfRange) as exc:
+            simulate_principal(two_firm, v, SimConfig(n_paths=4, dt=0.01), **{field: value})
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("antithetic,expected", [(True, (6, 631)), (False, (4, 630))])
+    def test_non_finite_path_reported_exactly(self, two_firm, antithetic, expected):
+        # a value function whose gradient grows with the state makes every
+        # path explode; paths overflow a few steps apart, so the report is the
+        # earliest step and the lowest canonical index failing at it, for
+        # every chunking
+        A = np.zeros((2, 2, 2))
+        A[:, 0, 0] = A[:, 1, 1] = 400.0
+        runaway = QuadraticValueFn(TimeGrid(1.0, 2), A, np.zeros((2, 2)), np.zeros(2),
+                                   Kind.TWO_FIRM_REGULATED)
+        cfg = SimConfig(n_paths=8, dt=1e-3, seed=23, antithetic=antithetic)
+        for chunk_size in (1, 3, None):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFinitePath) as exc:
+                    simulate_principal(two_firm, runaway, cfg, chunk_size=chunk_size)
+            assert (exc.value.path_index, exc.value.t) == (expected[0], expected[1] * cfg.dt)
+
+
+def passive_strategy(params: ModelParams, firm: int = 2) -> FeedbackStrategy:
+    """A firm that never exerts effort."""
+    nodes = np.array([0.0, 1.0])
+    return FeedbackStrategy(firm=firm, gamma=params.gamma(firm), nodes=nodes,
+                            kx=np.zeros(2), ky=np.zeros(2), k0=np.zeros(2))
+
 
 class TestNashSimulation:
     def test_noiseless_zero_economy_utilities(self):
@@ -213,14 +259,37 @@ class TestNashSimulation:
         runaway = FeedbackStrategy(firm=1, gamma=nash_params.gamma1, nodes=nodes,
                                    kx=np.array([-2e5, -2e5]), ky=np.zeros(2),
                                    k0=np.zeros(2))
-        passive = FeedbackStrategy(firm=2, gamma=nash_params.gamma2, nodes=nodes,
-                                   kx=np.zeros(2), ky=np.zeros(2), k0=np.zeros(2))
         cfg = SimConfig(n_paths=8, dt=0.01, seed=21, x0=(1.0, 1.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFinitePath) as exc:
-                simulate_nash(nash_params, (runaway, passive), cfg)
-        assert 0 <= exc.value.path_index < 8
-        assert 0.0 < exc.value.t <= 1.0
+        for chunk_size in (1, 3, None):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFinitePath) as exc:
+                    simulate_nash(nash_params, (runaway, passive_strategy(nash_params)), cfg,
+                                  chunk_size=chunk_size)
+            assert (exc.value.path_index, exc.value.t) == (0, 23 * cfg.dt)
+
+    @pytest.mark.parametrize("antithetic,expected", [(True, (4, 423)), (False, (2, 423))])
+    def test_non_finite_path_index_is_chunk_independent(self, nash_params, antithetic, expected):
+        # a milder runaway from x0 = 0: the noise sets each path's scale, so
+        # paths overflow at different steps and the report is the earliest
+        # step and the lowest canonical index failing at it
+        nodes = np.array([0.0, 1.0])
+        runaway = FeedbackStrategy(firm=1, gamma=nash_params.gamma1, nodes=nodes,
+                                   kx=np.array([-600.0, -600.0]), ky=np.zeros(2),
+                                   k0=np.zeros(2))
+        cfg = SimConfig(n_paths=8, dt=1e-3, seed=21, antithetic=antithetic)
+        for chunk_size in (1, 3, None):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFinitePath) as exc:
+                    simulate_nash(nash_params, (runaway, passive_strategy(nash_params)), cfg,
+                                  chunk_size=chunk_size)
+            assert (exc.value.path_index, exc.value.t) == (expected[0], expected[1] * cfg.dt)
+
+    @pytest.mark.parametrize("field,value", BAD_ENGINE_ARGS)
+    def test_engine_arguments_validated(self, nash_params, field, value):
+        strategies = (passive_strategy(nash_params, 1), passive_strategy(nash_params))
+        with pytest.raises(OutOfRange) as exc:
+            simulate_nash(nash_params, strategies, SimConfig(n_paths=4, dt=0.01), **{field: value})
+        assert exc.value.field == field
 
     def test_wrong_kind(self, two_firm, nash_params):
         coeffs = solve_nash(nash_params, 101)
@@ -230,3 +299,96 @@ class TestNashSimulation:
         with pytest.raises(OutOfRange):
             simulate_nash(nash_params, strategies, SimConfig(n_paths=4),
                           deviation=Deviation(firm=3))
+
+
+# Payoff means of a 64-path run per model and engine setting, recorded before
+# the two simulators were merged into one path engine; the engine must
+# reproduce them (rel 1e-12 leaves room only for BLAS rounding).
+# Keys: model/scheme-sampling-r<brownian_refinement>.
+PINNED_MEANS = {
+    "single/pc-anti-r1": (-0.49094463044877845, 0.3127381242408975),
+    "two/pc-anti-r1": (-0.7257533936287797, 0.2964330401455568, 0.3188772945769784),
+    "nash/pc-anti-r1": (-0.9450992017480455, -0.9679194961268319),
+    "nashdev/pc-anti-r1": (-0.9446758497799941, -0.9693625683851217),
+    "single/euler-anti-r1": (-0.5009197122786374, 0.3131742595177678),
+    "two/euler-anti-r1": (-0.7368510364104003, 0.29645484465683014, 0.3193177778488827),
+    "nash/euler-anti-r1": (-0.9517594703139076, -0.9725171804677726),
+    "nashdev/euler-anti-r1": (-0.9518570448304459, -0.9749010627885145),
+    "single/pc-plain-r1": (-0.48999492246148413, 0.2927417192001861),
+    "two/pc-plain-r1": (-0.723770799583284, 0.2912548313243115, 0.3016783094093818),
+    "nash/pc-plain-r1": (-0.96935910751818, -0.9555344030294624),
+    "nashdev/pc-plain-r1": (-0.9680805624197636, -0.9580684481154561),
+    "single/pc-anti-r2": (-0.48954255473616315, 0.3144524320735408),
+    "two/pc-anti-r2": (-0.7237912412312149, 0.3007611546713376, 0.31399283693783653),
+    "nash/pc-anti-r2": (-0.9508218855679562, -0.9610936896469997),
+    "nashdev/pc-anti-r2": (-0.9502041407158217, -0.9625419537716129),
+    "single/euler-plain-r2": (-0.49921878259252933, 0.3091337092787455),
+    "two/euler-plain-r2": (-0.7340334306699441, 0.29927900614643194, 0.3094127424029524),
+    "nash/euler-plain-r2": (-0.9716269521597274, -0.9673259400100518),
+    "nashdev/euler-plain-r2": (-0.9714410617368918, -0.9712163321434883),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_models():
+    single = validate_params(SINGLE_FIRM_FIXTURE)
+    two = validate_params(TWO_FIRM_FIXTURE)
+    nash = validate_params(NASH_FIXTURE)
+    return {
+        "single": (single, solve_principal(single, 201)),
+        "two": (two, solve_principal(two, 201)),
+        "nash": (nash, feedback_strategies(solve_nash(nash, 201), nash)),
+    }
+
+
+class TestFrozenSeedOutputs:
+    @pytest.mark.parametrize("key", sorted(PINNED_MEANS))
+    def test_payoff_means_pinned(self, pinned_models, key):
+        name, setting = key.split("/")
+        scheme, sampling, ref = setting.split("-")
+        cfg = SimConfig(n_paths=64, dt=0.02, seed=11, x0=(0.1, -0.2), y0=0.3,
+                        antithetic=sampling == "anti")
+        refinement = int(ref[1:])
+        if name in ("single", "two"):
+            params, v = pinned_models[name]
+            pay_p, pays_a = principal_path_payoffs(params, v, cfg, scheme, None, refinement)
+            payoffs = [pay_p, *pays_a]
+        else:
+            params, strategies = pinned_models["nash"]
+            deviation = Deviation(2, scale=1.1, shift=-0.05) if name == "nashdev" else None
+            payoffs = nash_path_payoffs(params, strategies, cfg, deviation, scheme, None, refinement)
+        means = tuple(float(np.mean(z)) for z in payoffs)
+        assert means == pytest.approx(PINNED_MEANS[key], rel=1e-12)
+
+
+def fresh_draws(seed: int, substream: int, n_draws: int) -> np.ndarray:
+    key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | (substream & 0xFFFFFFFFFFFFFFFF)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((n_draws, 2))
+
+
+class TestPathIncrements:
+    @pytest.mark.parametrize("seed", [-1, 0, 2**63])
+    @pytest.mark.parametrize("substream", [0, 2**40])
+    def test_matches_fresh_generator(self, seed, substream):
+        expected = fresh_draws(seed, substream, 7)
+        assert np.array_equal(path_increments(seed, substream, 7), expected)
+        out = np.empty((7, 2))
+        assert path_increments(seed, substream, 7, out=out) is out
+        assert np.array_equal(out, expected)
+
+    def test_unaffected_by_an_earlier_draw(self):
+        # leave the thread's generator part-way through its output buffer and
+        # holding a cached 32-bit half before the call under test
+        path_increments(5, 3, 3)
+        mc._philox.gen.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert np.array_equal(path_increments(9, 2**40, 5), fresh_draws(9, 2**40, 5))
+        out = np.empty((5, 2))
+        path_increments(-1, 0, 5, out=out)
+        assert np.array_equal(out, fresh_draws(-1, 0, 5))
+
+    def test_other_thread_draws_the_same(self):
+        got = []
+        worker = threading.Thread(target=lambda: got.append(path_increments(4, 6, 5)))
+        worker.start()
+        worker.join()
+        assert np.array_equal(got[0], fresh_draws(4, 6, 5))
