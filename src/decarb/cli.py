@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mc, nash, riccati, verify
-from .errors import ConfigMismatch, MissingField, NumericalError, ValidationError
+from .errors import ConfigMismatch, MissingField, NumericalError, OutOfRange, ValidationError
 from .model import Kind, ModelParams, validate_params
 
 SCENARIO_KINDS = {
@@ -62,6 +62,10 @@ class _Run:
         if not isinstance(numerics, dict):
             raise ConfigMismatch("'numerics' must be an object")
         self.numerics = numerics
+        n_nodes = numerics.get("n_nodes", 1001)
+        if isinstance(n_nodes, bool) or not isinstance(n_nodes, int) or n_nodes < 2:
+            raise OutOfRange("n_nodes", f"n_nodes must be an integer >= 2, got {n_nodes!r}")
+        self.n_nodes: int = n_nodes
         model_cfg = config.get("model")
         if model_cfg is None:
             raise MissingField("model")
@@ -71,10 +75,6 @@ class _Run:
             raise ConfigMismatch(
                 f"scenario '{scenario}' needs model kind '{expected.value}', "
                 f"got '{self.params.kind.value}'")
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.numerics.get("n_nodes", 1001))
 
     def sim_config(self) -> mc.SimConfig:
         n = self.numerics

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import BlowUp, WrongKind
 from .model import Kind, ModelParams
-from .riccati import TimeGrid, rk4_backward
+from .riccati import TimeGrid, centered_derivative, rk4_backward
 
 BR_COLUMNS = ("A", "B", "C", "D", "E", "F")
 NASH_COLUMNS = ("A", "B", "C", "D", "E", "F", "At", "Bt", "Ct", "Dt", "Et", "Ft")
@@ -95,11 +95,13 @@ def _require_nash(params: ModelParams) -> None:
         raise WrongKind(f"operation requires the no-incentive game, got {params.kind.value}")
 
 
-def _best_response_rhs_firm1(params: ModelParams, a2: float, u: np.ndarray) -> np.ndarray:
+# Coefficient-ODE right-hand sides: ``u`` holds floats inside the integrator and
+# node-sampled columns in ode_residual; the same expressions serve both.
+def _best_response_rhs_firm1(params: ModelParams, a2, u):
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
     e1, g1, p0, p1, p2 = params.eta1, params.gamma1, params.p0, params.p1, params.p2
     A, B, C, D, E, _F = u
-    return np.array([
+    return (
         2.0 * p1 + (g1 - s1 * e1) * A * A - s2 * e1 * C * C,
         (g1 - s1 * e1) * C * C - s2 * e1 * B * B,
         p2 + (g1 - s1 * e1) * A * C - s2 * e1 * B * C,
@@ -107,14 +109,14 @@ def _best_response_rhs_firm1(params: ModelParams, a2: float, u: np.ndarray) -> n
         (g1 - s1 * e1) * C * D - s2 * e1 * B * E - a2 * B,
         0.5 * g1 * D * D - 0.5 * s1 * (e1 * D * D + A) - 0.5 * s2 * (e1 * E * E + B)
         - a2 * E - p0,
-    ])
+    )
 
 
-def _best_response_rhs_firm2(params: ModelParams, a1: float, u: np.ndarray) -> np.ndarray:
+def _best_response_rhs_firm2(params: ModelParams, a1, u):
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
     e2, g2, p0, p1, p2 = params.eta2, params.gamma2, params.p0, params.p1, params.p2
     At, Bt, Ct, Dt, Et, _Ft = u
-    return np.array([
+    return (
         g2 * Ct * Ct - s1 * e2 * At * At - s2 * e2 * Ct * Ct,
         2.0 * p2 + (g2 - s2 * e2) * Bt * Bt - s1 * e2 * Ct * Ct,
         p1 + (g2 - s2 * e2) * Bt * Ct - s1 * e2 * At * Ct,
@@ -122,16 +124,16 @@ def _best_response_rhs_firm2(params: ModelParams, a1: float, u: np.ndarray) -> n
         (g2 - s2 * e2) * Bt * Et - s1 * e2 * Ct * Dt - a1 * Ct,
         0.5 * g2 * Et * Et - 0.5 * s1 * (e2 * Dt * Dt + At) - 0.5 * s2 * (e2 * Et * Et + Bt)
         - a1 * Dt - p0,
-    ])
+    )
 
 
-def _nash_rhs(params: ModelParams, u: np.ndarray) -> np.ndarray:
+def _nash_rhs(params: ModelParams, u):
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
     e1, e2 = params.eta1, params.eta2
     g1, g2 = params.gamma1, params.gamma2
     p0, p1, p2 = params.p0, params.p1, params.p2
     A, B, C, D, E, _F, At, Bt, Ct, Dt, Et, _Ft = u
-    return np.array([
+    return (
         2.0 * p1 + (g1 - s1 * e1) * A * A - s2 * e1 * C * C + 2.0 * g2 * Ct * C,
         (g1 - s1 * e1) * C * C - s2 * e1 * B * B + 2.0 * g2 * Bt * B,
         p2 + (g1 - s1 * e1) * A * C - s2 * e1 * B * C + g2 * (Bt * C + Ct * B),
@@ -146,7 +148,7 @@ def _nash_rhs(params: ModelParams, u: np.ndarray) -> np.ndarray:
         (g2 - s2 * e2) * Bt * Et - s1 * e2 * Ct * Dt + g1 * (C * Dt + D * Ct),
         0.5 * g2 * Et * Et - 0.5 * s1 * (e2 * Dt * Dt + At) - 0.5 * s2 * (e2 * Et * Et + Bt)
         + g1 * D * Dt - p0,
-    ])
+    )
 
 
 def sample_opponent(opponent, grid: TimeGrid) -> np.ndarray:
@@ -181,9 +183,8 @@ def best_response(
     nodes = grid.nodes
     rhs_one = _best_response_rhs_firm1 if firm == 1 else _best_response_rhs_firm2
 
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        a_opp = float(np.interp(t, nodes, samples))
-        return rhs_one(params, a_opp, u)
+    def rhs(t: float, u: list[float]) -> tuple[float, ...]:
+        return rhs_one(params, float(np.interp(t, nodes, samples)), u)
 
     values = rk4_backward(rhs, np.zeros(6), grid)
     return BestResponseCoeffs(grid=grid, values=values, firm=firm, opponent=samples)
@@ -194,11 +195,8 @@ def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
     _require_nash(params)
     grid = TimeGrid(params.horizon, n_nodes)
 
-    def rhs(_t: float, u: np.ndarray) -> np.ndarray:
-        return _nash_rhs(params, u)
-
     try:
-        values = rk4_backward(rhs, np.zeros(12), grid)
+        values = rk4_backward(lambda _t, u: _nash_rhs(params, u), np.zeros(12), grid)
     except BlowUp as exc:
         raise BlowUp(
             exc.t_escape,
@@ -262,11 +260,6 @@ def payoff_rate(params: ModelParams, firm: int, x, y, a):
     raise ValueError(f"firm index must be 1 or 2, got {firm}")
 
 
-def _stencil_derivative(values: np.ndarray, dt: float, k: int) -> np.ndarray:
-    """Fourth-order central difference of a sampled trajectory at node k."""
-    return (values[k - 2] - 8.0 * values[k - 1] + 8.0 * values[k + 1] - values[k + 2]) / (12.0 * dt)
-
-
 def ode_residual(
     coeffs: BestResponseCoeffs | NashCoeffs,
     params: ModelParams,
@@ -279,20 +272,15 @@ def ode_residual(
     reuses the integrator's stepping.
     """
     _require_nash(params)
-    grid = coeffs.grid
-    dt = grid.dt
-    nodes = grid.nodes
-    worst = 0.0
+    values = coeffs.values
+    interior = values[2:-2].T
     if isinstance(coeffs, NashCoeffs):
-        for k in range(2, grid.n_nodes - 2):
-            est = _stencil_derivative(coeffs.values, dt, k)
-            worst = max(worst, float(np.max(np.abs(est - _nash_rhs(params, coeffs.values[k])))))
-        return worst
-
-    samples = coeffs.opponent if opponent is None else sample_opponent(opponent, grid)
-    rhs_one = _best_response_rhs_firm1 if coeffs.firm == 1 else _best_response_rhs_firm2
-    for k in range(2, grid.n_nodes - 2):
-        est = _stencil_derivative(coeffs.values, dt, k)
-        rhs = rhs_one(params, float(np.interp(nodes[k], nodes, samples)), coeffs.values[k])
-        worst = max(worst, float(np.max(np.abs(est - rhs))))
-    return worst
+        rhs = _nash_rhs(params, interior)
+    else:
+        nodes = coeffs.grid.nodes
+        samples = coeffs.opponent if opponent is None else sample_opponent(opponent, coeffs.grid)
+        rhs_one = _best_response_rhs_firm1 if coeffs.firm == 1 else _best_response_rhs_firm2
+        rhs = rhs_one(params, np.interp(nodes[2:-2], nodes, samples), interior)
+    worst = [np.max(np.abs(centered_derivative(values[:, j], coeffs.grid.dt) - r), initial=0.0)
+             for j, r in enumerate(rhs)]
+    return float(np.max(worst))

@@ -8,21 +8,22 @@ PDE collapses to
     dC/dt = -0.5 Tr(Sigma Sigma^T A) - 0.5 B.M B - q0,   C(T) = 0.
 
 The constant equation carries the flow constant q0 so that v solves the PDE
-exactly, which the Monte Carlo value-matching tests rely on.  Integration is
-fixed-step classic Runge-Kutta marching from T down to 0; a Riccati escape
-(any coefficient beyond 1e12) raises :class:`decarb.errors.BlowUp` with the
-time it was detected.
+exactly, which the Monte Carlo value-matching tests rely on.  M and Sigma are
+diagonal, so the system runs as six scalar unknowns (A11, A12, A22, B1, B2, C)
+on plain floats, by fixed-step classic Runge-Kutta marching from T down to 0;
+a Riccati escape (any coefficient beyond 1e12) raises
+:class:`decarb.errors.BlowUp` with the time it was detected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .contract import ContractLQG, assemble_lqg, rates_single, rates_two, IncentiveRates
-from .errors import BlowUp, OutOfHorizon
+from .errors import BlowUp, OutOfHorizon, OutOfRange
 from .model import Kind, ModelParams
 
 BLOWUP_LIMIT = 1e12
@@ -51,33 +52,42 @@ class TimeGrid:
 
 
 def rk4_backward(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, Sequence[float]], Sequence[float]],
     terminal: np.ndarray,
     grid: TimeGrid,
 ) -> np.ndarray:
     """March du/dt = rhs(t, u) from u(T) = terminal back to t = 0.
 
-    Returns the trajectory on all grid nodes, shape (n_nodes, len(terminal)),
-    row k holding u(t_k).  The terminal row is the terminal data bit for bit.
+    ``rhs(t, u)`` takes the state as a sequence of floats and returns its
+    derivative as a sequence of floats of the same length.  Returns the
+    trajectory on all grid nodes, shape (n_nodes, len(terminal)), row k
+    holding u(t_k).  The terminal row is the terminal data bit for bit.
     """
     terminal = np.asarray(terminal, dtype=float)
     n = grid.n_nodes
-    nodes = grid.nodes
+    nodes = grid.nodes.tolist()
     h = -grid.dt
+    half, sixth = 0.5 * h, h / 6.0
     out = np.empty((n, terminal.size))
     out[-1] = terminal
-    u = terminal
+    u = terminal.tolist()
     for k in range(n - 1, 0, -1):
         t = nodes[k]
         k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = rhs(t + h, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > BLOWUP_LIMIT:
+        k2 = rhs(t + half, [x + half * d for x, d in zip(u, k1)])
+        k3 = rhs(t + half, [x + half * d for x, d in zip(u, k2)])
+        k4 = rhs(t + h, [x + h * d for x, d in zip(u, k3)])
+        u = [x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+             for x, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
+        if not all(abs(x) <= BLOWUP_LIMIT for x in u):  # also catches NaN and inf
             raise BlowUp(nodes[k - 1])
         out[k - 1] = u
     return out
+
+
+def centered_derivative(values: np.ndarray, dt: float) -> np.ndarray:
+    """Fourth-order centered difference along axis 0 at nodes 2 .. n-3."""
+    return (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * dt)
 
 
 @dataclass(frozen=True)
@@ -128,37 +138,37 @@ class QuadraticValueFn:
         return self.coeffs_at(t)[0]
 
 
-def _pack(A: np.ndarray, B: np.ndarray, C: float) -> np.ndarray:
-    return np.concatenate([A.reshape(4), B, [C]])
-
-
-def _unpack(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    return u[:4].reshape(2, 2), u[4:6], u[6]
-
-
 def solve_lqg(
     lqg: ContractLQG,
     horizon: float,
     n_nodes: int = 1001,
     kind: Kind | None = None,
 ) -> QuadraticValueFn:
-    """Integrate the Riccati system for given quadratic PDE data."""
-    Q, L, q0, M, Sigma = lqg.Q, lqg.L, lqg.q0, lqg.M, lqg.Sigma
-    diff = Sigma @ Sigma.T
+    """Integrate the Riccati system for given quadratic PDE data (M and Sigma diagonal)."""
+    for name, mat in (("M", lqg.M), ("Sigma", lqg.Sigma)):
+        if mat[0, 1] != 0.0 or mat[1, 0] != 0.0:
+            raise OutOfRange(name, f"{name} must be diagonal, got {mat.tolist()}")
+    q11, q12, q22 = float(lqg.Q[0, 0]), 0.5 * float(lqg.Q[0, 1] + lqg.Q[1, 0]), float(lqg.Q[1, 1])
+    l1, l2 = map(float, lqg.L)
+    m1, m2 = np.diag(lqg.M).tolist()
+    d1, d2 = (s * s for s in np.diag(lqg.Sigma).tolist())
+    q0 = float(lqg.q0)
     grid = TimeGrid(horizon, n_nodes)
 
-    def rhs(_t: float, u: np.ndarray) -> np.ndarray:
-        A, B, _c = _unpack(u)
-        A = 0.5 * (A + A.T)  # keep every stage symmetric
-        dA = -Q - A @ M @ A
-        dB = -L - A @ M @ B
-        dC = -0.5 * float(np.trace(diff @ A)) - 0.5 * float(B @ M @ B) - q0
-        return _pack(0.5 * (dA + dA.T), dB, dC)
+    def rhs(_t: float, u: Sequence[float]) -> tuple[float, ...]:
+        a11, a12, a22, b1, b2, _c = u
+        return (
+            -q11 - (m1 * a11 * a11 + m2 * a12 * a12),
+            -q12 - (m1 * a11 * a12 + m2 * a12 * a22),
+            -q22 - (m1 * a12 * a12 + m2 * a22 * a22),
+            -l1 - (m1 * a11 * b1 + m2 * a12 * b2),
+            -l2 - (m1 * a12 * b1 + m2 * a22 * b2),
+            -0.5 * (d1 * a11 + d2 * a22) - 0.5 * (m1 * b1 * b1 + m2 * b2 * b2) - q0,
+        )
 
-    traj = rk4_backward(rhs, np.zeros(7), grid)
-    A = traj[:, :4].reshape(-1, 2, 2)
-    A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
-    return QuadraticValueFn(grid=grid, A=A, B=traj[:, 4:6], C=traj[:, 6], kind=kind)
+    traj = rk4_backward(rhs, np.zeros(6), grid)
+    A = traj[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+    return QuadraticValueFn(grid=grid, A=A, B=traj[:, 3:5], C=traj[:, 5], kind=kind)
 
 
 def solve_principal(params: ModelParams, n_nodes: int = 1001) -> QuadraticValueFn:

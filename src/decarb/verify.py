@@ -19,7 +19,7 @@ from . import model
 from .contract import gradient_couplings, oracle_rates
 from .model import ModelParams
 from .nash import NashCoeffs
-from .riccati import QuadraticValueFn
+from .riccati import QuadraticValueFn, centered_derivative
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def sampled_time_derivative(values: np.ndarray, dt: float, k: int) -> np.ndarray
     """
     n = len(values)
     if 2 <= k <= n - 3:
-        return (values[k - 2] - 8.0 * values[k - 1] + 8.0 * values[k + 1] - values[k + 2]) / (12.0 * dt)
+        return centered_derivative(values[k - 2:k + 3], dt)[0]
     if k < 2:
         f0, f1, f2, f3, f4 = values[k], values[k + 1], values[k + 2], values[k + 3], values[k + 4]
         return (-25.0 * f0 + 48.0 * f1 - 36.0 * f2 + 16.0 * f3 - 3.0 * f4) / (12.0 * dt)

@@ -100,7 +100,7 @@ def test_criterion_02_sup_consistency_and_sign_control():
 
 def test_criterion_03_integrator_order():
     def endpoint_error(n_nodes: int) -> float:
-        traj = rk4_backward(lambda t, u: -(1.0 + u * u), np.array([0.0]),
+        traj = rk4_backward(lambda t, u: [-(1.0 + u[0] * u[0])], np.array([0.0]),
                             TimeGrid(0.5, n_nodes))
         return abs(traj[0, 0] - math.tan(0.5))
 

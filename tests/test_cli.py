@@ -181,6 +181,15 @@ class TestErrorPaths:
         assert err["field"] == "gamma1"
         assert err["exit_code"] == 1
 
+    @pytest.mark.parametrize("n_nodes", [2.7, 1, True, "abc"])
+    def test_malformed_n_nodes_names_field(self, tmp_path, capsys, n_nodes):
+        cfg = write_config(tmp_path, {"model": NASH_FIXTURE, "numerics": {"n_nodes": n_nodes}})
+        assert run(["nash", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OutOfRange"
+        assert err["field"] == "n_nodes"
+        assert err["exit_code"] == 1
+
     def test_scenario_kind_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": TWO_FIRM_FIXTURE})
         assert run(["nash", "--config", cfg, "--out", str(tmp_path)]) == 1

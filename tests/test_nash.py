@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,35 @@ from decarb import (
     solve_nash,
     validate_params,
 )
-from decarb.nash import BR_COLUMNS, NASH_COLUMNS, sample_opponent
+from decarb.nash import (BR_COLUMNS, NASH_COLUMNS, _best_response_rhs_firm1,
+                         _best_response_rhs_firm2, _nash_rhs, sample_opponent)
 from decarb.riccati import TimeGrid
 from conftest import NASH_FIXTURE
 
 ZERO_ECONOMY = dict(NASH_FIXTURE, p0=0.0, p1=0.0, p2=0.0)
+
+# Solver outputs recorded at 1001 nodes before the ODE layer moved from numpy
+# arrays to float arithmetic; the move keeps every bit.
+NASH_1001_SHA256 = "2662bcc0bd9b5ad0ec36306472fc676bc72c803ffdf8a0684d113e632b6cc4c9"
+NASH_1001_ROWS = {
+    0: (-11.314711877402551, -1.9843026272198094, -5.054547509222671, 0.0, 0.0,
+        0.9670831094715636, -8.782920278881205, -6.34869232150845, -8.718055694215696,
+        0.0, 0.0, 0.9568171545275417),
+    500: (-0.7375929050082384, -0.014137883060734347, -0.25543141381350987, 0.0, 0.0,
+          0.49661485110994347, -0.02220846775065576, -0.4683997417894411,
+          -0.38234976494504846, 0.0, 0.0, 0.49509948392806663),
+}
+BR2_FLOW05_1001_SHA256 = "59eb75a9d8fae3f42c658d7656f10edfd4ae62924b013d05b102da5e31bfc741"
+BR2_FLOW05_1001_ROWS = {
+    0: (-0.15382557736209307, -1.0647301640773816, -0.8036187959381054,
+        -0.04831001640442008, -0.21394227975433122, 0.9709534535772414),
+    500: (-0.014720643497800879, -0.4254758244971987, -0.319592164312387,
+          -0.0023029094641365735, -0.040564928110459225, 0.4951401735626916),
+}
+
+# firm relabelling: (gamma, sigma, eta) swap between the firms, p1 <-> p2, and
+# firm 1's column j becomes firm 2's column SWAPPED_COLUMNS[j]
+SWAPPED_COLUMNS = {"A": "Bt", "B": "At", "C": "Ct", "D": "Et", "E": "Dt", "F": "Ft"}
 
 
 class TestBestResponse:
@@ -93,6 +118,16 @@ class TestSolveNash:
         bumped[:, NASH_COLUMNS.index("D")] += 0.1
         assert ode_residual(replace(coeffs, values=bumped), nash_params) > 1e-3
 
+    def test_residual_does_not_skip_nan(self, nash_params):
+        # a non-finite coefficient must fail every residual gate, not drop out
+        # of the maximum
+        nash = solve_nash(nash_params, n_nodes=201)
+        br = best_response(nash_params, 1, 0.5, n_nodes=201)
+        for coeffs in (nash, br):
+            bad = coeffs.values.copy()
+            bad[100, 0] = np.nan
+            assert np.isnan(ode_residual(replace(coeffs, values=bad), nash_params))
+
     def test_blow_up_reported_as_existence_failure(self):
         p = validate_params(dict(NASH_FIXTURE, horizon=1.5))
         with pytest.raises(BlowUp) as exc:
@@ -103,6 +138,64 @@ class TestSolveNash:
     def test_wrong_kind(self, two_firm):
         with pytest.raises(WrongKind):
             solve_nash(two_firm)
+
+
+class TestPinnedOutputs:
+    def test_nash_bits(self, nash_params):
+        values = solve_nash(nash_params, n_nodes=1001).values
+        for k, row in NASH_1001_ROWS.items():
+            assert np.array_equal(values[k], row)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == NASH_1001_SHA256
+
+    def test_best_response_bits(self, nash_params):
+        values = best_response(nash_params, 2, 0.5, n_nodes=1001).values
+        for k, row in BR2_FLOW05_1001_ROWS.items():
+            assert np.array_equal(values[k], row)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == BR2_FLOW05_1001_SHA256
+
+
+class TestFirmSwap:
+    @pytest.mark.parametrize("n_nodes", [1001, 16001])
+    def test_relabelling_maps_columns(self, n_nodes):
+        swapped = dict(NASH_FIXTURE,
+                       gamma1=NASH_FIXTURE["gamma2"], gamma2=NASH_FIXTURE["gamma1"],
+                       sigma1=NASH_FIXTURE["sigma2"], sigma2=NASH_FIXTURE["sigma1"],
+                       eta1=NASH_FIXTURE["eta2"], eta2=NASH_FIXTURE["eta1"],
+                       p1=NASH_FIXTURE["p2"], p2=NASH_FIXTURE["p1"])
+        base = solve_nash(validate_params(NASH_FIXTURE), n_nodes)
+        mirror = solve_nash(validate_params(swapped), n_nodes)
+        pairs = list(SWAPPED_COLUMNS.items()) + [(b, a) for a, b in SWAPPED_COLUMNS.items()]
+        for own, other in pairs:
+            v, w = base.column(own), mirror.column(other)
+            assert np.all(np.abs(v - w) <= 1e-14 * np.maximum(1.0, np.abs(v))), (own, other)
+
+
+def loop_ode_residual(values, dt, rhs_at_node):
+    """Node-by-node reference for the vectorized ode_residual."""
+    worst = 0.0
+    for k in range(2, len(values) - 2):
+        est = (values[k - 2] - 8.0 * values[k - 1] + 8.0 * values[k + 1] - values[k + 2]) / (12.0 * dt)
+        worst = max(worst, float(np.max(np.abs(est - np.array(rhs_at_node(k))))))
+    return worst
+
+
+class TestOdeResidualReference:
+    def test_nash_equals_node_loop(self, nash_params):
+        coeffs = solve_nash(nash_params, n_nodes=2001)
+        v = coeffs.values
+        ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: _nash_rhs(nash_params, v[k]))
+        assert ode_residual(coeffs, nash_params) == ref
+
+    @pytest.mark.parametrize("firm, rhs_one", [(1, _best_response_rhs_firm1),
+                                               (2, _best_response_rhs_firm2)])
+    def test_best_response_equals_node_loop(self, nash_params, firm, rhs_one):
+        coeffs = best_response(nash_params, firm, lambda t: 0.3 + 0.5 * t, n_nodes=2001)
+        other = 0.2 * coeffs.grid.nodes
+        v, nodes = coeffs.values, coeffs.grid.nodes
+        for opponent, samples in ((None, coeffs.opponent), (other, other)):
+            ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: rhs_one(
+                nash_params, float(np.interp(nodes[k], nodes, samples)), v[k]))
+            assert ode_residual(coeffs, nash_params, opponent) == ref
 
 
 class TestFeedbackStrategies:

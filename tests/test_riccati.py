@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from decarb import (
     ContractLQG,
     Kind,
     OutOfHorizon,
+    OutOfRange,
     TimeGrid,
     oracle_rates,
     rate_profile,
@@ -17,7 +19,30 @@ from decarb import (
     solve_principal,
     validate_params,
 )
-from conftest import TWO_FIRM_FIXTURE
+from decarb.riccati import coefficient_table
+from conftest import SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
+
+# coefficient_table rows (A11, A12, A22, B1, B2, C) at 1001 nodes, recorded
+# before the Riccati right-hand side moved from 2x2 matrix products to closed
+# scalar form; the rounding may differ in the last bit
+PRINCIPAL_1001_ROWS = {
+    "two-firm": (TWO_FIRM_FIXTURE, {
+        0: (-1.0110927296729613, -0.7572024815290328, -1.343913547764705,
+            0.889180259300163, 0.8097636062742287, -0.03338528632320819),
+        500: (-0.804464001618848, -0.6845297483068172, -1.0403528451507764,
+              0.7226640286633724, 0.6997170071070457, -0.13759141640133105),
+        999: (-0.0021999964200368474, -0.0019999961451817754, -0.0027999956551906656,
+              0.0019999966343202157, 0.0019999963399847717, -0.0005000834144948539),
+    }),
+    "single-firm": (SINGLE_FIRM_FIXTURE, {
+        0: (-1.323956124901045, -0.7397277838890112, -0.8894674829989997,
+            0.707820586007507, 1.0447902532056779, -0.04120303924758687),
+        500: (-1.1111496531559246, -0.6690246053644565, -0.666993504912559,
+              0.6597722679615492, 0.7574855509342948, -0.13852152257374095),
+        999: (-0.0031999937906047045, -0.001999995782945121, -0.0017999970617760023,
+              0.0019999956606968237, 0.0019999969517524754, -0.0005000709146879467),
+    }),
+}
 
 
 def make_lqg(Q=None, L=None, q0=0.0, M=None, sigma=(0.0, 0.0)) -> ContractLQG:
@@ -53,15 +78,22 @@ class TestRK4:
     def test_scalar_riccati_tangent(self):
         # da/dt = -(1 + a^2), a(T) = 0  has solution a(t) = tan(T - t)
         grid = TimeGrid(0.5, 1001)
-        traj = rk4_backward(lambda t, u: -(1.0 + u * u), np.array([0.0]), grid)
+        traj = rk4_backward(lambda t, u: [-(1.0 + u[0] * u[0])], np.array([0.0]), grid)
         assert abs(traj[0, 0] - math.tan(0.5)) <= 1e-9
+
+    def test_stage_times_integrate_cubic_exactly(self):
+        # RK4 on du/dt = f(t) is Simpson's rule, exact for cubics, so a
+        # wrong stage time shows at once
+        grid = TimeGrid(1.0, 11)
+        traj = rk4_backward(lambda t, u: [3.0 * t * t], np.array([1.0]), grid)
+        np.testing.assert_allclose(traj[:, 0], grid.nodes ** 3, rtol=0.0, atol=1e-14)
 
     def test_fourth_order_convergence(self):
         # measured on coarse grids; at 1000 steps the error is already at the
         # rounding floor and halving shows nothing
         def err(n):
             grid = TimeGrid(0.5, n)
-            traj = rk4_backward(lambda t, u: -(1.0 + u * u), np.array([0.0]), grid)
+            traj = rk4_backward(lambda t, u: [-(1.0 + u[0] * u[0])], np.array([0.0]), grid)
             return abs(traj[0, 0] - math.tan(0.5))
 
         assert err(11) / err(21) >= 12.0
@@ -71,7 +103,7 @@ class TestRK4:
         # tan escapes at T - t = pi/2, i.e. near t = 2 - pi/2 ~ 0.43
         grid = TimeGrid(2.0, 2001)
         with pytest.raises(BlowUp) as exc:
-            rk4_backward(lambda t, u: -(1.0 + u * u), np.array([0.0]), grid)
+            rk4_backward(lambda t, u: [-(1.0 + u[0] * u[0])], np.array([0.0]), grid)
         assert 0.3 < exc.value.t_escape < 0.5
 
 
@@ -90,6 +122,17 @@ class TestSolveLQG:
         v = solve_lqg(make_lqg(Q=Q, q0=0.25, sigma=(1.0, 1.0)), horizon=1.0, n_nodes=201)
         # C(0) = int_0^T [0.5*(Q11+Q22)*(T-s) + q0] ds = 0.5*3*0.5 + 0.25
         assert v.C[0] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("field", ["M", "Sigma"])
+    def test_off_diagonal_entries_rejected(self, field):
+        # the scalar right-hand side reads only the diagonals, so an
+        # off-diagonal entry must fail instead of being dropped
+        lqg = make_lqg(Q=np.eye(2), M=np.eye(2), sigma=(0.2, 0.3))
+        mat = getattr(lqg, field).copy()
+        mat[1, 0] = 0.1
+        with pytest.raises(OutOfRange) as exc:
+            solve_lqg(replace(lqg, **{field: mat}), horizon=1.0, n_nodes=11)
+        assert exc.value.field == field
 
     def test_matrix_riccati_blow_up(self):
         lqg = make_lqg(Q=4.0 * np.eye(2), M=np.eye(2))
@@ -125,6 +168,15 @@ class TestSolvePrincipal:
 
     def test_records_kind(self, two_firm):
         assert solve_principal(two_firm, 101).kind is Kind.TWO_FIRM_REGULATED
+
+    @pytest.mark.parametrize("name", sorted(PRINCIPAL_1001_ROWS))
+    def test_pinned_rows(self, name):
+        fixture, rows = PRINCIPAL_1001_ROWS[name]
+        table = coefficient_table(solve_principal(validate_params(fixture), 1001))
+        for k, row in rows.items():
+            assert table[k, 0] == k / 1000
+            for got, want in zip(table[k, 1:], row):
+                assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (k, got, want)
 
 
 class TestValueFn:
