@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import mc, nash, riccati, verify
-from .errors import ConfigMismatch, MissingField, NumericalError, OutOfRange, ValidationError
+from .errors import (ConfigMismatch, MissingField, NumericalError, OutOfRange,
+                     UnexpectedField, ValidationError)
 from .model import Kind, ModelParams, validate_params
 
 SCENARIO_KINDS = {
@@ -30,6 +32,7 @@ SCENARIO_KINDS = {
 RICCATI_HEADER = ("t", "A11", "A12", "A22", "B1", "B2", "C")
 BR_HEADER = ("t",) + nash.BR_COLUMNS
 NASH_HEADER = ("t",) + nash.NASH_COLUMNS
+_CSV_BLOCK = 1024  # rows per tolist() copy, which bounds its memory
 
 
 def emit_csv(trajectory, header, path) -> None:
@@ -41,8 +44,10 @@ def emit_csv(trajectory, header, path) -> None:
         raise ValueError(f"data has {rows.shape[1]} columns, header has {len(header)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        # repr of a Python float is faster than of a numpy scalar
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in rows[lo:lo + _CSV_BLOCK].tolist())
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -51,8 +56,56 @@ def _write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
+NUMERICS_FIELDS = ("n_nodes", "n_paths", "dt", "seed", "x0", "y0", "antithetic", "dump_paths",
+                   "grid")
+GRID_FIELDS = ("x_min", "x_max", "n_points", "n_time_slices")
+
+
+def _reject_unknown(section: dict, allowed: tuple[str, ...], prefix: str = "") -> None:
+    for key in section:
+        if key not in allowed:
+            raise UnexpectedField(prefix + key, f"unknown field '{prefix + key}'")
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _integer(section: dict, key: str, default: int, minimum: int | None = None,
+             prefix: str = "") -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or (
+            minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise OutOfRange(prefix + key, f"{prefix + key} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _number(section: dict, key: str, default: float, prefix: str = "") -> float:
+    value = section.get(key, default)
+    if not _is_finite(value):
+        raise OutOfRange(prefix + key, f"{prefix + key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _flag(section: dict, key: str, default: bool) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise OutOfRange(key, f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _finite_list(section: dict, key: str, default: list, length: int | None = None) -> tuple:
+    value = section.get(key, default)
+    if (not isinstance(value, list) or (length is not None and len(value) != length)
+            or not all(_is_finite(v) for v in value)):
+        size = "a list" if length is None else f"a list of {length}"
+        raise OutOfRange(key, f"{key} must be {size} finite numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 class _Run:
-    """One parsed scenario invocation."""
+    """One parsed scenario invocation; every numerics field is checked here."""
 
     def __init__(self, scenario: str, config: dict, out_dir: Path):
         self.scenario = scenario
@@ -61,11 +114,36 @@ class _Run:
         numerics = config.get("numerics", {})
         if not isinstance(numerics, dict):
             raise ConfigMismatch("'numerics' must be an object")
+        _reject_unknown(numerics, NUMERICS_FIELDS)
         self.numerics = numerics
-        n_nodes = numerics.get("n_nodes", 1001)
-        if isinstance(n_nodes, bool) or not isinstance(n_nodes, int) or n_nodes < 2:
-            raise OutOfRange("n_nodes", f"n_nodes must be an integer >= 2, got {n_nodes!r}")
-        self.n_nodes: int = n_nodes
+        self.n_nodes: int = _integer(numerics, "n_nodes", 1001, minimum=2)
+        dt = _number(numerics, "dt", 1e-3)
+        if dt <= 0.0:
+            raise OutOfRange("dt", f"dt must be > 0, got {dt!r}")
+        y0 = (_finite_list(numerics, "y0", []) if isinstance(numerics.get("y0"), list)
+              else _number(numerics, "y0", 0.0))
+        self.sim_config = mc.SimConfig(
+            n_paths=_integer(numerics, "n_paths", 100_000),
+            dt=dt,
+            seed=_integer(numerics, "seed", 0),
+            x0=_finite_list(numerics, "x0", [0.0, 0.0], length=2),
+            y0=y0,
+            antithetic=_flag(numerics, "antithetic", True),
+        )
+        self.dump_paths = _flag(numerics, "dump_paths", False)
+        grid = numerics.get("grid", {})
+        if not isinstance(grid, dict):
+            raise OutOfRange("grid", f"grid must be an object, got {grid!r}")
+        _reject_unknown(grid, GRID_FIELDS, "grid.")
+        self.grid_spec = verify.GridSpec(
+            x_min=_number(grid, "x_min", -2.0, "grid."),
+            x_max=_number(grid, "x_max", 2.0, "grid."),
+            n_points=_integer(grid, "n_points", 21, minimum=2, prefix="grid."),
+            n_time_slices=_integer(grid, "n_time_slices", 5, minimum=1, prefix="grid."),
+        )
+        if not self.grid_spec.x_min < self.grid_spec.x_max:
+            raise OutOfRange("grid.x_max", f"grid.x_max must exceed grid.x_min, got "
+                             f"[{self.grid_spec.x_min!r}, {self.grid_spec.x_max!r}]")
         model_cfg = config.get("model")
         if model_cfg is None:
             raise MissingField("model")
@@ -75,27 +153,6 @@ class _Run:
             raise ConfigMismatch(
                 f"scenario '{scenario}' needs model kind '{expected.value}', "
                 f"got '{self.params.kind.value}'")
-
-    def sim_config(self) -> mc.SimConfig:
-        n = self.numerics
-        y0 = n.get("y0", 0.0)
-        return mc.SimConfig(
-            n_paths=int(n.get("n_paths", 100_000)),
-            dt=float(n.get("dt", 1e-3)),
-            seed=int(n.get("seed", 0)),
-            x0=tuple(float(v) for v in n.get("x0", (0.0, 0.0))),
-            y0=tuple(float(v) for v in y0) if isinstance(y0, (list, tuple)) else float(y0),
-            antithetic=bool(n.get("antithetic", True)),
-        )
-
-    def grid_spec(self) -> verify.GridSpec:
-        g = self.numerics.get("grid", {})
-        return verify.GridSpec(
-            x_min=float(g.get("x_min", -2.0)),
-            x_max=float(g.get("x_max", 2.0)),
-            n_points=int(g.get("n_points", 21)),
-            n_time_slices=int(g.get("n_time_slices", 5)),
-        )
 
     def summary_base(self) -> dict:
         return {
@@ -156,7 +213,7 @@ def _run_best_response(run: _Run) -> dict:
 
 
 def _run_verify(run: _Run) -> dict:
-    grid = run.grid_spec()
+    grid = run.grid_spec
     if run.params.has_principal:
         v = riccati.solve_principal(run.params, run.n_nodes)
         reports = [verify.hjb_residual_principal(v, run.params, grid)]
@@ -187,8 +244,7 @@ def _dump_paths(run: _Run, cfg: mc.SimConfig, labels, payoff_columns) -> str:
 
 
 def _run_simulate(run: _Run) -> dict:
-    cfg = run.sim_config()
-    dump = bool(run.numerics.get("dump_paths", False))
+    cfg = run.sim_config
     summary = run.summary_base()
     outputs: list[str] = []
     if run.params.has_principal:
@@ -201,7 +257,7 @@ def _run_simulate(run: _Run) -> dict:
         for est, eta, y in zip(agents, run.params.agent_aversions(), y0):
             targets[est.label] = -float(np.exp(-eta * y))
         estimates = [principal, *agents]
-        if dump:
+        if run.dump_paths:
             outputs.append(_dump_paths(run, cfg, ("principal", *mc.agent_labels(run.params)),
                                        (pay_p, *pays_a)))
     else:
@@ -226,7 +282,7 @@ def _run_simulate(run: _Run) -> dict:
                                    * nash.certainty_surface(coeffs, 2, 0.0, x0[0], x0[1]))),
         }
         estimates = [e1, e2]
-        if dump:
+        if run.dump_paths:
             outputs.append(_dump_paths(run, cfg, ("firm1", "firm2"), (z1, z2)))
     summary.update({
         "estimates": [e.to_dict() for e in estimates],

@@ -30,6 +30,13 @@ x and y swapped).  In equilibrium the opponent flows are the feedback rules
 and substituting them couples the two systems into twelve ODEs, integrated
 jointly here.  Backward blow-up is reported as a first-class outcome: the
 equilibrium characterization is conditional on existence over the horizon.
+
+Each system is written once, in a factory (``_nash_rhs``,
+``_best_response_rhs_firm1``, ``_best_response_rhs_firm2``) that reads the
+parameters and their products once per solve and returns the right-hand side
+as a closure.  The same closure runs on floats in the integrator and on
+node-sampled columns in :func:`ode_residual`.  A best response looks the
+opponent flow up in a table interpolated once at the integrator's stage times.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import numpy as np
 
 from .errors import BlowUp, WrongKind
 from .model import Kind, ModelParams
-from .riccati import TimeGrid, centered_derivative, rk4_backward
+from .riccati import TimeGrid, centered_derivative, rk4_backward, rk4_stage_times
 
 BR_COLUMNS = ("A", "B", "C", "D", "E", "F")
 NASH_COLUMNS = ("A", "B", "C", "D", "E", "F", "At", "Bt", "Ct", "Dt", "Et", "Ft")
@@ -95,60 +102,79 @@ def _require_nash(params: ModelParams) -> None:
         raise WrongKind(f"operation requires the no-incentive game, got {params.kind.value}")
 
 
-# Coefficient-ODE right-hand sides: ``u`` holds floats inside the integrator and
-# node-sampled columns in ode_residual; the same expressions serve both.
-def _best_response_rhs_firm1(params: ModelParams, a2, u):
+# Coefficient-ODE right-hand side factories.  Each reads ``params`` once and
+# returns a closure; the closures take floats inside the integrator and
+# node-sampled columns in ode_residual, so the same expressions serve both.
+# Only parameter products that left-to-right evaluation computes first are
+# hoisted (``s2 * e1 * C * C`` is ``s2e1 * C * C``), which keeps every bit.
+def _best_response_rhs_firm1(params: ModelParams):
+    """rhs(a2, u) of firm 1's six ODEs against the opponent flow a2."""
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
     e1, g1, p0, p1, p2 = params.eta1, params.gamma1, params.p0, params.p1, params.p2
-    A, B, C, D, E, _F = u
-    return (
-        2.0 * p1 + (g1 - s1 * e1) * A * A - s2 * e1 * C * C,
-        (g1 - s1 * e1) * C * C - s2 * e1 * B * B,
-        p2 + (g1 - s1 * e1) * A * C - s2 * e1 * B * C,
-        (g1 - s1 * e1) * A * D - s2 * e1 * C * E - a2 * C,
-        (g1 - s1 * e1) * C * D - s2 * e1 * B * E - a2 * B,
-        0.5 * g1 * D * D - 0.5 * s1 * (e1 * D * D + A) - 0.5 * s2 * (e1 * E * E + B)
-        - a2 * E - p0,
-    )
+    p1x2, k1, s2e1 = 2.0 * p1, g1 - s1 * e1, s2 * e1
+    hg1, hs1, hs2 = 0.5 * g1, 0.5 * s1, 0.5 * s2
+
+    def rhs(a2, u):
+        A, B, C, D, E, _F = u
+        return (
+            p1x2 + k1 * A * A - s2e1 * C * C,
+            k1 * C * C - s2e1 * B * B,
+            p2 + k1 * A * C - s2e1 * B * C,
+            k1 * A * D - s2e1 * C * E - a2 * C,
+            k1 * C * D - s2e1 * B * E - a2 * B,
+            hg1 * D * D - hs1 * (e1 * D * D + A) - hs2 * (e1 * E * E + B) - a2 * E - p0,
+        )
+    return rhs
 
 
-def _best_response_rhs_firm2(params: ModelParams, a1, u):
+def _best_response_rhs_firm2(params: ModelParams):
+    """rhs(a1, u) of firm 2's six ODEs against the opponent flow a1."""
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
     e2, g2, p0, p1, p2 = params.eta2, params.gamma2, params.p0, params.p1, params.p2
-    At, Bt, Ct, Dt, Et, _Ft = u
-    return (
-        g2 * Ct * Ct - s1 * e2 * At * At - s2 * e2 * Ct * Ct,
-        2.0 * p2 + (g2 - s2 * e2) * Bt * Bt - s1 * e2 * Ct * Ct,
-        p1 + (g2 - s2 * e2) * Bt * Ct - s1 * e2 * At * Ct,
-        (g2 - s2 * e2) * Ct * Et - s1 * e2 * At * Dt - a1 * At,
-        (g2 - s2 * e2) * Bt * Et - s1 * e2 * Ct * Dt - a1 * Ct,
-        0.5 * g2 * Et * Et - 0.5 * s1 * (e2 * Dt * Dt + At) - 0.5 * s2 * (e2 * Et * Et + Bt)
-        - a1 * Dt - p0,
-    )
+    p2x2, k2, s1e2, s2e2 = 2.0 * p2, g2 - s2 * e2, s1 * e2, s2 * e2
+    hg2, hs1, hs2 = 0.5 * g2, 0.5 * s1, 0.5 * s2
+
+    def rhs(a1, u):
+        At, Bt, Ct, Dt, Et, _Ft = u
+        return (
+            g2 * Ct * Ct - s1e2 * At * At - s2e2 * Ct * Ct,
+            p2x2 + k2 * Bt * Bt - s1e2 * Ct * Ct,
+            p1 + k2 * Bt * Ct - s1e2 * At * Ct,
+            k2 * Ct * Et - s1e2 * At * Dt - a1 * At,
+            k2 * Bt * Et - s1e2 * Ct * Dt - a1 * Ct,
+            hg2 * Et * Et - hs1 * (e2 * Dt * Dt + At) - hs2 * (e2 * Et * Et + Bt) - a1 * Dt - p0,
+        )
+    return rhs
 
 
-def _nash_rhs(params: ModelParams, u):
+def _nash_rhs(params: ModelParams):
+    """rhs(t, u) of the twelve coupled equilibrium ODEs (autonomous: t is unused)."""
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
     e1, e2 = params.eta1, params.eta2
     g1, g2 = params.gamma1, params.gamma2
     p0, p1, p2 = params.p0, params.p1, params.p2
-    A, B, C, D, E, _F, At, Bt, Ct, Dt, Et, _Ft = u
-    return (
-        2.0 * p1 + (g1 - s1 * e1) * A * A - s2 * e1 * C * C + 2.0 * g2 * Ct * C,
-        (g1 - s1 * e1) * C * C - s2 * e1 * B * B + 2.0 * g2 * Bt * B,
-        p2 + (g1 - s1 * e1) * A * C - s2 * e1 * B * C + g2 * (Bt * C + Ct * B),
-        (g1 - s1 * e1) * A * D - s2 * e1 * C * E + g2 * (Ct * E + Et * C),
-        (g1 - s1 * e1) * C * D - s2 * e1 * B * E + g2 * (Bt * E + Et * B),
-        0.5 * g1 * D * D - 0.5 * s1 * (e1 * D * D + A) - 0.5 * s2 * (e1 * E * E + B)
-        + g2 * Et * E - p0,
-        g2 * Ct * Ct - s1 * e2 * At * At - s2 * e2 * Ct * Ct + 2.0 * g1 * A * At,
-        2.0 * p2 + (g2 - s2 * e2) * Bt * Bt - s1 * e2 * Ct * Ct + 2.0 * g1 * C * Ct,
-        p1 + (g2 - s2 * e2) * Bt * Ct - s1 * e2 * At * Ct + g1 * (A * Ct + C * At),
-        (g2 - s2 * e2) * Ct * Et - s1 * e2 * At * Dt + g1 * (A * Dt + D * At),
-        (g2 - s2 * e2) * Bt * Et - s1 * e2 * Ct * Dt + g1 * (C * Dt + D * Ct),
-        0.5 * g2 * Et * Et - 0.5 * s1 * (e2 * Dt * Dt + At) - 0.5 * s2 * (e2 * Et * Et + Bt)
-        + g1 * D * Dt - p0,
-    )
+    p1x2, p2x2, g1x2, g2x2 = 2.0 * p1, 2.0 * p2, 2.0 * g1, 2.0 * g2
+    k1, k2 = g1 - s1 * e1, g2 - s2 * e2
+    s2e1, s1e2, s2e2 = s2 * e1, s1 * e2, s2 * e2
+    hg1, hg2, hs1, hs2 = 0.5 * g1, 0.5 * g2, 0.5 * s1, 0.5 * s2
+
+    def rhs(_t, u):
+        A, B, C, D, E, _F, At, Bt, Ct, Dt, Et, _Ft = u
+        return (
+            p1x2 + k1 * A * A - s2e1 * C * C + g2x2 * Ct * C,
+            k1 * C * C - s2e1 * B * B + g2x2 * Bt * B,
+            p2 + k1 * A * C - s2e1 * B * C + g2 * (Bt * C + Ct * B),
+            k1 * A * D - s2e1 * C * E + g2 * (Ct * E + Et * C),
+            k1 * C * D - s2e1 * B * E + g2 * (Bt * E + Et * B),
+            hg1 * D * D - hs1 * (e1 * D * D + A) - hs2 * (e1 * E * E + B) + g2 * Et * E - p0,
+            g2 * Ct * Ct - s1e2 * At * At - s2e2 * Ct * Ct + g1x2 * A * At,
+            p2x2 + k2 * Bt * Bt - s1e2 * Ct * Ct + g1x2 * C * Ct,
+            p1 + k2 * Bt * Ct - s1e2 * At * Ct + g1 * (A * Ct + C * At),
+            k2 * Ct * Et - s1e2 * At * Dt + g1 * (A * Dt + D * At),
+            k2 * Bt * Et - s1e2 * Ct * Dt + g1 * (C * Dt + D * Ct),
+            hg2 * Et * Et - hs1 * (e2 * Dt * Dt + At) - hs2 * (e2 * Et * Et + Bt) + g1 * D * Dt - p0,
+        )
+    return rhs
 
 
 def sample_opponent(opponent, grid: TimeGrid) -> np.ndarray:
@@ -173,20 +199,17 @@ def best_response(
 
     ``opponent`` is the other firm's effort as a function of time: a scalar,
     a callable, or node samples on the grid; samples interpolate linearly at
-    integration stage times.
+    integration stage times, all of them at once before the solve.
     """
     _require_nash(params)
     if firm not in (1, 2):
         raise ValueError(f"firm index must be 1 or 2, got {firm}")
     grid = TimeGrid(params.horizon, n_nodes)
     samples = sample_opponent(opponent, grid)
-    nodes = grid.nodes
-    rhs_one = _best_response_rhs_firm1 if firm == 1 else _best_response_rhs_firm2
-
-    def rhs(t: float, u: list[float]) -> tuple[float, ...]:
-        return rhs_one(params, float(np.interp(t, nodes, samples)), u)
-
-    values = rk4_backward(rhs, np.zeros(6), grid)
+    times = rk4_stage_times(grid)
+    flow = dict(zip(times, np.interp(times, grid.nodes, samples).tolist()))
+    rhs_one = (_best_response_rhs_firm1 if firm == 1 else _best_response_rhs_firm2)(params)
+    values = rk4_backward(lambda t, u: rhs_one(flow[t], u), np.zeros(6), grid)
     return BestResponseCoeffs(grid=grid, values=values, firm=firm, opponent=samples)
 
 
@@ -196,7 +219,7 @@ def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
     grid = TimeGrid(params.horizon, n_nodes)
 
     try:
-        values = rk4_backward(lambda _t, u: _nash_rhs(params, u), np.zeros(12), grid)
+        values = rk4_backward(_nash_rhs(params), np.zeros(12), grid)
     except BlowUp as exc:
         raise BlowUp(
             exc.t_escape,
@@ -275,12 +298,12 @@ def ode_residual(
     values = coeffs.values
     interior = values[2:-2].T
     if isinstance(coeffs, NashCoeffs):
-        rhs = _nash_rhs(params, interior)
+        rhs = _nash_rhs(params)(None, interior)
     else:
         nodes = coeffs.grid.nodes
         samples = coeffs.opponent if opponent is None else sample_opponent(opponent, coeffs.grid)
         rhs_one = _best_response_rhs_firm1 if coeffs.firm == 1 else _best_response_rhs_firm2
-        rhs = rhs_one(params, np.interp(nodes[2:-2], nodes, samples), interior)
+        rhs = rhs_one(params)(np.interp(nodes[2:-2], nodes, samples), interior)
     worst = [np.max(np.abs(centered_derivative(values[:, j], coeffs.grid.dt) - r), initial=0.0)
              for j, r in enumerate(rhs)]
     return float(np.max(worst))

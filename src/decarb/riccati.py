@@ -27,6 +27,7 @@ from .errors import BlowUp, OutOfHorizon, OutOfRange
 from .model import Kind, ModelParams
 
 BLOWUP_LIMIT = 1e12
+_BLOCK = 256  # RK4 steps stored and checked together
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,18 @@ class TimeGrid:
         return np.linspace(0.0, self.t_end, self.n_nodes)
 
 
+def rk4_stage_times(grid: TimeGrid) -> list[float]:
+    """Every time at which :func:`rk4_backward` evaluates ``rhs`` on this grid.
+
+    Built with the integrator's own float expressions (``t``, ``t + half``,
+    ``t + h``), so a table of time-dependent inputs keyed by these values
+    matches each ``rhs`` call exactly.
+    """
+    h = -grid.dt
+    half = 0.5 * h
+    return [s for t in grid.nodes[1:].tolist() for s in (t, t + half, t + h)]
+
+
 def rk4_backward(
     rhs: Callable[[float, Sequence[float]], Sequence[float]],
     terminal: np.ndarray,
@@ -59,9 +72,19 @@ def rk4_backward(
     """March du/dt = rhs(t, u) from u(T) = terminal back to t = 0.
 
     ``rhs(t, u)`` takes the state as a sequence of floats and returns its
-    derivative as a sequence of floats of the same length.  Returns the
-    trajectory on all grid nodes, shape (n_nodes, len(terminal)), row k
-    holding u(t_k).  The terminal row is the terminal data bit for bit.
+    derivative as a sequence of floats of the same length; it is called at
+    the times :func:`rk4_stage_times` lists.  Returns the trajectory on all
+    grid nodes, shape (n_nodes, len(terminal)), row k holding u(t_k).  The
+    terminal row is the terminal data bit for bit.
+
+    Rows are collected in blocks of ``_BLOCK`` steps, each stored with one
+    slice assignment and checked at once.  :class:`BlowUp` reports the first
+    node, in marching order, with a coefficient beyond ``BLOWUP_LIMIT``, NaN
+    or inf: the node a check after every step would report.  Float ``+``,
+    ``-`` and ``*`` give inf or NaN rather than raise, so marching on past an
+    escape to the end of its block changes nothing.  If ``rhs`` raises, the
+    rows marched so far are checked first: an escape among them raises
+    :class:`BlowUp` at its node, and otherwise the exception propagates.
     """
     terminal = np.asarray(terminal, dtype=float)
     n = grid.n_nodes
@@ -71,18 +94,34 @@ def rk4_backward(
     out = np.empty((n, terminal.size))
     out[-1] = terminal
     u = terminal.tolist()
-    for k in range(n - 1, 0, -1):
-        t = nodes[k]
-        k1 = rhs(t, u)
-        k2 = rhs(t + half, [x + half * d for x, d in zip(u, k1)])
-        k3 = rhs(t + half, [x + half * d for x, d in zip(u, k2)])
-        k4 = rhs(t + h, [x + h * d for x, d in zip(u, k3)])
-        u = [x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-             for x, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
-        if not all(abs(x) <= BLOWUP_LIMIT for x in u):  # also catches NaN and inf
-            raise BlowUp(nodes[k - 1])
-        out[k - 1] = u
+    for top in range(n - 1, 0, -_BLOCK):
+        rows = []
+        try:
+            for k in range(top, max(top - _BLOCK, 0), -1):
+                t = nodes[k]
+                t_mid = t + half
+                k1 = rhs(t, u)
+                k2 = rhs(t_mid, [x + half * d for x, d in zip(u, k1)])
+                k3 = rhs(t_mid, [x + half * d for x, d in zip(u, k2)])
+                k4 = rhs(t + h, [x + h * d for x, d in zip(u, k3)])
+                u = [x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                     for x, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
+                rows.append(u)
+        except Exception:
+            _check_block(np.array(rows), nodes, top - 1)
+            raise
+        block = np.array(rows)
+        _check_block(block, nodes, top - 1)
+        out[top - len(rows):top] = block[::-1]
     return out
+
+
+def _check_block(block: np.ndarray, nodes: list[float], first: int) -> None:
+    """Raise BlowUp at the first escaped row; row i holds u at node ``first - i``."""
+    ok = np.abs(block) <= BLOWUP_LIMIT  # also catches NaN and inf
+    if not ok.all():
+        i = int(np.argmin(ok.all(axis=1)))
+        raise BlowUp(nodes[first - i])
 
 
 def centered_derivative(values: np.ndarray, dt: float) -> np.ndarray:

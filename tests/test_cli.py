@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,10 @@ from decarb.cli import emit_csv, run
 from conftest import NASH_FIXTURE, TWO_FIRM_FIXTURE
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# SHA-256 of emit_csv's bytes for pinned_table(), recorded when every value
+# was formatted one numpy scalar at a time
+PINNED_CSV_SHA256 = "bcfadc26b542b2f3239ea75aef81d56e8ce394c175d8b71942e2bf338d4b9c46"
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -35,6 +40,21 @@ class TestEmitCsv:
         assert rows[0] == ["a", "b", "c"]
         back = np.array([[float(v) for v in row] for row in rows[1:]])
         assert np.array_equal(back, data)
+
+    @staticmethod
+    def pinned_table() -> np.ndarray:
+        """2500 rows over 40 decades, special values in rows at and around 1024 and 2048."""
+        rng = np.random.default_rng(2024)
+        table = rng.standard_normal((2500, 7)) * 10.0 ** rng.integers(-20, 20, (2500, 7))
+        specials = [-0.0, 5e-324, 1e-05, 1e+16, np.inf, -np.inf, np.nan]
+        for i, k in enumerate((0, 1023, 1024, 1025, 2047, 2048, 2499)):
+            table[k] = np.roll(specials, i)
+        return table
+
+    def test_pinned_bytes(self, tmp_path):
+        path = tmp_path / "pinned.csv"
+        emit_csv(self.pinned_table(), tuple("abcdefg"), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
 
     def test_empty_trajectory_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -189,6 +209,50 @@ class TestErrorPaths:
         assert err["error"] == "OutOfRange"
         assert err["field"] == "n_nodes"
         assert err["exit_code"] == 1
+
+    @pytest.mark.parametrize("scenario, numerics, error, field", [
+        ("simulate", {"n_paths": 4.9}, "OutOfRange", "n_paths"),
+        ("simulate", {"n_paths": True}, "OutOfRange", "n_paths"),
+        ("simulate", {"seed": 1.7}, "OutOfRange", "seed"),
+        ("simulate", {"dt": 0.0}, "OutOfRange", "dt"),
+        ("simulate", {"dt": "0.01"}, "OutOfRange", "dt"),
+        ("simulate", {"dt": float("inf")}, "OutOfRange", "dt"),
+        ("simulate", {"antithetic": "no"}, "OutOfRange", "antithetic"),
+        ("simulate", {"dump_paths": 1}, "OutOfRange", "dump_paths"),
+        ("simulate", {"x0": [0.0]}, "OutOfRange", "x0"),
+        ("simulate", {"x0": [0.0, float("nan")]}, "OutOfRange", "x0"),
+        ("simulate", {"y0": "0"}, "OutOfRange", "y0"),
+        ("simulate", {"y0": [0.0, float("-inf")]}, "OutOfRange", "y0"),
+        ("simulate", {"n_node": 501}, "UnexpectedField", "n_node"),
+        ("verify", {"grid": {"n_points": 0}}, "OutOfRange", "grid.n_points"),
+        ("verify", {"grid": {"n_time_slices": 2.5}}, "OutOfRange", "grid.n_time_slices"),
+        ("verify", {"grid": {"n_time_slices": 0}}, "OutOfRange", "grid.n_time_slices"),
+        ("verify", {"grid": {"x_min": 1.0, "x_max": 1.0}}, "OutOfRange", "grid.x_max"),
+        ("verify", {"grid": {"x_min": None}}, "OutOfRange", "grid.x_min"),
+        ("verify", {"grid": {"n_point": 11}}, "UnexpectedField", "grid.n_point"),
+        ("verify", {"grid": [21]}, "OutOfRange", "grid"),
+    ])
+    def test_malformed_numerics_names_field(self, tmp_path, capsys, scenario, numerics,
+                                            error, field):
+        cfg = write_config(tmp_path, {"model": TWO_FIRM_FIXTURE,
+                                      "numerics": dict(numerics, n_nodes=201)})
+        assert run([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"], err["exit_code"]) == (error, field, 1)
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_every_numerics_field_accepted(self, tmp_path):
+        out = tmp_path / "full"
+        cfg = write_config(tmp_path, {"model": TWO_FIRM_FIXTURE, "numerics": {
+            "n_nodes": 201, "n_paths": 64, "dt": 0.01, "seed": 3,
+            "x0": [0.1, -0.1], "y0": [0.0, 0.5], "antithetic": False, "dump_paths": True,
+            "grid": {"x_min": -1, "x_max": 1, "n_points": 5, "n_time_slices": 2},
+        }})
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert len(read_rows(out / "paths.csv")) == 65
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+        grid = json.loads((out / "residuals.json").read_text())["reports"][0]["grid"]
+        assert grid == {"x_min": -1.0, "x_max": 1.0, "n_points": 5, "n_time_slices": 2}
 
     def test_scenario_kind_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": TWO_FIRM_FIXTURE})

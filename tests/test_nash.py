@@ -41,6 +41,23 @@ BR2_FLOW05_1001_ROWS = {
           -0.0023029094641365735, -0.040564928110459225, 0.4951401735626916),
 }
 
+# best_response at 1001 nodes against time-varying opponents, SHA-256 of
+# .values.tobytes(), recorded before the opponent flow was interpolated once
+# per solve instead of at every stage
+BR_1001_VARYING_SHA256 = {
+    (1, "callable"): "397bd61ecceec3e04861327a95099e0286b6215f16dd6e8f2f52f70c2bee8b95",
+    (1, "samples"): "5cd258d20426140e70ce741fe17a10b41e2c573a0683cc04d8736c40cd6b404f",
+    (2, "callable"): "5c3a110c65cd3a6bf19c3c09bebe887bdc0ba662b6d490aeea8039459679d67d",
+    (2, "samples"): "439ff0b41d44d29a1777e0fb28c22647b908083d6bdc7f9867e962cd81a0aa93",
+}
+# Nash escape times (horizon, n_nodes) -> t_escape, recorded with a blow-up
+# check after every step
+NASH_T_ESCAPE = {
+    (1.05, 201): 0.00525, (1.05, 1001): 0.011550000000000001, (1.05, 16001): 0.012796875000000003,
+    (1.2, 201): 0.156, (1.2, 1001): 0.1608, (1.2, 16001): 0.162825,
+    (2.0, 201): 0.9500000000000001, (2.0, 1001): 0.96, (2.0, 16001): 0.96275,
+}
+
 # firm relabelling: (gamma, sigma, eta) swap between the firms, p1 <-> p2, and
 # firm 1's column j becomes firm 2's column SWAPPED_COLUMNS[j]
 SWAPPED_COLUMNS = {"A": "Bt", "B": "At", "C": "Ct", "D": "Et", "E": "Dt", "F": "Ft"}
@@ -153,6 +170,20 @@ class TestPinnedOutputs:
             assert np.array_equal(values[k], row)
         assert hashlib.sha256(values.tobytes()).hexdigest() == BR2_FLOW05_1001_SHA256
 
+    @pytest.mark.parametrize("firm, form", sorted(BR_1001_VARYING_SHA256))
+    def test_best_response_time_varying_opponent_bits(self, nash_params, firm, form):
+        nodes = TimeGrid(nash_params.horizon, 1001).nodes
+        opponent = (lambda t: 0.3 + 0.5 * t) if form == "callable" else 0.2 * nodes
+        values = best_response(nash_params, firm, opponent, n_nodes=1001).values
+        digest = hashlib.sha256(values.tobytes()).hexdigest()
+        assert digest == BR_1001_VARYING_SHA256[firm, form]
+
+    @pytest.mark.parametrize("horizon, n_nodes", sorted(NASH_T_ESCAPE))
+    def test_escape_times(self, horizon, n_nodes):
+        with pytest.raises(BlowUp) as exc:
+            solve_nash(validate_params(dict(NASH_FIXTURE, horizon=horizon)), n_nodes)
+        assert exc.value.t_escape == NASH_T_ESCAPE[horizon, n_nodes]
+
 
 class TestFirmSwap:
     @pytest.mark.parametrize("n_nodes", [1001, 16001])
@@ -183,7 +214,7 @@ class TestOdeResidualReference:
     def test_nash_equals_node_loop(self, nash_params):
         coeffs = solve_nash(nash_params, n_nodes=2001)
         v = coeffs.values
-        ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: _nash_rhs(nash_params, v[k]))
+        ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: _nash_rhs(nash_params)(None, v[k]))
         assert ode_residual(coeffs, nash_params) == ref
 
     @pytest.mark.parametrize("firm, rhs_one", [(1, _best_response_rhs_firm1),
@@ -193,8 +224,8 @@ class TestOdeResidualReference:
         other = 0.2 * coeffs.grid.nodes
         v, nodes = coeffs.values, coeffs.grid.nodes
         for opponent, samples in ((None, coeffs.opponent), (other, other)):
-            ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: rhs_one(
-                nash_params, float(np.interp(nodes[k], nodes, samples)), v[k]))
+            ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: rhs_one(nash_params)(
+                float(np.interp(nodes[k], nodes, samples)), v[k]))
             assert ode_residual(coeffs, nash_params, opponent) == ref
 
 

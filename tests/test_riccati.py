@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decarb import (
     BlowUp,
@@ -19,7 +20,7 @@ from decarb import (
     solve_principal,
     validate_params,
 )
-from decarb.riccati import coefficient_table
+from decarb.riccati import BLOWUP_LIMIT, _BLOCK, coefficient_table, rk4_stage_times
 from conftest import SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
 
 # coefficient_table rows (A11, A12, A22, B1, B2, C) at 1001 nodes, recorded
@@ -88,6 +89,14 @@ class TestRK4:
         traj = rk4_backward(lambda t, u: [3.0 * t * t], np.array([1.0]), grid)
         np.testing.assert_allclose(traj[:, 0], grid.nodes ** 3, rtol=0.0, atol=1e-14)
 
+    def test_stage_times_listed_exactly(self):
+        # best_response keys its opponent table by these floats
+        grid = TimeGrid(0.7, 37)
+        seen = []
+        rk4_backward(lambda t, u: seen.append(t) or [0.0], np.array([0.0]), grid)
+        want = rk4_stage_times(grid)
+        assert set(seen) == set(want) and len(want) == 3 * (grid.n_nodes - 1)
+
     def test_fourth_order_convergence(self):
         # measured on coarse grids; at 1000 steps the error is already at the
         # rounding floor and halving shows nothing
@@ -105,6 +114,91 @@ class TestRK4:
         with pytest.raises(BlowUp) as exc:
             rk4_backward(lambda t, u: [-(1.0 + u[0] * u[0])], np.array([0.0]), grid)
         assert 0.3 < exc.value.t_escape < 0.5
+
+
+def reference_escape(c: float, grid: TimeGrid):
+    """Step-by-step RK4 on u' = -(c + u^2), u(T) = 0, checked after every step."""
+    nodes = grid.nodes.tolist()
+    h = -grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    u = 0.0
+    for k in range(grid.n_nodes - 1, 0, -1):
+        k1 = -(c + u * u)
+        k2 = -(c + (u + half * k1) * (u + half * k1))
+        k3 = -(c + (u + half * k2) * (u + half * k2))
+        k4 = -(c + (u + h * k3) * (u + h * k3))
+        u = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not abs(u) <= BLOWUP_LIMIT:
+            return nodes[k - 1]
+    return None
+
+
+class TestBlockedBlowUpCheck:
+    # nodes at the integers 0 .. 1000, so every stage time is exact; the
+    # steps from nodes 1000 .. 1001 - _BLOCK form the first block
+    GRID = TimeGrid(1000.0, 1001)
+
+    @staticmethod
+    def jump_below(j):
+        """rhs that is zero down to node j and huge below it: u escapes at node j - 1."""
+        return lambda t, u: [-1e15 if t < j else 0.0]
+
+    @pytest.mark.parametrize("escape", [
+        900,                      # inside the first block
+        1000 - _BLOCK,            # last row of the first block
+        999 - _BLOCK,             # first row of the second block
+        10, 0,                    # inside the final partial block, and its last row
+    ])
+    def test_escape_node_in_any_block_position(self, escape):
+        with pytest.raises(BlowUp) as exc:
+            rk4_backward(self.jump_below(escape + 1), np.array([0.0]), self.GRID)
+        assert exc.value.t_escape == float(escape)
+
+    def test_blocked_store_keeps_every_row(self):
+        traj = rk4_backward(lambda t, u: [1.0], np.array([0.0]), self.GRID)
+        np.testing.assert_array_equal(traj[:, 0], self.GRID.nodes - 1000.0)
+
+    def test_nan_at_one_node(self):
+        # the step into node 600 reads rhs at t = 600 in its last stage
+        nan_at = lambda t, u: [math.nan if t == 600.0 else 0.0]
+        with pytest.raises(BlowUp) as exc:
+            rk4_backward(nan_at, np.array([0.0]), self.GRID)
+        assert exc.value.t_escape == 600.0
+
+    def test_rhs_raising_after_the_escape_reports_the_escape(self):
+        # u passes the limit at node 899 and grows by 1e15 a step; the exp
+        # term adds nothing until it overflows, a few steps on in the same block
+        def rhs(t, u):
+            return [(-1e15 if t < 900 else 0.0) + 0.0 * math.exp(u[0] / 1e13)]
+
+        with pytest.raises(OverflowError):
+            rhs(0.0, [1e16])
+        with pytest.raises(BlowUp) as exc:
+            rk4_backward(rhs, np.array([0.0]), self.GRID)
+        assert exc.value.t_escape == 899.0
+        assert isinstance(exc.value.__context__, OverflowError)
+
+    def test_rhs_raising_without_an_escape_propagates(self):
+        def rhs(t, u):
+            if t < 700:
+                raise ZeroDivisionError("rhs failed")
+            return [1.0]
+
+        with pytest.raises(ZeroDivisionError):
+            rk4_backward(rhs, np.array([0.0]), self.GRID)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(0.05, 50.0), horizon=st.floats(0.05, 6.0),
+           n_nodes=st.integers(2, 3 * _BLOCK + 7))
+    def test_escape_matches_step_by_step_check(self, c, horizon, n_nodes):
+        grid = TimeGrid(horizon, n_nodes)
+        want = reference_escape(c, grid)
+        try:
+            rk4_backward(lambda t, u: [-(c + u[0] * u[0])], np.array([0.0]), grid)
+            got = None
+        except BlowUp as exc:
+            got = exc.t_escape
+        assert got == want
 
 
 class TestSolveLQG:
