@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 
@@ -341,6 +342,80 @@ def pinned_models():
     }
 
 
+def payoff_digest(payoffs) -> str:
+    """SHA-256 over the raw bytes of every payoff array, in order."""
+    h = hashlib.sha256()
+    for z in payoffs:
+        h.update(np.ascontiguousarray(z).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of every payoff array of a 64-path run per model and engine
+# setting, recorded before the path step moved into reused buffers; a change
+# in the last bit of one path changes the digest.  Every chunking must give
+# the same digest.  Keys: model/scheme-sampling-r<brownian_refinement>.
+PINNED_DIGESTS = {
+    "single/pc-anti-r1": "b702f620dcda7c5b4f70316cc2254ab63cf6f2a7bc762baef559441a790b3c9c",
+    "single/pc-anti-r2": "0aba0a51742d9e961565c682061f73cc46f4c67c5a03cf5247afec4c2903ea59",
+    "single/pc-plain-r1": "47d37768e4ef89d1bd2f74d622bd478aa7d41871f64264265132a771caeb6fc9",
+    "single/pc-plain-r2": "a401fb5c1d2b55f5dfd619e545d5e844941ea3f54d4aacd1ea119a62d3622223",
+    "single/euler-anti-r1": "99bda149fc861e47e6d86c621ce2c76cdeee892b9d33abe345e62d6843f40e56",
+    "single/euler-anti-r2": "89046f8a07d41aad20b461652574175e7cb0c4dab79ffcf0c62c557a72594dc6",
+    "single/euler-plain-r1": "2fa9ef46561c624436249d2d78fad2dfa031d5093ead3258877371445f98d1c5",
+    "single/euler-plain-r2": "788c4651e4ba35539c5c34970644ebe787bbc0cdead83b403daf55775e32bdeb",
+    "literal/pc-anti-r1": "00107eb83b8fe978a8e2ffa39719b6e2d3a0c9efe671ff60421b2f54ac891ca8",
+    "literal/pc-anti-r2": "8e37843ea04de01c1da8b56065e2c47e75477266c6160b44f69f06acb7642275",
+    "literal/pc-plain-r1": "9c2fb61f63e61174fef94c718705a89aa01d61c3c1e7d9d345d69935a1ff949e",
+    "literal/pc-plain-r2": "91a6604ee2bf160114a8b866495a6e1c732ebf74dbdd5b6afb88721e52d9d8be",
+    "literal/euler-anti-r1": "74d8236a18c2b5cebba429e062ffba0ba3de1c00ee2d8e3671cdef2c7bef02c9",
+    "literal/euler-anti-r2": "16ea9ff64499754a921bfb1ea15b29e7429b120cdb58e469263993d1b531af19",
+    "literal/euler-plain-r1": "53804fcd6bd98291cf9fce785d225a20a4ab00827957b5282d5a045e93728819",
+    "literal/euler-plain-r2": "926d54dfb964510e71ba8d37ba41dda6b3a6fa29418c5eef1ad9d1c4a9ed6f71",
+    "two/pc-anti-r1": "a5c18884ba6bcdfe674bf003eddd90747dfe0d2648eacd4077bb4e4dff15bce9",
+    "two/pc-anti-r2": "f28ad7985f828fe8e3f4a292e5a93d5d71043b3b8c972b4f7124be85c0feb6c4",
+    "two/pc-plain-r1": "d70e799dc7709384356d68c15b47f524836f79a4a14d8f51b5de461175260be7",
+    "two/pc-plain-r2": "a64a973f96b1abc02e158bb29414637e188f18e1fe67707eddf2df5034325999",
+    "two/euler-anti-r1": "8c3f4c9f1558d920e7aa501bd84e0c5f7ab99152a058dba302f7e11067fab2d3",
+    "two/euler-anti-r2": "67e7a82e63db350b794f3ffe0d98202d8823a285bcba5ffd34bbaf1d8c559df1",
+    "two/euler-plain-r1": "8748e929f478dc608e2867ffb251b7cbbf9fe310d363a882df904934e1ef0aac",
+    "two/euler-plain-r2": "c097bc184149c83074294b6ffb6a7e31caf0783e8b3b49df3935c9aa306f8275",
+    "nash/pc-anti-r1": "980515ba55d9baf173c58854f6ec538177fa8af76bde89d95c1abfba7a5df231",
+    "nash/pc-anti-r2": "5704723e42aaa8e3954154b3ed9bcbfe70784aa3ae561600a5149025b91e7c12",
+    "nash/pc-plain-r1": "9e3d09dc09075d9a93f5c48b26a8e8e6e5c2f0200c39d0ab5e8b859d339ecb68",
+    "nash/pc-plain-r2": "9e0a94cc5b4d1fa269a84881e5681c9930a73afd033589a3a3991dfa9419ab6f",
+    "nash/euler-anti-r1": "f8b061ff5f3634e8a60a1fae60ec6c7e282776cf8cb6a29ddf5489901e7a15a2",
+    "nash/euler-anti-r2": "72e771523763f22b7565e00ea9e4f2f19258e37669838026be45d5da8f2efdf3",
+    "nash/euler-plain-r1": "cba8aad5b887c8a7191a344bbeeb9ebd5d4bcb470fd137abdb132a73e4f65bc5",
+    "nash/euler-plain-r2": "3e60f273daf0ef2772cb2f3bc68ea58ad89bbf83cc23c30eafe67b9a53c57273",
+    "nashdev/pc-anti-r1": "ec322af78ed98569294a704108ee1bede560316442aaca5236518ed8b3dbb48f",
+    "nashdev/pc-anti-r2": "7113139012c6bd65124fafbc6e7640c64c35561cbc393a463276dca0c8679129",
+    "nashdev/pc-plain-r1": "43770c54a0002b5973ad6cddbaf505b11e23c205d21b0fea74499b62265bf77d",
+    "nashdev/pc-plain-r2": "33bd725ff444c1e8135a5089ddbb0ab81523859e9fc3bf1655d9570e8af91d7c",
+    "nashdev/euler-anti-r1": "694045a096fff89b54d5e8de0e5502abe62df70142bbd829c218ce0bb1036c4e",
+    "nashdev/euler-anti-r2": "60ff3f0ba9c31f6586106c951a5bbd378f16641a4554959b3c98c24c853465b3",
+    "nashdev/euler-plain-r1": "89128737ec4ae58c7fd0f687c67880929c92a4b81c55f5d42b9974f2861fafc8",
+    "nashdev/euler-plain-r2": "36cbadf280ae00f066e28cb877781c7d9be6a17bd9955c7b0af3e2023cc97e0c",
+}
+# two-firm principal at the benchmark's mc_long shape: one full chunk of 1000 pc steps
+PINNED_LONG_DIGEST = "33aff60d0d464129debb4acfc9f643814fb6deac3350838d991e720c33ab4aac"
+
+
+@pytest.fixture(scope="module")
+def digest_models(pinned_models):
+    literal = validate_params(dict(SINGLE_FIRM_FIXTURE, literal_signs=True))
+    return dict(pinned_models, literal=(literal, solve_principal(literal, 201)))
+
+
+def pinned_payoffs(models, name, cfg, scheme, chunk_size, refinement):
+    if name in ("single", "literal", "two"):
+        params, v = models[name]
+        pay_p, pays_a = principal_path_payoffs(params, v, cfg, scheme, chunk_size, refinement)
+        return [pay_p, *pays_a]
+    params, strategies = models["nash"]
+    deviation = Deviation(1, 0.9, 0.05) if name == "nashdev" else None
+    return nash_path_payoffs(params, strategies, cfg, deviation, scheme, chunk_size, refinement)
+
+
 class TestFrozenSeedOutputs:
     @pytest.mark.parametrize("key", sorted(PINNED_MEANS))
     def test_payoff_means_pinned(self, pinned_models, key):
@@ -359,6 +434,22 @@ class TestFrozenSeedOutputs:
             payoffs = nash_path_payoffs(params, strategies, cfg, deviation, scheme, None, refinement)
         means = tuple(float(np.mean(z)) for z in payoffs)
         assert means == pytest.approx(PINNED_MEANS[key], rel=1e-12)
+
+    @pytest.mark.parametrize("chunk_size", [None, 7])
+    @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS))
+    def test_payoff_bits_pinned(self, digest_models, key, chunk_size):
+        name, setting = key.split("/")
+        scheme, sampling, ref = setting.split("-")
+        cfg = SimConfig(n_paths=64, dt=0.02, seed=11, x0=(0.1, -0.2), y0=0.3,
+                        antithetic=sampling == "anti")
+        payoffs = pinned_payoffs(digest_models, name, cfg, scheme, chunk_size, int(ref[1:]))
+        assert payoff_digest(payoffs) == PINNED_DIGESTS[key]
+
+    def test_payoff_bits_pinned_long(self, two_firm):
+        v = solve_principal(two_firm, 1001)
+        cfg = SimConfig(n_paths=8192, dt=1e-3, seed=11, x0=(0.1, -0.2), y0=0.3)
+        pay_p, pays_a = principal_path_payoffs(two_firm, v, cfg)
+        assert payoff_digest([pay_p, *pays_a]) == PINNED_LONG_DIGEST
 
 
 def fresh_draws(seed: int, substream: int, n_draws: int) -> np.ndarray:
