@@ -59,6 +59,8 @@ def _write_json(payload: dict, path: Path) -> None:
 NUMERICS_FIELDS = ("n_nodes", "n_paths", "dt", "seed", "x0", "y0", "antithetic", "dump_paths",
                    "grid")
 GRID_FIELDS = ("x_min", "x_max", "n_points", "n_time_slices")
+OPPONENT_FIELDS = ("firm", "flow")
+DEVIATION_FIELDS = ("firm", "scale", "shift")
 
 
 def _reject_unknown(section: dict, allowed: tuple[str, ...], prefix: str = "") -> None:
@@ -68,16 +70,20 @@ def _reject_unknown(section: dict, allowed: tuple[str, ...], prefix: str = "") -
 
 
 def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _integer(section: dict, key: str, default: int, minimum: int | None = None,
-             prefix: str = "") -> int:
+def _integer(section: dict, key: str, default: int, minimum: int | None = None) -> int:
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or (
             minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise OutOfRange(prefix + key, f"{prefix + key} must be an integer{bound}, got {value!r}")
+        raise OutOfRange(key, f"{key} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -95,12 +101,31 @@ def _flag(section: dict, key: str, default: bool) -> bool:
     return value
 
 
-def _finite_list(section: dict, key: str, default: list, length: int | None = None) -> tuple:
+def _firm(section: dict, prefix: str) -> int:
+    value = section.get("firm", 1)
+    if isinstance(value, bool) or not isinstance(value, int) or value not in (1, 2):
+        raise OutOfRange(prefix + "firm", f"{prefix}firm must be the integer 1 or 2, got {value!r}")
+    return value
+
+
+def _block(config: dict, key: str, allowed: tuple[str, ...]) -> dict | None:
+    """An optional top-level object whose keys must all be in ``allowed``."""
+    section = config.get(key)
+    if section is None:
+        return None
+    if not isinstance(section, dict):
+        raise OutOfRange(key, f"{key} must be an object, got {section!r}")
+    _reject_unknown(section, allowed, key + ".")
+    return section
+
+
+def _finite_list(section: dict, key: str, default: list, length: int | None = None,
+                 prefix: str = "") -> tuple:
     value = section.get(key, default)
     if (not isinstance(value, list) or (length is not None and len(value) != length)
             or not all(_is_finite(v) for v in value)):
         size = "a list" if length is None else f"a list of {length}"
-        raise OutOfRange(key, f"{key} must be {size} finite numbers, got {value!r}")
+        raise OutOfRange(prefix + key, f"{prefix + key} must be {size} finite numbers, got {value!r}")
     return tuple(float(v) for v in value)
 
 
@@ -135,15 +160,10 @@ class _Run:
         if not isinstance(grid, dict):
             raise OutOfRange("grid", f"grid must be an object, got {grid!r}")
         _reject_unknown(grid, GRID_FIELDS, "grid.")
-        self.grid_spec = verify.GridSpec(
-            x_min=_number(grid, "x_min", -2.0, "grid."),
-            x_max=_number(grid, "x_max", 2.0, "grid."),
-            n_points=_integer(grid, "n_points", 21, minimum=2, prefix="grid."),
-            n_time_slices=_integer(grid, "n_time_slices", 5, minimum=1, prefix="grid."),
-        )
-        if not self.grid_spec.x_min < self.grid_spec.x_max:
-            raise OutOfRange("grid.x_max", f"grid.x_max must exceed grid.x_min, got "
-                             f"[{self.grid_spec.x_min!r}, {self.grid_spec.x_max!r}]")
+        try:
+            self.grid_spec = verify.GridSpec(**grid)
+        except OutOfRange as exc:
+            raise OutOfRange("grid." + exc.field, f"grid.{exc}") from None
         model_cfg = config.get("model")
         if model_cfg is None:
             raise MissingField("model")
@@ -189,13 +209,19 @@ def _run_nash(run: _Run) -> dict:
 
 
 def _opponent_spec(run: _Run) -> tuple[int, object]:
-    spec = run.config.get("opponent")
+    spec = _block(run.config, "opponent", OPPONENT_FIELDS)
     if spec is None:
         raise MissingField("opponent", "best-response needs an 'opponent' object")
-    firm = int(spec.get("firm", 1))
+    firm = _firm(spec, "opponent.")
     if "flow" not in spec:
         raise MissingField("opponent.flow")
-    return firm, spec["flow"]
+    flow = spec["flow"]
+    if isinstance(flow, list):
+        flow = _finite_list(spec, "flow", [], length=run.n_nodes, prefix="opponent.")
+    elif not _is_finite(flow):
+        raise OutOfRange("opponent.flow", "opponent.flow must be a finite number or a list "
+                         f"of {run.n_nodes} finite numbers, got {flow!r}")
+    return firm, flow
 
 
 def _run_best_response(run: _Run) -> dict:
@@ -245,6 +271,14 @@ def _dump_paths(run: _Run, cfg: mc.SimConfig, labels, payoff_columns) -> str:
 
 def _run_simulate(run: _Run) -> dict:
     cfg = run.sim_config
+    dev_spec = _block(run.config, "deviation", DEVIATION_FIELDS)
+    if dev_spec is not None and run.params.has_principal:
+        raise UnexpectedField("deviation", "deviation applies only to the no-incentive game")
+    deviation = None if dev_spec is None else mc.Deviation(
+        firm=_firm(dev_spec, "deviation."),
+        scale=_number(dev_spec, "scale", 1.0, "deviation."),
+        shift=_number(dev_spec, "shift", 0.0, "deviation."),
+    )
     summary = run.summary_base()
     outputs: list[str] = []
     if run.params.has_principal:
@@ -263,14 +297,7 @@ def _run_simulate(run: _Run) -> dict:
     else:
         coeffs = nash.solve_nash(run.params, run.n_nodes)
         strategies = nash.feedback_strategies(coeffs, run.params)
-        dev_spec = run.config.get("deviation")
-        deviation = None
         if dev_spec is not None:
-            deviation = mc.Deviation(
-                firm=int(dev_spec.get("firm", 1)),
-                scale=float(dev_spec.get("scale", 1.0)),
-                shift=float(dev_spec.get("shift", 0.0)),
-            )
             summary["deviation"] = dev_spec
         z1, z2 = mc.nash_path_payoffs(run.params, strategies, cfg, deviation)
         e1, e2 = mc.nash_estimates_from_payoffs(run.params, cfg, z1, z2)

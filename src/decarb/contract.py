@@ -32,6 +32,7 @@ whose quadratic data (Q, L, q0) expand the net flow f(x) - g(x).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -129,38 +130,60 @@ def lambda_pair(params: ModelParams) -> tuple[float, float]:
     return lam12, lam21
 
 
-def rates_single(params: ModelParams, grad_v: Sequence[float]) -> SingleFirmRates:
+@functools.lru_cache(maxsize=64)
+def _rate_factors(params: ModelParams, ndim: int) -> tuple[np.ndarray, ...]:
+    """Per-coordinate factors of the closed-form rates, as read-only columns
+    that broadcast along the first axis of an ``ndim``-dimensional gradient:
+    (r1, r2) for the single firm with z_i* = r_i*v_i, and the pairs
+    (Lambda_12, Lambda_21) and (eta_1p, eta_2p) for two firms.  Cached
+    because a simulation evaluates the rates twice per step.
+    """
+    shape = (2,) + (1,) * (ndim - 1)
+    if params.kind is Kind.SINGLE_FIRM:
+        sq = (params.sigma1 * params.sigma1, params.sigma2 * params.sigma2)
+        factors = ([(g + s * params.eta_p) / (s * params.eta_p + g + params.eta_a * s)
+                    for g, s in zip((params.gamma1, params.gamma2), sq)],)
+    else:
+        av = effective_aversions(params)
+        factors = (lambda_pair(params), (av.eta_1p, av.eta_2p))
+    columns = tuple(np.reshape(f, shape) for f in factors)
+    for c in columns:
+        c.flags.writeable = False
+    return columns
+
+
+def rates_single(params: ModelParams, grad_v: Sequence[float], out=None) -> SingleFirmRates:
     """Optimal single-firm rates z_i* = (gamma_i + sigma_i^2*eta_p) v_i / (sigma_i^2*eta_p + gamma_i + eta_a*sigma_i^2).
 
-    ``grad_v`` is one gradient (v1, v2) or a batch with the components on the first axis.
+    ``grad_v`` is one gradient (v1, v2) or a batch with the components on the
+    first axis.  ``out``, shaped like ``grad_v``, receives (z1, z2) stacked on
+    the first axis; it is allocated when None.
     """
     _require_kind(params, Kind.SINGLE_FIRM)
-    sq = (params.sigma1 * params.sigma1, params.sigma2 * params.sigma2)
-    r = [(g + s * params.eta_p) / (s * params.eta_p + g + params.eta_a * s)
-         for g, s in zip((params.gamma1, params.gamma2), sq)]
     v = np.asarray(grad_v, dtype=float)
-    return SingleFirmRates(z1=r[0] * v[0], z2=r[1] * v[1])
+    (r,) = _rate_factors(params, v.ndim)
+    z = np.multiply(r, v, out=np.empty(v.shape) if out is None else out)
+    return SingleFirmRates(z1=z[0], z2=z[1])
 
 
-def rates_two(params: ModelParams, grad_v: Sequence[float]) -> TwoFirmRates:
+def rates_two(params: ModelParams, grad_v: Sequence[float], out=None) -> TwoFirmRates:
     """Optimal two-firm rates.
 
     Own rates z_ii* = Lambda_ij * v_i; cross rates z_ij* = eta_ip * (v_j - z_jj*),
     the amount of the other firm's residual exposure the principal shifts onto
     firm i.  ``grad_v`` is one gradient (v1, v2) or a batch with the
-    components on the first axis.
+    components on the first axis.  ``out``, of shape ``(2, *grad_v.shape)``,
+    receives the own rates (z11, z22) in ``out[0]`` and the cross rates
+    (z12, z21) in ``out[1]``; it is allocated when None.
     """
-    lam12, lam21 = lambda_pair(params)
-    av = effective_aversions(params)
+    _require_kind(params, Kind.TWO_FIRM_REGULATED)
     v = np.asarray(grad_v, dtype=float)
-    z11 = lam12 * v[0]
-    z22 = lam21 * v[1]
-    return TwoFirmRates(
-        z11=z11,
-        z12=av.eta_1p * (v[1] - z22),
-        z21=av.eta_2p * (v[0] - z11),
-        z22=z22,
-    )
+    lam, eta_ip = _rate_factors(params, v.ndim)
+    own, cross = np.empty((2,) + v.shape) if out is None else out
+    np.multiply(lam, v, out=own)
+    np.subtract(v[::-1], own[::-1], out=cross)
+    np.multiply(eta_ip, cross, out=cross)
+    return TwoFirmRates(z11=own[0], z12=cross[0], z21=cross[1], z22=own[1])
 
 
 def hamiltonian_h(params: ModelParams, z, grad_v: Sequence[float]) -> float:

@@ -21,6 +21,39 @@ the agents' utility estimates are exactly unbiased (the payment compensators
 telescope against the Gaussian increments step by step), which the
 indifference tests exploit.
 
+The step contract.  ``make_step(nodes)`` returns a step with ``sigma`` (the
+state volatilities as a (2, 1) column), ``acc0`` (initial accumulator
+values), ``n_checked`` (how many leading accumulators are checked for
+finiteness with the state) and five methods.  ``bind(rows)`` allocates the
+step's buffers once per chunk: two slots, for the start and the end of a
+step, of ``drift`` (shape (2, 2, rows)), of ``flow`` (one row per running
+flow) and of the rates.  ``rates(k, S, slot)`` and ``flows(S, slot,
+scratch)`` fill one slot in place from the state S of shape (2, rows);
+``accumulate(acc, slot, dW, dt, scratch)`` adds that slot's flows (under pc,
+the engine has first replaced them by the trapezoid mean) times dt, and the
+payment noise, to the stacked accumulators in place; ``payoffs(acc)``
+returns the per-path payoffs.  ``scratch`` is a pair of (2, rows) engine
+buffers whose contents are spent at that point of the step (the state noise
+and a state no longer needed), and ``rates`` uses its own slot's drift or
+flow before filling it, so the working set stays small enough for the
+processor caches at a full chunk.  Per-firm rows are stacked as (2, rows)
+arrays ((1, rows) for the single agent) and per-firm constants as (2, 1)
+columns, so one ufunc call serves both firms.  The engine allocates the
+state, the next state, the increments and the noise once per chunk as well,
+marches with ``out=`` and swaps the current and next buffers instead of
+binding new arrays, so a step allocates nothing of path length.  The model
+algebra stays in :mod:`decarb.contract`, :mod:`decarb.model` and
+:mod:`decarb.nash`, whose functions write into ``out=`` buffers.
+
+Why the bits do not depend on this layout: an elementwise ufunc computes
+each element with the same IEEE operation whether it allocates its result
+or writes into a buffer, and whether an operand is a row of its own or a
+row of a stacked array broadcast against a column.  Every expression keeps
+its left-to-right order (``0.5*gamma1*z11*z11`` is ``((0.5*gamma1)*z11)*z11``),
+so the in-place step makes the same operations on the same operands as the
+plain per-row expressions would.  ``tests/test_mc.py`` pins the SHA-256 of
+every payoff array over the engine's options.
+
 The simulators verify solved value functions against the dynamics they price:
 
 * :func:`simulate_principal` evolves the state under the optimal incentive
@@ -101,10 +134,11 @@ class Deviation:
     scale: float = 1.0
     shift: float = 0.0
 
-    def apply(self, firm: int, a):
-        if firm != self.firm:
-            return a
-        return self.scale * a + self.shift
+    def apply(self, a: np.ndarray) -> None:
+        """Perturb the deviating firm's row of the stacked efforts ``a`` in place."""
+        row = a[self.firm - 1]
+        np.multiply(self.scale, row, out=row)
+        np.add(row, self.shift, out=row)
 
 
 def _n_steps(horizon: float, dt: float) -> int:
@@ -226,17 +260,20 @@ def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int
     return inc
 
 
-def _advance(S: np.ndarray, drift, dt: float, noise: np.ndarray) -> np.ndarray:
-    """S + drift*dt + noise, row by row; ``drift`` is a pair of rows."""
-    out = np.empty_like(S)
-    for i in (0, 1):
-        np.add(S[i] + drift[i] * dt, noise[i], out=out[i])
-    return out
+def _advance(S: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = S + drift*dt + noise, evaluated left to right."""
+    np.multiply(drift, dt, out=out)
+    np.add(S, out, out=out)
+    return np.add(out, noise, out=out)
 
 
-def _first_non_finite(S: np.ndarray, checked, start: int, m: int, antithetic: bool) -> int | None:
-    """Lowest canonical index of a row with a non-finite value, or None."""
-    if np.isfinite(S).all() and all(np.isfinite(a).all() for a in checked):
+def _first_non_finite(S: np.ndarray, checked: np.ndarray, finite: np.ndarray, start: int, m: int,
+                      antithetic: bool) -> int | None:
+    """Lowest canonical index of a row with a non-finite value, or None.
+
+    ``finite`` is a boolean buffer shaped like ``S`` for the common case."""
+    if (np.isfinite(S, out=finite).all()
+            and np.isfinite(checked, out=finite[:len(checked)]).all()):
         return None
     finite = np.isfinite(S).all(axis=0)
     for a in checked:
@@ -251,12 +288,8 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
     """Per-path payoffs of one model in canonical order (pair-interleaved under
     antithetic sampling), bit-identical for every chunking.
 
-    ``make_step(nodes)`` builds the model's step on the grid's time nodes.  A
-    step has ``sigma`` (state volatilities, shape (2, 1)), ``acc0`` (initial
-    accumulator values), ``n_checked`` (leading accumulators checked with the
-    state) and methods ``rates(k, S)`` -> (rates, drift rows), ``flows(S,
-    rates)``, ``accumulate(acc, rates, flows, dW, dt)`` and ``payoffs(acc)``;
-    the state S has shape (2, rows).  :class:`NonFinitePath` names the
+    ``make_step(nodes)`` builds the model's step on the grid's time nodes; see
+    the module docstring for its contract.  :class:`NonFinitePath` names the
     earliest time any path turns non-finite and the lowest path failing then.
     """
     scheme = _check_scheme(scheme)
@@ -274,32 +307,46 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
         m = min(chunk, n_sub - start)
         rows = width * m
         inc = _draw_chunk(cfg.seed, start, m, n_steps, refinement)
-        S = np.repeat(x0[:, None], rows, axis=1)
-        acc = [np.full(rows, a) for a in step.acc0]
-        dW = np.empty((2, rows))
-        r = None
+        S, S_next, dW, noise = np.empty((4, 2, rows))
+        S[...] = x0[:, None]
+        acc = np.empty((len(step.acc0), rows))
+        acc[...] = np.array(step.acc0)[:, None]
+        finite = np.empty((2, rows), dtype=bool)
+        step.bind(rows)
+        drift, flow = step.drift, step.flow
+        cur, nxt = 0, 1
+        fresh = True
         # after a failure, later chunks only look for an earlier or equal one
         for k in range(n_steps if failure is None else failure[0]):
-            if r is None:
-                r, d = step.rates(k, S)
-                flow = step.flows(S, r)
+            if fresh:
+                # before the draw, the noise and the next state are free scratch
+                step.rates(k, S, cur)
+                step.flows(S, cur, (noise, S_next))
             np.multiply(sqdt, inc[:, k].T, out=dW[:, :m])
             if width == 2:
                 np.negative(dW[:, :m], out=dW[:, m:])
-            noise = dW * step.sigma
+            np.multiply(dW, step.sigma, out=noise)
             if scheme == "pc":
-                _, d_pred = step.rates(k + 1, _advance(S, d, dt, noise))
-                S_next = _advance(S, [0.5 * (a + b) for a, b in zip(d, d_pred)], dt, noise)
-                r_next, d = step.rates(k + 1, S_next)
-                flow_next = step.flows(S_next, r_next)
-                step.accumulate(acc, r, tuple(0.5 * (a + b) for a, b in zip(flow, flow_next)), dW, dt)
-                r, flow = r_next, flow_next
+                # the predictor's state and drift are consumed before the
+                # corrector's overwrite them
+                step.rates(k + 1, _advance(S, drift[cur], dt, noise, S_next), nxt)
+                d_avg = np.add(drift[cur], drift[nxt], out=drift[nxt])
+                np.multiply(0.5, d_avg, out=d_avg)
+                _advance(S, d_avg, dt, noise, S_next)
+                step.rates(k + 1, S_next, nxt)
+                # the state noise and the old state are spent: they are scratch
+                step.flows(S_next, nxt, (noise, S))
+                # trapezoid: the start flow slot becomes the step's mean flow
+                np.add(flow[cur], flow[nxt], out=flow[cur])
+                np.multiply(0.5, flow[cur], out=flow[cur])
+                step.accumulate(acc, cur, dW, dt, (noise, S))
+                cur, nxt = nxt, cur
+                fresh = False
             else:
-                S_next = _advance(S, d, dt, noise)
-                step.accumulate(acc, r, flow, dW, dt)
-                r = None
-            S = S_next
-            bad = _first_non_finite(S, acc[:step.n_checked], start, m, width == 2)
+                _advance(S, drift[cur], dt, noise, S_next)
+                step.accumulate(acc, cur, dW, dt, (noise, S))
+            S, S_next = S_next, S
+            bad = _first_non_finite(S, acc[:step.n_checked], finite, start, m, width == 2)
             if bad is not None:
                 if failure is None or (k + 1, bad) < failure:
                     failure = (k + 1, bad)
@@ -315,11 +362,19 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
     return outs
 
 
+def _pair(a: float, b: float) -> np.ndarray:
+    """Per-firm constants as a (2, 1) column, broadcasting over path rows."""
+    return np.array([[a], [b]])
+
+
 class _PrincipalStep:
     """Optimal incentive rates and flows of one principal model.
 
     Accumulators: the payment Y_i per agent, the revenue-less-cost flow F_i
-    per agent, then the social cost G.
+    per agent, then the social cost G.  The rates of a slot are (z1, z2) for
+    the single firm and the own rates (z11, z22) over the cross rates
+    (z12, z21) for two firms, as :func:`rates_single` and :func:`rates_two`
+    lay them out.
     """
 
     def __init__(self, params: ModelParams, v: QuadraticValueFn, nodes: np.ndarray, y0: tuple[float, ...]):
@@ -327,52 +382,87 @@ class _PrincipalStep:
         self.single = params.kind is Kind.SINGLE_FIRM
         self.n_agents = self.n_checked = len(y0)
         self.acc0 = (*y0, *(0.0 for _ in y0), 0.0)
-        self.sigma = np.array([[params.sigma1], [params.sigma2]])
-        self.s1, self.s2 = params.sigma1 ** 2, params.sigma2 ** 2
+        self.sigma = _pair(params.sigma1, params.sigma2)
+        self.gamma = _pair(params.gamma1, params.gamma2)
+        s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
+        self.sq = _pair(s1, s2)
+        if not self.single:
+            self.half_gamma = _pair(0.5 * params.gamma1, 0.5 * params.gamma2)
+            self.half_eta = _pair(0.5 * params.eta1, 0.5 * params.eta2)
+            self.sq_cross = _pair(s2, s1)
+            self.sigma_cross = _pair(params.sigma2, params.sigma1)
         self.A_t, self.B_t = _interp_coeffs(v, nodes)
 
-    def rates(self, k: int, S: np.ndarray):
-        grad = self.A_t[k].T @ S + self.B_t[k][:, None]
-        if self.single:
-            z = rates_single(self.p, grad)
-            return z, (self.p.gamma1 * z.z1, self.p.gamma2 * z.z2)
-        z = rates_two(self.p, grad)
-        return z, (self.p.gamma1 * z.z11, self.p.gamma2 * z.z22)
+    def bind(self, rows: int) -> None:
+        rate_shape = (2, rows) if self.single else (2, 2, rows)
+        self.z = np.empty((2, *rate_shape))
+        self.drift = np.empty((2, 2, rows))
+        self.flow = np.empty((2, 2 * self.n_agents + 1, rows))
 
-    def flows(self, S: np.ndarray, z):
-        """(payment drift per agent, revenue-less-cost flow per agent, social cost)."""
-        p, X = self.p, S.T
-        g = model.social_cost_g(p, X)
+    def rates(self, k: int, S: np.ndarray, slot: int) -> None:
+        # the gradient lives in the slot's drift until the drift overwrites it
+        grad = np.matmul(self.A_t[k].T, S, out=self.drift[slot])
+        np.add(grad, self.B_t[k][:, None], out=grad)
         if self.single:
-            z1, z2 = z.z1, z.z2
-            f = model.revenue_f(p, X, Scope.TOTAL)
-            c = 0.5 * (p.gamma1 * z1 * z1 + p.gamma2 * z2 * z2)
-            risk = 0.5 * p.eta_a * (self.s1 * z1 * z1 + self.s2 * z2 * z2)
-            return risk + c - f, f - c, g
-        z11, z12, z21, z22 = z.z11, z.z12, z.z21, z.z22
-        f1 = model.revenue_f(p, X, Scope.FIRM1)
-        f2 = model.revenue_f(p, X, Scope.FIRM2)
-        c1 = 0.5 * p.gamma1 * z11 * z11
-        c2 = 0.5 * p.gamma2 * z22 * z22
-        d1 = c1 - f1 + 0.5 * p.eta1 * (self.s1 * z11 * z11 + self.s2 * z12 * z12)
-        d2 = c2 - f2 + 0.5 * p.eta2 * (self.s2 * z22 * z22 + self.s1 * z21 * z21)
-        return d1, d2, f1 - c1, f2 - c2, g
-
-    def accumulate(self, acc, z, flow, dW: np.ndarray, dt: float) -> None:
-        p, n = self.p, self.n_agents
-        if self.single:
-            noise = (p.sigma1 * z.z1 * dW[0] + p.sigma2 * z.z2 * dW[1],)
+            rates_single(self.p, grad, out=self.z[slot])
+            np.multiply(self.gamma, self.z[slot], out=self.drift[slot])
         else:
-            noise = (
-                p.sigma1 * z.z11 * dW[0] + p.sigma2 * z.z12 * dW[1],
-                p.sigma2 * z.z22 * dW[1] + p.sigma1 * z.z21 * dW[0],
-            )
-        for i in range(n):
-            acc[i] += flow[i] * dt + noise[i]
-            acc[n + i] += flow[n + i] * dt
-        acc[-1] += flow[-1] * dt
+            rates_two(self.p, grad, out=self.z[slot])
+            np.multiply(self.gamma, self.z[slot][0], out=self.drift[slot])
 
-    def payoffs(self, acc):
+    def flows(self, S: np.ndarray, slot: int, w) -> None:
+        """(payment drift per agent, revenue-less-cost flow per agent, social cost)."""
+        p, X, z, flow = self.p, S.T, self.z[slot], self.flow[slot]
+        model.social_cost_g(p, X, out=flow[-1], scratch=w[0][0])
+        if self.single:
+            f, c, risk = flow[1], w[0][0], w[1][0]
+            model.revenue_f(p, X, Scope.TOTAL, out=f, scratch=w[0][0])
+            np.multiply(self.gamma, z, out=w[0])
+            np.multiply(w[0], z, out=w[0])
+            np.add(w[0][0], w[0][1], out=c)
+            np.multiply(0.5, c, out=c)
+            np.multiply(self.sq, z, out=w[1])
+            np.multiply(w[1], z, out=w[1])
+            np.add(w[1][0], w[1][1], out=risk)
+            np.multiply(0.5 * p.eta_a, risk, out=risk)
+            np.add(risk, c, out=flow[0])
+            np.subtract(flow[0], f, out=flow[0])
+            np.subtract(f, c, out=f)
+            return
+        own, cross = z
+        d, f, c, risk = flow[:2], flow[2:4], w[0], w[1]
+        model.revenue_f(p, X, None, out=f.T)
+        np.multiply(self.half_gamma, own, out=c)
+        np.multiply(c, own, out=c)
+        np.multiply(self.sq, own, out=risk)
+        np.multiply(risk, own, out=risk)
+        np.multiply(self.sq_cross, cross, out=d)
+        np.multiply(d, cross, out=d)
+        np.add(risk, d, out=risk)
+        np.multiply(self.half_eta, risk, out=risk)
+        np.subtract(c, f, out=d)
+        np.add(d, risk, out=d)
+        np.subtract(f, c, out=f)
+
+    def accumulate(self, acc: np.ndarray, slot: int, dW: np.ndarray, dt: float, w) -> None:
+        n, z, flow = self.n_agents, self.z[slot], self.flow[slot]
+        np.multiply(flow, dt, out=flow)
+        # payment noise: each agent's rates times the state increments they price
+        if self.single:
+            np.multiply(self.sigma, z, out=w[0])
+            np.multiply(w[0], dW, out=w[0])
+            noise = np.add(w[0][0], w[0][1], out=w[0][0])
+        else:
+            own, cross = z
+            noise = np.multiply(self.sigma, own, out=w[0])
+            np.multiply(noise, dW, out=noise)
+            np.multiply(self.sigma_cross, cross, out=w[1])
+            np.multiply(w[1], dW[::-1], out=w[1])
+            np.add(noise, w[1], out=noise)
+        np.add(flow[:n], noise, out=flow[:n])
+        np.add(acc, flow, out=acc)
+
+    def payoffs(self, acc: np.ndarray):
         n = self.n_agents
         Y, F, G = acc[:n], acc[n:2 * n], acc[-1]
         return (-sum(Y) - G, *(Y[i] + F[i] for i in range(n)))
@@ -441,7 +531,8 @@ def simulate_principal(
 class _NashStep:
     """Feedback controls and payoff flows of the two-firm game.
 
-    The state is (x, y); the accumulators are the payoff flows Z1, Z2.
+    The state is (x, y); the accumulators are the payoff flows Z1, Z2.  The
+    rates of a slot are both firms' efforts, which are also the drift.
     """
 
     acc0 = (0.0, 0.0)
@@ -451,24 +542,37 @@ class _NashStep:
                  deviation: Deviation | None, nodes: np.ndarray):
         self.p = params
         self.deviation = deviation
-        self.sigma = np.array([[params.sigma1], [params.sigma2]])
-        self.gains = [(s.gamma, *(np.interp(nodes, s.nodes, c) for c in (s.kx, s.ky, s.k0)))
-                      for s in strategies]
+        self.sigma = _pair(params.sigma1, params.sigma2)
+        self.neg_gamma = _pair(-strategies[0].gamma, -strategies[1].gamma)
+        # gains of both firms, one row per firm and one column per time node
+        self.kx, self.ky, self.k0 = (
+            np.array([np.interp(nodes, s.nodes, getattr(s, name)) for s in strategies])
+            for name in ("kx", "ky", "k0"))
 
-    def rates(self, k: int, S: np.ndarray):
-        a = [-gamma * (kx[k] * S[0] + ky[k] * S[1] + k0[k]) for gamma, kx, ky, k0 in self.gains]
+    def bind(self, rows: int) -> None:
+        self.drift = np.empty((2, 2, rows))
+        self.flow = np.empty((2, 2, rows))
+
+    def rates(self, k: int, S: np.ndarray, slot: int) -> None:
+        # the slot's flow is scratch until flows() fills it
+        a, w = self.drift[slot], self.flow[slot]
+        np.multiply(self.kx[:, k:k + 1], S[0], out=a)
+        np.multiply(self.ky[:, k:k + 1], S[1], out=w)
+        np.add(a, w, out=a)
+        np.add(a, self.k0[:, k:k + 1], out=a)
+        np.multiply(self.neg_gamma, a, out=a)
         if self.deviation is not None:
-            a = [self.deviation.apply(firm, a_i) for firm, a_i in zip((1, 2), a)]
-        return a, a
+            self.deviation.apply(a)
 
-    def flows(self, S: np.ndarray, a):
-        return payoff_rate(self.p, 1, S[0], S[1], a[0]), payoff_rate(self.p, 2, S[0], S[1], a[1])
+    def flows(self, S: np.ndarray, slot: int, w) -> None:
+        payoff_rate(self.p, None, S[0], S[1], self.drift[slot], out=self.flow[slot], scratch=w[0])
 
-    def accumulate(self, acc, a, flow, dW: np.ndarray, dt: float) -> None:
-        for z, pi in zip(acc, flow):
-            z += pi * dt
+    def accumulate(self, acc: np.ndarray, slot: int, dW: np.ndarray, dt: float, w) -> None:
+        flow = self.flow[slot]
+        np.multiply(flow, dt, out=flow)
+        np.add(acc, flow, out=acc)
 
-    def payoffs(self, acc):
+    def payoffs(self, acc: np.ndarray):
         return acc
 
 

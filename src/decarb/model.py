@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
@@ -127,8 +128,10 @@ def validate_params(raw: Mapping) -> ModelParams:
     """Build validated :class:`ModelParams` from a flat mapping.
 
     Accepts ``"lambda"`` as a spelling of ``lambda_``.  Rejects missing or
-    unexpected fields for the declared kind, non-finite numbers, and values
-    violating sign constraints; errors name the offending field.
+    unexpected fields for the declared kind, numeric fields that are not real
+    numbers (booleans and strings included), non-finite numbers, values
+    violating sign constraints, and a ``literal_signs`` that is not a bool;
+    errors name the offending field.
     """
     data = dict(raw)
     if "lambda" in data:
@@ -147,7 +150,10 @@ def validate_params(raw: Mapping) -> ModelParams:
         except KeyError:
             raise OutOfRange("kind", f"unknown model kind '{kind_raw}'") from None
 
-    literal_signs = bool(data.pop("literal_signs", False))
+    literal_signs = data.pop("literal_signs", False)
+    if not isinstance(literal_signs, bool):
+        raise OutOfRange("literal_signs",
+                         f"field 'literal_signs' must be true or false, got {literal_signs!r}")
 
     required = _COMMON + _KIND_FIELDS[kind]
     known = {f.name for f in fields(ModelParams)} - {"kind", "literal_signs"}
@@ -161,10 +167,13 @@ def validate_params(raw: Mapping) -> ModelParams:
     for name in required:
         if name not in data:
             raise MissingField(name)
+        v = data[name]
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise OutOfRange(name, f"field '{name}' is not numeric, got {v!r}")
         try:
-            v = float(data[name])
-        except (TypeError, ValueError):
-            raise OutOfRange(name, f"field '{name}' is not numeric") from None
+            v = float(v)
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf
         if not math.isfinite(v):
             raise OutOfRange(name, f"field '{name}' must be finite, got {v}")
         if name in _POSITIVE and v <= 0.0:
@@ -189,50 +198,72 @@ def price(params: ModelParams, x):
     return params.p0 - params.p1 * x1 - params.p2 * x2
 
 
-def _price_factor(params: ModelParams, x1, x2):
+def _price_factor(params: ModelParams, x1, x2, out, scratch):
+    np.multiply(params.p1, x1, out=out)
+    np.subtract(params.p0, out, out=out)
+    np.multiply(params.p2, x2, out=scratch)
     # Single-firm literal convention flips the slope of the clean technology.
     if params.literal_signs and params.kind is Kind.SINGLE_FIRM:
-        return params.p0 - params.p1 * x1 + params.p2 * x2
-    return params.p0 - params.p1 * x1 - params.p2 * x2
+        return np.add(out, scratch, out=out)
+    return np.subtract(out, scratch, out=out)
 
 
-def revenue_f(params: ModelParams, x, scope: Scope = Scope.TOTAL):
+def revenue_f(params: ModelParams, x, scope: Scope | None = Scope.TOTAL, out=None, scratch=None):
     """Revenue flow: the price factor times the produced quantity in scope.
 
     ``Scope.TOTAL`` weights by x1 + x2; ``Scope.FIRM1``/``Scope.FIRM2`` weight
     by the single coordinate, so the two firm revenues always sum to the total.
+    ``scope=None`` gives both firm revenues at once, stacked on a last axis of
+    length 2 like the state.  ``out`` receives the result and ``scratch``,
+    shaped like one state coordinate, holds an intermediate; each is
+    allocated when None.
     """
     x1, x2 = _split_state(x)
-    p = _price_factor(params, x1, x2)
+    if scope is None:
+        out = np.empty(x1.shape + (2,)) if out is None else out
+        p = _price_factor(params, x1, x2, out[..., 0], out[..., 1])
+        np.multiply(p, x2, out=out[..., 1])
+        np.multiply(p, x1, out=out[..., 0])
+        return out
+    if scope not in (Scope.TOTAL, Scope.FIRM1, Scope.FIRM2):
+        raise OutOfRange("scope", f"unknown scope {scope!r}")
+    out = np.empty(x1.shape) if out is None else out
+    scratch = np.empty(x1.shape) if scratch is None else scratch
+    p = _price_factor(params, x1, x2, out, scratch)
     if scope is Scope.TOTAL:
-        return p * (x1 + x2)
-    if scope is Scope.FIRM1:
-        return p * x1
-    if scope is Scope.FIRM2:
-        return p * x2
-    raise OutOfRange("scope", f"unknown scope {scope!r}")
+        return np.multiply(p, np.add(x1, x2, out=scratch), out=out)
+    return np.multiply(p, x1 if scope is Scope.FIRM1 else x2, out=out)
 
 
-def social_cost_g(params: ModelParams, x):
+def social_cost_g(params: ModelParams, x, out=None, scratch=None):
     """Regulator's running social cost.
 
     Default form for both principal models:
     ``0.5*kappa*x_d^2 + 0.5*lambda*(x1 + x2 - delta)^2`` where the penalized
     coordinate x_d is x1 for the single-firm model and x2 for the two-firm
     model.  Under ``literal_signs`` the single-firm deviation term carries
-    weight lambda instead of lambda/2.
+    weight lambda instead of lambda/2.  ``out`` receives the result and
+    ``scratch``, shaped like it, holds an intermediate; each is allocated
+    when None.
     """
     if not params.has_principal:
         raise WrongKind("social cost is defined only for models with a principal")
     x1, x2 = _split_state(x)
-    dev = x1 + x2 - params.delta
     if params.kind is Kind.SINGLE_FIRM:
-        quad = 0.5 * params.kappa * x1 * x1
+        xd = x1
         w = params.lambda_ if params.literal_signs else 0.5 * params.lambda_
     else:
-        quad = 0.5 * params.kappa * x2 * x2
+        xd = x2
         w = 0.5 * params.lambda_
-    return quad + w * dev * dev
+    out = np.empty(x1.shape) if out is None else out
+    dev = np.empty(x1.shape) if scratch is None else scratch
+    np.add(x1, x2, out=dev)
+    np.subtract(dev, params.delta, out=dev)
+    np.multiply(w, dev, out=out)
+    np.multiply(out, dev, out=out)
+    quad = np.multiply(0.5 * params.kappa, xd, out=dev)
+    np.multiply(quad, xd, out=quad)
+    return np.add(quad, out, out=out)
 
 
 def effort_cost_c(params: ModelParams, a, firm: int):

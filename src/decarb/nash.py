@@ -41,6 +41,7 @@ opponent flow up in a table interpolated once at the integrator's stage times.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,22 +266,58 @@ def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: flo
     return 0.5 * a * x * x + 0.5 * b * y * y + c * x * y + d * x + e * y + f
 
 
-def payoff_rate(params: ModelParams, firm: int, x, y, a):
+@functools.lru_cache(maxsize=64)
+def _payoff_factors(params: ModelParams, firms: tuple[int, ...], ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cross price slope and doubled effort efficiency of each firm in
+    ``firms``, as read-only columns over the firm rows of an ``ndim``-dimensional
+    flow.  Cached because a simulation evaluates the flows once per step."""
+    shape = (len(firms),) + (1,) * (ndim - 1)
+    columns = (np.reshape([params.p2 if f == 1 else params.p1 for f in firms], shape),
+               np.reshape([2.0 * params.gamma(f) for f in firms], shape))
+    for c in columns:
+        c.flags.writeable = False
+    return columns
+
+
+def payoff_rate(params: ModelParams, firm: int | None, x, y, a, out=None, scratch=None):
     """Running payoff flow priced by the equilibrium value functions.
 
     The solved W_i measure the CARA certainty equivalent of exactly this flow:
     simulated estimates of E[-exp(-eta_i * integral)] converge to
-    -exp(eta_i * W_i(0, x0, y0)).
+    -exp(eta_i * W_i(0, x0, y0)).  Firm 1's flow is
+    ``p1*x*x + p2*x*y - p0 - a*a/(2*gamma1)`` and firm 2's its mirror
+    ``p2*y*y + p1*x*y - p0 - a*a/(2*gamma2)``.  ``firm=None`` evaluates both
+    firms at once: ``a`` then holds firm 1's and firm 2's efforts on a leading
+    axis of length 2, and so does the result.  ``out`` receives the flow and
+    ``scratch``, shaped like it, holds an intermediate; each is allocated
+    when None.
     """
     _require_nash(params)
+    if firm not in (None, 1, 2):
+        raise ValueError(f"firm index must be 1 or 2, got {firm}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
-    if firm == 1:
-        return params.p1 * x * x + params.p2 * x * y - params.p0 - a * a / (2.0 * params.gamma1)
-    if firm == 2:
-        return params.p2 * y * y + params.p1 * x * y - params.p0 - a * a / (2.0 * params.gamma2)
-    raise ValueError(f"firm index must be 1 or 2, got {firm}")
+    firms = (1, 2) if firm is None else (firm,)
+    if out is None:
+        shape = np.broadcast_shapes(x.shape, y.shape, a.shape[1:] if firm is None else a.shape)
+        out = np.empty(a.shape[:1] + shape if firm is None else shape)
+    scratch = np.empty(out.shape) if scratch is None else scratch
+    # one row per firm, so a single firm runs the same sequence as both
+    flow, work, effort = (out, scratch, a) if firm is None else (out[None], scratch[None], a[None])
+    cross, two_gamma = _payoff_factors(params, firms, flow.ndim)
+    for i, f in enumerate(firms):
+        own, slope = (x, params.p1) if f == 1 else (y, params.p2)
+        np.multiply(slope, own, out=flow[i:i + 1])
+        np.multiply(flow[i:i + 1], own, out=flow[i:i + 1])
+    np.multiply(cross, x, out=work)
+    np.multiply(work, y, out=work)
+    np.add(flow, work, out=flow)
+    np.subtract(flow, params.p0, out=flow)
+    np.multiply(effort, effort, out=work)
+    np.divide(work, two_gamma, out=work)
+    np.subtract(flow, work, out=flow)
+    return out
 
 
 def ode_residual(

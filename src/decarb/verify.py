@@ -10,6 +10,8 @@ right-hand sides), spatial terms from the economic primitives in
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from . import model
 from .contract import gradient_couplings, oracle_rates
+from .errors import OutOfRange
 from .model import ModelParams
 from .nash import NashCoeffs
 from .riccati import QuadraticValueFn, centered_derivative
@@ -24,12 +27,36 @@ from .riccati import QuadraticValueFn, centered_derivative
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Space-time verification grid: a square state grid at a few time slices."""
+    """Space-time verification grid: a square state grid at a few time slices.
+
+    Construction checks every field and raises :class:`OutOfRange` naming it:
+    at least 2 points and 1 time slice, as integers, and finite bounds with
+    x_min < x_max (stored as floats).
+    """
 
     x_min: float = -2.0
     x_max: float = 2.0
     n_points: int = 21
     n_time_slices: int = 5
+
+    def __post_init__(self):
+        for name, minimum in (("n_points", 2), ("n_time_slices", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+                raise OutOfRange(name, f"{name} must be an integer >= {minimum}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("x_min", "x_max"):
+            value = getattr(self, name)
+            try:
+                finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                          and math.isfinite(value))
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise OutOfRange(name, f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not self.x_min < self.x_max:
+            raise OutOfRange("x_max", f"x_max must exceed x_min, got [{self.x_min!r}, {self.x_max!r}]")
 
     def axis(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)

@@ -231,6 +231,7 @@ class TestErrorPaths:
         ("verify", {"grid": {"x_min": None}}, "OutOfRange", "grid.x_min"),
         ("verify", {"grid": {"n_point": 11}}, "UnexpectedField", "grid.n_point"),
         ("verify", {"grid": [21]}, "OutOfRange", "grid"),
+        ("simulate", {"dt": 10 ** 400}, "OutOfRange", "dt"),
     ])
     def test_malformed_numerics_names_field(self, tmp_path, capsys, scenario, numerics,
                                             error, field):
@@ -278,6 +279,70 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, {"numerics": {}})
         assert run(["nash", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "MissingField"
+
+    @pytest.mark.parametrize("opponent, error, field", [
+        ({"firm": 1.9, "flow": 0.5}, "OutOfRange", "opponent.firm"),
+        ({"firm": 1.0, "flow": 0.5}, "OutOfRange", "opponent.firm"),
+        ({"firm": True, "flow": 0.5}, "OutOfRange", "opponent.firm"),
+        ({"firm": 3, "flow": 0.5}, "OutOfRange", "opponent.firm"),
+        ({"firm": "1", "flow": 0.5}, "OutOfRange", "opponent.firm"),
+        ({"firm": 1, "flow": "0.5"}, "OutOfRange", "opponent.flow"),
+        ({"firm": 1, "flow": True}, "OutOfRange", "opponent.flow"),
+        ({"firm": 1, "flow": float("nan")}, "OutOfRange", "opponent.flow"),
+        ({"firm": 1, "flow": 10 ** 400}, "OutOfRange", "opponent.flow"),
+        ({"firm": 1, "flow": [0.5, 0.5]}, "OutOfRange", "opponent.flow"),
+        ({"firm": 1, "flow": [0.5] * 200 + [None]}, "OutOfRange", "opponent.flow"),
+        ({"firm": 1}, "MissingField", "opponent.flow"),
+        ({"firm": 1, "flw": 0.5}, "UnexpectedField", "opponent.flw"),
+        ([1, 0.5], "OutOfRange", "opponent"),
+    ])
+    def test_malformed_opponent_names_field(self, tmp_path, capsys, opponent, error, field):
+        cfg = write_config(tmp_path, {"model": NASH_FIXTURE, "numerics": {"n_nodes": 201},
+                                      "opponent": opponent})
+        assert run(["best-response", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"], err["exit_code"]) == (error, field, 1)
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_opponent_flow_samples_accepted(self, tmp_path):
+        # node samples of a constant flow give the constant flow's response
+        summaries = []
+        for name, flow in (("scalar", 0.5), ("samples", [0.5] * 201)):
+            cfg = write_config(tmp_path, {"model": NASH_FIXTURE, "numerics": {"n_nodes": 201},
+                                          "opponent": {"firm": 2, "flow": flow}}, f"{name}.json")
+            assert run(["best-response", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+        assert summaries[0]["coefficients_at_0"] == summaries[1]["coefficients_at_0"]
+        assert summaries[0]["firm"] == summaries[1]["firm"] == 2
+
+    @pytest.mark.parametrize("deviation, error, field", [
+        ({"firm": 1.9}, "OutOfRange", "deviation.firm"),
+        ({"firm": True}, "OutOfRange", "deviation.firm"),
+        ({"firm": 0}, "OutOfRange", "deviation.firm"),
+        ({"scale": "1.1"}, "OutOfRange", "deviation.scale"),
+        ({"scale": float("inf")}, "OutOfRange", "deviation.scale"),
+        ({"scale": False}, "OutOfRange", "deviation.scale"),
+        ({"shift": None}, "OutOfRange", "deviation.shift"),
+        ({"shift": float("nan")}, "OutOfRange", "deviation.shift"),
+        ({"firm": 1, "scal": 1.1}, "UnexpectedField", "deviation.scal"),
+        ("firm1", "OutOfRange", "deviation"),
+    ])
+    def test_malformed_deviation_names_field(self, tmp_path, capsys, deviation, error, field):
+        cfg = write_config(tmp_path, {"model": NASH_FIXTURE,
+                                      "numerics": {"n_nodes": 201, "n_paths": 4, "dt": 0.01},
+                                      "deviation": deviation})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"], err["exit_code"]) == (error, field, 1)
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_deviation_rejected_for_principal_models(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": TWO_FIRM_FIXTURE,
+                                      "numerics": {"n_nodes": 201, "n_paths": 4, "dt": 0.01},
+                                      "deviation": {"firm": 1, "scale": 1.1}})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("UnexpectedField", "deviation")
 
     def test_best_response_needs_opponent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": NASH_FIXTURE})

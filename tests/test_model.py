@@ -82,6 +82,35 @@ class TestValidation:
         with pytest.raises(UnexpectedField):
             validate_params(bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma1", True),
+        ("gamma1", False),
+        ("sigma1", "0.3"),
+        ("p0", "1"),
+        ("horizon", None),
+        ("eta_p", [1.0]),
+        ("gamma1", 10 ** 400),
+    ])
+    def test_non_numeric_or_non_finite_rejected(self, field, value):
+        with pytest.raises(OutOfRange) as exc:
+            validate_params(dict(TWO_FIRM_FIXTURE, **{field: value}))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("value", ["no", "true", 1, 0, None, 1.0])
+    def test_literal_signs_must_be_bool(self, value):
+        with pytest.raises(OutOfRange) as exc:
+            validate_params(dict(SINGLE_FIRM_FIXTURE, literal_signs=value))
+        assert exc.value.field == "literal_signs"
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_literal_signs_bool_accepted(self, value):
+        assert validate_params(dict(SINGLE_FIRM_FIXTURE, literal_signs=value)).literal_signs is value
+
+    def test_integer_and_numpy_values_accepted(self):
+        p = validate_params(dict(TWO_FIRM_FIXTURE, horizon=2, gamma1=np.float64(1.5), p1=np.int64(1)))
+        assert (p.horizon, p.gamma1, p.p1) == (2.0, 1.5, 1.0)
+        assert all(type(v) is float for v in (p.horizon, p.gamma1, p.p1))
+
     def test_firm_index_gate(self, two_firm):
         with pytest.raises(OutOfRange):
             two_firm.gamma(3)

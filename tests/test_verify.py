@@ -6,6 +6,7 @@ import pytest
 from decarb import (
     GridSpec,
     Kind,
+    OutOfRange,
     finite_diff_check,
     hjb_residual_nash,
     hjb_residual_principal,
@@ -193,3 +194,37 @@ class TestSupConsistency:
             wrong = (m1 + 2.0 * av.eta_bar_2 * p.sigma1 ** 2,
                      m2 + 2.0 * av.eta_bar_1 * p.sigma2 ** 2)
             assert sup_consistency(p, draw_gradient(rng), m=wrong) > 1e-3
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n_points": 1}, "n_points"),
+        ({"n_points": 0}, "n_points"),
+        ({"n_points": 2.0}, "n_points"),
+        ({"n_points": True}, "n_points"),
+        ({"n_time_slices": 0}, "n_time_slices"),
+        ({"n_time_slices": 2.5}, "n_time_slices"),
+        ({"n_time_slices": False}, "n_time_slices"),
+        ({"x_min": float("-inf")}, "x_min"),
+        ({"x_min": None}, "x_min"),
+        ({"x_max": float("nan")}, "x_max"),
+        ({"x_max": "2"}, "x_max"),
+        ({"x_max": 10 ** 400}, "x_max"),
+        ({"x_min": 1.0, "x_max": 1.0}, "x_max"),
+        ({"x_min": 2.0, "x_max": -2.0}, "x_max"),
+    ])
+    def test_bad_field_rejected_and_named(self, kwargs, field):
+        with pytest.raises(OutOfRange) as exc:
+            GridSpec(**kwargs)
+        assert exc.value.field == field
+
+    def test_zero_time_slices_cannot_report_a_passing_residual(self, two_firm):
+        # an empty grid used to report max_residual -1.0, which passes every gate
+        v = solve_principal(two_firm, 201)
+        with pytest.raises(OutOfRange):
+            hjb_residual_principal(v, two_firm, GridSpec(n_points=3, n_time_slices=0))
+
+    def test_smallest_grid_and_integer_bounds_accepted(self):
+        grid = GridSpec(x_min=-1, x_max=1, n_points=np.int64(2), n_time_slices=1)
+        assert grid.describe() == {"x_min": -1.0, "x_max": 1.0, "n_points": 2, "n_time_slices": 1}
+        assert all(type(v) in (int, float) for v in grid.describe().values())
