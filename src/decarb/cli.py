@@ -33,6 +33,7 @@ RICCATI_HEADER = ("t", "A11", "A12", "A22", "B1", "B2", "C")
 BR_HEADER = ("t",) + nash.BR_COLUMNS
 NASH_HEADER = ("t",) + nash.NASH_COLUMNS
 _CSV_BLOCK = 1024  # rows per tolist() copy, which bounds its memory
+_MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest array size numpy can index
 
 
 def emit_csv(trajectory, header, path) -> None:
@@ -78,11 +79,13 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _integer(section: dict, key: str, default: int, minimum: int | None = None) -> int:
+def _integer(section: dict, key: str, default: int, minimum: int | None = None,
+             maximum: int | None = None) -> int:
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or (
-            minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
+            minimum is not None and value < minimum) or (maximum is not None and value > maximum):
+        bound = " and".join(f" {op} {b}" for op, b in ((">=", minimum), ("<=", maximum))
+                            if b is not None)
         raise OutOfRange(key, f"{key} must be an integer{bound}, got {value!r}")
     return value
 
@@ -141,14 +144,14 @@ class _Run:
             raise ConfigMismatch("'numerics' must be an object")
         _reject_unknown(numerics, NUMERICS_FIELDS)
         self.numerics = numerics
-        self.n_nodes: int = _integer(numerics, "n_nodes", 1001, minimum=2)
+        self.n_nodes: int = _integer(numerics, "n_nodes", 1001, minimum=2, maximum=_MAX_COUNT)
         dt = _number(numerics, "dt", 1e-3)
         if dt <= 0.0:
             raise OutOfRange("dt", f"dt must be > 0, got {dt!r}")
         y0 = (_finite_list(numerics, "y0", []) if isinstance(numerics.get("y0"), list)
               else _number(numerics, "y0", 0.0))
         self.sim_config = mc.SimConfig(
-            n_paths=_integer(numerics, "n_paths", 100_000),
+            n_paths=_integer(numerics, "n_paths", 100_000, maximum=_MAX_COUNT),
             dt=dt,
             seed=_integer(numerics, "seed", 0),
             x0=_finite_list(numerics, "x0", [0.0, 0.0], length=2),

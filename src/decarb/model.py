@@ -102,6 +102,20 @@ class ModelParams:
             raise OutOfRange("firm", f"firm index must be 1 or 2, got {firm}")
         return self.gamma1 if firm == 1 else self.gamma2
 
+    def __hash__(self) -> int:
+        # cache keys hash the params on every simulation step; the generated
+        # hash would rebuild the tuple of all fields each time
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # string hashes are salted per process, so a pickle carries no hash
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
 
 # Field sets per kind, beyond those common to every kind.
 _COMMON = ("gamma1", "gamma2", "sigma1", "sigma2", "p0", "p1", "p2", "horizon")
@@ -193,9 +207,10 @@ def _split_state(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def price(params: ModelParams, x):
-    """Common price factor p0 - p1*x1 - p2*x2."""
+    """Common price factor p0 - p1*x1 - p2*x2, the one :func:`revenue_f` uses
+    (+p2*x2 for the single firm under ``literal_signs``)."""
     x1, x2 = _split_state(x)
-    return params.p0 - params.p1 * x1 - params.p2 * x2
+    return _price_factor(params, x1, x2, np.empty(x1.shape), np.empty(x1.shape))[()]
 
 
 def _price_factor(params: ModelParams, x1, x2, out, scratch):

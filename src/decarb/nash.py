@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, WrongKind
+from .errors import BlowUp, OutOfRange, WrongKind
 from .model import Kind, ModelParams
 from .riccati import TimeGrid, centered_derivative, rk4_backward, rk4_stage_times
 
@@ -186,7 +186,7 @@ def sample_opponent(opponent, grid: TimeGrid) -> np.ndarray:
         return np.array([float(opponent(t)) for t in grid.nodes])
     arr = np.asarray(opponent, dtype=float)
     if arr.shape != (grid.n_nodes,):
-        raise ValueError(f"opponent samples must have shape ({grid.n_nodes},), got {arr.shape}")
+        raise OutOfRange("opponent", f"opponent samples must have shape ({grid.n_nodes},), got {arr.shape}")
     return arr
 
 

@@ -38,10 +38,10 @@ class TimeGrid:
     n_nodes: int = 1001
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not self.t_end > 0.0:
+            raise OutOfRange("t_end", f"t_end must be > 0, got {self.t_end!r}")
         if self.n_nodes < 2:
-            raise ValueError("n_nodes must be at least 2")
+            raise OutOfRange("n_nodes", f"n_nodes must be at least 2, got {self.n_nodes!r}")
 
     @property
     def dt(self) -> float:

@@ -248,6 +248,10 @@ def test_criterion_10_deterministic_outputs(tmp_path):
         out1 = tmp_path / f"{scenario}_1"
         out2 = tmp_path / f"{scenario}_2"
         assert cli_run([scenario, "--config", cfg, "--out", str(out1)]) == 0
+        if scenario == "simulate":
+            # another seed in between, so the rerun draws its normals afresh
+            assert cli_run([scenario, "--config", cfg, "--seed", "6",
+                            "--out", str(tmp_path / "other_seed")]) == 0
         assert cli_run([scenario, "--config", cfg, "--out", str(out2)]) == 0
         for name in files:
             identical &= (out1 / name).read_bytes() == (out2 / name).read_bytes()

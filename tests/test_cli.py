@@ -232,11 +232,15 @@ class TestErrorPaths:
         ("verify", {"grid": {"n_point": 11}}, "UnexpectedField", "grid.n_point"),
         ("verify", {"grid": [21]}, "OutOfRange", "grid"),
         ("simulate", {"dt": 10 ** 400}, "OutOfRange", "dt"),
+        ("simulate", {"n_nodes": 10 ** 29}, "OutOfRange", "n_nodes"),
+        ("verify", {"n_nodes": 2 ** 63}, "OutOfRange", "n_nodes"),
+        ("simulate", {"n_paths": 10 ** 29}, "OutOfRange", "n_paths"),
+        ("simulate", {"n_paths": 2 ** 63}, "OutOfRange", "n_paths"),
     ])
     def test_malformed_numerics_names_field(self, tmp_path, capsys, scenario, numerics,
                                             error, field):
         cfg = write_config(tmp_path, {"model": TWO_FIRM_FIXTURE,
-                                      "numerics": dict(numerics, n_nodes=201)})
+                                      "numerics": {"n_nodes": 201, **numerics}})
         assert run([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["field"], err["exit_code"]) == (error, field, 1)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -483,3 +484,91 @@ class TestPathIncrements:
         worker.start()
         worker.join()
         assert np.array_equal(got[0], fresh_draws(4, 6, 5))
+
+
+def evict_chunk_memo() -> None:
+    """Leave a chunk no test below draws in this thread's memo."""
+    mc._draw_chunk(2**50, 0, 1, 1, 1)
+
+
+class TestDrawChunk:
+    @pytest.mark.parametrize("refinement", [1, 2])
+    def test_step_major_layout(self, refinement):
+        seed, start, count, n_steps = 3, 5, 2 * mc._BLOCK + 3, 4  # ends in a partial block
+        inc = mc._draw_chunk(seed, start, count, n_steps, refinement)
+        assert inc.shape == (n_steps, 2, count)
+        for j in range(count):
+            path = path_increments(seed, start + j, n_steps * refinement)
+            if refinement > 1:
+                path = np.divide(path.reshape(n_steps, refinement, 2).sum(axis=1),
+                                 math.sqrt(refinement))
+            for k in range(n_steps):
+                assert np.array_equal(inc[k, :, j], path[k])
+
+    @pytest.mark.parametrize("other", [(8, 0, 10, 6, 1), (7, 1, 10, 6, 1), (7, 0, 9, 6, 1),
+                                       (7, 0, 10, 5, 1), (7, 0, 10, 6, 2)])
+    def test_memo_holds_one_read_only_chunk(self, other):
+        key = (7, 0, 10, 6, 1)
+        evict_chunk_memo()
+        first = mc._draw_chunk(*key)
+        assert mc._draw_chunk(*key) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 0.0
+        evicting = mc._draw_chunk(*other)
+        assert mc._philox.chunk[0] == other and mc._philox.chunk[1] is evicting
+        again = mc._draw_chunk(*key)
+        assert again is not first and np.array_equal(again, first)
+
+    def test_each_thread_has_its_own_memo(self):
+        key = (7, 0, 10, 6, 1)
+        mine = mc._draw_chunk(*key)
+        got = []
+        worker = threading.Thread(target=lambda: got.append(mc._draw_chunk(*key)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert got[0] is not mine and np.array_equal(got[0], mine)
+        assert mc._draw_chunk(*key) is mine
+
+    def test_no_two_chunks_alive_together(self, monkeypatch, two_firm):
+        v = solve_principal(two_firm, 201)
+        cfg = SimConfig(n_paths=64, dt=0.02, seed=31)
+        draw, increments, chunks = mc._draw_chunk, mc.path_increments, []
+
+        def tracked_draw(*args):
+            inc = draw(*args)
+            chunks.append(weakref.ref(inc))
+            return inc
+
+        def checked_increments(*args, **kwargs):
+            # the new chunk is allocated by now: every earlier one must be freed
+            assert all(ref() is None for ref in chunks)
+            return increments(*args, **kwargs)
+
+        evict_chunk_memo()
+        monkeypatch.setattr(mc, "_draw_chunk", tracked_draw)
+        monkeypatch.setattr(mc, "path_increments", checked_increments)
+        principal_path_payoffs(two_firm, v, cfg, chunk_size=8)
+        assert len(chunks) == 4
+
+    def test_common_random_number_runs_draw_once(self, monkeypatch, nash_params):
+        strategies = feedback_strategies(solve_nash(nash_params, 201), nash_params)
+        cfg = SimConfig(n_paths=64, dt=0.02, seed=32)
+        deviation = Deviation(firm=1, scale=0.9)
+        evict_chunk_memo()
+        fresh = nash_path_payoffs(nash_params, strategies, cfg, deviation)
+        increments, calls = mc.path_increments, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return increments(*args, **kwargs)
+
+        evict_chunk_memo()
+        monkeypatch.setattr(mc, "path_increments", counted)
+        nash_path_payoffs(nash_params, strategies, cfg)
+        assert len(calls) == 32
+        reused = nash_path_payoffs(nash_params, strategies, cfg, deviation)
+        assert len(calls) == 32
+        for a, b in zip(reused, fresh):
+            assert np.array_equal(a, b)

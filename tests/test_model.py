@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from decarb import (
     social_cost_g,
     validate_params,
 )
+from decarb.contract import _rate_factors
+from decarb.nash import _payoff_factors
 from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
 
 
@@ -139,6 +144,14 @@ class TestPrice:
         xs = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
         np.testing.assert_allclose(price(nash_params, xs), [1.0, 0.0, 0.5], atol=1e-15)
 
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_is_the_revenue_factor(self, literal):
+        p = validate_params(dict(SINGLE_FIRM_FIXTURE, literal_signs=literal))
+        xs = np.random.default_rng(2).normal(size=(50, 2))
+        for scope, quantity in ((Scope.FIRM1, xs[:, 0]), (Scope.FIRM2, xs[:, 1])):
+            assert np.array_equal(revenue_f(p, xs, scope), price(p, xs) * quantity)
+        assert price(p, (0.0, 1.0)) == (p.p0 + p.p2 if literal else p.p0 - p.p2)
+
 
 class TestRevenue:
     def test_zero_production(self, two_firm):
@@ -227,6 +240,22 @@ class TestEffortCost:
                       - 2.0 * effort_cost_c(nash_params, a, 1)
                       + effort_cost_c(nash_params, a - h, 1))
             assert second > 0.0
+
+
+def test_equal_params_hash_equal_and_share_cache_entries():
+    a = validate_params(TWO_FIRM_FIXTURE)
+    b = validate_params(dict(TWO_FIRM_FIXTURE))
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash(a)
+    assert _rate_factors(b, 1) is _rate_factors(a, 1)
+    hits = _rate_factors.cache_info().hits
+    _rate_factors(b, 1)
+    assert _rate_factors.cache_info().hits == hits + 1
+    n = validate_params(NASH_FIXTURE)
+    assert _payoff_factors(validate_params(NASH_FIXTURE), (1, 2), 1) is _payoff_factors(n, (1, 2), 1)
+    assert replace(a, p0=2.0) != a
+    copied = pickle.loads(pickle.dumps(a))
+    assert copied == a and hash(copied) == hash(a)
 
 
 def test_agent_aversions_by_kind(single_firm, two_firm):

@@ -6,6 +6,7 @@ import pytest
 
 from decarb import (
     BlowUp,
+    OutOfRange,
     WrongKind,
     best_response,
     certainty_surface,
@@ -91,8 +92,9 @@ class TestBestResponse:
         from_array = best_response(nash_params, 1, np.full(101, 0.5), n_nodes=101)
         np.testing.assert_array_equal(const.values, from_callable.values)
         np.testing.assert_array_equal(const.values, from_array.values)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange) as exc:
             sample_opponent(np.zeros(7), grid)
+        assert exc.value.field == "opponent"
 
     def test_firm2_system(self, nash_params):
         coeffs = best_response(nash_params, 2, 0.3, n_nodes=401)

@@ -64,10 +64,19 @@ class TestTimeGrid:
         assert g.dt == 0.25
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             TimeGrid(0.0, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             TimeGrid(1.0, 1)
+
+    @pytest.mark.parametrize("t_end, n_nodes, field", [
+        (0.0, 10, "t_end"), (-1.0, 10, "t_end"), (float("nan"), 10, "t_end"),
+        (1.0, 1, "n_nodes"), (1.0, -5, "n_nodes"),
+    ])
+    def test_invalid_names_field(self, t_end, n_nodes, field):
+        with pytest.raises(OutOfRange) as exc:
+            TimeGrid(t_end, n_nodes)
+        assert exc.value.field == field
 
 
 class TestRK4:
