@@ -34,7 +34,8 @@ indifference tests exploit.
 The step contract.  ``make_step(nodes)`` returns a step with ``sigma`` (the
 state volatilities as a (2, 1) column), ``acc0`` (initial accumulator
 values), ``n_checked`` (how many leading accumulators are checked for
-finiteness with the state) and five methods.  ``bind(rows)`` allocates the
+finiteness with the state), ``n_payoffs`` (how many payoff arrays it
+returns) and five methods.  ``bind(rows)`` allocates the
 step's buffers once per chunk: two slots, for the start and the end of a
 step, of ``drift`` (shape (2, 2, rows)), of ``flow`` (one row per running
 flow) and of the rates.  ``rates(k, S, slot)`` and ``flows(S, slot,
@@ -329,7 +330,11 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
     dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
     step = make_step(np.arange(n_steps + 1) * dt)
     width = 2 if cfg.antithetic else 1
-    outs = None
+    try:
+        # before any chunk is drawn, so an impossible n_paths fails at once
+        outs = [np.empty(cfg.n_paths) for _ in range(step.n_payoffs)]
+    except (ValueError, MemoryError) as exc:
+        raise OutOfRange("n_paths", f"cannot hold {cfg.n_paths} payoffs: {exc}") from exc
     failure = None  # (steps done, canonical index) of the earliest non-finite value
     for start in range(0, n_sub, chunk):
         m = min(chunk, n_sub - start)
@@ -382,9 +387,7 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
                 break
         else:
             if failure is None:
-                pays = step.payoffs(acc)
-                outs = outs or [np.empty(cfg.n_paths) for _ in pays]
-                for out, pay in zip(outs, pays):
+                for out, pay in zip(outs, step.payoffs(acc)):
                     out.reshape(-1, width)[start:start + m] = pay.reshape(width, m).T
     if failure is not None:
         raise NonFinitePath(failure[1], failure[0] * dt)
@@ -410,6 +413,7 @@ class _PrincipalStep:
         self.p = params
         self.single = params.kind is Kind.SINGLE_FIRM
         self.n_agents = self.n_checked = len(y0)
+        self.n_payoffs = 1 + self.n_agents
         self.acc0 = (*y0, *(0.0 for _ in y0), 0.0)
         self.sigma = _pair(params.sigma1, params.sigma2)
         self.gamma = _pair(params.gamma1, params.gamma2)
@@ -565,7 +569,7 @@ class _NashStep:
     """
 
     acc0 = (0.0, 0.0)
-    n_checked = 2
+    n_checked = n_payoffs = 2
 
     def __init__(self, params: ModelParams, strategies: tuple[FeedbackStrategy, FeedbackStrategy],
                  deviation: Deviation | None, nodes: np.ndarray):

@@ -31,12 +31,17 @@ and substituting them couples the two systems into twelve ODEs, integrated
 jointly here.  Backward blow-up is reported as a first-class outcome: the
 equilibrium characterization is conditional on existence over the horizon.
 
-Each system is written once, in a factory (``_nash_rhs``,
-``_best_response_rhs_firm1``, ``_best_response_rhs_firm2``) that reads the
-parameters and their products once per solve and returns the right-hand side
-as a closure.  The same closure runs on floats in the integrator and on
-node-sampled columns in :func:`ode_residual`.  A best response looks the
-opponent flow up in a table interpolated once at the integrator's stage times.
+Each system is written once, as an :class:`~decarb.riccati.OdeTable`
+(``_NASH``, ``_BR_FIRM1``, ``_BR_FIRM2``): its state names, its derivative
+expressions and the parameter products they read.  A table is compiled on
+its first solve, once per process, into two functions: a block march that
+runs the integrator's RK4 steps with every stage written out, and a
+right-hand side that :func:`ode_residual` evaluates on node-sampled columns
+(``_nash_rhs`` and ``_best_response_rhs_firm1/2`` bind it to one parameter
+set).  Each solve binds the parameters as arguments, so no source is built
+from parameter values.  A best response reads the opponent flow from a flat
+list, interpolated once at the integrator's stage times, three values per
+step.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 
 from .errors import BlowUp, OutOfRange, WrongKind
 from .model import Kind, ModelParams
-from .riccati import TimeGrid, centered_derivative, rk4_backward, rk4_stage_times
+from .riccati import Kernel, OdeTable, TimeGrid, centered_derivative, rk4_backward, rk4_stage_times
 
 BR_COLUMNS = ("A", "B", "C", "D", "E", "F")
 NASH_COLUMNS = ("A", "B", "C", "D", "E", "F", "At", "Bt", "Ct", "Dt", "Et", "Ft")
@@ -103,79 +108,81 @@ def _require_nash(params: ModelParams) -> None:
         raise WrongKind(f"operation requires the no-incentive game, got {params.kind.value}")
 
 
-# Coefficient-ODE right-hand side factories.  Each reads ``params`` once and
-# returns a closure; the closures take floats inside the integrator and
-# node-sampled columns in ode_residual, so the same expressions serve both.
-# Only parameter products that left-to-right evaluation computes first are
-# hoisted (``s2 * e1 * C * C`` is ``s2e1 * C * C``), which keeps every bit.
+# The coefficient systems.  Only parameter products that left-to-right
+# evaluation computes first are hoisted into constants (``s2 * e1 * C * C`` is
+# ``s2e1 * C * C``), which keeps every bit.
+_GAME_PARAMS = ("s1", "s2", "e1", "e2", "g1", "g2", "p0", "p1", "p2")
+_GAME_CONSTS = (
+    ("p1x2", "2.0 * p1"), ("p2x2", "2.0 * p2"), ("g1x2", "2.0 * g1"), ("g2x2", "2.0 * g2"),
+    ("k1", "g1 - s1 * e1"), ("k2", "g2 - s2 * e2"),
+    ("s2e1", "s2 * e1"), ("s1e2", "s1 * e2"), ("s2e2", "s2 * e2"),
+    ("hg1", "0.5 * g1"), ("hg2", "0.5 * g2"), ("hs1", "0.5 * s1"), ("hs2", "0.5 * s2"),
+)
+_FIRM1_STATES = ("A", "B", "C", "D", "E", "F")
+_FIRM2_STATES = ("At", "Bt", "Ct", "Dt", "Et", "Ft")
+
+# firm 1's six ODEs against the opponent flow a2
+_BR_FIRM1 = OdeTable(
+    name="best_response_firm1", states=_FIRM1_STATES, params=_GAME_PARAMS, consts=_GAME_CONSTS,
+    drive="a2", derivs=(
+        "p1x2 + k1 * A * A - s2e1 * C * C",
+        "k1 * C * C - s2e1 * B * B",
+        "p2 + k1 * A * C - s2e1 * B * C",
+        "k1 * A * D - s2e1 * C * E - a2 * C",
+        "k1 * C * D - s2e1 * B * E - a2 * B",
+        "hg1 * D * D - hs1 * (e1 * D * D + A) - hs2 * (e1 * E * E + B) - a2 * E - p0",
+    ))
+
+# firm 2's six ODEs against the opponent flow a1
+_BR_FIRM2 = OdeTable(
+    name="best_response_firm2", states=_FIRM2_STATES, params=_GAME_PARAMS, consts=_GAME_CONSTS,
+    drive="a1", derivs=(
+        "g2 * Ct * Ct - s1e2 * At * At - s2e2 * Ct * Ct",
+        "p2x2 + k2 * Bt * Bt - s1e2 * Ct * Ct",
+        "p1 + k2 * Bt * Ct - s1e2 * At * Ct",
+        "k2 * Ct * Et - s1e2 * At * Dt - a1 * At",
+        "k2 * Bt * Et - s1e2 * Ct * Dt - a1 * Ct",
+        "hg2 * Et * Et - hs1 * (e2 * Dt * Dt + At) - hs2 * (e2 * Et * Et + Bt) - a1 * Dt - p0",
+    ))
+
+# the twelve coupled equilibrium ODEs (autonomous)
+_NASH = OdeTable(
+    name="nash", states=_FIRM1_STATES + _FIRM2_STATES, params=_GAME_PARAMS, consts=_GAME_CONSTS,
+    derivs=(
+        "p1x2 + k1 * A * A - s2e1 * C * C + g2x2 * Ct * C",
+        "k1 * C * C - s2e1 * B * B + g2x2 * Bt * B",
+        "p2 + k1 * A * C - s2e1 * B * C + g2 * (Bt * C + Ct * B)",
+        "k1 * A * D - s2e1 * C * E + g2 * (Ct * E + Et * C)",
+        "k1 * C * D - s2e1 * B * E + g2 * (Bt * E + Et * B)",
+        "hg1 * D * D - hs1 * (e1 * D * D + A) - hs2 * (e1 * E * E + B) + g2 * Et * E - p0",
+        "g2 * Ct * Ct - s1e2 * At * At - s2e2 * Ct * Ct + g1x2 * A * At",
+        "p2x2 + k2 * Bt * Bt - s1e2 * Ct * Ct + g1x2 * C * Ct",
+        "p1 + k2 * Bt * Ct - s1e2 * At * Ct + g1 * (A * Ct + C * At)",
+        "k2 * Ct * Et - s1e2 * At * Dt + g1 * (A * Dt + D * At)",
+        "k2 * Bt * Et - s1e2 * Ct * Dt + g1 * (C * Dt + D * Ct)",
+        "hg2 * Et * Et - hs1 * (e2 * Dt * Dt + At) - hs2 * (e2 * Et * Et + Bt) + g1 * D * Dt - p0",
+    ))
+
+
+def _game_args(params: ModelParams) -> tuple[float, ...]:
+    """Values of ``_GAME_PARAMS``."""
+    return (params.sigma1 ** 2, params.sigma2 ** 2, params.eta1, params.eta2,
+            params.gamma1, params.gamma2, params.p0, params.p1, params.p2)
+
+
 def _best_response_rhs_firm1(params: ModelParams):
     """rhs(a2, u) of firm 1's six ODEs against the opponent flow a2."""
-    s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
-    e1, g1, p0, p1, p2 = params.eta1, params.gamma1, params.p0, params.p1, params.p2
-    p1x2, k1, s2e1 = 2.0 * p1, g1 - s1 * e1, s2 * e1
-    hg1, hs1, hs2 = 0.5 * g1, 0.5 * s1, 0.5 * s2
-
-    def rhs(a2, u):
-        A, B, C, D, E, _F = u
-        return (
-            p1x2 + k1 * A * A - s2e1 * C * C,
-            k1 * C * C - s2e1 * B * B,
-            p2 + k1 * A * C - s2e1 * B * C,
-            k1 * A * D - s2e1 * C * E - a2 * C,
-            k1 * C * D - s2e1 * B * E - a2 * B,
-            hg1 * D * D - hs1 * (e1 * D * D + A) - hs2 * (e1 * E * E + B) - a2 * E - p0,
-        )
-    return rhs
+    return _BR_FIRM1.rhs(_game_args(params))
 
 
 def _best_response_rhs_firm2(params: ModelParams):
     """rhs(a1, u) of firm 2's six ODEs against the opponent flow a1."""
-    s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
-    e2, g2, p0, p1, p2 = params.eta2, params.gamma2, params.p0, params.p1, params.p2
-    p2x2, k2, s1e2, s2e2 = 2.0 * p2, g2 - s2 * e2, s1 * e2, s2 * e2
-    hg2, hs1, hs2 = 0.5 * g2, 0.5 * s1, 0.5 * s2
-
-    def rhs(a1, u):
-        At, Bt, Ct, Dt, Et, _Ft = u
-        return (
-            g2 * Ct * Ct - s1e2 * At * At - s2e2 * Ct * Ct,
-            p2x2 + k2 * Bt * Bt - s1e2 * Ct * Ct,
-            p1 + k2 * Bt * Ct - s1e2 * At * Ct,
-            k2 * Ct * Et - s1e2 * At * Dt - a1 * At,
-            k2 * Bt * Et - s1e2 * Ct * Dt - a1 * Ct,
-            hg2 * Et * Et - hs1 * (e2 * Dt * Dt + At) - hs2 * (e2 * Et * Et + Bt) - a1 * Dt - p0,
-        )
-    return rhs
+    return _BR_FIRM2.rhs(_game_args(params))
 
 
 def _nash_rhs(params: ModelParams):
     """rhs(t, u) of the twelve coupled equilibrium ODEs (autonomous: t is unused)."""
-    s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
-    e1, e2 = params.eta1, params.eta2
-    g1, g2 = params.gamma1, params.gamma2
-    p0, p1, p2 = params.p0, params.p1, params.p2
-    p1x2, p2x2, g1x2, g2x2 = 2.0 * p1, 2.0 * p2, 2.0 * g1, 2.0 * g2
-    k1, k2 = g1 - s1 * e1, g2 - s2 * e2
-    s2e1, s1e2, s2e2 = s2 * e1, s1 * e2, s2 * e2
-    hg1, hg2, hs1, hs2 = 0.5 * g1, 0.5 * g2, 0.5 * s1, 0.5 * s2
-
-    def rhs(_t, u):
-        A, B, C, D, E, _F, At, Bt, Ct, Dt, Et, _Ft = u
-        return (
-            p1x2 + k1 * A * A - s2e1 * C * C + g2x2 * Ct * C,
-            k1 * C * C - s2e1 * B * B + g2x2 * Bt * B,
-            p2 + k1 * A * C - s2e1 * B * C + g2 * (Bt * C + Ct * B),
-            k1 * A * D - s2e1 * C * E + g2 * (Ct * E + Et * C),
-            k1 * C * D - s2e1 * B * E + g2 * (Bt * E + Et * B),
-            hg1 * D * D - hs1 * (e1 * D * D + A) - hs2 * (e1 * E * E + B) + g2 * Et * E - p0,
-            g2 * Ct * Ct - s1e2 * At * At - s2e2 * Ct * Ct + g1x2 * A * At,
-            p2x2 + k2 * Bt * Bt - s1e2 * Ct * Ct + g1x2 * C * Ct,
-            p1 + k2 * Bt * Ct - s1e2 * At * Ct + g1 * (A * Ct + C * At),
-            k2 * Ct * Et - s1e2 * At * Dt + g1 * (A * Dt + D * At),
-            k2 * Bt * Et - s1e2 * Ct * Dt + g1 * (C * Dt + D * Ct),
-            hg2 * Et * Et - hs1 * (e2 * Dt * Dt + At) - hs2 * (e2 * Et * Et + Bt) + g1 * D * Dt - p0,
-        )
-    return rhs
+    return _NASH.rhs(_game_args(params))
 
 
 def sample_opponent(opponent, grid: TimeGrid) -> np.ndarray:
@@ -204,13 +211,12 @@ def best_response(
     """
     _require_nash(params)
     if firm not in (1, 2):
-        raise ValueError(f"firm index must be 1 or 2, got {firm}")
+        raise OutOfRange("firm", f"firm index must be 1 or 2, got {firm!r}")
     grid = TimeGrid(params.horizon, n_nodes)
     samples = sample_opponent(opponent, grid)
-    times = rk4_stage_times(grid)
-    flow = dict(zip(times, np.interp(times, grid.nodes, samples).tolist()))
-    rhs_one = (_best_response_rhs_firm1 if firm == 1 else _best_response_rhs_firm2)(params)
-    values = rk4_backward(lambda t, u: rhs_one(flow[t], u), np.zeros(6), grid)
+    flow = np.interp(rk4_stage_times(grid), grid.nodes, samples).tolist()
+    kernel = Kernel(_BR_FIRM1 if firm == 1 else _BR_FIRM2, _game_args(params), flow)
+    values = rk4_backward(kernel, np.zeros(6), grid)
     return BestResponseCoeffs(grid=grid, values=values, firm=firm, opponent=samples)
 
 
@@ -220,7 +226,7 @@ def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
     grid = TimeGrid(params.horizon, n_nodes)
 
     try:
-        values = rk4_backward(_nash_rhs(params), np.zeros(12), grid)
+        values = rk4_backward(Kernel(_NASH, _game_args(params)), np.zeros(12), grid)
     except BlowUp as exc:
         raise BlowUp(
             exc.t_escape,
@@ -253,9 +259,11 @@ def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: flo
 
     The firm's value is -exp(eta_firm * W_firm).
     """
+    if firm not in (1, 2):
+        raise OutOfRange("firm", f"firm index must be 1 or 2, got {firm!r}")
     if isinstance(coeffs, BestResponseCoeffs):
         if firm != coeffs.firm:
-            raise ValueError(f"coefficients belong to firm {coeffs.firm}, not {firm}")
+            raise OutOfRange("firm", f"coefficients belong to firm {coeffs.firm}, not {firm!r}")
         block = coeffs.values
     else:
         block = coeffs.firm_block(firm)
@@ -294,7 +302,7 @@ def payoff_rate(params: ModelParams, firm: int | None, x, y, a, out=None, scratc
     """
     _require_nash(params)
     if firm not in (None, 1, 2):
-        raise ValueError(f"firm index must be 1 or 2, got {firm}")
+        raise OutOfRange("firm", f"firm index must be 1 or 2, got {firm!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)

@@ -246,6 +246,18 @@ class TestErrorPaths:
         assert (err["error"], err["field"], err["exit_code"]) == (error, field, 1)
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("model", [TWO_FIRM_FIXTURE, NASH_FIXTURE])
+    def test_oversized_n_paths_fails_before_any_draw(self, tmp_path, capsys, monkeypatch, model):
+        # within the integer bound, but no array of that many payoffs can exist
+        draws = []
+        monkeypatch.setattr("decarb.mc._draw_chunk", lambda *a: draws.append(a))
+        cfg = write_config(tmp_path, {"model": model, "numerics": {"n_nodes": 201, "dt": 0.1,
+                                                                   "n_paths": 2 ** 62}})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"], err["exit_code"]) == ("OutOfRange", "n_paths", 1)
+        assert draws == []
+
     def test_every_numerics_field_accepted(self, tmp_path):
         out = tmp_path / "full"
         cfg = write_config(tmp_path, {"model": TWO_FIRM_FIXTURE, "numerics": {

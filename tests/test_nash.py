@@ -18,7 +18,7 @@ from decarb import (
 )
 from decarb.nash import (BR_COLUMNS, NASH_COLUMNS, _best_response_rhs_firm1,
                          _best_response_rhs_firm2, _nash_rhs, sample_opponent)
-from decarb.riccati import TimeGrid
+from decarb.riccati import TimeGrid, rk4_backward, rk4_stage_times
 from conftest import NASH_FIXTURE
 
 ZERO_ECONOMY = dict(NASH_FIXTURE, p0=0.0, p1=0.0, p2=0.0)
@@ -109,8 +109,10 @@ class TestBestResponse:
         assert ode_residual(coeffs, nash_params) <= 1e-8
 
     def test_firm_index_validation(self, nash_params):
-        with pytest.raises(ValueError):
-            best_response(nash_params, 3, 0.0)
+        for firm in (0, 3):
+            with pytest.raises(OutOfRange) as exc:
+                best_response(nash_params, firm, 0.0)
+            assert exc.value.field == "firm"
 
     def test_wrong_kind(self, two_firm):
         with pytest.raises(WrongKind):
@@ -185,6 +187,39 @@ class TestPinnedOutputs:
         with pytest.raises(BlowUp) as exc:
             solve_nash(validate_params(dict(NASH_FIXTURE, horizon=horizon)), n_nodes)
         assert exc.value.t_escape == NASH_T_ESCAPE[horizon, n_nodes]
+
+
+class TestFusedKernel:
+    """The compiled block march against the generic stepper on each system's closure."""
+
+    @pytest.mark.parametrize("n_nodes", [201, 1001])
+    def test_nash_equals_generic_stepper(self, nash_params, n_nodes):
+        grid = TimeGrid(nash_params.horizon, n_nodes)
+        generic = rk4_backward(_nash_rhs(nash_params), np.zeros(12), grid)
+        assert np.array_equal(solve_nash(nash_params, n_nodes).values, generic)
+
+    @pytest.mark.parametrize("n_nodes", [201, 1001])
+    @pytest.mark.parametrize("form", ["scalar", "array", "callable"])
+    @pytest.mark.parametrize("firm, rhs_one", [(1, _best_response_rhs_firm1),
+                                               (2, _best_response_rhs_firm2)])
+    def test_best_response_equals_generic_stepper(self, nash_params, n_nodes, form, firm, rhs_one):
+        grid = TimeGrid(nash_params.horizon, n_nodes)
+        opponent = {"scalar": 0.5, "array": 0.2 * grid.nodes, "callable": lambda t: 0.3 + 0.5 * t}[form]
+        # the opponent flow keyed by stage time, as the solver looked it up before the fused march
+        times = rk4_stage_times(grid)
+        flow = dict(zip(times, np.interp(times, grid.nodes, sample_opponent(opponent, grid)).tolist()))
+        rhs = rhs_one(nash_params)
+        generic = rk4_backward(lambda t, u: rhs(flow[t], u), np.zeros(6), grid)
+        assert np.array_equal(best_response(nash_params, firm, opponent, n_nodes).values, generic)
+
+    @pytest.mark.parametrize("horizon, t_escape", [(1.04, 0.002795), (1.05, 0.012796875000000003)])
+    def test_escape_equals_generic_stepper(self, horizon, t_escape):
+        params = validate_params(dict(NASH_FIXTURE, horizon=horizon))
+        with pytest.raises(BlowUp) as fused:
+            solve_nash(params, 16001)
+        with pytest.raises(BlowUp) as generic:
+            rk4_backward(_nash_rhs(params), np.zeros(12), TimeGrid(horizon, 16001))
+        assert fused.value.t_escape == generic.value.t_escape == t_escape
 
 
 class TestFirmSwap:
@@ -282,8 +317,10 @@ class TestPayoffRate:
         assert payoff_rate(p, 2, 2.0, -1.0, 1.0) == pytest.approx(-0.5, abs=1e-15)
 
     def test_firm_index(self, nash_params):
-        with pytest.raises(ValueError):
-            payoff_rate(nash_params, 0, 0.0, 0.0, 0.0)
+        for firm in (0, 3):
+            with pytest.raises(OutOfRange) as exc:
+                payoff_rate(nash_params, firm, 0.0, 0.0, 0.0)
+            assert exc.value.field == "firm"
 
     def test_wrong_kind(self, two_firm):
         with pytest.raises(WrongKind):
@@ -301,9 +338,13 @@ class TestCertaintySurface:
         assert certainty_surface(coeffs, 1, t, x, y) == pytest.approx(expected, rel=1e-12)
 
     def test_best_response_firm_gate(self, nash_params):
-        coeffs = best_response(nash_params, 1, 0.0, n_nodes=101)
-        with pytest.raises(ValueError):
-            certainty_surface(coeffs, 2, 0.0, 0.0, 0.0)
+        response = best_response(nash_params, 1, 0.0, n_nodes=101)
+        game = solve_nash(nash_params, n_nodes=101)
+        # a Nash firm index outside 1, 2 used to fall through to firm 2's block
+        for coeffs, firm in ((response, 2), (response, 3), (game, 0), (game, 3)):
+            with pytest.raises(OutOfRange) as exc:
+                certainty_surface(coeffs, firm, 0.0, 0.0, 0.0)
+            assert exc.value.field == "firm"
 
     def test_residual_negative_control_best_response(self, nash_params):
         coeffs = best_response(nash_params, 1, 0.5, n_nodes=401)

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +15,20 @@ from decarb import (
     OutOfHorizon,
     OutOfRange,
     TimeGrid,
+    best_response,
+    nash,
     oracle_rates,
     rate_profile,
     rates_two,
+    riccati,
     rk4_backward,
     solve_lqg,
+    solve_nash,
     solve_principal,
     validate_params,
 )
-from decarb.riccati import BLOWUP_LIMIT, _BLOCK, coefficient_table, rk4_stage_times
-from conftest import SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
+from decarb.riccati import BLOWUP_LIMIT, _BLOCK, Kernel, OdeTable, coefficient_table, rk4_stage_times
+from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
 
 # coefficient_table rows (A11, A12, A22, B1, B2, C) at 1001 nodes, recorded
 # before the Riccati right-hand side moved from 2x2 matrix products to closed
@@ -208,6 +215,74 @@ class TestBlockedBlowUpCheck:
         except BlowUp as exc:
             got = exc.t_escape
         assert got == want
+
+
+def record_rk4_calls(monkeypatch) -> list:
+    """Route every solve's integrator call through a recorder, at the module
+    attributes the solves look up, as a tracer wrapping them from outside does."""
+    calls = []
+
+    def recorder(rhs, terminal, grid):
+        calls.append((rhs, grid))
+        return rk4_backward(rhs, terminal, grid)
+
+    for module in (riccati, nash):
+        monkeypatch.setattr(module, "rk4_backward", recorder)
+    return calls
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("fixture", [SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE])
+    @pytest.mark.parametrize("n_nodes", [201, 1001])
+    def test_lqg_equals_generic_stepper(self, monkeypatch, fixture, n_nodes):
+        calls = record_rk4_calls(monkeypatch)
+        v = solve_principal(validate_params(fixture), n_nodes)
+        [(kernel, grid)] = calls
+        assert isinstance(kernel, Kernel) and kernel.table is riccati._LQG
+        generic = rk4_backward(kernel.table.rhs(kernel.args), np.zeros(6), grid)
+        assert np.array_equal(coefficient_table(v)[:, 1:], generic)
+
+    def test_second_solve_does_not_compile(self, two_firm):
+        solve_principal(two_firm, 201)
+        before = riccati._compile.cache_info()
+        solve_principal(two_firm, 201)
+        after = riccati._compile.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 1
+
+    def test_nothing_compiled_at_import(self):
+        src = str(Path(riccati.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import decarb.cli, decarb.riccati as r; "
+                "assert r._compile.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    @pytest.mark.parametrize("states, derivs, consts", [
+        (("u",), ("u ** 2",), ()),            # ** can raise OverflowError
+        (("u",), ("abs(u)",), ()),            # calls
+        (("u",), ("u (u)",), ()),
+        (("u",), ("u * w",), ()),             # unknown name
+        (("u",), ("u.real",), ()),            # attributes
+        (("u",), ("u",), (("k", "1.0 / u"),)),  # division in a constant
+        (("h",), ("h",), ()),                 # name the kernel uses itself
+        (("u", "v"), ("u",), ()),             # a state without a derivative
+    ])
+    def test_table_must_be_plain_float_arithmetic(self, states, derivs, consts):
+        with pytest.raises(ValueError):
+            riccati._compile(OdeTable("bad", states, (), derivs, consts))
+
+
+class TestTracerContract:
+    """perfbench's tracer times the ODE layer by wrapping ``rk4_backward`` at
+    ``decarb.riccati`` and ``decarb.nash``; each solve must call it there, once."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_principal(validate_params(TWO_FIRM_FIXTURE), 201),
+        lambda: solve_nash(validate_params(NASH_FIXTURE), 201),
+        lambda: best_response(validate_params(NASH_FIXTURE), 2, 0.5, 201),
+    ], ids=["solve_principal", "solve_nash", "best_response"])
+    def test_each_solve_calls_the_module_attribute_once(self, monkeypatch, solve):
+        calls = record_rk4_calls(monkeypatch)
+        solved = solve()
+        assert [grid for _, grid in calls] == [solved.grid]
 
 
 class TestSolveLQG:
