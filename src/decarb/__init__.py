@@ -8,9 +8,6 @@ simulation of every solved object.
 
 from .contract import (
     ContractLQG,
-    EffectiveRiskAversion,
-    SingleFirmRates,
-    TwoFirmRates,
     argmax_oracle,
     assemble_lqg,
     effective_aversions,

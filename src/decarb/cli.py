@@ -3,8 +3,9 @@
 Subcommands: ``single-firm``, ``two-firm``, ``nash``, ``best-response``,
 ``verify``, ``simulate``.  Exit codes: 0 success, 1 validation error,
 2 numerical or I/O failure; failures print a machine-readable JSON object on
-stderr.  All outputs are pure functions of (config, seed): rerunning a
-scenario reproduces every file byte for byte.
+stderr.  An internal error is not caught: it propagates with its traceback.
+All outputs are pure functions of (config, seed): rerunning a scenario
+reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -111,13 +112,19 @@ def _firm(section: dict, prefix: str) -> int:
     return value
 
 
-def _block(config: dict, key: str, allowed: tuple[str, ...]) -> dict | None:
-    """An optional top-level object whose keys must all be in ``allowed``."""
-    section = config.get(key)
-    if section is None:
-        return None
+def _section(config: dict, key: str) -> dict:
+    """``config[key]``, added empty when absent; it must be a JSON object."""
+    section = config.setdefault(key, {})
     if not isinstance(section, dict):
         raise OutOfRange(key, f"{key} must be an object, got {section!r}")
+    return section
+
+
+def _block(config: dict, key: str, allowed: tuple[str, ...]) -> dict | None:
+    """An optional top-level object whose keys must all be in ``allowed``."""
+    if config.get(key) is None:
+        return None
+    section = _section(config, key)
     _reject_unknown(section, allowed, key + ".")
     return section
 
@@ -139,9 +146,7 @@ class _Run:
         self.scenario = scenario
         self.config = config
         self.out_dir = out_dir
-        numerics = config.get("numerics", {})
-        if not isinstance(numerics, dict):
-            raise ConfigMismatch("'numerics' must be an object")
+        numerics = _section(config, "numerics")
         _reject_unknown(numerics, NUMERICS_FIELDS)
         self.numerics = numerics
         self.n_nodes: int = _integer(numerics, "n_nodes", 1001, minimum=2, maximum=_MAX_COUNT)
@@ -167,10 +172,9 @@ class _Run:
             self.grid_spec = verify.GridSpec(**grid)
         except OutOfRange as exc:
             raise OutOfRange("grid." + exc.field, f"grid.{exc}") from None
-        model_cfg = config.get("model")
-        if model_cfg is None:
+        if config.get("model") is None:
             raise MissingField("model")
-        self.params: ModelParams = validate_params(model_cfg)
+        self.params: ModelParams = validate_params(_section(config, "model"))
         expected = SCENARIO_KINDS.get(scenario)
         if expected is not None and self.params.kind is not expected:
             raise ConfigMismatch(
@@ -246,15 +250,12 @@ def _run_verify(run: _Run) -> dict:
     if run.params.has_principal:
         v = riccati.solve_principal(run.params, run.n_nodes)
         reports = [verify.hjb_residual_principal(v, run.params, grid)]
+        residuals = {}
     else:
         coeffs = nash.solve_nash(run.params, run.n_nodes)
-        r1, r2 = verify.hjb_residual_nash(coeffs, run.params, grid)
-        reports = [r1, r2]
-        ode_max = nash.ode_residual(coeffs, run.params)
-        reports_extra = {"ode_max_residual": ode_max}
-    residuals = {"reports": [r.to_dict() for r in reports]}
-    if not run.params.has_principal:
-        residuals.update(reports_extra)
+        reports = verify.hjb_residual_nash(coeffs, run.params, grid)
+        residuals = {"ode_max_residual": nash.ode_residual(coeffs, run.params)}
+    residuals["reports"] = [r.to_dict() for r in reports]
     _write_json(residuals, run.out_dir / "residuals.json")
     summary = run.summary_base()
     summary.update({
@@ -304,13 +305,8 @@ def _run_simulate(run: _Run) -> dict:
             summary["deviation"] = dev_spec
         z1, z2 = mc.nash_path_payoffs(run.params, strategies, cfg, deviation)
         e1, e2 = mc.nash_estimates_from_payoffs(run.params, cfg, z1, z2)
-        x0 = cfg.x0
-        targets = {
-            "firm1": -float(np.exp(run.params.eta1
-                                   * nash.certainty_surface(coeffs, 1, 0.0, x0[0], x0[1]))),
-            "firm2": -float(np.exp(run.params.eta2
-                                   * nash.certainty_surface(coeffs, 2, 0.0, x0[0], x0[1]))),
-        }
+        targets = {f"firm{i}": -float(np.exp(eta * nash.certainty_surface(coeffs, i, 0.0, *cfg.x0)))
+                   for i, eta in enumerate(run.params.agent_aversions(), 1)}
         estimates = [e1, e2]
         if run.dump_paths:
             outputs.append(_dump_paths(run, cfg, ("firm1", "firm2"), (z1, z2)))
@@ -362,17 +358,16 @@ def run(argv=None) -> int:
         if not isinstance(config, dict):
             raise ConfigMismatch("top-level config must be a JSON object")
         if args.seed is not None:
-            config.setdefault("numerics", {})["seed"] = args.seed
+            _section(config, "numerics")["seed"] = args.seed
         if args.literal_signs:
-            config.setdefault("model", {})["literal_signs"] = True
+            _section(config, "model")["literal_signs"] = True
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         runner = _Run(args.scenario, config, out_dir)
         summary = _RUNNERS[args.scenario](runner)
         _write_json(summary, out_dir / "summary.json")
         return 0
-    except (ValidationError, json.JSONDecodeError, FileNotFoundError, KeyError,
-            TypeError, ValueError) as exc:
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError, FileNotFoundError) as exc:
         return _fail(exc, 1)
     except (NumericalError, OSError) as exc:
         return _fail(exc, 2)

@@ -6,12 +6,10 @@ value functions are exponential-quadratic,
 
     V1 = -exp(eta1 * W1(t,x,y)),   V2 = -exp(eta2 * W2(t,x,y)),
 
-with W1 = 0.5*A x^2 + 0.5*B y^2 + C xy + D x + E y + F and W2 built from the
-mirrored coefficients At..Ft.  Matching powers of (x, y) in the two
-Hamilton-Jacobi-Bellman equations turns each PDE into six coupled scalar ODEs
-with zero terminal data:
-
-firm 1 against a deterministic opponent flow a2(t)::
+with W1 = 0.5*A x^2 + 0.5*B y^2 + C xy + D x + E y + F and W2 built from
+At..Ft.  Matching powers of (x, y) in firm 1's Hamilton-Jacobi-Bellman
+equation turns it into six scalar ODEs with zero terminal data; against a
+deterministic opponent flow a2(t)::
 
     A' + s1*e1*A^2 + s2*e1*C^2 - 2*p1 - g1*A^2                  = 0
     B' + s1*e1*C^2 + s2*e1*B^2 - g1*C^2                         = 0
@@ -21,32 +19,38 @@ firm 1 against a deterministic opponent flow a2(t)::
     F' + 0.5*s1*(e1*D^2 + A) + 0.5*s2*(e1*E^2 + B) + a2*E + p0
        - 0.5*g1*D^2                                             = 0
 
-(s_i = sigma_i^2, e_i = eta_i, g_i = gamma_i; firm 2's system mirrors it with
-x and y swapped).  In equilibrium the opponent flows are the feedback rules
+(s_i = sigma_i^2, e_i = eta_i, g_i = gamma_i).  The firms are mirror images:
+exchanging their sigma, eta, gamma and p1 <-> p2, x <-> y, a1 <-> a2 and
+
+    A <-> Bt,  B <-> At,  C <-> Ct,  D <-> Et,  E <-> Dt,  F <-> Ft
+
+maps firm 1's system onto firm 2's, which is made from it by that renaming
+(``_SWAP``) and not written out.  In equilibrium the opponent flows are the
+feedback rules
 
     a1(t,x,y) = -gamma1 * (A x + C y + D),
-    a2(t,x,y) = -gamma2 * (At x + Bt y + Et),
+    a2(t,x,y) = -gamma2 * (At x + Bt y + Et);
 
-and substituting them couples the two systems into twelve ODEs, integrated
-jointly here.  Backward blow-up is reported as a first-class outcome: the
-equilibrium characterization is conditional on existence over the horizon.
+substituting a2 into firm 1's system, and the swap of the result for firm 2,
+gives the twelve coupled ODEs integrated here.  The two halves are one
+expression under renaming, so the swapped game solves to the permuted
+columns bit for bit.  Backward blow-up is reported as a first-class outcome:
+the equilibrium characterization is conditional on existence over the
+horizon.
 
-Each system is written once, as an :class:`~decarb.riccati.OdeTable`
-(``_NASH``, ``_BR_FIRM1``, ``_BR_FIRM2``): its state names, its derivative
-expressions and the parameter products they read.  A table is compiled on
-its first solve, once per process, into two functions: a block march that
-runs the integrator's RK4 steps with every stage written out, and a
-right-hand side that :func:`ode_residual` evaluates on node-sampled columns
-(``_nash_rhs`` and ``_best_response_rhs_firm1/2`` bind it to one parameter
-set).  Each solve binds the parameters as arguments, so no source is built
-from parameter values.  A best response reads the opponent flow from a flat
-list, interpolated once at the integrator's stage times, three values per
-step.
+Each system is an :class:`~decarb.riccati.OdeTable` (``_BR_TABLES[firm]``,
+``_NASH``), compiled on its first solve, once per process, into a block march
+that runs the integrator's RK4 steps with every stage written out, and a
+right-hand side that :func:`ode_residual` evaluates on node-sampled columns.
+Parameters arrive as arguments, so no source is built from their values.  A
+best response reads the opponent flow from a flat list, interpolated once at
+the integrator's stage times, three values per step.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +86,6 @@ class NashCoeffs:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, NASH_COLUMNS.index(name)]
 
-    def firm_block(self, firm: int) -> np.ndarray:
-        """Six own-value columns of one firm, in BR_COLUMNS order."""
-        return self.values[:, :6] if firm == 1 else self.values[:, 6:]
-
 
 @dataclass(frozen=True)
 class FeedbackStrategy:
@@ -108,81 +108,59 @@ def _require_nash(params: ModelParams) -> None:
         raise WrongKind(f"operation requires the no-incentive game, got {params.kind.value}")
 
 
-# The coefficient systems.  Only parameter products that left-to-right
-# evaluation computes first are hoisted into constants (``s2 * e1 * C * C`` is
-# ``s2e1 * C * C``), which keeps every bit.
+# The coefficient systems, written for firm 1 only.  Only parameter products
+# that left-to-right evaluation computes first are hoisted into constants
+# (``s2 * e1 * C * C`` is ``s2e1 * C * C``), which keeps every bit.
 _GAME_PARAMS = ("s1", "s2", "e1", "e2", "g1", "g2", "p0", "p1", "p2")
-_GAME_CONSTS = (
-    ("p1x2", "2.0 * p1"), ("p2x2", "2.0 * p2"), ("g1x2", "2.0 * g1"), ("g2x2", "2.0 * g2"),
-    ("k1", "g1 - s1 * e1"), ("k2", "g2 - s2 * e2"),
-    ("s2e1", "s2 * e1"), ("s1e2", "s1 * e2"), ("s2e2", "s2 * e2"),
-    ("hg1", "0.5 * g1"), ("hg2", "0.5 * g2"), ("hs1", "0.5 * s1"), ("hs2", "0.5 * s2"),
+_FIRM1_CONSTS = (("p1x2", "2.0 * p1"), ("g1x2", "2.0 * g1"), ("k1", "g1 - s1 * e1"),
+                 ("s2e1", "s2 * e1"), ("hg1", "0.5 * g1"), ("hs1", "0.5 * s1"))
+# firm 1's own terms; the opponent's term enters at {}
+_OWN = (
+    "p1x2 + k1 * A * A - s2e1 * C * C{}",
+    "k1 * C * C - s2e1 * B * B{}",
+    "p2 + k1 * A * C - s2e1 * B * C{}",
+    "k1 * A * D - s2e1 * C * E{}",
+    "k1 * C * D - s2e1 * B * E{}",
+    "hg1 * D * D - hs1 * (e1 * D * D + A) - hs2 * (e1 * E * E + B){} - p0",
 )
-_FIRM1_STATES = ("A", "B", "C", "D", "E", "F")
-_FIRM2_STATES = ("At", "Bt", "Ct", "Dt", "Et", "Ft")
+# the opponent as a given flow a2, and as its feedback a2 = -g2 * (Ct x + Bt y + Et)
+_AGAINST_FLOW = ("", "", "", " - a2 * C", " - a2 * B", " - a2 * E")
+_AGAINST_FEEDBACK = (" + g2x2 * Ct * C", " + g2x2 * Bt * B", " + g2 * (Bt * C + Ct * B)",
+                     " + g2 * (Ct * E + Et * C)", " + g2 * (Bt * E + Et * B)", " + g2 * Et * E")
+# the firm swap, an involution on the tables' names
+_SWAP = dict(pair for a, b in (
+    ("A", "Bt"), ("B", "At"), ("C", "Ct"), ("D", "Et"), ("E", "Dt"), ("F", "Ft"),
+    ("s1", "s2"), ("e1", "e2"), ("g1", "g2"), ("p1", "p2"), ("k1", "k2"), ("s2e1", "s1e2"),
+    ("hs1", "hs2"), ("hg1", "hg2"), ("p1x2", "p2x2"), ("g1x2", "g2x2"), ("a1", "a2"),
+) for pair in ((a, b), (b, a)))
 
-# firm 1's six ODEs against the opponent flow a2
-_BR_FIRM1 = OdeTable(
-    name="best_response_firm1", states=_FIRM1_STATES, params=_GAME_PARAMS, consts=_GAME_CONSTS,
-    drive="a2", derivs=(
-        "p1x2 + k1 * A * A - s2e1 * C * C",
-        "k1 * C * C - s2e1 * B * B",
-        "p2 + k1 * A * C - s2e1 * B * C",
-        "k1 * A * D - s2e1 * C * E - a2 * C",
-        "k1 * C * D - s2e1 * B * E - a2 * B",
-        "hg1 * D * D - hs1 * (e1 * D * D + A) - hs2 * (e1 * E * E + B) - a2 * E - p0",
-    ))
 
-# firm 2's six ODEs against the opponent flow a1
-_BR_FIRM2 = OdeTable(
-    name="best_response_firm2", states=_FIRM2_STATES, params=_GAME_PARAMS, consts=_GAME_CONSTS,
-    drive="a1", derivs=(
-        "g2 * Ct * Ct - s1e2 * At * At - s2e2 * Ct * Ct",
-        "p2x2 + k2 * Bt * Bt - s1e2 * Ct * Ct",
-        "p1 + k2 * Bt * Ct - s1e2 * At * Ct",
-        "k2 * Ct * Et - s1e2 * At * Dt - a1 * At",
-        "k2 * Bt * Et - s1e2 * Ct * Dt - a1 * Ct",
-        "hg2 * Et * Et - hs1 * (e2 * Dt * Dt + At) - hs2 * (e2 * Et * Et + Bt) - a1 * Dt - p0",
-    ))
+def _swapped(expr: str) -> str:
+    return re.sub(r"\b[A-Za-z_]\w*", lambda m: _SWAP.get(m[0], m[0]), expr)
 
+
+def _firm2(derivs: tuple[str, ...]) -> tuple[str, ...]:
+    """Firm 2's derivatives in ``NASH_COLUMNS[6:]`` order, from firm 1's in ``BR_COLUMNS`` order."""
+    mirrored = dict(zip(map(_SWAP.get, BR_COLUMNS), map(_swapped, derivs)))
+    return tuple(mirrored[name] for name in NASH_COLUMNS[6:])
+
+
+_GAME_CONSTS = _FIRM1_CONSTS + tuple((_SWAP[n], _swapped(e)) for n, e in _FIRM1_CONSTS)
+_RESPONSE = tuple(map(str.format, _OWN, _AGAINST_FLOW))
+_EQUILIBRIUM = tuple(map(str.format, _OWN, _AGAINST_FEEDBACK))
+_BR_TABLES = {
+    1: OdeTable("best_response_firm1", BR_COLUMNS, _GAME_PARAMS, _RESPONSE, _GAME_CONSTS, "a2"),
+    2: OdeTable("best_response_firm2", NASH_COLUMNS[6:], _GAME_PARAMS, _firm2(_RESPONSE),
+                _GAME_CONSTS, "a1"),
+}
 # the twelve coupled equilibrium ODEs (autonomous)
-_NASH = OdeTable(
-    name="nash", states=_FIRM1_STATES + _FIRM2_STATES, params=_GAME_PARAMS, consts=_GAME_CONSTS,
-    derivs=(
-        "p1x2 + k1 * A * A - s2e1 * C * C + g2x2 * Ct * C",
-        "k1 * C * C - s2e1 * B * B + g2x2 * Bt * B",
-        "p2 + k1 * A * C - s2e1 * B * C + g2 * (Bt * C + Ct * B)",
-        "k1 * A * D - s2e1 * C * E + g2 * (Ct * E + Et * C)",
-        "k1 * C * D - s2e1 * B * E + g2 * (Bt * E + Et * B)",
-        "hg1 * D * D - hs1 * (e1 * D * D + A) - hs2 * (e1 * E * E + B) + g2 * Et * E - p0",
-        "g2 * Ct * Ct - s1e2 * At * At - s2e2 * Ct * Ct + g1x2 * A * At",
-        "p2x2 + k2 * Bt * Bt - s1e2 * Ct * Ct + g1x2 * C * Ct",
-        "p1 + k2 * Bt * Ct - s1e2 * At * Ct + g1 * (A * Ct + C * At)",
-        "k2 * Ct * Et - s1e2 * At * Dt + g1 * (A * Dt + D * At)",
-        "k2 * Bt * Et - s1e2 * Ct * Dt + g1 * (C * Dt + D * Ct)",
-        "hg2 * Et * Et - hs1 * (e2 * Dt * Dt + At) - hs2 * (e2 * Et * Et + Bt) + g1 * D * Dt - p0",
-    ))
+_NASH = OdeTable("nash", NASH_COLUMNS, _GAME_PARAMS, _EQUILIBRIUM + _firm2(_EQUILIBRIUM), _GAME_CONSTS)
 
 
 def _game_args(params: ModelParams) -> tuple[float, ...]:
     """Values of ``_GAME_PARAMS``."""
     return (params.sigma1 ** 2, params.sigma2 ** 2, params.eta1, params.eta2,
             params.gamma1, params.gamma2, params.p0, params.p1, params.p2)
-
-
-def _best_response_rhs_firm1(params: ModelParams):
-    """rhs(a2, u) of firm 1's six ODEs against the opponent flow a2."""
-    return _BR_FIRM1.rhs(_game_args(params))
-
-
-def _best_response_rhs_firm2(params: ModelParams):
-    """rhs(a1, u) of firm 2's six ODEs against the opponent flow a1."""
-    return _BR_FIRM2.rhs(_game_args(params))
-
-
-def _nash_rhs(params: ModelParams):
-    """rhs(t, u) of the twelve coupled equilibrium ODEs (autonomous: t is unused)."""
-    return _NASH.rhs(_game_args(params))
 
 
 def sample_opponent(opponent, grid: TimeGrid) -> np.ndarray:
@@ -215,7 +193,7 @@ def best_response(
     grid = TimeGrid(params.horizon, n_nodes)
     samples = sample_opponent(opponent, grid)
     flow = np.interp(rk4_stage_times(grid), grid.nodes, samples).tolist()
-    kernel = Kernel(_BR_FIRM1 if firm == 1 else _BR_FIRM2, _game_args(params), flow)
+    kernel = Kernel(_BR_TABLES[firm], _game_args(params), flow)
     values = rk4_backward(kernel, np.zeros(6), grid)
     return BestResponseCoeffs(grid=grid, values=values, firm=firm, opponent=samples)
 
@@ -243,15 +221,9 @@ def feedback_strategies(coeffs: NashCoeffs, params: ModelParams) -> tuple[Feedba
     """
     _require_nash(params)
     nodes = coeffs.grid.nodes
-    s1 = FeedbackStrategy(
-        firm=1, gamma=params.gamma1, nodes=nodes,
-        kx=coeffs.column("A"), ky=coeffs.column("C"), k0=coeffs.column("D"),
-    )
-    s2 = FeedbackStrategy(
-        firm=2, gamma=params.gamma2, nodes=nodes,
-        kx=coeffs.column("Ct"), ky=coeffs.column("Bt"), k0=coeffs.column("Et"),
-    )
-    return s1, s2
+    columns = {1: ("A", "C", "D"), 2: ("Ct", "Bt", "Et")}  # x slope, y slope, intercept
+    return tuple(FeedbackStrategy(f, params.gamma(f), nodes, *map(coeffs.column, columns[f]))
+                 for f in (1, 2))
 
 
 def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: float, x, y):
@@ -266,7 +238,7 @@ def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: flo
             raise OutOfRange("firm", f"coefficients belong to firm {coeffs.firm}, not {firm!r}")
         block = coeffs.values
     else:
-        block = coeffs.firm_block(firm)
+        block = coeffs.values[:, 6 * firm - 6:6 * firm]
     nodes = coeffs.grid.nodes
     a, b, c, d, e, f = (np.interp(t, nodes, block[:, j]) for j in range(6))
     x = np.asarray(x, dtype=float)
@@ -341,14 +313,13 @@ def ode_residual(
     """
     _require_nash(params)
     values = coeffs.values
-    interior = values[2:-2].T
     if isinstance(coeffs, NashCoeffs):
-        rhs = _nash_rhs(params)(None, interior)
+        table, drive = _NASH, None
     else:
         nodes = coeffs.grid.nodes
         samples = coeffs.opponent if opponent is None else sample_opponent(opponent, coeffs.grid)
-        rhs_one = _best_response_rhs_firm1 if coeffs.firm == 1 else _best_response_rhs_firm2
-        rhs = rhs_one(params)(np.interp(nodes[2:-2], nodes, samples), interior)
+        table, drive = _BR_TABLES[coeffs.firm], np.interp(nodes[2:-2], nodes, samples)
+    rhs = table.rhs(_game_args(params))(drive, values[2:-2].T)
     worst = [np.max(np.abs(centered_derivative(values[:, j], coeffs.grid.dt) - r), initial=0.0)
              for j, r in enumerate(rhs)]
     return float(np.max(worst))

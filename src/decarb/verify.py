@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,6 +114,21 @@ def _slice_nodes(v_grid, times: np.ndarray) -> list[int]:
     return [int(round(t / dt)) for t in times]
 
 
+def _report(label: str, grid: GridSpec, times, residuals, X, Y) -> ResidualReport:
+    """Worst of the ``|residual|`` arrays over the state grid ``(X, Y)``, one per slice time."""
+    worst = -1.0
+    arg_t, arg_x = 0.0, (0.0, 0.0)
+    per_slice: dict[float, float] = {}
+    for t, res in zip(times, residuals):
+        j = np.unravel_index(int(np.argmax(res)), res.shape)
+        per_slice[float(t)] = float(res[j])
+        if res[j] > worst:
+            worst = float(res[j])
+            arg_t, arg_x = float(t), (float(X[j]), float(Y[j]))
+    return ResidualReport(label=label, max_residual=worst, argmax_t=arg_t, argmax_x=arg_x,
+                          grid=grid.describe(), per_slice=per_slice)
+
+
 def hjb_residual_principal(
     v: QuadraticValueFn,
     params: ModelParams,
@@ -134,11 +149,7 @@ def hjb_residual_principal(
     states = np.stack([X1, X2], axis=-1)
     flow = model.revenue_f(params, states) - model.social_cost_g(params, states)
 
-    worst = -1.0
-    arg_t, arg_x = 0.0, (0.0, 0.0)
-    per_slice: dict[float, float] = {}
-    times = grid.slice_times(params.horizon)
-    for t, k in zip(times, _slice_nodes(v.grid, times)):
+    def residual(k: int) -> np.ndarray:
         A, B = v.A[k], v.B[k]
         Ad = sampled_time_derivative(v.A, v.grid.dt, k)
         Bd = sampled_time_derivative(v.B, v.grid.dt, k)
@@ -147,23 +158,40 @@ def hjb_residual_principal(
                  + Bd[0] * X1 + Bd[1] * X2 + Cd)
         v1 = A[0, 0] * X1 + A[0, 1] * X2 + B[0]
         v2 = A[0, 1] * X1 + A[1, 1] * X2 + B[1]
-        res = np.abs(
+        return np.abs(
             flow + dv_dt
             + 0.5 * (s1 * A[0, 0] + s2 * A[1, 1])
             + 0.5 * (m1 * v1 * v1 + m2 * v2 * v2)
         )
-        j = np.unravel_index(int(np.argmax(res)), res.shape)
-        per_slice[float(t)] = float(res[j])
-        if res[j] > worst:
-            worst = float(res[j])
-            arg_t, arg_x = float(t), (float(X1[j]), float(X2[j]))
-    return ResidualReport(
-        label="principal_hjb",
-        max_residual=worst,
-        argmax_t=arg_t,
-        argmax_x=arg_x,
-        grid=grid.describe(),
-        per_slice=per_slice,
+
+    times = grid.slice_times(params.horizon)
+    return _report("principal_hjb", grid, times, map(residual, _slice_nodes(v.grid, times)), X1, X2)
+
+
+# column j of the firm-swapped game's Nash trajectory is column _FIRM_SWAP[j] of
+# this one: A <-> Bt, B <-> At, C <-> Ct, D <-> Et, E <-> Dt, F <-> Ft
+_FIRM_SWAP = [7, 6, 8, 10, 9, 11, 1, 0, 2, 4, 3, 5]
+
+
+def _nash_firm1_residual(game: ModelParams, row: np.ndarray, der: np.ndarray, x, y) -> np.ndarray:
+    """|Firm 1's value-PDE residual| at (x, y), from one node's twelve
+    coefficients ``row`` and their time derivatives ``der``."""
+    s1, s2 = game.sigma1 ** 2, game.sigma2 ** 2
+    e1, g1, g2 = game.eta1, game.gamma1, game.gamma2
+    p0, p1, p2 = game.p0, game.p1, game.p2
+    A, B, C, D, E, _F, _At, Bt, Ct, _Dt, Et, _Ft = row
+    a2 = -g2 * (Ct * x + Bt * y + Et)
+    w_dot = (0.5 * der[0] * x * x + 0.5 * der[1] * y * y + der[2] * x * y
+             + der[3] * x + der[4] * y + der[5])
+    wx = A * x + C * y + D
+    wy = B * y + C * x + E
+    return np.abs(
+        w_dot
+        + 0.5 * s1 * (e1 * wx * wx + A)
+        + 0.5 * s2 * (e1 * wy * wy + B)
+        + a2 * wy
+        + (p0 - p1 * x * x - p2 * x * y)
+        - 0.5 * g1 * wx * wx
     )
 
 
@@ -172,68 +200,32 @@ def hjb_residual_nash(
     params: ModelParams,
     grid: GridSpec | None = None,
 ) -> tuple[ResidualReport, ResidualReport]:
-    """Residuals of both firms' value PDEs with the opponent feedback injected."""
-    grid = grid or GridSpec()
-    s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
-    e1, e2 = params.eta1, params.eta2
-    g1, g2 = params.gamma1, params.gamma2
-    p0, p1, p2 = params.p0, params.p1, params.p2
+    """Residuals of both firms' value PDEs with the opponent feedback injected.
 
+    Firm 1's residual is
+
+        W1_t + 0.5*s1*(e1*W1_x^2 + W1_xx) + 0.5*s2*(e1*W1_y^2 + W1_yy)
+        + a2*W1_y + p0 - p1*x^2 - p2*x*y - 0.5*g1*W1_x^2
+
+    with a2 = -g2*(Ct*x + Bt*y + Et).  Firm 2's is the same expression in the
+    firm-swapped game: the firms' sigma, eta, gamma and p1 <-> p2 exchanged,
+    x <-> y, and the coefficient columns permuted.
+    """
+    grid = grid or GridSpec()
     ax = grid.axis()
     X, Y = np.meshgrid(ax, ax, indexing="ij")
-
-    reports = []
+    swapped = replace(params, sigma1=params.sigma2, sigma2=params.sigma1, eta1=params.eta2,
+                      eta2=params.eta1, gamma1=params.gamma2, gamma2=params.gamma1,
+                      p1=params.p2, p2=params.p1)
     times = grid.slice_times(params.horizon)
     ks = _slice_nodes(coeffs.grid, times)
-    dt = coeffs.grid.dt
-    for firm in (1, 2):
-        worst = -1.0
-        arg_t, arg_x = 0.0, (0.0, 0.0)
-        per_slice: dict[float, float] = {}
-        for t, k in zip(times, ks):
-            A, B, C, D, E, _F, At, Bt, Ct, Dt, Et, _Ft = coeffs.values[k]
-            der = sampled_time_derivative(coeffs.values, dt, k)
-            a1 = -g1 * (A * X + C * Y + D)
-            a2 = -g2 * (Ct * X + Bt * Y + Et)
-            if firm == 1:
-                w_dot = (0.5 * der[0] * X * X + 0.5 * der[1] * Y * Y + der[2] * X * Y
-                         + der[3] * X + der[4] * Y + der[5])
-                wx = A * X + C * Y + D
-                wy = B * Y + C * X + E
-                res = np.abs(
-                    w_dot
-                    + 0.5 * s1 * (e1 * wx * wx + A)
-                    + 0.5 * s2 * (e1 * wy * wy + B)
-                    + a2 * wy
-                    + (p0 - p1 * X * X - p2 * X * Y)
-                    - 0.5 * g1 * wx * wx
-                )
-            else:
-                w_dot = (0.5 * der[6] * X * X + 0.5 * der[7] * Y * Y + der[8] * X * Y
-                         + der[9] * X + der[10] * Y + der[11])
-                wx = At * X + Ct * Y + Dt
-                wy = Bt * Y + Ct * X + Et
-                res = np.abs(
-                    w_dot
-                    + 0.5 * s1 * (e2 * wx * wx + At)
-                    + 0.5 * s2 * (e2 * wy * wy + Bt)
-                    + a1 * wx
-                    + (p0 - p2 * Y * Y - p1 * X * Y)
-                    - 0.5 * g2 * wy * wy
-                )
-            j = np.unravel_index(int(np.argmax(res)), res.shape)
-            per_slice[float(t)] = float(res[j])
-            if res[j] > worst:
-                worst = float(res[j])
-                arg_t, arg_x = float(t), (float(X[j]), float(Y[j]))
-        reports.append(ResidualReport(
-            label=f"nash_hjb_firm{firm}",
-            max_residual=worst,
-            argmax_t=arg_t,
-            argmax_x=arg_x,
-            grid=grid.describe(),
-            per_slice=per_slice,
-        ))
+    values, dt = coeffs.values, coeffs.grid.dt
+    reports = []
+    for firm, game, cols, x, y in ((1, params, slice(None), X, Y), (2, swapped, _FIRM_SWAP, Y, X)):
+        residuals = (_nash_firm1_residual(game, values[k][cols],
+                                          sampled_time_derivative(values, dt, k)[cols], x, y)
+                     for k in ks)
+        reports.append(_report(f"nash_hjb_firm{firm}", grid, times, residuals, X, Y))
     return reports[0], reports[1]
 
 

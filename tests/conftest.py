@@ -45,6 +45,13 @@ NASH_FIXTURE = {
 }
 
 
+def swap_firms(fixture: dict) -> dict:
+    """The same model with the firms' labels exchanged."""
+    return dict(fixture, gamma1=fixture["gamma2"], gamma2=fixture["gamma1"],
+                sigma1=fixture["sigma2"], sigma2=fixture["sigma1"],
+                eta1=fixture["eta2"], eta2=fixture["eta1"], p1=fixture["p2"], p2=fixture["p1"])
+
+
 @pytest.fixture
 def two_firm() -> ModelParams:
     return validate_params(TWO_FIRM_FIXTURE)

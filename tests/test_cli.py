@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from decarb import cli
 from decarb.cli import emit_csv, run
 from conftest import NASH_FIXTURE, TWO_FIRM_FIXTURE
 
@@ -290,6 +291,36 @@ class TestErrorPaths:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         assert run(["nash", "--config", str(path), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("config, flags, field", [
+        ({"model": [1, 2]}, [], "model"),
+        ({"model": "x"}, [], "model"),
+        ({"model": NASH_FIXTURE, "numerics": [201]}, [], "numerics"),
+        ({"model": NASH_FIXTURE, "numerics": "n_nodes"}, ["--seed", "3"], "numerics"),
+        ({"model": [1, 2]}, ["--literal-signs"], "model"),
+        ({"model": "x"}, ["--literal-signs"], "model"),
+    ])
+    def test_non_object_section_names_field(self, tmp_path, capsys, config, flags, field):
+        cfg = write_config(tmp_path, config)
+        assert run(["nash", "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"], err["exit_code"]) == ("OutOfRange", field, 1)
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_internal_error_is_not_a_validation_error(self, tmp_path, monkeypatch):
+        def broken(run):
+            raise TypeError("a bug")
+
+        monkeypatch.setitem(cli._RUNNERS, "nash", broken)
+        cfg = write_config(tmp_path, {"model": NASH_FIXTURE})
+        with pytest.raises(TypeError, match="a bug"):
+            run(["nash", "--config", cfg, "--out", str(tmp_path)])
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"model": "\xff"}')
+        assert run(["nash", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "UnicodeDecodeError"
 
     def test_missing_model_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"numerics": {}})

@@ -16,16 +16,20 @@ from decarb import (
     solve_nash,
     validate_params,
 )
-from decarb.nash import (BR_COLUMNS, NASH_COLUMNS, _best_response_rhs_firm1,
-                         _best_response_rhs_firm2, _nash_rhs, sample_opponent)
+from decarb.nash import BR_COLUMNS, NASH_COLUMNS, _BR_TABLES, _NASH, _game_args, sample_opponent
 from decarb.riccati import TimeGrid, rk4_backward, rk4_stage_times
-from conftest import NASH_FIXTURE
+from decarb.verify import hjb_residual_nash
+from conftest import NASH_FIXTURE, swap_firms
 
 ZERO_ECONOMY = dict(NASH_FIXTURE, p0=0.0, p1=0.0, p2=0.0)
 
 # Solver outputs recorded at 1001 nodes before the ODE layer moved from numpy
-# arrays to float arithmetic; the move keeps every bit.
-NASH_1001_SHA256 = "2662bcc0bd9b5ad0ec36306472fc676bc72c803ffdf8a0684d113e632b6cc4c9"
+# arrays to float arithmetic; the move keeps every bit.  Firm 2's columns
+# (and each firm-2 digest below) were re-recorded when firm 2's equations
+# became the firm swap of firm 1's: as firm 1's columns of the swapped game,
+# permuted, from the solver that wrote firm 2's equations out by hand.  At
+# moved by at most 2.2e-16 here, Dt by at most 1.7e-18 in the best responses.
+NASH_1001_SHA256 = "b58d9e2228b4ef22a4b35d272b8adecae2f6202ee0a58d037222d47432a70d00"
 NASH_1001_ROWS = {
     0: (-11.314711877402551, -1.9843026272198094, -5.054547509222671, 0.0, 0.0,
         0.9670831094715636, -8.782920278881205, -6.34869232150845, -8.718055694215696,
@@ -34,9 +38,9 @@ NASH_1001_ROWS = {
           0.49661485110994347, -0.02220846775065576, -0.4683997417894411,
           -0.38234976494504846, 0.0, 0.0, 0.49509948392806663),
 }
-BR2_FLOW05_1001_SHA256 = "59eb75a9d8fae3f42c658d7656f10edfd4ae62924b013d05b102da5e31bfc741"
+BR2_FLOW05_1001_SHA256 = "36e48bcd8de0863c3d6b7bb44a685950c4a7db0458facd5b1ad5d2f714dd6e72"
 BR2_FLOW05_1001_ROWS = {
-    0: (-0.15382557736209307, -1.0647301640773816, -0.8036187959381054,
+    0: (-0.1538255773620931, -1.0647301640773816, -0.8036187959381054,
         -0.04831001640442008, -0.21394227975433122, 0.9709534535772414),
     500: (-0.014720643497800879, -0.4254758244971987, -0.319592164312387,
           -0.0023029094641365735, -0.040564928110459225, 0.4951401735626916),
@@ -48,8 +52,8 @@ BR2_FLOW05_1001_ROWS = {
 BR_1001_VARYING_SHA256 = {
     (1, "callable"): "397bd61ecceec3e04861327a95099e0286b6215f16dd6e8f2f52f70c2bee8b95",
     (1, "samples"): "5cd258d20426140e70ce741fe17a10b41e2c573a0683cc04d8736c40cd6b404f",
-    (2, "callable"): "5c3a110c65cd3a6bf19c3c09bebe887bdc0ba662b6d490aeea8039459679d67d",
-    (2, "samples"): "439ff0b41d44d29a1777e0fb28c22647b908083d6bdc7f9867e962cd81a0aa93",
+    (2, "callable"): "6270d37b34e93308f99a4b84ffba7034a18b9c1df43493c7da5b63f3f56361b6",
+    (2, "samples"): "62951fe32a1a32e5bbf544df66839b329c6dfc6a38e393ce599ce8e2d8c12ce6",
 }
 # Nash escape times (horizon, n_nodes) -> t_escape, recorded with a blow-up
 # check after every step
@@ -195,20 +199,19 @@ class TestFusedKernel:
     @pytest.mark.parametrize("n_nodes", [201, 1001])
     def test_nash_equals_generic_stepper(self, nash_params, n_nodes):
         grid = TimeGrid(nash_params.horizon, n_nodes)
-        generic = rk4_backward(_nash_rhs(nash_params), np.zeros(12), grid)
+        generic = rk4_backward(_NASH.rhs(_game_args(nash_params)), np.zeros(12), grid)
         assert np.array_equal(solve_nash(nash_params, n_nodes).values, generic)
 
     @pytest.mark.parametrize("n_nodes", [201, 1001])
     @pytest.mark.parametrize("form", ["scalar", "array", "callable"])
-    @pytest.mark.parametrize("firm, rhs_one", [(1, _best_response_rhs_firm1),
-                                               (2, _best_response_rhs_firm2)])
-    def test_best_response_equals_generic_stepper(self, nash_params, n_nodes, form, firm, rhs_one):
+    @pytest.mark.parametrize("firm", [1, 2])
+    def test_best_response_equals_generic_stepper(self, nash_params, n_nodes, form, firm):
         grid = TimeGrid(nash_params.horizon, n_nodes)
         opponent = {"scalar": 0.5, "array": 0.2 * grid.nodes, "callable": lambda t: 0.3 + 0.5 * t}[form]
         # the opponent flow keyed by stage time, as the solver looked it up before the fused march
         times = rk4_stage_times(grid)
         flow = dict(zip(times, np.interp(times, grid.nodes, sample_opponent(opponent, grid)).tolist()))
-        rhs = rhs_one(nash_params)
+        rhs = _BR_TABLES[firm].rhs(_game_args(nash_params))
         generic = rk4_backward(lambda t, u: rhs(flow[t], u), np.zeros(6), grid)
         assert np.array_equal(best_response(nash_params, firm, opponent, n_nodes).values, generic)
 
@@ -218,24 +221,52 @@ class TestFusedKernel:
         with pytest.raises(BlowUp) as fused:
             solve_nash(params, 16001)
         with pytest.raises(BlowUp) as generic:
-            rk4_backward(_nash_rhs(params), np.zeros(12), TimeGrid(horizon, 16001))
+            rk4_backward(_NASH.rhs(_game_args(params)), np.zeros(12), TimeGrid(horizon, 16001))
         assert fused.value.t_escape == generic.value.t_escape == t_escape
 
 
 class TestFirmSwap:
-    @pytest.mark.parametrize("n_nodes", [1001, 16001])
+    """Relabelling the firms maps every solved object onto its mirror, bit for bit."""
+
+    @pytest.mark.parametrize("n_nodes", [201, 1001, 16001])
     def test_relabelling_maps_columns(self, n_nodes):
-        swapped = dict(NASH_FIXTURE,
-                       gamma1=NASH_FIXTURE["gamma2"], gamma2=NASH_FIXTURE["gamma1"],
-                       sigma1=NASH_FIXTURE["sigma2"], sigma2=NASH_FIXTURE["sigma1"],
-                       eta1=NASH_FIXTURE["eta2"], eta2=NASH_FIXTURE["eta1"],
-                       p1=NASH_FIXTURE["p2"], p2=NASH_FIXTURE["p1"])
         base = solve_nash(validate_params(NASH_FIXTURE), n_nodes)
-        mirror = solve_nash(validate_params(swapped), n_nodes)
+        mirror = solve_nash(validate_params(swap_firms(NASH_FIXTURE)), n_nodes)
         pairs = list(SWAPPED_COLUMNS.items()) + [(b, a) for a, b in SWAPPED_COLUMNS.items()]
         for own, other in pairs:
-            v, w = base.column(own), mirror.column(other)
-            assert np.all(np.abs(v - w) <= 1e-14 * np.maximum(1.0, np.abs(v))), (own, other)
+            assert np.array_equal(base.column(own), mirror.column(other)), (own, other)
+
+    @pytest.mark.parametrize("form", ["scalar", "array", "callable"])
+    def test_best_responses_map(self, nash_params, form):
+        mirror = validate_params(swap_firms(NASH_FIXTURE))
+        nodes = TimeGrid(nash_params.horizon, 1001).nodes
+        opponent = {"scalar": 0.5, "array": 0.2 * nodes, "callable": lambda t: 0.3 + 0.5 * t}[form]
+        for firm in (1, 2):
+            own = best_response(nash_params, firm, opponent)
+            other = best_response(mirror, 3 - firm, opponent)
+            first, second = (own, other) if firm == 1 else (other, own)
+            # a firm-2 response stores At..Ft in the columns named A..F
+            for name, mirrored in SWAPPED_COLUMNS.items():
+                assert np.array_equal(first.column(name), second.column(mirrored[:-1])), (firm, name)
+
+    @pytest.mark.parametrize("horizon", [1.04, 1.05])
+    def test_escape_times_equal(self, horizon):
+        times = []
+        for fixture in (NASH_FIXTURE, swap_firms(NASH_FIXTURE)):
+            with pytest.raises(BlowUp) as exc:
+                solve_nash(validate_params(dict(fixture, horizon=horizon)), 16001)
+            times.append(exc.value.t_escape)
+        assert times[0] == times[1]
+
+    @pytest.mark.parametrize("n_nodes", [1001, 16001])
+    def test_value_pde_residuals_map(self, n_nodes):
+        base, mirror = (validate_params(f) for f in (NASH_FIXTURE, swap_firms(NASH_FIXTURE)))
+        reports = hjb_residual_nash(solve_nash(base, n_nodes), base)
+        mirrored = hjb_residual_nash(solve_nash(mirror, n_nodes), mirror)
+        for r, q in zip(reports, mirrored[::-1]):
+            assert r.max_residual == q.max_residual
+            assert r.per_slice == q.per_slice
+            assert r.argmax_t == q.argmax_t and r.argmax_x == q.argmax_x[::-1]
 
 
 def loop_ode_residual(values, dt, rhs_at_node):
@@ -251,17 +282,18 @@ class TestOdeResidualReference:
     def test_nash_equals_node_loop(self, nash_params):
         coeffs = solve_nash(nash_params, n_nodes=2001)
         v = coeffs.values
-        ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: _nash_rhs(nash_params)(None, v[k]))
+        rhs = _NASH.rhs(_game_args(nash_params))
+        ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: rhs(None, v[k]))
         assert ode_residual(coeffs, nash_params) == ref
 
-    @pytest.mark.parametrize("firm, rhs_one", [(1, _best_response_rhs_firm1),
-                                               (2, _best_response_rhs_firm2)])
-    def test_best_response_equals_node_loop(self, nash_params, firm, rhs_one):
+    @pytest.mark.parametrize("firm", [1, 2])
+    def test_best_response_equals_node_loop(self, nash_params, firm):
         coeffs = best_response(nash_params, firm, lambda t: 0.3 + 0.5 * t, n_nodes=2001)
         other = 0.2 * coeffs.grid.nodes
         v, nodes = coeffs.values, coeffs.grid.nodes
+        rhs = _BR_TABLES[firm].rhs(_game_args(nash_params))
         for opponent, samples in ((None, coeffs.opponent), (other, other)):
-            ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: rhs_one(nash_params)(
+            ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: rhs(
                 float(np.interp(nodes[k], nodes, samples)), v[k]))
             assert ode_residual(coeffs, nash_params, opponent) == ref
 

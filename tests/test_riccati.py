@@ -28,7 +28,7 @@ from decarb import (
     validate_params,
 )
 from decarb.riccati import BLOWUP_LIMIT, _BLOCK, Kernel, OdeTable, coefficient_table, rk4_stage_times
-from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
+from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE, swap_firms
 
 # coefficient_table rows (A11, A12, A22, B1, B2, C) at 1001 nodes, recorded
 # before the Riccati right-hand side moved from 2x2 matrix products to closed
@@ -355,6 +355,30 @@ class TestSolvePrincipal:
             assert table[k, 0] == k / 1000
             for got, want in zip(table[k, 1:], row):
                 assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (k, got, want)
+
+
+class TestFirmSwap:
+    """Without the cost on firm 2's output (kappa = 0) the regulated model
+    tells the firms apart only by their parameters: relabelling them maps A to
+    P A P (P the exchange matrix), reverses B and keeps C."""
+
+    # a few roundings of values of order one, relative to max(1, |v|); the
+    # largest gap measured is 1.1e-16 (A, 16001 nodes)
+    BOUND = 4 * np.finfo(float).eps
+
+    @staticmethod
+    def gaps(kappa: float, n_nodes: int) -> tuple[float, float, float]:
+        fixture = dict(TWO_FIRM_FIXTURE, kappa=kappa)
+        v, w = (solve_principal(validate_params(f), n_nodes) for f in (fixture, swap_firms(fixture)))
+        return tuple(float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a))))
+                     for a, b in ((v.A[:, ::-1, ::-1], w.A), (v.B[:, ::-1], w.B), (v.C, w.C)))
+
+    @pytest.mark.parametrize("n_nodes", [1001, 16001])
+    def test_relabelling_maps_coefficients(self, n_nodes):
+        assert max(self.gaps(0.0, n_nodes)) <= self.BOUND
+
+    def test_cost_on_firm_2_breaks_the_map(self):
+        assert self.gaps(1.0, 1001)[0] > 0.1
 
 
 class TestValueFn:
