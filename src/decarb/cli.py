@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import mc, nash, riccati, verify
 from .errors import (ConfigMismatch, MissingField, NumericalError, OutOfRange,
-                     UnexpectedField, ValidationError)
+                     UnexpectedField, ValidationError, flag, integer, real, reals)
 from .model import Kind, ModelParams, validate_params
 
 SCENARIO_KINDS = {
@@ -34,7 +34,6 @@ RICCATI_HEADER = ("t", "A11", "A12", "A22", "B1", "B2", "C")
 BR_HEADER = ("t",) + nash.BR_COLUMNS
 NASH_HEADER = ("t",) + nash.NASH_COLUMNS
 _CSV_BLOCK = 1024  # rows per tolist() copy, which bounds its memory
-_MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest array size numpy can index
 
 
 def emit_csv(trajectory, header, path) -> None:
@@ -58,58 +57,19 @@ def _write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-NUMERICS_FIELDS = ("n_nodes", "n_paths", "dt", "seed", "x0", "y0", "antithetic", "dump_paths",
-                   "grid")
-GRID_FIELDS = ("x_min", "x_max", "n_points", "n_time_slices")
+def _fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+_SIM_FIELDS = _fields(mc.SimConfig)
+NUMERICS_FIELDS = ("n_nodes", *_SIM_FIELDS, "dump_paths", "grid")
 OPPONENT_FIELDS = ("firm", "flow")
-DEVIATION_FIELDS = ("firm", "scale", "shift")
 
 
 def _reject_unknown(section: dict, allowed: tuple[str, ...], prefix: str = "") -> None:
     for key in section:
         if key not in allowed:
             raise UnexpectedField(prefix + key, f"unknown field '{prefix + key}'")
-
-
-def _is_finite(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _integer(section: dict, key: str, default: int, minimum: int | None = None,
-             maximum: int | None = None) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or (
-            minimum is not None and value < minimum) or (maximum is not None and value > maximum):
-        bound = " and".join(f" {op} {b}" for op, b in ((">=", minimum), ("<=", maximum))
-                            if b is not None)
-        raise OutOfRange(key, f"{key} must be an integer{bound}, got {value!r}")
-    return value
-
-
-def _number(section: dict, key: str, default: float, prefix: str = "") -> float:
-    value = section.get(key, default)
-    if not _is_finite(value):
-        raise OutOfRange(prefix + key, f"{prefix + key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _flag(section: dict, key: str, default: bool) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise OutOfRange(key, f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _firm(section: dict, prefix: str) -> int:
-    value = section.get("firm", 1)
-    if isinstance(value, bool) or not isinstance(value, int) or value not in (1, 2):
-        raise OutOfRange(prefix + "firm", f"{prefix}firm must be the integer 1 or 2, got {value!r}")
-    return value
 
 
 def _section(config: dict, key: str) -> dict:
@@ -129,18 +89,19 @@ def _block(config: dict, key: str, allowed: tuple[str, ...]) -> dict | None:
     return section
 
 
-def _finite_list(section: dict, key: str, default: list, length: int | None = None,
-                 prefix: str = "") -> tuple:
-    value = section.get(key, default)
-    if (not isinstance(value, list) or (length is not None and len(value) != length)
-            or not all(_is_finite(v) for v in value)):
-        size = "a list" if length is None else f"a list of {length}"
-        raise OutOfRange(prefix + key, f"{prefix + key} must be {size} finite numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+def _build(cls, section, key: str):
+    """``cls`` from a JSON object of its fields; a field it rejects is named ``key.field``."""
+    if not isinstance(section, dict):
+        raise OutOfRange(key, f"{key} must be an object, got {section!r}")
+    _reject_unknown(section, _fields(cls), key + ".")
+    try:
+        return cls(**section)
+    except OutOfRange as exc:
+        raise OutOfRange(f"{key}.{exc.field}", f"{key}.{exc}") from None
 
 
 class _Run:
-    """One parsed scenario invocation; every numerics field is checked here."""
+    """One parsed scenario invocation; every numerics field is checked on construction."""
 
     def __init__(self, scenario: str, config: dict, out_dir: Path):
         self.scenario = scenario
@@ -149,29 +110,10 @@ class _Run:
         numerics = _section(config, "numerics")
         _reject_unknown(numerics, NUMERICS_FIELDS)
         self.numerics = numerics
-        self.n_nodes: int = _integer(numerics, "n_nodes", 1001, minimum=2, maximum=_MAX_COUNT)
-        dt = _number(numerics, "dt", 1e-3)
-        if dt <= 0.0:
-            raise OutOfRange("dt", f"dt must be > 0, got {dt!r}")
-        y0 = (_finite_list(numerics, "y0", []) if isinstance(numerics.get("y0"), list)
-              else _number(numerics, "y0", 0.0))
-        self.sim_config = mc.SimConfig(
-            n_paths=_integer(numerics, "n_paths", 100_000, maximum=_MAX_COUNT),
-            dt=dt,
-            seed=_integer(numerics, "seed", 0),
-            x0=_finite_list(numerics, "x0", [0.0, 0.0], length=2),
-            y0=y0,
-            antithetic=_flag(numerics, "antithetic", True),
-        )
-        self.dump_paths = _flag(numerics, "dump_paths", False)
-        grid = numerics.get("grid", {})
-        if not isinstance(grid, dict):
-            raise OutOfRange("grid", f"grid must be an object, got {grid!r}")
-        _reject_unknown(grid, GRID_FIELDS, "grid.")
-        try:
-            self.grid_spec = verify.GridSpec(**grid)
-        except OutOfRange as exc:
-            raise OutOfRange("grid." + exc.field, f"grid.{exc}") from None
+        self.n_nodes = integer("n_nodes", numerics.get("n_nodes", 1001), 2, mc._MAX_COUNT)
+        self.sim_config = mc.SimConfig(**{k: numerics[k] for k in _SIM_FIELDS if k in numerics})
+        self.dump_paths = flag("dump_paths", numerics.get("dump_paths", False))
+        self.grid_spec = _build(verify.GridSpec, numerics.get("grid", {}), "grid")
         if config.get("model") is None:
             raise MissingField("model")
         self.params: ModelParams = validate_params(_section(config, "model"))
@@ -219,16 +161,13 @@ def _opponent_spec(run: _Run) -> tuple[int, object]:
     spec = _block(run.config, "opponent", OPPONENT_FIELDS)
     if spec is None:
         raise MissingField("opponent", "best-response needs an 'opponent' object")
-    firm = _firm(spec, "opponent.")
+    firm = integer("opponent.firm", spec.get("firm", 1), 1, 2)
     if "flow" not in spec:
         raise MissingField("opponent.flow")
     flow = spec["flow"]
     if isinstance(flow, list):
-        flow = _finite_list(spec, "flow", [], length=run.n_nodes, prefix="opponent.")
-    elif not _is_finite(flow):
-        raise OutOfRange("opponent.flow", "opponent.flow must be a finite number or a list "
-                         f"of {run.n_nodes} finite numbers, got {flow!r}")
-    return firm, flow
+        return firm, reals("opponent.flow", flow, run.n_nodes)
+    return firm, real("opponent.flow", flow)
 
 
 def _run_best_response(run: _Run) -> dict:
@@ -275,14 +214,10 @@ def _dump_paths(run: _Run, cfg: mc.SimConfig, labels, payoff_columns) -> str:
 
 def _run_simulate(run: _Run) -> dict:
     cfg = run.sim_config
-    dev_spec = _block(run.config, "deviation", DEVIATION_FIELDS)
+    dev_spec = _block(run.config, "deviation", _fields(mc.Deviation))
     if dev_spec is not None and run.params.has_principal:
         raise UnexpectedField("deviation", "deviation applies only to the no-incentive game")
-    deviation = None if dev_spec is None else mc.Deviation(
-        firm=_firm(dev_spec, "deviation."),
-        scale=_number(dev_spec, "scale", 1.0, "deviation."),
-        shift=_number(dev_spec, "shift", 0.0, "deviation."),
-    )
+    deviation = None if dev_spec is None else _build(mc.Deviation, dev_spec, "deviation")
     summary = run.summary_base()
     outputs: list[str] = []
     if run.params.has_principal:

@@ -1,4 +1,13 @@
-"""Exception types shared across the solver, verification and simulation layers."""
+"""Exception types shared across the solver, verification and simulation layers,
+and the field checks every input boundary uses: :func:`integer`, :func:`real`,
+:func:`reals` and :func:`flag` return a count, finite number, list of numbers or
+flag as a plain Python value, or raise :class:`OutOfRange` naming the field.  A
+bool is never a number.  The config types and ``validate_params`` check their
+fields with them at construction.
+"""
+
+import math
+import numbers
 
 
 class DecarbError(Exception):
@@ -33,6 +42,10 @@ class WrongKind(ValidationError):
 
 class ConfigMismatch(ValidationError):
     """Simulation configuration inconsistent with the model or solved inputs."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class NumericalError(DecarbError):
@@ -77,3 +90,46 @@ class OutOfHorizon(DecarbError):
 
 class Empty(DecarbError):
     """Empty sample set where at least one observation is required."""
+
+
+def integer(field: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """``value`` as an int: an integer, not a bool, within [minimum, maximum]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (
+            minimum is not None and value < minimum) or (maximum is not None and value > maximum):
+        bound = " and".join(f" {op} {b}" for op, b in ((">=", minimum), ("<=", maximum))
+                            if b is not None)
+        raise OutOfRange(field, f"{field} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def real(field: str, value, positive: bool = False, non_negative: bool = False) -> float:
+    """``value`` as a float: a finite real number, not a bool, and > 0 when
+    ``positive`` or >= 0 when ``non_negative``."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise OutOfRange(field, f"{field} must be a finite number, got {value!r}")
+    value = float(value)
+    if (positive and value <= 0.0) or (non_negative and value < 0.0):
+        raise OutOfRange(field, f"{field} must be {'>' if positive else '>='} 0, got {value!r}")
+    return value
+
+
+def reals(field: str, values, length: int | None = None) -> tuple[float, ...]:
+    """``values``, a list, tuple or 1-d numpy array of finite real numbers (of
+    ``length`` of them, when given), as a tuple of floats."""
+    if hasattr(values, "tolist"):  # a numpy array
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)) or (length is not None and len(values) != length):
+        size = "a list" if length is None else f"a list of {length}"
+        raise OutOfRange(field, f"{field} must be {size} finite numbers, got {values!r}")
+    return tuple(real(field, v) for v in values)
+
+
+def flag(field: str, value) -> bool:
+    """``value``, which must be True or False."""
+    if not isinstance(value, bool):
+        raise OutOfRange(field, f"{field} must be true or false, got {value!r}")
+    return value

@@ -65,6 +65,10 @@ so the in-place step makes the same operations on the same operands as the
 plain per-row expressions would.  ``tests/test_mc.py`` pins the SHA-256 of
 every payoff array over the engine's options.
 
+:class:`SimConfig` and :class:`Deviation` check their fields at construction;
+what needs the model too (``dt`` dividing the horizon, one ``y0`` per agent)
+raises :class:`~decarb.errors.ConfigMismatch` naming ``dt`` or ``y0``.
+
 The simulators verify solved value functions against the dynamics they price:
 
 * :func:`simulate_principal` evolves the state under the optimal incentive
@@ -81,7 +85,6 @@ The simulators verify solved value functions against the dynamics they price:
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -90,7 +93,7 @@ import numpy as np
 
 from . import model
 from .contract import rates_single, rates_two
-from .errors import ConfigMismatch, Empty, NonFinitePath, OutOfRange
+from .errors import ConfigMismatch, Empty, NonFinitePath, OutOfRange, flag, integer, real, reals
 from .model import Kind, ModelParams, Scope
 from .nash import FeedbackStrategy, payoff_rate
 from .riccati import QuadraticValueFn
@@ -99,6 +102,7 @@ _CHUNK = 4096
 _BLOCK = 64  # paths drawn path-major before one transpose into a chunk
 _SCHEMES = ("pc", "euler")
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest array size numpy can index
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,8 @@ class SimConfig:
     ``x0`` is the 2-dimensional initial state; ``y0`` the initial payment
     level per agent (a scalar applies to every agent; ignored by the Nash
     game).  ``n_paths`` counts simulated paths, antithetic mirrors included.
+    Construction checks every field, raising :class:`OutOfRange` naming it,
+    and stores each as a plain int, float, bool or tuple of floats.
     """
 
     n_paths: int = 100_000
@@ -116,6 +122,18 @@ class SimConfig:
     x0: tuple[float, float] = (0.0, 0.0)
     y0: float | tuple[float, ...] = 0.0
     antithetic: bool = True
+
+    def __post_init__(self):
+        self.__dict__.update(  # past the frozen __setattr__, in the CLI's historic check order
+            dt=real("dt", self.dt, positive=True),
+            y0=(reals("y0", self.y0) if isinstance(self.y0, (list, tuple, np.ndarray))
+                else real("y0", self.y0)),
+            n_paths=integer("n_paths", self.n_paths, 2, _MAX_COUNT),
+            seed=integer("seed", self.seed),
+            x0=reals("x0", self.x0, 2),
+            antithetic=flag("antithetic", self.antithetic))
+        if self.antithetic and self.n_paths % 2:
+            raise OutOfRange("n_paths", "antithetic sampling needs an even n_paths")
 
 
 @dataclass(frozen=True)
@@ -140,11 +158,17 @@ class UtilityEstimate:
 
 @dataclass(frozen=True)
 class Deviation:
-    """Unilateral strategy perturbation: a -> scale*a + shift for one firm."""
+    """Unilateral strategy perturbation: a -> scale*a + shift for one firm;
+    construction checks that ``firm`` is 1 or 2 and ``scale`` and ``shift`` finite."""
 
-    firm: int
+    firm: int = 1
     scale: float = 1.0
     shift: float = 0.0
+
+    def __post_init__(self):
+        integer("firm", self.firm, 1, 2)
+        real("scale", self.scale)
+        real("shift", self.shift)
 
     def apply(self, a: np.ndarray) -> None:
         """Perturb the deviating firm's row of the stacked efforts ``a`` in place."""
@@ -154,40 +178,10 @@ class Deviation:
 
 
 def _n_steps(horizon: float, dt: float) -> int:
-    if dt <= 0.0:
-        raise OutOfRange("dt", f"dt must be > 0, got {dt}")
     n = round(horizon / dt)
     if n < 1 or abs(horizon - n * dt) > 1e-9:
-        raise ConfigMismatch(f"horizon {horizon} is not an integer multiple of dt {dt}")
+        raise ConfigMismatch(f"horizon {horizon} is not an integer multiple of dt {dt}", "dt")
     return n
-
-
-def _check_cfg(cfg: SimConfig) -> int:
-    """Number of RNG substreams the configuration consumes."""
-    if cfg.n_paths < 2:
-        raise OutOfRange("n_paths", f"n_paths must be >= 2, got {cfg.n_paths}")
-    if cfg.antithetic and cfg.n_paths % 2:
-        raise OutOfRange("n_paths", "antithetic sampling needs an even n_paths")
-    return cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-
-
-def _check_x0(cfg: SimConfig) -> np.ndarray:
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (2,) or not np.all(np.isfinite(x0)):
-        raise OutOfRange("x0", f"x0 must be a finite 2-vector, got {cfg.x0!r}")
-    return x0
-
-
-def _check_scheme(scheme: str) -> str:
-    if scheme not in _SCHEMES:
-        raise OutOfRange("scheme", f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    return scheme
-
-
-def _check_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise OutOfRange(name, f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 _philox = threading.local()
@@ -234,11 +228,10 @@ def estimate_utility(samples: Sequence[float], eta: float, label: str = "", seed
 
 def _agent_y0(params: ModelParams, cfg: SimConfig) -> tuple[float, ...]:
     n_agents = 1 if params.kind is Kind.SINGLE_FIRM else 2
-    if np.isscalar(cfg.y0):
-        return (float(cfg.y0),) * n_agents
-    y0 = tuple(float(v) for v in cfg.y0)
+    y0 = cfg.y0 if isinstance(cfg.y0, tuple) else (cfg.y0,) * n_agents
     if len(y0) != n_agents:
-        raise ConfigMismatch(f"y0 must have {n_agents} entries for {params.kind.value}, got {len(y0)}")
+        raise ConfigMismatch(f"y0 must have {n_agents} entries for {params.kind.value}, got {len(y0)}",
+                             "y0")
     return y0
 
 
@@ -321,12 +314,12 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
     the module docstring for its contract.  :class:`NonFinitePath` names the
     earliest time any path turns non-finite and the lowest path failing then.
     """
-    scheme = _check_scheme(scheme)
-    n_sub = _check_cfg(cfg)
+    if scheme not in _SCHEMES:
+        raise OutOfRange("scheme", f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    n_sub = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     n_steps = _n_steps(params.horizon, cfg.dt)
-    x0 = _check_x0(cfg)
-    chunk = _CHUNK if chunk_size is None else _check_count("chunk_size", chunk_size)
-    refinement = _check_count("brownian_refinement", brownian_refinement)
+    chunk = _CHUNK if chunk_size is None else integer("chunk_size", chunk_size, 1)
+    refinement = integer("brownian_refinement", brownian_refinement, 1)
     dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
     step = make_step(np.arange(n_steps + 1) * dt)
     width = 2 if cfg.antithetic else 1
@@ -342,7 +335,7 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
         inc = None  # so that _draw_chunk can free the previous chunk
         inc = _draw_chunk(cfg.seed, start, m, n_steps, refinement)
         S, S_next, dW, noise = np.empty((4, 2, rows))
-        S[...] = x0[:, None]
+        S[...] = np.array(cfg.x0)[:, None]
         acc = np.empty((len(step.acc0), rows))
         acc[...] = np.array(step.acc0)[:, None]
         finite = np.empty((2, rows), dtype=bool)
@@ -621,8 +614,6 @@ def nash_path_payoffs(
     """Per-path accumulated payoff flows (Z1, Z2) of both firms, canonical order."""
     if params.kind is not Kind.TWO_FIRM_NASH:
         raise ConfigMismatch(f"simulate_nash needs the no-incentive game, got {params.kind.value}")
-    if deviation is not None and deviation.firm not in (1, 2):
-        raise OutOfRange("firm", f"deviation firm must be 1 or 2, got {deviation.firm}")
     z1, z2 = _run_paths(lambda nodes: _NashStep(params, strategies, deviation, nodes), params, cfg,
                         scheme, chunk_size, brownian_refinement)
     return z1, z2

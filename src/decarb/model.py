@@ -15,14 +15,12 @@ single ``(x1, x2)`` pair.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
 
-from .errors import MissingField, OutOfRange, UnexpectedField, WrongKind
+from .errors import MissingField, OutOfRange, UnexpectedField, WrongKind, flag, integer, real
 
 
 class Kind(enum.Enum):
@@ -98,9 +96,7 @@ class ModelParams:
         return (self.eta1, self.eta2)
 
     def gamma(self, firm: int) -> float:
-        if firm not in (1, 2):
-            raise OutOfRange("firm", f"firm index must be 1 or 2, got {firm}")
-        return self.gamma1 if firm == 1 else self.gamma2
+        return self.gamma1 if integer("firm", firm, 1, 2) == 1 else self.gamma2
 
     def __hash__(self) -> int:
         # cache keys hash the params on every simulation step; the generated
@@ -164,10 +160,7 @@ def validate_params(raw: Mapping) -> ModelParams:
         except KeyError:
             raise OutOfRange("kind", f"unknown model kind '{kind_raw}'") from None
 
-    literal_signs = data.pop("literal_signs", False)
-    if not isinstance(literal_signs, bool):
-        raise OutOfRange("literal_signs",
-                         f"field 'literal_signs' must be true or false, got {literal_signs!r}")
+    literal_signs = flag("literal_signs", data.pop("literal_signs", False))
 
     required = _COMMON + _KIND_FIELDS[kind]
     known = {f.name for f in fields(ModelParams)} - {"kind", "literal_signs"}
@@ -181,20 +174,8 @@ def validate_params(raw: Mapping) -> ModelParams:
     for name in required:
         if name not in data:
             raise MissingField(name)
-        v = data[name]
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise OutOfRange(name, f"field '{name}' is not numeric, got {v!r}")
-        try:
-            v = float(v)
-        except OverflowError:  # an integer beyond the float range
-            v = math.inf
-        if not math.isfinite(v):
-            raise OutOfRange(name, f"field '{name}' must be finite, got {v}")
-        if name in _POSITIVE and v <= 0.0:
-            raise OutOfRange(name, f"field '{name}' must be > 0, got {v}")
-        if name in _NON_NEGATIVE and v < 0.0:
-            raise OutOfRange(name, f"field '{name}' must be >= 0, got {v}")
-        values[name] = v
+        values[name] = real(name, data[name], positive=name in _POSITIVE,
+                            non_negative=name in _NON_NEGATIVE)
 
     return ModelParams(kind=kind, literal_signs=literal_signs, **values)
 

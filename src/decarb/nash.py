@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, OutOfRange, WrongKind
+from .errors import BlowUp, OutOfRange, WrongKind, integer, real
 from .model import Kind, ModelParams
 from .riccati import Kernel, OdeTable, TimeGrid, centered_derivative, rk4_backward, rk4_stage_times
 
@@ -164,14 +164,15 @@ def _game_args(params: ModelParams) -> tuple[float, ...]:
 
 
 def sample_opponent(opponent, grid: TimeGrid) -> np.ndarray:
-    """Opponent flow as node samples: accepts a scalar, callable, or array."""
+    """Opponent flow as node samples: accepts a finite real scalar, a callable,
+    or an array of node samples; every sample must be finite."""
     if np.isscalar(opponent):
-        return np.full(grid.n_nodes, float(opponent))
-    if callable(opponent):
-        return np.array([float(opponent(t)) for t in grid.nodes])
-    arr = np.asarray(opponent, dtype=float)
-    if arr.shape != (grid.n_nodes,):
-        raise OutOfRange("opponent", f"opponent samples must have shape ({grid.n_nodes},), got {arr.shape}")
+        return np.full(grid.n_nodes, real("opponent", opponent))
+    arr = (np.array([float(opponent(t)) for t in grid.nodes]) if callable(opponent)
+           else np.asarray(opponent, dtype=float))
+    if arr.shape != (grid.n_nodes,) or not np.isfinite(arr).all():
+        raise OutOfRange("opponent", f"opponent samples must be {grid.n_nodes} finite numbers, "
+                         f"got shape {arr.shape}")
     return arr
 
 
@@ -188,8 +189,7 @@ def best_response(
     integration stage times, all of them at once before the solve.
     """
     _require_nash(params)
-    if firm not in (1, 2):
-        raise OutOfRange("firm", f"firm index must be 1 or 2, got {firm!r}")
+    firm = integer("firm", firm, 1, 2)
     grid = TimeGrid(params.horizon, n_nodes)
     samples = sample_opponent(opponent, grid)
     flow = np.interp(rk4_stage_times(grid), grid.nodes, samples).tolist()
@@ -231,8 +231,7 @@ def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: flo
 
     The firm's value is -exp(eta_firm * W_firm).
     """
-    if firm not in (1, 2):
-        raise OutOfRange("firm", f"firm index must be 1 or 2, got {firm!r}")
+    firm = integer("firm", firm, 1, 2)
     if isinstance(coeffs, BestResponseCoeffs):
         if firm != coeffs.firm:
             raise OutOfRange("firm", f"coefficients belong to firm {coeffs.firm}, not {firm!r}")

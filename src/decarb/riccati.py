@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .contract import ContractLQG, assemble_lqg, rates_single, rates_two, IncentiveRates
-from .errors import BlowUp, OutOfHorizon, OutOfRange
+from .errors import BlowUp, OutOfHorizon, OutOfRange, integer, real
 from .model import Kind, ModelParams
 
 BLOWUP_LIMIT = 1e12
@@ -40,16 +40,14 @@ _BLOCK = 256  # RK4 steps stored and checked together
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform nodes on [0, t_end], endpoints included."""
+    """Uniform nodes on [0, t_end], endpoints included; construction checks both fields."""
 
     t_end: float
     n_nodes: int = 1001
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise OutOfRange("t_end", f"t_end must be > 0, got {self.t_end!r}")
-        if self.n_nodes < 2:
-            raise OutOfRange("n_nodes", f"n_nodes must be at least 2, got {self.n_nodes!r}")
+        real("t_end", self.t_end, positive=True)
+        integer("n_nodes", self.n_nodes, 2)
 
     @property
     def dt(self) -> float:

@@ -10,8 +10,6 @@ right-hand sides), spatial terms from the economic primitives in
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import model
 from .contract import gradient_couplings, oracle_rates
-from .errors import OutOfRange
+from .errors import OutOfRange, integer, real
 from .model import ModelParams
 from .nash import NashCoeffs
 from .riccati import QuadraticValueFn, centered_derivative
@@ -40,21 +38,11 @@ class GridSpec:
     n_time_slices: int = 5
 
     def __post_init__(self):
-        for name, minimum in (("n_points", 2), ("n_time_slices", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-                raise OutOfRange(name, f"{name} must be an integer >= {minimum}, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("x_min", "x_max"):
-            value = getattr(self, name)
-            try:
-                finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
-                          and math.isfinite(value))
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
-                raise OutOfRange(name, f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        self.__dict__.update(  # past the frozen __setattr__
+            n_points=integer("n_points", self.n_points, 2),
+            n_time_slices=integer("n_time_slices", self.n_time_slices, 1),
+            x_min=real("x_min", self.x_min),
+            x_max=real("x_max", self.x_max))
         if not self.x_min < self.x_max:
             raise OutOfRange("x_max", f"x_max must exceed x_min, got [{self.x_min!r}, {self.x_max!r}]")
 

@@ -272,6 +272,27 @@ class TestErrorPaths:
         grid = json.loads((out / "residuals.json").read_text())["reports"][0]["grid"]
         assert grid == {"x_min": -1.0, "x_max": 1.0, "n_points": 5, "n_time_slices": 2}
 
+    @pytest.mark.parametrize("scenario, numerics, field", [
+        ("simulate", {"y0": [1, 2, 3]}, "y0"),
+        ("simulate", {"dt": 5.0}, "dt"),
+        ("nash", {}, None),  # a scenario-kind mismatch is no single field's fault
+    ])
+    def test_config_mismatch_names_field(self, tmp_path, capsys, scenario, numerics, field):
+        config = json.loads((CONFIG_DIR / "simulate_two_firm.json").read_text(encoding="utf-8"))
+        config["numerics"].update(numerics)
+        cfg = write_config(tmp_path, config)
+        assert run([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err.get("field"), err["exit_code"]) == ("ConfigMismatch", field, 1)
+
+    def test_odd_antithetic_n_paths_rejected_for_every_scenario(self, tmp_path, capsys):
+        # every scenario builds the simulation settings, so they are checked at parse time
+        cfg = write_config(tmp_path, {"model": NASH_FIXTURE, "numerics": {"n_nodes": 201,
+                                                                          "n_paths": 3}})
+        assert run(["nash", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"], err["exit_code"]) == ("OutOfRange", "n_paths", 1)
+
     def test_scenario_kind_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": TWO_FIRM_FIXTURE})
         assert run(["nash", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -157,10 +157,12 @@ class TestPrincipalSimulation:
             simulate_principal(two_firm, v, SimConfig(n_paths=3, seed=0))  # odd + antithetic
         with pytest.raises(OutOfRange):
             simulate_principal(two_firm, v, SimConfig(n_paths=1, antithetic=False))
-        with pytest.raises(ConfigMismatch):
+        with pytest.raises(ConfigMismatch) as exc:
             simulate_principal(two_firm, v, SimConfig(n_paths=4, dt=0.3))
-        with pytest.raises(ConfigMismatch):
+        assert exc.value.field == "dt"
+        with pytest.raises(ConfigMismatch) as exc:
             simulate_principal(two_firm, v, SimConfig(n_paths=4, y0=(0.1, 0.2, 0.3)))
+        assert exc.value.field == "y0"
         with pytest.raises(ConfigMismatch):
             simulate_principal(nash_params, v, SimConfig(n_paths=4))
         v_single = solve_principal(single_firm, 201)

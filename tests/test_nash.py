@@ -100,6 +100,22 @@ class TestBestResponse:
             sample_opponent(np.zeros(7), grid)
         assert exc.value.field == "opponent"
 
+    @pytest.mark.parametrize("opponent", [
+        "0.5",
+        True,
+        float("nan"),
+        float("inf"),
+        np.array([0.5] * 100 + [np.nan]),
+        [0.5] * 100 + [None],
+        lambda t: np.nan if t > 0.5 else 0.5,
+    ], ids=["text", "bool", "nan", "inf", "array-nan", "list-none", "callable-nan"])
+    def test_malformed_opponent_rejected(self, nash_params, opponent):
+        # a text or bool scalar used to solve as a number, and a non-finite
+        # sample used to surface later as a blow-up of the solve
+        with pytest.raises(OutOfRange) as exc:
+            best_response(nash_params, 1, opponent, n_nodes=101)
+        assert exc.value.field == "opponent"
+
     def test_firm2_system(self, nash_params):
         coeffs = best_response(nash_params, 2, 0.3, n_nodes=401)
         assert ode_residual(coeffs, nash_params) <= 1e-6
