@@ -136,7 +136,8 @@ def _rate_factors(params: ModelParams, ndim: int) -> tuple[np.ndarray, ...]:
     that broadcast along the first axis of an ``ndim``-dimensional gradient:
     (r1, r2) for the single firm with z_i* = r_i*v_i, and the pairs
     (Lambda_12, Lambda_21) and (eta_1p, eta_2p) for two firms.  Cached
-    because a simulation evaluates the rates twice per step.
+    because :func:`rates_single` and :func:`rates_two` look them up on every
+    call; a simulation binds them once per run.
     """
     shape = (2,) + (1,) * (ndim - 1)
     if params.kind is Kind.SINGLE_FIRM:
@@ -152,6 +153,18 @@ def _rate_factors(params: ModelParams, ndim: int) -> tuple[np.ndarray, ...]:
     return columns
 
 
+def _closed_form_rates(factors: tuple, v: np.ndarray, out: np.ndarray, cross: bool = True) -> np.ndarray:
+    """Unchecked rates of the gradients ``v`` from :func:`_rate_factors` at ``v.ndim``,
+    into ``out`` laid out as :func:`rates_single` or :func:`rates_two` (by the
+    number of factors) lay them out; ``cross=False`` skips the cross rates."""
+    if len(factors) == 1:
+        return np.multiply(factors[0], v, out=out)
+    own = np.multiply(factors[0], v, out=out[0])  # Lambda_ij * v_i
+    if cross:  # eta_ip * (v_j - z_jj)
+        np.multiply(factors[1], np.subtract(v[::-1], own[::-1], out=out[1]), out=out[1])
+    return out
+
+
 def rates_single(params: ModelParams, grad_v: Sequence[float], out=None) -> SingleFirmRates:
     """Optimal single-firm rates z_i* = (gamma_i + sigma_i^2*eta_p) v_i / (sigma_i^2*eta_p + gamma_i + eta_a*sigma_i^2).
 
@@ -161,8 +174,7 @@ def rates_single(params: ModelParams, grad_v: Sequence[float], out=None) -> Sing
     """
     _require_kind(params, Kind.SINGLE_FIRM)
     v = np.asarray(grad_v, dtype=float)
-    (r,) = _rate_factors(params, v.ndim)
-    z = np.multiply(r, v, out=np.empty(v.shape) if out is None else out)
+    z = _closed_form_rates(_rate_factors(params, v.ndim), v, np.empty(v.shape) if out is None else out)
     return SingleFirmRates(z1=z[0], z2=z[1])
 
 
@@ -178,11 +190,8 @@ def rates_two(params: ModelParams, grad_v: Sequence[float], out=None) -> TwoFirm
     """
     _require_kind(params, Kind.TWO_FIRM_REGULATED)
     v = np.asarray(grad_v, dtype=float)
-    lam, eta_ip = _rate_factors(params, v.ndim)
-    own, cross = np.empty((2,) + v.shape) if out is None else out
-    np.multiply(lam, v, out=own)
-    np.subtract(v[::-1], own[::-1], out=cross)
-    np.multiply(eta_ip, cross, out=cross)
+    own, cross = _closed_form_rates(_rate_factors(params, v.ndim), v,
+                                    np.empty((2,) + v.shape) if out is None else out)
     return TwoFirmRates(z11=own[0], z12=cross[0], z21=cross[1], z22=own[1])
 
 

@@ -38,8 +38,9 @@ finiteness with the state), ``n_payoffs`` (how many payoff arrays it
 returns) and five methods.  ``bind(rows)`` allocates the
 step's buffers once per chunk: two slots, for the start and the end of a
 step, of ``drift`` (shape (2, 2, rows)), of ``flow`` (one row per running
-flow) and of the rates.  ``rates(k, S, slot)`` and ``flows(S, slot,
-scratch)`` fill one slot in place from the state S of shape (2, rows);
+flow) and of the rates.  ``rates(k, S, slot, drift_only)`` and ``flows(S,
+slot, scratch)`` fill one slot in place from the state S of shape (2, rows)
+(the pc predictor sets ``drift_only``: it reads nothing else of the slot);
 ``accumulate(acc, slot, dW, dt, scratch)`` adds that slot's flows (under pc,
 the engine has first replaced them by the trapezoid mean) times dt, and the
 payment noise, to the stacked accumulators in place; ``payoffs(acc)``
@@ -55,6 +56,14 @@ marches with ``out=`` and swaps the current and next buffers instead of
 binding new arrays, so a step allocates nothing of path length.  The model
 algebra stays in :mod:`decarb.contract`, :mod:`decarb.model` and
 :mod:`decarb.nash`, whose functions write into ``out=`` buffers.
+
+What a step still calls: the views it reads are made once per chunk, and
+the rates call the unchecked closed form that the public rate functions
+share, on factors bound once per run.  Three boundaries stay calls through
+module attributes, so a wrapper on one sees every call (``tests/test_mc.py``
+counts them): :func:`path_increments` once per substream of a drawn chunk,
+and per flow evaluation ``model.revenue_f`` and ``model.social_cost_g``
+(principal) or this module's ``payoff_rate`` (the game).
 
 Why the bits do not depend on this layout: an elementwise ufunc computes
 each element with the same IEEE operation whether it allocates its result
@@ -91,8 +100,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import model
-from .contract import rates_single, rates_two
+from . import contract, model
 from .errors import ConfigMismatch, Empty, NonFinitePath, OutOfRange, flag, integer, real, reals
 from .model import Kind, ModelParams, Scope
 from .nash import FeedbackStrategy, payoff_rate
@@ -192,17 +200,21 @@ def path_increments(seed: int, substream: int, n_draws: int, out: np.ndarray | N
 
     The substream is a counter-based generator keyed by the 64-bit seed and
     the substream index, so any path's draws are well defined in isolation.
-    Each thread keeps one Philox generator and resets it to a fresh state
-    with the path's key on every call, which draws exactly what a new
-    ``Generator(Philox(key))`` would without building one.  ``out``, a
-    C-contiguous float array of shape (n_draws, 2), receives the draws in place.
+    Each thread keeps one Philox generator and resets it on every call to a
+    fresh state (counter 0, empty buffer) with the path's key, which draws
+    exactly what a new ``Generator(Philox(key))`` would without building one.
+    That state is the generator's own ``.state`` with plain ints in place of
+    its arrays, which it reads back faster.  ``out``, a C-contiguous float
+    array of shape (n_draws, 2), receives the draws in place.
     """
-    gen = getattr(_philox, "gen", None)
-    if gen is None:
+    try:
+        gen, fresh = _philox.gen, _philox.fresh
+    except AttributeError:
         gen = _philox.gen = np.random.Generator(np.random.Philox(key=0))
-        _philox.fresh = gen.bit_generator.state  # counter 0, empty buffer
-    fresh = _philox.fresh
-    fresh["state"]["key"] = np.array([int(substream) & _MASK64, int(seed) & _MASK64], dtype=np.uint64)
+        fresh = _philox.fresh = gen.bit_generator.state
+        fresh["state"] = {name: a.tolist() for name, a in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+    fresh["state"]["key"] = [int(substream) & _MASK64, int(seed) & _MASK64]
     gen.bit_generator.state = fresh
     return gen.standard_normal((n_draws, 2), out=out)
 
@@ -236,15 +248,15 @@ def _agent_y0(params: ModelParams, cfg: SimConfig) -> tuple[float, ...]:
 
 
 def _interp_coeffs(v: QuadraticValueFn, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A(t) as the transposed view the gradient multiplies, and B(t) as (2, 1)
+    columns, at the times ``ts``."""
     nodes = v.grid.nodes
     A = np.empty((ts.size, 2, 2))
-    B = np.empty((ts.size, 2))
     for i, j in ((0, 0), (0, 1), (1, 1)):
         A[:, i, j] = np.interp(ts, nodes, v.A[:, i, j])
     A[:, 1, 0] = A[:, 0, 1]
-    B[:, 0] = np.interp(ts, nodes, v.B[:, 0])
-    B[:, 1] = np.interp(ts, nodes, v.B[:, 1])
-    return A, B
+    B = np.array([np.interp(ts, nodes, v.B[:, i]) for i in (0, 1)])
+    return A.transpose(0, 2, 1), B.T[:, :, None]
 
 
 def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int) -> np.ndarray:
@@ -289,14 +301,8 @@ def _advance(S: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray, out
     return np.add(out, noise, out=out)
 
 
-def _first_non_finite(S: np.ndarray, checked: np.ndarray, finite: np.ndarray, start: int, m: int,
-                      antithetic: bool) -> int | None:
-    """Lowest canonical index of a row with a non-finite value, or None.
-
-    ``finite`` is a boolean buffer shaped like ``S`` for the common case."""
-    if (np.isfinite(S, out=finite).all()
-            and np.isfinite(checked, out=finite[:len(checked)]).all()):
-        return None
+def _first_non_finite(S: np.ndarray, checked: np.ndarray, start: int, m: int, antithetic: bool) -> int:
+    """Lowest canonical index of a row with a non-finite value in ``S`` or ``checked``."""
     finite = np.isfinite(S).all(axis=0)
     for a in checked:
         finite &= np.isfinite(a)
@@ -334,13 +340,17 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
         rows = width * m
         inc = None  # so that _draw_chunk can free the previous chunk
         inc = _draw_chunk(cfg.seed, start, m, n_steps, refinement)
+        # views made once per chunk, each just after its buffer, so the old one is freed
         S, S_next, dW, noise = np.empty((4, 2, rows))
+        dW_drawn, dW_mirrored = dW[:, :m], dW[:, m:]
         S[...] = np.array(cfg.x0)[:, None]
         acc = np.empty((len(step.acc0), rows))
+        checked = acc[:step.n_checked]
         acc[...] = np.array(step.acc0)[:, None]
         finite = np.empty((2, rows), dtype=bool)
+        finite_checked = finite[:step.n_checked]
         step.bind(rows)
-        drift, flow = step.drift, step.flow
+        drift, flow = tuple(step.drift), tuple(step.flow)
         cur, nxt = 0, 1
         fresh = True
         # after a failure, later chunks only look for an earlier or equal one
@@ -349,14 +359,14 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
                 # before the draw, the noise and the next state are free scratch
                 step.rates(k, S, cur)
                 step.flows(S, cur, (noise, S_next))
-            np.multiply(sqdt, inc[k], out=dW[:, :m])
+            np.multiply(sqdt, inc[k], out=dW_drawn)
             if width == 2:
-                np.negative(dW[:, :m], out=dW[:, m:])
+                np.negative(dW_drawn, out=dW_mirrored)
             np.multiply(dW, step.sigma, out=noise)
             if scheme == "pc":
                 # the predictor's state and drift are consumed before the
-                # corrector's overwrite them
-                step.rates(k + 1, _advance(S, drift[cur], dt, noise, S_next), nxt)
+                # corrector's overwrite them, and only its drift is read
+                step.rates(k + 1, _advance(S, drift[cur], dt, noise, S_next), nxt, True)
                 d_avg = np.add(drift[cur], drift[nxt], out=drift[nxt])
                 np.multiply(0.5, d_avg, out=d_avg)
                 _advance(S, d_avg, dt, noise, S_next)
@@ -373,8 +383,9 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
                 _advance(S, drift[cur], dt, noise, S_next)
                 step.accumulate(acc, cur, dW, dt, (noise, S))
             S, S_next = S_next, S
-            bad = _first_non_finite(S, acc[:step.n_checked], finite, start, m, width == 2)
-            if bad is not None:
+            if not (np.logical_and.reduce(np.isfinite(S, out=finite), axis=None)
+                    and np.logical_and.reduce(np.isfinite(checked, out=finite_checked), axis=None)):
+                bad = _first_non_finite(S, checked, start, m, width == 2)
                 if failure is None or (k + 1, bad) < failure:
                     failure = (k + 1, bad)
                 break
@@ -398,7 +409,7 @@ class _PrincipalStep:
     Accumulators: the payment Y_i per agent, the revenue-less-cost flow F_i
     per agent, then the social cost G.  The rates of a slot are (z1, z2) for
     the single firm and the own rates (z11, z22) over the cross rates
-    (z12, z21) for two firms, as :func:`rates_single` and :func:`rates_two`
+    (z12, z21) for two firms, as ``contract.rates_single`` and ``rates_two``
     lay them out.
     """
 
@@ -408,6 +419,7 @@ class _PrincipalStep:
         self.n_agents = self.n_checked = len(y0)
         self.n_payoffs = 1 + self.n_agents
         self.acc0 = (*y0, *(0.0 for _ in y0), 0.0)
+        self.factors = contract._rate_factors(params, 2)
         self.sigma = _pair(params.sigma1, params.sigma2)
         self.gamma = _pair(params.gamma1, params.gamma2)
         s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
@@ -417,32 +429,35 @@ class _PrincipalStep:
             self.half_eta = _pair(0.5 * params.eta1, 0.5 * params.eta2)
             self.sq_cross = _pair(s2, s1)
             self.sigma_cross = _pair(params.sigma2, params.sigma1)
-        self.A_t, self.B_t = _interp_coeffs(v, nodes)
+        self.A_T, self.B_t = _interp_coeffs(v, nodes)
 
     def bind(self, rows: int) -> None:
+        self.slots = None  # so that each old buffer is freed as it is replaced
         rate_shape = (2, rows) if self.single else (2, 2, rows)
         self.z = np.empty((2, *rate_shape))
         self.drift = np.empty((2, 2, rows))
         self.flow = np.empty((2, 2 * self.n_agents + 1, rows))
+        # per slot: the drift, all rates, the rates that set the drift (the own
+        # rates for two firms), the cross rates (two firms only) and the flows
+        self.slots = tuple((d, z, z, None, f) if self.single else (d, z, z[0], z[1], f)
+                           for d, z, f in zip(self.drift, self.z, self.flow))
 
-    def rates(self, k: int, S: np.ndarray, slot: int) -> None:
+    def rates(self, k: int, S: np.ndarray, slot: int, drift_only: bool = False) -> None:
+        drift, z, own, _, _ = self.slots[slot]
         # the gradient lives in the slot's drift until the drift overwrites it
-        grad = np.matmul(self.A_t[k].T, S, out=self.drift[slot])
-        np.add(grad, self.B_t[k][:, None], out=grad)
-        if self.single:
-            rates_single(self.p, grad, out=self.z[slot])
-            np.multiply(self.gamma, self.z[slot], out=self.drift[slot])
-        else:
-            rates_two(self.p, grad, out=self.z[slot])
-            np.multiply(self.gamma, self.z[slot][0], out=self.drift[slot])
+        np.matmul(self.A_T[k], S, out=drift)
+        np.add(drift, self.B_t[k], out=drift)
+        # the cross rates do not enter the drift
+        contract._closed_form_rates(self.factors, drift, z, cross=not drift_only)
+        np.multiply(self.gamma, own, out=drift)
 
     def flows(self, S: np.ndarray, slot: int, w) -> None:
         """(payment drift per agent, revenue-less-cost flow per agent, social cost)."""
-        p, X, z, flow = self.p, S.T, self.z[slot], self.flow[slot]
+        p, X, (_, z, own, cross, flow) = self.p, S.T, self.slots[slot]
         model.social_cost_g(p, X, out=flow[-1], scratch=w[0][0])
         if self.single:
             f, c, risk = flow[1], w[0][0], w[1][0]
-            model.revenue_f(p, X, Scope.TOTAL, out=f, scratch=w[0][0])
+            model.revenue_f(p, X, Scope.TOTAL, out=f, scratch=c)
             np.multiply(self.gamma, z, out=w[0])
             np.multiply(w[0], z, out=w[0])
             np.add(w[0][0], w[0][1], out=c)
@@ -455,7 +470,6 @@ class _PrincipalStep:
             np.subtract(flow[0], f, out=flow[0])
             np.subtract(f, c, out=f)
             return
-        own, cross = z
         d, f, c, risk = flow[:2], flow[2:4], w[0], w[1]
         model.revenue_f(p, X, None, out=f.T)
         np.multiply(self.half_gamma, own, out=c)
@@ -471,7 +485,7 @@ class _PrincipalStep:
         np.subtract(f, c, out=f)
 
     def accumulate(self, acc: np.ndarray, slot: int, dW: np.ndarray, dt: float, w) -> None:
-        n, z, flow = self.n_agents, self.z[slot], self.flow[slot]
+        n, (_, z, own, cross, flow) = self.n_agents, self.slots[slot]
         np.multiply(flow, dt, out=flow)
         # payment noise: each agent's rates times the state increments they price
         if self.single:
@@ -479,7 +493,6 @@ class _PrincipalStep:
             np.multiply(w[0], dW, out=w[0])
             noise = np.add(w[0][0], w[0][1], out=w[0][0])
         else:
-            own, cross = z
             noise = np.multiply(self.sigma, own, out=w[0])
             np.multiply(noise, dW, out=noise)
             np.multiply(self.sigma_cross, cross, out=w[1])
@@ -570,31 +583,34 @@ class _NashStep:
         self.deviation = deviation
         self.sigma = _pair(params.sigma1, params.sigma2)
         self.neg_gamma = _pair(-strategies[0].gamma, -strategies[1].gamma)
-        # gains of both firms, one row per firm and one column per time node
+        # gains of both firms per time node, as (n, 2, 1) columns
         self.kx, self.ky, self.k0 = (
-            np.array([np.interp(nodes, s.nodes, getattr(s, name)) for s in strategies])
+            np.array([np.interp(nodes, s.nodes, getattr(s, name)) for s in strategies]).T[:, :, None]
             for name in ("kx", "ky", "k0"))
 
     def bind(self, rows: int) -> None:
+        self.slots = None  # so that each old buffer is freed as it is replaced
         self.drift = np.empty((2, 2, rows))
         self.flow = np.empty((2, 2, rows))
+        self.slots = tuple(zip(self.drift, self.flow))
 
-    def rates(self, k: int, S: np.ndarray, slot: int) -> None:
+    def rates(self, k: int, S: np.ndarray, slot: int, drift_only: bool = False) -> None:
         # the slot's flow is scratch until flows() fills it
-        a, w = self.drift[slot], self.flow[slot]
-        np.multiply(self.kx[:, k:k + 1], S[0], out=a)
-        np.multiply(self.ky[:, k:k + 1], S[1], out=w)
+        a, w = self.slots[slot]
+        np.multiply(self.kx[k], S[0], out=a)
+        np.multiply(self.ky[k], S[1], out=w)
         np.add(a, w, out=a)
-        np.add(a, self.k0[:, k:k + 1], out=a)
+        np.add(a, self.k0[k], out=a)
         np.multiply(self.neg_gamma, a, out=a)
         if self.deviation is not None:
             self.deviation.apply(a)
 
     def flows(self, S: np.ndarray, slot: int, w) -> None:
-        payoff_rate(self.p, None, S[0], S[1], self.drift[slot], out=self.flow[slot], scratch=w[0])
+        a, flow = self.slots[slot]
+        payoff_rate(self.p, None, S[0], S[1], a, out=flow, scratch=w[0])
 
     def accumulate(self, acc: np.ndarray, slot: int, dW: np.ndarray, dt: float, w) -> None:
-        flow = self.flow[slot]
+        flow = self.slots[slot][1]
         np.multiply(flow, dt, out=flow)
         np.add(acc, flow, out=acc)
 

@@ -217,9 +217,10 @@ def revenue_f(params: ModelParams, x, scope: Scope | None = Scope.TOTAL, out=Non
     x1, x2 = _split_state(x)
     if scope is None:
         out = np.empty(x1.shape + (2,)) if out is None else out
-        p = _price_factor(params, x1, x2, out[..., 0], out[..., 1])
-        np.multiply(p, x2, out=out[..., 1])
-        np.multiply(p, x1, out=out[..., 0])
+        f1, f2 = out[..., 0], out[..., 1]
+        p = _price_factor(params, x1, x2, f1, f2)
+        np.multiply(p, x2, out=f2)
+        np.multiply(p, x1, out=f1)
         return out
     if scope not in (Scope.TOTAL, Scope.FIRM1, Scope.FIRM2):
         raise OutOfRange("scope", f"unknown scope {scope!r}")
@@ -242,7 +243,7 @@ def social_cost_g(params: ModelParams, x, out=None, scratch=None):
     ``scratch``, shaped like it, holds an intermediate; each is allocated
     when None.
     """
-    if not params.has_principal:
+    if params.kind not in PRINCIPAL_KINDS:
         raise WrongKind("social cost is defined only for models with a principal")
     x1, x2 = _split_state(x)
     if params.kind is Kind.SINGLE_FIRM:

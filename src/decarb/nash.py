@@ -272,8 +272,8 @@ def payoff_rate(params: ModelParams, firm: int | None, x, y, a, out=None, scratc
     when None.
     """
     _require_nash(params)
-    if firm not in (None, 1, 2):
-        raise OutOfRange("firm", f"firm index must be 1 or 2, got {firm!r}")
+    if firm is not None:
+        firm = integer("firm", firm, 1, 2)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -287,8 +287,8 @@ def payoff_rate(params: ModelParams, firm: int | None, x, y, a, out=None, scratc
     cross, two_gamma = _payoff_factors(params, firms, flow.ndim)
     for i, f in enumerate(firms):
         own, slope = (x, params.p1) if f == 1 else (y, params.p2)
-        np.multiply(slope, own, out=flow[i:i + 1])
-        np.multiply(flow[i:i + 1], own, out=flow[i:i + 1])
+        row = np.multiply(slope, own, out=flow[i, ...])  # a view even of a 0-d row
+        np.multiply(row, own, out=row)
     np.multiply(cross, x, out=work)
     np.multiply(work, y, out=work)
     np.add(flow, work, out=flow)

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decarb import (
     ConfigMismatch,
@@ -24,7 +25,7 @@ from decarb import (
     solve_principal,
     validate_params,
 )
-from decarb import mc
+from decarb import mc, model
 from decarb.mc import nash_path_payoffs, paired_difference, path_increments, principal_path_payoffs
 from decarb.nash import FeedbackStrategy
 from decarb.riccati import QuadraticValueFn, TimeGrid
@@ -480,6 +481,24 @@ class TestPathIncrements:
         path_increments(-1, 0, 5, out=out)
         assert np.array_equal(out, fresh_draws(-1, 0, 5))
 
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(-2**63, 2**64 - 1), substream=st.integers(-2**63, 2**64 - 1),
+           fresh_thread=st.booleans())
+    def test_any_64_bit_key_matches_fresh_generator(self, seed, substream, fresh_thread):
+        if fresh_thread:  # a thread that has no generator yet
+            got = []
+            worker = threading.Thread(target=lambda: got.append(path_increments(seed, substream, 5)))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            drawn = got[0]
+        else:  # this thread's generator part-way through its buffer, holding a 32-bit half
+            path_increments(5, 3, 3)
+            mc._philox.gen.integers(0, 2**32, size=3, dtype=np.uint32)
+            assert mc._philox.gen.bit_generator.state["has_uint32"] == 1
+            drawn = path_increments(seed, substream, 5)
+        assert np.array_equal(drawn, fresh_draws(seed, substream, 5))
+
     def test_other_thread_draws_the_same(self):
         got = []
         worker = threading.Thread(target=lambda: got.append(path_increments(4, 6, 5)))
@@ -506,6 +525,13 @@ class TestDrawChunk:
                                  math.sqrt(refinement))
             for k in range(n_steps):
                 assert np.array_equal(inc[k, :, j], path[k])
+
+    def test_full_chunk_columns_match_fresh_generators(self):
+        seed, start, n_steps = 3, mc._CHUNK, 200  # the second chunk of a run
+        inc = mc._draw_chunk(seed, start, mc._CHUNK, n_steps, 1)
+        for j in (0, mc._BLOCK - 1, mc._BLOCK, mc._CHUNK - 1):
+            assert np.array_equal(inc[:, :, j], fresh_draws(seed, start + j, n_steps))
+        evict_chunk_memo()
 
     @pytest.mark.parametrize("other", [(8, 0, 10, 6, 1), (7, 1, 10, 6, 1), (7, 0, 9, 6, 1),
                                        (7, 0, 10, 5, 1), (7, 0, 10, 6, 2)])
@@ -574,3 +600,51 @@ class TestDrawChunk:
         assert len(calls) == 32
         for a, b in zip(reused, fresh):
             assert np.array_equal(a, b)
+
+
+class TestTracedBoundaries:
+    """The engine reaches the RNG and the flow functions through these module
+    attributes, so wrapping one counts every call: once per substream of each
+    drawn chunk, and one flow evaluation per step plus the first under pc."""
+
+    N_PATHS, DT, CHUNK = 64, 0.02, 8  # 32 substreams in 4 chunks of 50 steps
+
+    def count(self, monkeypatch, module, name, calls):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def flow_calls(self, scheme):
+        n_steps = round(1.0 / self.DT)
+        n_chunks = self.N_PATHS // 2 // self.CHUNK
+        return n_chunks * (n_steps + 1 if scheme == "pc" else n_steps)
+
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    @pytest.mark.parametrize("name", ["single", "two"])
+    def test_principal(self, monkeypatch, pinned_models, name, scheme):
+        params, v = pinned_models[name]
+        cfg = SimConfig(n_paths=self.N_PATHS, dt=self.DT, seed=33)
+        draws, revenue, cost = [], [], []
+        evict_chunk_memo()
+        self.count(monkeypatch, mc, "path_increments", draws)
+        self.count(monkeypatch, model, "revenue_f", revenue)
+        self.count(monkeypatch, model, "social_cost_g", cost)
+        principal_path_payoffs(params, v, cfg, scheme, self.CHUNK)
+        assert sorted(args[1] for args in draws) == list(range(self.N_PATHS // 2))
+        assert len(revenue) == len(cost) == self.flow_calls(scheme)
+
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    def test_nash(self, monkeypatch, pinned_models, scheme):
+        params, strategies = pinned_models["nash"]
+        cfg = SimConfig(n_paths=self.N_PATHS, dt=self.DT, seed=34)
+        draws, flows = [], []
+        evict_chunk_memo()
+        self.count(monkeypatch, mc, "path_increments", draws)
+        self.count(monkeypatch, mc, "payoff_rate", flows)
+        nash_path_payoffs(params, strategies, cfg, None, scheme, self.CHUNK)
+        assert sorted(args[1] for args in draws) == list(range(self.N_PATHS // 2))
+        assert len(flows) == self.flow_calls(scheme)

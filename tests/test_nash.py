@@ -370,6 +370,20 @@ class TestPayoffRate:
                 payoff_rate(nash_params, firm, 0.0, 0.0, 0.0)
             assert exc.value.field == "firm"
 
+    @pytest.mark.parametrize("x, y, a1, a2", [(0.1, 0.2, 0.3, 0.4), ([0.1, 1.0], [0.2, 2.0], [0.3, 1.0], [0.4, 2.0])])
+    def test_both_firms_stack_each_firm(self, nash_params, x, y, a1, a2):
+        both = payoff_rate(nash_params, None, x, y, np.array([a1, a2]))
+        assert np.array_equal(both[0], payoff_rate(nash_params, 1, x, y, a1))
+        assert np.array_equal(both[1], payoff_rate(nash_params, 2, x, y, a2))
+
+    def test_firm_index_does_not_depend_on_earlier_calls(self, nash_params):
+        # a firm=1 call caches firm 1's factors under a key that True and 1.0 equal
+        payoff_rate(nash_params, 1, 0.1, 0.2, 0.3)
+        for firm in (True, 1.0):
+            with pytest.raises(OutOfRange) as exc:
+                payoff_rate(nash_params, firm, 0.1, 0.2, 0.3)
+            assert exc.value.field == "firm"
+
     def test_wrong_kind(self, two_firm):
         with pytest.raises(WrongKind):
             payoff_rate(two_firm, 1, 0.0, 0.0, 0.0)
