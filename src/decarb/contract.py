@@ -45,6 +45,9 @@ from .model import Kind, ModelParams
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EPS = float(np.finfo(float).eps)
 MAX_CYCLES = 200  # coordinate cycles of argmax_oracle before it gives up
+_HALF_WIDTH = 10.0  # argmax_oracle's first box, [-10, 10] per coordinate
+_COARSE_N = 201  # points of its coarse scan across the box
+_TOL = 1e-10  # width its golden-section brackets shrink to
 
 
 @dataclass(frozen=True)
@@ -253,23 +256,18 @@ def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: 
     return 0.5 * (a + b)
 
 
-def argmax_oracle(
-    objective: Callable[[Sequence[float]], float],
-    box: Sequence[tuple[float, float]] | None = None,
-    coarse_n: int = 201,
-    dim: int | None = None,
-    expand: bool = True,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, float]:
-    """Brute-force maximizer of a strictly concave quadratic on a box.
+def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int,
+                  expand: bool = True) -> tuple[np.ndarray, float]:
+    """Brute-force maximizer of a strictly concave quadratic of ``dim`` variables.
 
-    Cyclic coordinate ascent.  The first pass over a coordinate scans a coarse
-    grid (``coarse_n`` points across the box) and golden-sections the best
-    bracket down to ``tol``; later passes golden-section a window around the
-    current point, falling back to a full scan whenever the maximizer tries to
-    leave the window.  A maximizer against the box boundary raises
-    :class:`MaximizerOnBoundary`; with ``expand`` the box doubles and the
-    search restarts, capped at half-width 1e4.
+    Cyclic coordinate ascent on the box [-10, 10]^dim.  The first pass over a
+    coordinate scans a coarse grid (201 points across the box) and
+    golden-sections the best bracket down to 1e-10; later passes
+    golden-section a window around the current point, falling back to a full
+    scan whenever the maximizer tries to leave the window.  A maximizer
+    against the box boundary raises :class:`MaximizerOnBoundary`; with
+    ``expand`` the box doubles and the search restarts, capped at half-width
+    1e4.
 
     The search stops after the first cycle whose sweep raises the objective by
     no more than its rounding resolution, ``4*eps*max(|h|, |h - h0|)``, with
@@ -278,7 +276,7 @@ def argmax_oracle(
     magnitudes scale with the objective, so the rule does not depend on its
     units.  Comparing values alone cannot place the top of a quadratic closer
     than about ``sqrt(eps)`` (1.5e-8) times its scale, since nearer than that
-    the differences drown in rounding; so ``tol`` only bounds each
+    the differences drown in rounding; so the 1e-10 only bounds each
     golden-section bracket, not the accuracy of the returned point.  After
     ``MAX_CYCLES`` cycles without such a stop it raises
     :class:`OracleNotConverged`, naming the last cycle's movement and gain.
@@ -286,12 +284,7 @@ def argmax_oracle(
     Returns ``(z_hat, value)``.  Never differentiates the objective and never
     consults any closed form, so it serves as an independent check of them.
     """
-    if box is None:
-        if dim is None:
-            raise ValueError("either box or dim is required")
-        box = [(-10.0, 10.0)] * dim
-    bounds = [(float(lo), float(hi)) for lo, hi in box]
-    ndim = len(bounds)
+    bounds = [(-_HALF_WIDTH, _HALF_WIDTH)] * dim
 
     while True:
         z = [0.5 * (lo + hi) for lo, hi in bounds]
@@ -302,10 +295,10 @@ def argmax_oracle(
                 if cycle == 0:
                     h_first = h_start
                 moved = 0.0
-                for k in range(ndim):
+                for k in range(dim):
                     lo, hi = bounds[k]
                     span = hi - lo
-                    step = span / (coarse_n - 1)
+                    step = span / (_COARSE_N - 1)
 
                     def along(t: float, k=k) -> float:
                         zz = list(z)
@@ -313,16 +306,16 @@ def argmax_oracle(
                         return objective(zz)
 
                     if cycle == 0:
-                        a, b = _scan_bracket(along, lo, hi, coarse_n)
+                        a, b = _scan_bracket(along, lo, hi)
                     else:
                         a = max(lo, z[k] - 2.0 * step)
                         b = min(hi, z[k] + 2.0 * step)
-                    t_star = _golden_section_max(along, a, b, tol)
+                    t_star = _golden_section_max(along, a, b, _TOL)
                     # window too tight: the true maximizer sits outside it
                     while cycle > 0 and min(t_star - a, b - t_star) < 1e-3 * (b - a) \
                             and (a > lo or b < hi):
-                        a, b = _scan_bracket(along, lo, hi, coarse_n)
-                        t_star = _golden_section_max(along, a, b, tol)
+                        a, b = _scan_bracket(along, lo, hi)
+                        t_star = _golden_section_max(along, a, b, _TOL)
                     if min(t_star - lo, hi - t_star) < 1e-6 * span:
                         raise MaximizerOnBoundary(
                             f"coordinate {k} refined onto the box edge {t_star:g}")
@@ -338,7 +331,7 @@ def argmax_oracle(
                 # geometric tail of coordinate ascent under cross-coupling
                 direction = [zi - zs for zi, zs in zip(z, z_start)]
                 alpha_hi = 8.0
-                for k in range(ndim):
+                for k in range(dim):
                     lo, hi = bounds[k]
                     if direction[k] > 0.0:
                         alpha_hi = min(alpha_hi, (hi - z[k]) / direction[k])
@@ -347,7 +340,7 @@ def argmax_oracle(
                 if alpha_hi > 1e-12:
                     alpha = _golden_section_max(
                         lambda a: objective([zi + a * di for zi, di in zip(z, direction)]),
-                        -1.0, alpha_hi, tol / max(moved, tol))
+                        -1.0, alpha_hi, _TOL / max(moved, _TOL))
                     z = [zi + alpha * di for zi, di in zip(z, direction)]
             raise OracleNotConverged(MAX_CYCLES, moved, gain)
         except MaximizerOnBoundary:
@@ -359,24 +352,24 @@ def argmax_oracle(
                       for lo, hi in bounds]
 
 
-def _scan_bracket(along: Callable[[float], float], lo: float, hi: float, coarse_n: int) -> tuple[float, float]:
+def _scan_bracket(along: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Bracket the 1-D maximizer between the neighbors of the best grid point."""
-    step = (hi - lo) / (coarse_n - 1)
+    step = (hi - lo) / (_COARSE_N - 1)
     best_j, best_val = 0, -math.inf
-    for j in range(coarse_n):
+    for j in range(_COARSE_N):
         val = along(lo + j * step)
         if val > best_val:
             best_j, best_val = j, val
-    if best_j == 0 or best_j == coarse_n - 1:
+    if best_j == 0 or best_j == _COARSE_N - 1:
         raise MaximizerOnBoundary(
             f"grid maximum at the box edge {lo + best_j * step:g}")
     return lo + (best_j - 1) * step, lo + (best_j + 1) * step
 
 
-def oracle_rates(params: ModelParams, grad_v: Sequence[float], **kwargs) -> tuple[np.ndarray, float]:
+def oracle_rates(params: ModelParams, grad_v: Sequence[float]) -> tuple[np.ndarray, float]:
     """Maximize the model's drift objective numerically; returns (rates, max value)."""
     dim = 2 if params.kind is Kind.SINGLE_FIRM else 4
-    return argmax_oracle(lambda z: hamiltonian_h(params, z, grad_v), dim=dim, **kwargs)
+    return argmax_oracle(lambda z: hamiltonian_h(params, z, grad_v), dim=dim)
 
 
 def gradient_couplings(params: ModelParams) -> tuple[float, float]:

@@ -14,47 +14,51 @@ by (seed, first substream, count, n_steps, refinement), and hands it out
 again for the same key: an equilibrium run and its deviation runs on common
 random numbers draw once.  The memo retains ``n_steps * 2 * 8`` bytes per
 substream (64 MiB for 4096 substreams at 1000 steps) until a different chunk
-is drawn; it is emptied before that chunk is allocated, and the engine drops
-its own reference first, so no two chunks are ever alive together.
+is drawn; it is emptied before that chunk is allocated, and the engine's
+reference ends with the march of its chunk, so no two chunks are ever alive
+together.
 
 Both simulators run on one path engine, which owns chunking, antithetic
-mirroring, path order, stepping and the non-finite checks; each model
-supplies only a small step (its rates or controls, the drift they induce,
-its flows).  Two stepping schemes are available.  ``scheme="pc"`` (default)
-is an Euler-Maruyama step with a drift predictor-corrector and trapezoidal
-quadrature of all running flows; the state noise is additive, so this is
-weak order 2 and its bias is negligible against the Monte Carlo error at the
-default resolution.  A pc step makes 2 rate evaluations and 1 flow
-evaluation: the end-of-step ones are carried over as the next step's start.
-``scheme="euler"`` is the classic left-point scheme (weak order 1); under it
-the agents' utility estimates are exactly unbiased (the payment compensators
-telescope against the Gaussian increments step by step), which the
-indifference tests exploit.
+mirroring, path order, stepping, the accumulation and the non-finite
+checks; each model supplies only a small step (its rates or controls, the
+drift they induce, its flows).  Two stepping schemes are available.
+``scheme="pc"`` (default) is an Euler-Maruyama step with a drift
+predictor-corrector and trapezoidal quadrature of all running flows; the
+state noise is additive, so this is weak order 2 and its bias is negligible
+against the Monte Carlo error at the default resolution.  A pc step makes 2
+evaluations, one of them with flows: the end-of-step one is carried over as
+the next step's start.  ``scheme="euler"`` is the classic left-point scheme
+(weak order 1); under it the agents' utility estimates are exactly unbiased
+(the payment compensators telescope against the Gaussian increments step by
+step), which the indifference tests exploit.
 
 The step contract.  ``make_step(nodes)`` returns a step with ``sigma`` (the
 state volatilities as a (2, 1) column), ``acc0`` (initial accumulator
 values), ``n_checked`` (how many leading accumulators are checked for
 finiteness with the state), ``n_payoffs`` (how many payoff arrays it
-returns) and five methods.  ``bind(rows)`` allocates the
-step's buffers once per chunk: two slots, for the start and the end of a
-step, of ``drift`` (shape (2, 2, rows)), of ``flow`` (one row per running
-flow) and of the rates.  ``rates(k, S, slot, drift_only)`` and ``flows(S,
-slot, scratch)`` fill one slot in place from the state S of shape (2, rows)
-(the pc predictor sets ``drift_only``: it reads nothing else of the slot);
-``accumulate(acc, slot, dW, dt, scratch)`` adds that slot's flows (under pc,
-the engine has first replaced them by the trapezoid mean) times dt, and the
-payment noise, to the stacked accumulators in place; ``payoffs(acc)``
-returns the per-path payoffs.  ``scratch`` is a pair of (2, rows) engine
-buffers whose contents are spent at that point of the step (the state noise
-and a state no longer needed), and ``rates`` uses its own slot's drift or
-flow before filling it, so the working set stays small enough for the
-processor caches at a full chunk.  Per-firm rows are stacked as (2, rows)
-arrays ((1, rows) for the single agent) and per-firm constants as (2, 1)
-columns, so one ufunc call serves both firms.  The engine allocates the
-state, the next state, the increments and the noise once per chunk as well,
-marches with ``out=`` and swaps the current and next buffers instead of
-binding new arrays, so a step allocates nothing of path length.  The model
-algebra stays in :mod:`decarb.contract`, :mod:`decarb.model` and
+returns) and four members that hold no per-chunk state.  ``slots(drift,
+flow)`` takes the engine's two slots, for the start and the end of a step,
+of ``drift`` (shape (2, 2, rows)) and ``flow`` (one row per accumulator),
+and returns per-slot views, with the rates next to them.  ``evaluate(k, S,
+slot, scratch=None)`` fills one slot in place from the state S of shape (2,
+rows) at time node k: the rates and the drift, and the flows too when it is
+given ``scratch`` (the pc predictor gives none: it reads only the drift).
+``payment_noise(slot, dW, scratch)``, or None, adds the payment noise to
+the slot's flows.  ``payoffs(acc)`` returns the per-path payoffs.  The
+engine accumulates: it multiplies the slot's flows (under pc, first replaced
+by the trapezoid mean) by dt, calls ``payment_noise`` and adds them to the
+stacked accumulators.  ``scratch`` is a pair of (2, rows) engine buffers
+whose contents are spent at that point of the step (the state noise and a
+state no longer needed), and ``evaluate`` uses its own slot's drift or flow
+before filling it, so the working set stays small enough for the processor
+caches at a full chunk.  Per-firm rows are stacked as (2, rows) arrays ((1,
+rows) for the single agent) and per-firm constants as (2, 1) columns, so
+one ufunc call serves both firms.  One call marches a chunk: it allocates
+every buffer of the chunk as a local (the state, the next state, the
+increments, the noise, the accumulators, the slots), marches with ``out=``
+and swaps the current and next buffers instead of binding new arrays, so a
+step allocates nothing of path length and no buffer outlives its chunk.
+The model algebra stays in :mod:`decarb.contract`, :mod:`decarb.model` and
 :mod:`decarb.nash`, whose functions write into ``out=`` buffers.
 
 What a step still calls: the views it reads are made once per chunk, and
@@ -95,7 +99,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -154,14 +158,7 @@ class UtilityEstimate:
     dt: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "mean": self.mean,
-            "std_err": self.std_err,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "dt": self.dt,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -232,10 +229,16 @@ def estimate_utility(samples: Sequence[float], eta: float, label: str = "", seed
     z = np.asarray(samples, dtype=float)
     if z.size == 0:
         raise Empty("no payoff samples")
-    u = -np.exp(-eta * z)
-    mean = float(np.mean(u))
-    se = 0.0 if u.size < 2 else float(np.std(u, ddof=1) / math.sqrt(u.size))
+    mean, se = _stats(-np.exp(-eta * z), False)
     return UtilityEstimate(label=label, mean=mean, std_err=se, n_paths=int(z.size), seed=seed)
+
+
+def _estimates(cfg: SimConfig, labels: Sequence[str], etas: Sequence[float],
+               payoffs: Sequence[np.ndarray]) -> tuple[UtilityEstimate, ...]:
+    """Utility estimates -exp(-eta*Z) per agent from per-path payoffs in canonical order."""
+    return tuple(UtilityEstimate(label, *_stats(-np.exp(-eta * z), cfg.antithetic),
+                                 cfg.n_paths, cfg.seed, cfg.dt)
+                 for label, eta, z in zip(labels, etas, payoffs))
 
 
 def _agent_y0(params: ModelParams, cfg: SimConfig) -> tuple[float, ...]:
@@ -311,6 +314,69 @@ def _first_non_finite(S: np.ndarray, checked: np.ndarray, start: int, m: int, an
     return int(np.min(2 * (start + local % m) + local // m if antithetic else start + local))
 
 
+def _march(step, inc: np.ndarray, cfg: SimConfig, pc: bool, n_steps: int, start: int,
+           outs: Sequence[np.ndarray]) -> tuple[int, int] | None:
+    """March one chunk of paths, drawn as ``inc``, through ``n_steps`` steps and
+    write their payoffs into ``outs``; return (steps done, canonical index) of
+    the earliest non-finite value instead, if any.
+
+    Every buffer is a local, so all of them are freed before the next chunk
+    is drawn.
+    """
+    m = inc.shape[2]
+    width = 2 if cfg.antithetic else 1
+    rows = width * m
+    dt, sqdt, sigma, payment_noise = cfg.dt, math.sqrt(cfg.dt), step.sigma, step.payment_noise
+    S, S_next, dW, noise = np.empty((4, 2, rows))
+    dW_drawn, dW_mirrored = dW[:, :m], dW[:, m:]
+    S[...] = np.array(cfg.x0)[:, None]
+    acc = np.empty((len(step.acc0), rows))
+    checked = acc[:step.n_checked]
+    acc[...] = np.array(step.acc0)[:, None]
+    finite = np.empty((2, rows), dtype=bool)
+    finite_checked = finite[:step.n_checked]
+    # two slots, for the start and the end of a step; one flow row per accumulator
+    drift, flow = np.empty((2, 2, rows)), np.empty((2, *acc.shape))
+    slots = step.slots(drift, flow)
+    drift, flow = tuple(drift), tuple(flow)
+    cur, nxt = 0, 1
+    for k in range(n_steps):
+        if k == 0 or not pc:
+            # before the draw, the noise and the next state are free scratch
+            step.evaluate(k, S, slots[cur], (noise, S_next))
+        np.multiply(sqdt, inc[k], out=dW_drawn)
+        if width == 2:
+            np.negative(dW_drawn, out=dW_mirrored)
+        np.multiply(dW, sigma, out=noise)
+        if pc:
+            # the predictor's state and drift are consumed before the
+            # corrector's overwrite them, and only its drift is read
+            step.evaluate(k + 1, _advance(S, drift[cur], dt, noise, S_next), slots[nxt])
+            d_avg = np.add(drift[cur], drift[nxt], out=drift[nxt])
+            np.multiply(0.5, d_avg, out=d_avg)
+            _advance(S, d_avg, dt, noise, S_next)
+            # the state noise and the old state are spent: they are scratch
+            step.evaluate(k + 1, S_next, slots[nxt], (noise, S))
+            # trapezoid: the start flow slot becomes the step's mean flow
+            np.add(flow[cur], flow[nxt], out=flow[cur])
+            np.multiply(0.5, flow[cur], out=flow[cur])
+        else:
+            _advance(S, drift[cur], dt, noise, S_next)
+        np.multiply(flow[cur], dt, out=flow[cur])
+        if payment_noise is not None:
+            payment_noise(slots[cur], dW, (noise, S))
+        np.add(acc, flow[cur], out=acc)
+        if pc:
+            cur, nxt = nxt, cur
+        S, S_next = S_next, S
+        if not (np.logical_and.reduce(np.isfinite(S, out=finite), axis=None)
+                and np.logical_and.reduce(np.isfinite(checked, out=finite_checked), axis=None)):
+            return k + 1, _first_non_finite(S, checked, start, m, width == 2)
+    for out, pay in zip(outs, step.payoffs(acc)):
+        out.reshape(-1, width)[start:start + m] = pay.reshape(width, m).T
+    return None
+
+
 def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
                chunk_size: int | None, brownian_refinement: int) -> list[np.ndarray]:
     """Per-path payoffs of one model in canonical order (pair-interleaved under
@@ -326,9 +392,7 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
     n_steps = _n_steps(params.horizon, cfg.dt)
     chunk = _CHUNK if chunk_size is None else integer("chunk_size", chunk_size, 1)
     refinement = integer("brownian_refinement", brownian_refinement, 1)
-    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
-    step = make_step(np.arange(n_steps + 1) * dt)
-    width = 2 if cfg.antithetic else 1
+    step = make_step(np.arange(n_steps + 1) * cfg.dt)
     try:
         # before any chunk is drawn, so an impossible n_paths fails at once
         outs = [np.empty(cfg.n_paths) for _ in range(step.n_payoffs)]
@@ -336,65 +400,14 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
         raise OutOfRange("n_paths", f"cannot hold {cfg.n_paths} payoffs: {exc}") from exc
     failure = None  # (steps done, canonical index) of the earliest non-finite value
     for start in range(0, n_sub, chunk):
-        m = min(chunk, n_sub - start)
-        rows = width * m
-        inc = None  # so that _draw_chunk can free the previous chunk
-        inc = _draw_chunk(cfg.seed, start, m, n_steps, refinement)
-        # views made once per chunk, each just after its buffer, so the old one is freed
-        S, S_next, dW, noise = np.empty((4, 2, rows))
-        dW_drawn, dW_mirrored = dW[:, :m], dW[:, m:]
-        S[...] = np.array(cfg.x0)[:, None]
-        acc = np.empty((len(step.acc0), rows))
-        checked = acc[:step.n_checked]
-        acc[...] = np.array(step.acc0)[:, None]
-        finite = np.empty((2, rows), dtype=bool)
-        finite_checked = finite[:step.n_checked]
-        step.bind(rows)
-        drift, flow = tuple(step.drift), tuple(step.flow)
-        cur, nxt = 0, 1
-        fresh = True
         # after a failure, later chunks only look for an earlier or equal one
-        for k in range(n_steps if failure is None else failure[0]):
-            if fresh:
-                # before the draw, the noise and the next state are free scratch
-                step.rates(k, S, cur)
-                step.flows(S, cur, (noise, S_next))
-            np.multiply(sqdt, inc[k], out=dW_drawn)
-            if width == 2:
-                np.negative(dW_drawn, out=dW_mirrored)
-            np.multiply(dW, step.sigma, out=noise)
-            if scheme == "pc":
-                # the predictor's state and drift are consumed before the
-                # corrector's overwrite them, and only its drift is read
-                step.rates(k + 1, _advance(S, drift[cur], dt, noise, S_next), nxt, True)
-                d_avg = np.add(drift[cur], drift[nxt], out=drift[nxt])
-                np.multiply(0.5, d_avg, out=d_avg)
-                _advance(S, d_avg, dt, noise, S_next)
-                step.rates(k + 1, S_next, nxt)
-                # the state noise and the old state are spent: they are scratch
-                step.flows(S_next, nxt, (noise, S))
-                # trapezoid: the start flow slot becomes the step's mean flow
-                np.add(flow[cur], flow[nxt], out=flow[cur])
-                np.multiply(0.5, flow[cur], out=flow[cur])
-                step.accumulate(acc, cur, dW, dt, (noise, S))
-                cur, nxt = nxt, cur
-                fresh = False
-            else:
-                _advance(S, drift[cur], dt, noise, S_next)
-                step.accumulate(acc, cur, dW, dt, (noise, S))
-            S, S_next = S_next, S
-            if not (np.logical_and.reduce(np.isfinite(S, out=finite), axis=None)
-                    and np.logical_and.reduce(np.isfinite(checked, out=finite_checked), axis=None)):
-                bad = _first_non_finite(S, checked, start, m, width == 2)
-                if failure is None or (k + 1, bad) < failure:
-                    failure = (k + 1, bad)
-                break
-        else:
-            if failure is None:
-                for out, pay in zip(outs, step.payoffs(acc)):
-                    out.reshape(-1, width)[start:start + m] = pay.reshape(width, m).T
+        found = _march(step, _draw_chunk(cfg.seed, start, min(chunk, n_sub - start), n_steps, refinement),
+                       cfg, scheme == "pc", n_steps if failure is None else failure[0], start,
+                       outs if failure is None else ())
+        if found is not None and (failure is None or found < failure):
+            failure = found
     if failure is not None:
-        raise NonFinitePath(failure[1], failure[0] * dt)
+        raise NonFinitePath(failure[1], failure[0] * cfg.dt)
     return outs
 
 
@@ -431,29 +444,27 @@ class _PrincipalStep:
             self.sigma_cross = _pair(params.sigma2, params.sigma1)
         self.A_T, self.B_t = _interp_coeffs(v, nodes)
 
-    def bind(self, rows: int) -> None:
-        self.slots = None  # so that each old buffer is freed as it is replaced
-        rate_shape = (2, rows) if self.single else (2, 2, rows)
-        self.z = np.empty((2, *rate_shape))
-        self.drift = np.empty((2, 2, rows))
-        self.flow = np.empty((2, 2 * self.n_agents + 1, rows))
-        # per slot: the drift, all rates, the rates that set the drift (the own
-        # rates for two firms), the cross rates (two firms only) and the flows
-        self.slots = tuple((d, z, z, None, f) if self.single else (d, z, z[0], z[1], f)
-                           for d, z, f in zip(self.drift, self.z, self.flow))
+    def slots(self, drift: np.ndarray, flow: np.ndarray) -> tuple:
+        """Per slot: the drift, all rates, the rates that set the drift (the own
+        rates for two firms), the cross rates (two firms only) and the flows."""
+        rows = drift.shape[-1]
+        rates = np.empty((2, 2, rows) if self.single else (2, 2, 2, rows))
+        return tuple((d, z, z, None, f) if self.single else (d, z, z[0], z[1], f)
+                     for d, z, f in zip(drift, rates, flow))
 
-    def rates(self, k: int, S: np.ndarray, slot: int, drift_only: bool = False) -> None:
-        drift, z, own, _, _ = self.slots[slot]
+    def evaluate(self, k: int, S: np.ndarray, slot: tuple, w=None) -> None:
+        """The rates and drift at S, then, given scratch ``w``, the flows:
+        (payment drift per agent, revenue-less-cost flow per agent, social cost)."""
+        drift, z, own, cross, flow = slot
         # the gradient lives in the slot's drift until the drift overwrites it
         np.matmul(self.A_T[k], S, out=drift)
         np.add(drift, self.B_t[k], out=drift)
         # the cross rates do not enter the drift
-        contract._closed_form_rates(self.factors, drift, z, cross=not drift_only)
+        contract._closed_form_rates(self.factors, drift, z, cross=w is not None)
         np.multiply(self.gamma, own, out=drift)
-
-    def flows(self, S: np.ndarray, slot: int, w) -> None:
-        """(payment drift per agent, revenue-less-cost flow per agent, social cost)."""
-        p, X, (_, z, own, cross, flow) = self.p, S.T, self.slots[slot]
+        if w is None:
+            return
+        p, X = self.p, S.T
         model.social_cost_g(p, X, out=flow[-1], scratch=w[0][0])
         if self.single:
             f, c, risk = flow[1], w[0][0], w[1][0]
@@ -484,10 +495,9 @@ class _PrincipalStep:
         np.add(d, risk, out=d)
         np.subtract(f, c, out=f)
 
-    def accumulate(self, acc: np.ndarray, slot: int, dW: np.ndarray, dt: float, w) -> None:
-        n, (_, z, own, cross, flow) = self.n_agents, self.slots[slot]
-        np.multiply(flow, dt, out=flow)
-        # payment noise: each agent's rates times the state increments they price
+    def payment_noise(self, slot: tuple, dW: np.ndarray, w) -> None:
+        """Add to each agent's payment flow its rates times the state increments they price."""
+        _, z, own, cross, flow = slot
         if self.single:
             np.multiply(self.sigma, z, out=w[0])
             np.multiply(w[0], dW, out=w[0])
@@ -498,8 +508,7 @@ class _PrincipalStep:
             np.multiply(self.sigma_cross, cross, out=w[1])
             np.multiply(w[1], dW[::-1], out=w[1])
             np.add(noise, w[1], out=noise)
-        np.add(flow[:n], noise, out=flow[:n])
-        np.add(acc, flow, out=acc)
+        np.add(flow[:self.n_agents], noise, out=flow[:self.n_agents])
 
     def payoffs(self, acc: np.ndarray):
         n = self.n_agents
@@ -543,14 +552,8 @@ def principal_estimates_from_payoffs(
     pays_a: Sequence[np.ndarray],
 ) -> tuple[UtilityEstimate, tuple[UtilityEstimate, ...]]:
     """Utility estimates from per-path payoffs in canonical order."""
-    u_p = -np.exp(-params.eta_p * pay_p)
-    mean, se = _stats(u_p, cfg.antithetic)
-    principal = UtilityEstimate("principal", mean, se, cfg.n_paths, cfg.seed, cfg.dt)
-    agents = []
-    for label, eta, pay in zip(agent_labels(params), params.agent_aversions(), pays_a):
-        u = -np.exp(-eta * pay)
-        mean, se = _stats(u, cfg.antithetic)
-        agents.append(UtilityEstimate(label, mean, se, cfg.n_paths, cfg.seed, cfg.dt))
+    principal, *agents = _estimates(cfg, ("principal", *agent_labels(params)),
+                                    (params.eta_p, *params.agent_aversions()), (pay_p, *pays_a))
     return principal, tuple(agents)
 
 
@@ -576,6 +579,7 @@ class _NashStep:
 
     acc0 = (0.0, 0.0)
     n_checked = n_payoffs = 2
+    payment_noise = None
 
     def __init__(self, params: ModelParams, strategies: tuple[FeedbackStrategy, FeedbackStrategy],
                  deviation: Deviation | None, nodes: np.ndarray):
@@ -588,31 +592,21 @@ class _NashStep:
             np.array([np.interp(nodes, s.nodes, getattr(s, name)) for s in strategies]).T[:, :, None]
             for name in ("kx", "ky", "k0"))
 
-    def bind(self, rows: int) -> None:
-        self.slots = None  # so that each old buffer is freed as it is replaced
-        self.drift = np.empty((2, 2, rows))
-        self.flow = np.empty((2, 2, rows))
-        self.slots = tuple(zip(self.drift, self.flow))
+    def slots(self, drift: np.ndarray, flow: np.ndarray) -> tuple:
+        return tuple(zip(drift, flow))
 
-    def rates(self, k: int, S: np.ndarray, slot: int, drift_only: bool = False) -> None:
-        # the slot's flow is scratch until flows() fills it
-        a, w = self.slots[slot]
+    def evaluate(self, k: int, S: np.ndarray, slot: tuple, w=None) -> None:
+        # the slot's flow is scratch until it is filled, given scratch ``w``
+        a, flow = slot
         np.multiply(self.kx[k], S[0], out=a)
-        np.multiply(self.ky[k], S[1], out=w)
-        np.add(a, w, out=a)
+        np.multiply(self.ky[k], S[1], out=flow)
+        np.add(a, flow, out=a)
         np.add(a, self.k0[k], out=a)
         np.multiply(self.neg_gamma, a, out=a)
         if self.deviation is not None:
             self.deviation.apply(a)
-
-    def flows(self, S: np.ndarray, slot: int, w) -> None:
-        a, flow = self.slots[slot]
-        payoff_rate(self.p, None, S[0], S[1], a, out=flow, scratch=w[0])
-
-    def accumulate(self, acc: np.ndarray, slot: int, dW: np.ndarray, dt: float, w) -> None:
-        flow = self.slots[slot][1]
-        np.multiply(flow, dt, out=flow)
-        np.add(acc, flow, out=acc)
+        if w is not None:
+            payoff_rate(self.p, None, S[0], S[1], a, out=flow, scratch=w[0])
 
     def payoffs(self, acc: np.ndarray):
         return acc
@@ -642,12 +636,7 @@ def nash_estimates_from_payoffs(
     z2: np.ndarray,
 ) -> tuple[UtilityEstimate, UtilityEstimate]:
     """Utility estimates from per-path payoff flows in canonical order."""
-    out = []
-    for label, eta, z in (("firm1", params.eta1, z1), ("firm2", params.eta2, z2)):
-        u = -np.exp(-eta * z)
-        mean, se = _stats(u, cfg.antithetic)
-        out.append(UtilityEstimate(label, mean, se, cfg.n_paths, cfg.seed, cfg.dt))
-    return out[0], out[1]
+    return _estimates(cfg, ("firm1", "firm2"), (params.eta1, params.eta2), (z1, z2))
 
 
 def simulate_nash(

@@ -98,20 +98,6 @@ class ModelParams:
     def gamma(self, firm: int) -> float:
         return self.gamma1 if integer("firm", firm, 1, 2) == 1 else self.gamma2
 
-    def __hash__(self) -> int:
-        # cache keys hash the params on every simulation step; the generated
-        # hash would rebuild the tuple of all fields each time
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self) -> dict:
-        # string hashes are salted per process, so a pickle carries no hash
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
 
 # Field sets per kind, beyond those common to every kind.
 _COMMON = ("gamma1", "gamma2", "sigma1", "sigma2", "p0", "p1", "p2", "horizon")

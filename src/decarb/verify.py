@@ -10,7 +10,7 @@ right-hand sides), spatial terms from the economic primitives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,12 +53,7 @@ class GridSpec:
         return np.linspace(0.0, horizon, self.n_time_slices)
 
     def describe(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "n_points": self.n_points,
-            "n_time_slices": self.n_time_slices,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

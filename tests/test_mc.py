@@ -564,21 +564,32 @@ class TestDrawChunk:
         cfg = SimConfig(n_paths=64, dt=0.02, seed=31)
         draw, increments, chunks = mc._draw_chunk, mc.path_increments, []
 
+        class Numpy:  # numpy as the engine sees it, recording each np.empty by chunk
+            def __getattr__(self, attr):
+                return getattr(np, attr)
+
+            def empty(self, *args, **kwargs):
+                a = np.empty(*args, **kwargs)
+                if chunks:
+                    chunks[-1].append(weakref.ref(a))
+                return a
+
         def tracked_draw(*args):
-            inc = draw(*args)
-            chunks.append(weakref.ref(inc))
-            return inc
+            chunks.append([])
+            return draw(*args)
 
         def checked_increments(*args, **kwargs):
-            # the new chunk is allocated by now: every earlier one must be freed
-            assert all(ref() is None for ref in chunks)
+            # the new chunk is allocated by now: every array of an earlier one
+            # (its draws, the engine's buffers, the step's slots) must be freed
+            assert [ref() for chunk in chunks[:-1] for ref in chunk if ref() is not None] == []
             return increments(*args, **kwargs)
 
         evict_chunk_memo()
+        monkeypatch.setattr(mc, "np", Numpy())
         monkeypatch.setattr(mc, "_draw_chunk", tracked_draw)
         monkeypatch.setattr(mc, "path_increments", checked_increments)
         principal_path_payoffs(two_firm, v, cfg, chunk_size=8)
-        assert len(chunks) == 4
+        assert len(chunks) == 4 and all(len(chunk) >= 8 for chunk in chunks)
 
     def test_common_random_number_runs_draw_once(self, monkeypatch, nash_params):
         strategies = feedback_strategies(solve_nash(nash_params, 201), nash_params)
