@@ -46,8 +46,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EPS = float(np.finfo(float).eps)
 MAX_CYCLES = 200  # coordinate cycles of argmax_oracle before it gives up
 _HALF_WIDTH = 10.0  # argmax_oracle's first box, [-10, 10] per coordinate
-_COARSE_N = 201  # points of its coarse scan across the box
-_TOL = 1e-10  # width its golden-section brackets shrink to
+_TOL = 1e-10  # how far its golden-section brackets may still move the point
 
 
 @dataclass(frozen=True)
@@ -238,36 +237,45 @@ def hamiltonian_h(params: ModelParams, z, grad_v: Sequence[float]) -> float:
     )
 
 
-def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Location of the maximum of a unimodal f on [lo, hi]."""
+def _golden_section_max(objective: Callable[[Sequence[float]], float], z: list[float],
+                        direction: list[float], lo: float, hi: float) -> list[float]:
+    """Best point ``z + alpha*direction``, alpha in [lo, hi], of an objective
+    unimodal along that line: golden-section search on alpha until the
+    bracket moves the point by no more than ``_TOL``."""
+    pairs = list(zip(z, direction))
+
+    def at(alpha: float) -> list[float]:
+        return [zi + alpha * di for zi, di in pairs]
+
+    tol = _TOL / max(max(map(abs, direction)), _TOL)
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = objective(at(c)), objective(at(d))
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
-            fc = f(c)
+            fc = objective(at(c))
         else:
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            fd = objective(at(d))
+    return at(0.5 * (a + b))
 
 
-def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int,
-                  expand: bool = True) -> tuple[np.ndarray, float]:
+def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int) -> tuple[np.ndarray, float]:
     """Brute-force maximizer of a strictly concave quadratic of ``dim`` variables.
 
-    Cyclic coordinate ascent on the box [-10, 10]^dim.  The first pass over a
-    coordinate scans a coarse grid (201 points across the box) and
-    golden-sections the best bracket down to 1e-10; later passes
-    golden-section a window around the current point, falling back to a full
-    scan whenever the maximizer tries to leave the window.  A maximizer
-    against the box boundary raises :class:`MaximizerOnBoundary`; with
-    ``expand`` the box doubles and the search restarts, capped at half-width
-    1e4.
+    The objective must be unimodal along every line, as a strictly concave
+    function is; nothing else about it is used.  Cyclic coordinate ascent on
+    the box [-10, 10]^dim from its centre: each coordinate step
+    golden-sections its coordinate over the whole box down to 1e-10, and
+    each cycle ends with the same search along the cycle's displacement,
+    which collapses the slow geometric tail of coordinate ascent under
+    cross-coupling.  A coordinate refined onto the box edge doubles the box
+    and restarts the search; at half-width 1e4 it raises
+    :class:`MaximizerOnBoundary` instead.
 
     The search stops after the first cycle whose sweep raises the objective by
     no more than its rounding resolution, ``4*eps*max(|h|, |h - h0|)``, with
@@ -284,86 +292,39 @@ def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int,
     Returns ``(z_hat, value)``.  Never differentiates the objective and never
     consults any closed form, so it serves as an independent check of them.
     """
-    bounds = [(-_HALF_WIDTH, _HALF_WIDTH)] * dim
+    half = _HALF_WIDTH
+    axes = [[float(i == k) for i in range(dim)] for k in range(dim)]
 
     while True:
-        z = [0.5 * (lo + hi) for lo, hi in bounds]
+        z = [0.0] * dim
         try:
             for cycle in range(MAX_CYCLES):
-                z_start = list(z)
+                z_start = z
                 h_start = objective(z)
                 if cycle == 0:
                     h_first = h_start
-                moved = 0.0
                 for k in range(dim):
-                    lo, hi = bounds[k]
-                    span = hi - lo
-                    step = span / (_COARSE_N - 1)
-
-                    def along(t: float, k=k) -> float:
-                        zz = list(z)
-                        zz[k] = t
-                        return objective(zz)
-
-                    if cycle == 0:
-                        a, b = _scan_bracket(along, lo, hi)
-                    else:
-                        a = max(lo, z[k] - 2.0 * step)
-                        b = min(hi, z[k] + 2.0 * step)
-                    t_star = _golden_section_max(along, a, b, _TOL)
-                    # window too tight: the true maximizer sits outside it
-                    while cycle > 0 and min(t_star - a, b - t_star) < 1e-3 * (b - a) \
-                            and (a > lo or b < hi):
-                        a, b = _scan_bracket(along, lo, hi)
-                        t_star = _golden_section_max(along, a, b, _TOL)
-                    if min(t_star - lo, hi - t_star) < 1e-6 * span:
+                    z = _golden_section_max(objective, z, axes[k], -half - z[k], half - z[k])
+                    if half - abs(z[k]) < 2e-6 * half:
                         raise MaximizerOnBoundary(
-                            f"coordinate {k} refined onto the box edge {t_star:g}")
-                    moved = max(moved, abs(t_star - z[k]))
-                    z[k] = t_star
+                            f"coordinate {k} refined onto the box edge {z[k]:g}")
                 h_end = objective(z)
                 gain = h_end - h_start
                 # rounding resolution of h: its value and its rise from the
                 # box centre bound the size of the terms it sums
                 if gain <= 4.0 * EPS * max(abs(h_end), abs(h_end - h_first)):
                     return np.array(z), h_end
-                # line search along the cycle displacement: collapses the slow
-                # geometric tail of coordinate ascent under cross-coupling
+                # along the cycle's displacement, from its start to as far as
+                # 8 displacements on while that stays in the box
                 direction = [zi - zs for zi, zs in zip(z, z_start)]
-                alpha_hi = 8.0
-                for k in range(dim):
-                    lo, hi = bounds[k]
-                    if direction[k] > 0.0:
-                        alpha_hi = min(alpha_hi, (hi - z[k]) / direction[k])
-                    elif direction[k] < 0.0:
-                        alpha_hi = min(alpha_hi, (lo - z[k]) / direction[k])
-                if alpha_hi > 1e-12:
-                    alpha = _golden_section_max(
-                        lambda a: objective([zi + a * di for zi, di in zip(z, direction)]),
-                        -1.0, alpha_hi, _TOL / max(moved, _TOL))
-                    z = [zi + alpha * di for zi, di in zip(z, direction)]
-            raise OracleNotConverged(MAX_CYCLES, moved, gain)
+                alpha_hi = min([8.0] + [(math.copysign(half, di) - zi) / di
+                                        for zi, di in zip(z, direction) if di != 0.0])
+                z = _golden_section_max(objective, z, direction, -1.0, alpha_hi)
+            raise OracleNotConverged(MAX_CYCLES, max(map(abs, direction)), gain)
         except MaximizerOnBoundary:
-            if not expand:
+            if half >= 1e4:
                 raise
-            if any(hi - lo >= 2e4 for lo, hi in bounds):
-                raise
-            bounds = [(2.0 * lo, 2.0 * hi) if lo < 0 <= hi else (lo - (hi - lo) / 2, hi + (hi - lo) / 2)
-                      for lo, hi in bounds]
-
-
-def _scan_bracket(along: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Bracket the 1-D maximizer between the neighbors of the best grid point."""
-    step = (hi - lo) / (_COARSE_N - 1)
-    best_j, best_val = 0, -math.inf
-    for j in range(_COARSE_N):
-        val = along(lo + j * step)
-        if val > best_val:
-            best_j, best_val = j, val
-    if best_j == 0 or best_j == _COARSE_N - 1:
-        raise MaximizerOnBoundary(
-            f"grid maximum at the box edge {lo + best_j * step:g}")
-    return lo + (best_j - 1) * step, lo + (best_j + 1) * step
+            half *= 2.0
 
 
 def oracle_rates(params: ModelParams, grad_v: Sequence[float]) -> tuple[np.ndarray, float]:

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import BlowUp, OutOfRange, WrongKind, integer, real
 from .model import Kind, ModelParams
-from .riccati import Kernel, OdeTable, TimeGrid, centered_derivative, rk4_backward, rk4_stage_times
+from .riccati import Kernel, OdeTable, TimeGrid, _in_horizon, centered_derivative, rk4_backward, rk4_stage_times
 
 BR_COLUMNS = ("A", "B", "C", "D", "E", "F")
 NASH_COLUMNS = ("A", "B", "C", "D", "E", "F", "At", "Bt", "Ct", "Dt", "Et", "Ft")
@@ -89,7 +89,8 @@ class NashCoeffs:
 
 @dataclass(frozen=True)
 class FeedbackStrategy:
-    """Affine feedback rule a(t,x,y) = -gamma * (kx(t)*x + ky(t)*y + k0(t))."""
+    """Affine feedback rule a(t,x,y) = -gamma * (kx(t)*x + ky(t)*y + k0(t)) on
+    t in [0, nodes[-1]]; a time outside raises :class:`OutOfHorizon`."""
 
     firm: int
     gamma: float
@@ -99,6 +100,7 @@ class FeedbackStrategy:
     k0: np.ndarray
 
     def __call__(self, t: float, x, y):
+        t = _in_horizon(t, self.nodes[-1])
         cx, cy, c0 = (float(np.interp(t, self.nodes, c)) for c in (self.kx, self.ky, self.k0))
         return -self.gamma * (cx * np.asarray(x) + cy * np.asarray(y) + c0)
 
@@ -229,7 +231,8 @@ def feedback_strategies(coeffs: NashCoeffs, params: ModelParams) -> tuple[Feedba
 def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: float, x, y):
     """W_firm(t, x, y) rebuilt from solved coefficients (linear in t between nodes).
 
-    The firm's value is -exp(eta_firm * W_firm).
+    The firm's value is -exp(eta_firm * W_firm).  A time outside the solved
+    horizon raises :class:`OutOfHorizon`.
     """
     firm = integer("firm", firm, 1, 2)
     if isinstance(coeffs, BestResponseCoeffs):
@@ -238,7 +241,7 @@ def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: flo
         block = coeffs.values
     else:
         block = coeffs.values[:, 6 * firm - 6:6 * firm]
-    nodes = coeffs.grid.nodes
+    t, nodes = _in_horizon(t, coeffs.grid.t_end), coeffs.grid.nodes
     a, b, c, d, e, f = (np.interp(t, nodes, block[:, j]) for j in range(6))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -249,6 +249,13 @@ def centered_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * dt)
 
 
+def _in_horizon(t: float, t_end: float) -> float:
+    """``t`` clamped onto [0, t_end]; beyond a 1e-12 rounding slack raises :class:`OutOfHorizon`."""
+    if t < -1e-12 or t > t_end + 1e-12:
+        raise OutOfHorizon(f"t = {t:.6g} outside [0, {t_end:.6g}]")
+    return min(max(t, 0.0), t_end)
+
+
 @dataclass(frozen=True)
 class QuadraticValueFn:
     """Time-sampled quadratic value function of a principal model.
@@ -265,10 +272,7 @@ class QuadraticValueFn:
     kind: Kind | None = None
 
     def _locate(self, t: float) -> tuple[int, int, float]:
-        T = self.grid.t_end
-        if t < -1e-12 or t > T + 1e-12:
-            raise OutOfHorizon(f"t = {t:.6g} outside [0, {T:.6g}]")
-        s = min(max(t, 0.0), T) / self.grid.dt
+        s = _in_horizon(t, self.grid.t_end) / self.grid.dt
         k = min(int(s), self.grid.n_nodes - 2)
         return k, k + 1, s - k
 

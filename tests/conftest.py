@@ -67,21 +67,30 @@ def nash_params() -> ModelParams:
     return validate_params(NASH_FIXTURE)
 
 
-def draw_principal_params(rng: np.random.Generator, kind: Kind) -> ModelParams:
-    """Random positive parameters for oracle-vs-closed-form comparisons."""
-    g = rng.uniform(0.5, 3.0, 2)
-    s = rng.uniform(0.3, 1.2, 2)
+# box of the oracle-vs-closed-form comparisons: each gamma_i, sigma_i, eta
+# and gradient magnitude |v_i| is drawn from its range
+GAMMA_RANGE, SIGMA_RANGE, ETA_RANGE, GRADIENT_RANGE = (0.5, 3.0), (0.3, 1.2), (0.4, 2.5), (0.5, 2.0)
+
+
+def principal_params(kind: Kind, gammas, sigmas, etas) -> ModelParams:
+    """A regulated model with the given (gamma1, gamma2), (sigma1, sigma2) and
+    aversions, (eta_a, eta_p) for a single firm or (eta1, eta2, eta_p) for two."""
     common = dict(
-        gamma1=g[0], gamma2=g[1], sigma1=s[0], sigma2=s[1],
+        gamma1=gammas[0], gamma2=gammas[1], sigma1=sigmas[0], sigma2=sigmas[1],
         p0=1.0, p1=0.6, p2=0.4, kappa=1.0, lambda_=1.0, delta=1.0, horizon=1.0,
     )
     if kind is Kind.SINGLE_FIRM:
-        e = rng.uniform(0.4, 2.5, 2)
-        return ModelParams(kind=kind, eta_a=e[0], eta_p=e[1], **common)
-    e = rng.uniform(0.4, 2.5, 3)
-    return ModelParams(kind=kind, eta1=e[0], eta2=e[1], eta_p=e[2], **common)
+        return ModelParams(kind=kind, eta_a=etas[0], eta_p=etas[1], **common)
+    return ModelParams(kind=kind, eta1=etas[0], eta2=etas[1], eta_p=etas[2], **common)
+
+
+def draw_principal_params(rng: np.random.Generator, kind: Kind) -> ModelParams:
+    """Random positive parameters for oracle-vs-closed-form comparisons."""
+    g = rng.uniform(*GAMMA_RANGE, 2)
+    s = rng.uniform(*SIGMA_RANGE, 2)
+    return principal_params(kind, g, s, rng.uniform(*ETA_RANGE, 2 if kind is Kind.SINGLE_FIRM else 3))
 
 
 def draw_gradient(rng: np.random.Generator) -> np.ndarray:
     """Gradient draw bounded away from zero so negative controls stay visible."""
-    return rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+    return rng.uniform(*GRADIENT_RANGE, 2) * rng.choice([-1.0, 1.0], 2)

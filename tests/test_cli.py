@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decarb
 from decarb import cli
 from decarb.cli import emit_csv, run
 from conftest import NASH_FIXTURE, TWO_FIRM_FIXTURE
@@ -416,3 +421,30 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, {"model": NASH_FIXTURE})
         assert run(["best-response", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert json.loads(capsys.readouterr().err)["field"] == "opponent"
+
+
+def test_runtime_imports_numpy_and_the_standard_library_only(tmp_path):
+    # compared with the modules present before decarb's import, not with an
+    # empty interpreter: site start-up may load third-party modules itself
+    report = tmp_path / "added.json"
+    script = textwrap.dedent(f"""
+        import sys
+        before = set(sys.modules)
+        from decarb import cli
+        codes = [cli.run(["single-firm", "--config", {str(CONFIG_DIR / "single_firm.json")!r},
+                          "--out", {str(tmp_path / "single")!r}]),
+                 cli.run(["nash", "--config", {str(CONFIG_DIR / "fig2_nash.json")!r},
+                          "--out", {str(tmp_path / "nash")!r}])]
+        added = sorted(set(sys.modules) - before)
+        import json
+        with open({str(report)!r}, "w") as fh:
+            json.dump({{"codes": codes, "added": added}}, fh)
+    """)
+    src = str(Path(decarb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True)
+    result = json.loads(report.read_text(encoding="utf-8"))
+    assert result["codes"] == [0, 0]
+    assert "decarb" in result["added"] and "numpy" in result["added"]
+    allowed = set(sys.stdlib_module_names) | {"numpy", "decarb"}
+    assert [m for m in result["added"] if m.split(".")[0] not in allowed] == []

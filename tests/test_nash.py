@@ -6,6 +6,7 @@ import pytest
 
 from decarb import (
     BlowUp,
+    OutOfHorizon,
     OutOfRange,
     WrongKind,
     best_response,
@@ -388,8 +389,39 @@ class TestPayoffRate:
         with pytest.raises(WrongKind):
             payoff_rate(two_firm, 1, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("t", [-5.0, -1e-9, 1.0 + 1e-9, 4.0])
+    def test_outside_horizon_raises(self, nash_params, t):
+        # np.interp alone would clamp t onto the nodes and return an endpoint's rule
+        coeffs = solve_nash(nash_params, n_nodes=101)
+        for strategy in feedback_strategies(coeffs, nash_params):
+            with pytest.raises(OutOfHorizon):
+                strategy(t, 0.5, -0.5)
+
+    def test_rounding_slack_at_horizon_ends(self, nash_params):
+        coeffs = solve_nash(nash_params, n_nodes=101)
+        for strategy in feedback_strategies(coeffs, nash_params):
+            assert strategy(-1e-13, 0.5, -0.5) == strategy(0.0, 0.5, -0.5)
+            assert strategy(1.0 + 1e-13, 0.5, -0.5) == strategy(1.0, 0.5, -0.5)
+
 
 class TestCertaintySurface:
+    @pytest.mark.parametrize("t", [-5.0, -1e-9, 1.0 + 1e-9, 4.0])
+    def test_outside_horizon_raises(self, nash_params, t):
+        # np.interp alone would clamp t onto the nodes and return an endpoint's surface
+        game = solve_nash(nash_params, n_nodes=101)
+        response = best_response(nash_params, 2, 0.0, n_nodes=101)
+        for coeffs, firm in ((game, 1), (game, 2), (response, 2)):
+            with pytest.raises(OutOfHorizon):
+                certainty_surface(coeffs, firm, t, 0.3, -0.8)
+
+    def test_rounding_slack_at_horizon_ends(self, nash_params):
+        coeffs = solve_nash(nash_params, n_nodes=101)
+        for firm in (1, 2):
+            assert (certainty_surface(coeffs, firm, -1e-13, 0.3, -0.8)
+                    == certainty_surface(coeffs, firm, 0.0, 0.3, -0.8))
+            assert (certainty_surface(coeffs, firm, 1.0 + 1e-13, 0.3, -0.8)
+                    == certainty_surface(coeffs, firm, 1.0, 0.3, -0.8))
+
     def test_rebuild_matches_columns(self, nash_params):
         coeffs = solve_nash(nash_params, n_nodes=201)
         k = 17
