@@ -11,6 +11,7 @@ reproduces every file byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -263,7 +264,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="decarb", description=__doc__)
     sub = parser.add_subparsers(dest="scenario", required=True)
     for name in _RUNNERS:

@@ -20,10 +20,11 @@ two-firm (rates z11, z12, z21, z22; firm i is paid z_ij per unit of dX^j)::
         + eta_p*sigma_1^2*(z11+z21)*v1 + eta_p*sigma_2^2*(z22+z12)*v2
 
 Completing squares in h gives the closed-form maximizers implemented here;
-:func:`argmax_oracle` maximizes h numerically so every closed form can be
-checked against a path that never uses calculus.  The maximum of h, written as
-``0.5*(m_i + eta_p*sigma_i^2)*v_i^2`` per coordinate, defines the gradient
-coupling matrix M = diag(m1, m2) of the reduced PDE
+:func:`argmax_oracle` maximizes h numerically, by coordinate ascent with Brent
+line searches that only compare and interpolate values of h, so every closed
+form can be checked against a path that never uses calculus.  The maximum of
+h, written as ``0.5*(m_i + eta_p*sigma_i^2)*v_i^2`` per coordinate, defines the
+gradient coupling matrix M = diag(m1, m2) of the reduced PDE
 
     0 = 0.5 x.Qx + L.x + q0 + dv/dt + 0.5 Tr(Sigma Sigma^T D^2 v) + 0.5 Dv.M Dv
 
@@ -42,11 +43,12 @@ import numpy as np
 from .errors import MaximizerOnBoundary, OracleNotConverged, WrongKind
 from .model import Kind, ModelParams
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EPS = float(np.finfo(float).eps)
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of a bracket
+_SQRT_EPS = math.sqrt(EPS)
 MAX_CYCLES = 200  # coordinate cycles of argmax_oracle before it gives up
 _HALF_WIDTH = 10.0  # argmax_oracle's first box, [-10, 10] per coordinate
-_TOL = 1e-10  # how far its golden-section brackets may still move the point
+_TOL = 1e-10  # how far its line searches' brackets may still move the point
 
 
 @dataclass(frozen=True)
@@ -205,21 +207,23 @@ def hamiltonian_h(params: ModelParams, z, grad_v: Sequence[float]) -> float:
     The state does not enter: every x-dependent term of the principal's drift
     cancels against the payment flow.
     """
-    _require_kind(params, Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED)
+    kind = params.kind
+    if kind is not Kind.SINGLE_FIRM and kind is not Kind.TWO_FIRM_REGULATED:
+        _require_kind(params, Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED)
     v1, v2 = float(grad_v[0]), float(grad_v[1])
     za = z.as_array() if isinstance(z, (SingleFirmRates, TwoFirmRates)) else z
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
-    ep = params.eta_p
+    g1, g2, ep = params.gamma1, params.gamma2, params.eta_p
 
-    if params.kind is Kind.SINGLE_FIRM:
+    if kind is Kind.SINGLE_FIRM:
         z1, z2 = float(za[0]), float(za[1])
         quad1 = s1 * z1 * z1
         quad2 = s2 * z2 * z2
         return (
-            params.gamma1 * z1 * v1 + params.gamma2 * z2 * v2
+            g1 * z1 * v1 + g2 * z2 * v2
             + ep * (s1 * z1 * v1 + s2 * z2 * v2)
             - 0.5 * ep * (quad1 + quad2)
-            - 0.5 * (params.gamma1 * z1 * z1 + params.gamma2 * z2 * z2)
+            - 0.5 * (g1 * z1 * z1 + g2 * z2 * z2)
             - 0.5 * params.eta_a * (quad1 + quad2)
         )
 
@@ -228,8 +232,8 @@ def hamiltonian_h(params: ModelParams, z, grad_v: Sequence[float]) -> float:
     pooled1 = z11 + z21
     pooled2 = z22 + z12
     return (
-        params.gamma1 * z11 * v1 + params.gamma2 * z22 * v2
-        - 0.5 * (params.gamma1 * z11 * z11 + params.gamma2 * z22 * z22)
+        g1 * z11 * v1 + g2 * z22 * v2
+        - 0.5 * (g1 * z11 * z11 + g2 * z22 * z22)
         - 0.5 * (e1 * s1 * z11 * z11 + e1 * s2 * z12 * z12
                  + e2 * s2 * z22 * z22 + e2 * s1 * z21 * z21)
         - 0.5 * ep * (s1 * pooled1 * pooled1 + s2 * pooled2 * pooled2)
@@ -237,31 +241,75 @@ def hamiltonian_h(params: ModelParams, z, grad_v: Sequence[float]) -> float:
     )
 
 
-def _golden_section_max(objective: Callable[[Sequence[float]], float], z: list[float],
-                        direction: list[float], lo: float, hi: float) -> list[float]:
-    """Best point ``z + alpha*direction``, alpha in [lo, hi], of an objective
-    unimodal along that line: golden-section search on alpha until the
-    bracket moves the point by no more than ``_TOL``."""
+def _line_max(objective: Callable[[Sequence[float]], float], z: list[float], fz: float,
+              direction: list[float], lo: float, hi: float) -> tuple[list[float], float]:
+    """Best point ``z + alpha*direction``, alpha in [lo, hi] (which holds 0),
+    of an objective unimodal along that line, and its value; ``fz`` is the
+    objective at ``z``.
+
+    Brent's bounded search on alpha from alpha = 0 (*Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5): a step to the vertex of
+    the parabola through the three best points so far where that vertex lies
+    inside the bracket and the step is under half the step before last, a
+    golden-section step into the larger side of the bracket otherwise.  A
+    point ``u`` replaces the best one only if its value is strictly higher:
+    by unimodality the maximum lies on the best point's side of ``u`` when
+    the value at ``u`` is equal as much as when it is lower, and counting
+    equal values so ends the search quickly once rounding flattens the top.
+
+    It stops once the bracket lies within ``_TOL + 2*sqrt(eps)*|alpha|`` of
+    the best point on both sides, in units of the largest component of
+    ``direction``: Brent's stopping rule with absolute tolerance ``_TOL/2``
+    and relative tolerance ``sqrt(eps)``.
+    """
     pairs = list(zip(z, direction))
-
-    def at(alpha: float) -> list[float]:
-        return [zi + alpha * di for zi, di in pairs]
-
-    tol = _TOL / max(max(map(abs, direction)), _TOL)
+    tol = 0.5 * _TOL / max(max(map(abs, direction)), _TOL)
     a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = objective(at(c)), objective(at(d))
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = objective(at(c))
+    x = w = v = 0.0
+    fx = fw = fv = fz
+    zx = z
+    d = e = 0.0  # the last step and the one before it
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = tol + _SQRT_EPS * abs(x)
+        if max(x - a, b - x) <= 2.0 * tol1:
+            return zx, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if (x + d) - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = tol1 if x < m else -tol1
+        if not parabolic:
+            e = (b - x) if x < m else (a - x)
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        zu = [zi + u * di for zi, di in pairs]
+        fu = objective(zu)
+        if fu > fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw = w, fw, x, fx
+            x, fx, zx = u, fu, zu
         else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = objective(at(d))
-    return at(0.5 * (a + b))
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int) -> tuple[np.ndarray, float]:
@@ -269,12 +317,13 @@ def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int) -> tu
 
     The objective must be unimodal along every line, as a strictly concave
     function is; nothing else about it is used.  Cyclic coordinate ascent on
-    the box [-10, 10]^dim from its centre: each coordinate step
-    golden-sections its coordinate over the whole box down to 1e-10, and
-    each cycle ends with the same search along the cycle's displacement,
-    which collapses the slow geometric tail of coordinate ascent under
-    cross-coupling.  A coordinate refined onto the box edge doubles the box
-    and restarts the search; at half-width 1e4 it raises
+    the box [-10, 10]^dim from its centre: each coordinate step is a Brent
+    line search (parabolic interpolation of objective values with a
+    golden-section fallback) of its coordinate over the whole box down to
+    1e-10, and each cycle ends with the same search along the cycle's
+    displacement, which collapses the slow geometric tail of coordinate
+    ascent under cross-coupling.  A coordinate refined onto the box edge
+    doubles the box and restarts the search; at half-width 1e4 it raises
     :class:`MaximizerOnBoundary` instead.
 
     The search stops after the first cycle whose sweep raises the objective by
@@ -284,8 +333,8 @@ def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int) -> tu
     magnitudes scale with the objective, so the rule does not depend on its
     units.  Comparing values alone cannot place the top of a quadratic closer
     than about ``sqrt(eps)`` (1.5e-8) times its scale, since nearer than that
-    the differences drown in rounding; so the 1e-10 only bounds each
-    golden-section bracket, not the accuracy of the returned point.  After
+    the differences drown in rounding; so the 1e-10 only bounds each line
+    search's bracket, not the accuracy of the returned point.  After
     ``MAX_CYCLES`` cycles without such a stop it raises
     :class:`OracleNotConverged`, naming the last cycle's movement and gain.
 
@@ -297,29 +346,26 @@ def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int) -> tu
 
     while True:
         z = [0.0] * dim
+        h = h_first = objective(z)
         try:
-            for cycle in range(MAX_CYCLES):
-                z_start = z
-                h_start = objective(z)
-                if cycle == 0:
-                    h_first = h_start
+            for _ in range(MAX_CYCLES):
+                z_start, h_start = z, h
                 for k in range(dim):
-                    z = _golden_section_max(objective, z, axes[k], -half - z[k], half - z[k])
+                    z, h = _line_max(objective, z, h, axes[k], -half - z[k], half - z[k])
                     if half - abs(z[k]) < 2e-6 * half:
                         raise MaximizerOnBoundary(
                             f"coordinate {k} refined onto the box edge {z[k]:g}")
-                h_end = objective(z)
-                gain = h_end - h_start
+                gain = h - h_start
                 # rounding resolution of h: its value and its rise from the
                 # box centre bound the size of the terms it sums
-                if gain <= 4.0 * EPS * max(abs(h_end), abs(h_end - h_first)):
-                    return np.array(z), h_end
+                if gain <= 4.0 * EPS * max(abs(h), abs(h - h_first)):
+                    return np.array(z), h
                 # along the cycle's displacement, from its start to as far as
                 # 8 displacements on while that stays in the box
                 direction = [zi - zs for zi, zs in zip(z, z_start)]
                 alpha_hi = min([8.0] + [(math.copysign(half, di) - zi) / di
                                         for zi, di in zip(z, direction) if di != 0.0])
-                z = _golden_section_max(objective, z, direction, -1.0, alpha_hi)
+                z, h = _line_max(objective, z, h, direction, -1.0, alpha_hi)
             raise OracleNotConverged(MAX_CYCLES, max(map(abs, direction)), gain)
         except MaximizerOnBoundary:
             if half >= 1e4:
@@ -330,7 +376,8 @@ def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int) -> tu
 def oracle_rates(params: ModelParams, grad_v: Sequence[float]) -> tuple[np.ndarray, float]:
     """Maximize the model's drift objective numerically; returns (rates, max value)."""
     dim = 2 if params.kind is Kind.SINGLE_FIRM else 4
-    return argmax_oracle(lambda z: hamiltonian_h(params, z, grad_v), dim=dim)
+    v = (float(grad_v[0]), float(grad_v[1]))
+    return argmax_oracle(lambda z: hamiltonian_h(params, z, v), dim=dim)
 
 
 def gradient_couplings(params: ModelParams) -> tuple[float, float]:

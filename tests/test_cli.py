@@ -13,7 +13,7 @@ import pytest
 import decarb
 from decarb import cli
 from decarb.cli import emit_csv, run
-from conftest import NASH_FIXTURE, TWO_FIRM_FIXTURE
+from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -196,6 +196,18 @@ class TestScenarios:
         lit = json.loads((out / "summary.json").read_text())
         base = json.loads((base_out / "summary.json").read_text())
         assert lit["value_at_origin"] != base["value_at_origin"]
+
+    def test_flags_do_not_carry_over_between_runs(self, tmp_path):
+        # one parser serves every run in a process; each run reads only its own flags
+        cfg = write_config(tmp_path, {"model": SINGLE_FIRM_FIXTURE, "numerics": {"n_nodes": 201}})
+        flagged, plain = tmp_path / "flagged", tmp_path / "plain"
+        assert run(["single-firm", "--config", cfg, "--out", str(flagged),
+                    "--seed", "7", "--literal-signs"]) == 0
+        assert run(["single-firm", "--config", cfg, "--out", str(plain)]) == 0
+        first = json.loads((flagged / "summary.json").read_text())
+        second = json.loads((plain / "summary.json").read_text())
+        assert first["numerics"]["seed"] == 7 and first["model"]["literal_signs"] is True
+        assert "seed" not in second["numerics"] and "literal_signs" not in second["model"]
 
 
 class TestErrorPaths:

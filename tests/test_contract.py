@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from decarb import (
     social_cost_g,
     validate_params,
 )
-from decarb.contract import MAX_CYCLES, gradient_couplings, quadratic_flow_coefficients
+from decarb import contract
+from decarb.contract import (MAX_CYCLES, SingleFirmRates, TwoFirmRates, gradient_couplings,
+                             quadratic_flow_coefficients)
 from decarb.model import Scope
 from conftest import (
     ETA_RANGE,
@@ -199,12 +202,64 @@ class TestHamiltonian:
         with pytest.raises(WrongKind):
             hamiltonian_h(nash_params, (0.0, 0.0), (0.0, 0.0))
 
+    # (kind, gammas, sigmas, aversions, z, Dv, h as float.hex()): a faster
+    # hamiltonian_h must still give every bit of these values
+    PINNED_H = [
+        (Kind.SINGLE_FIRM, (1.5, 1.0), (0.2, 0.3), (1.0, 1.0), (0.7, -1.3), (2.0, -1.0),
+         "0x1.182a9930be0ddp+1"),
+        (Kind.SINGLE_FIRM, (0.61, 2.9), (1.1, 0.37), (2.3, 0.45), (-3.25, 0.125), (-0.9, 1.7),
+         "-0x1.0d073b8c32a8dp+4"),
+        (Kind.SINGLE_FIRM, (2.2, 0.8), (0.55, 0.95), (0.4, 1.9), (1e-3, 7.5), (1.3, 0.6),
+         "-0x1.163df0928030fp+6"),
+        (Kind.TWO_FIRM_REGULATED, (1.5, 1.0), (0.2, 0.3), (1.0, 1.0, 1.0),
+         (0.7, -0.1, 0.3, -1.3), (2.0, -1.0), "0x1.193dd97f62b6ap+1"),
+        (Kind.TWO_FIRM_REGULATED, (0.61, 2.9), (1.1, 0.37), (2.3, 0.45, 1.7),
+         (-3.25, 0.5, -0.75, 0.125), (-0.9, 1.7), "-0x1.895598bd66278p+4"),
+        (Kind.TWO_FIRM_REGULATED, (2.2, 0.8), (0.55, 0.95), (0.4, 1.9, 0.6),
+         (1e-3, -2.2, 4.4, 7.5), (1.3, 0.6), "-0x1.40a85494c2445p+6"),
+    ]
+
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    @pytest.mark.parametrize("kind, gammas, sigmas, etas, z, v, pinned", PINNED_H)
+    def test_pinned_bits(self, kind, gammas, sigmas, etas, z, v, pinned, scalar):
+        # parameters as floats (configs) and as numpy scalars (random draws)
+        p = principal_params(kind, *[tuple(map(scalar, x)) for x in (gammas, sigmas, etas)])
+        rates = (SingleFirmRates if kind is Kind.SINGLE_FIRM else TwoFirmRates)(*z)
+        for zz in (rates, tuple(z), np.array(z)):
+            assert float(hamiltonian_h(p, zz, v)).hex() == pinned
+            assert float(hamiltonian_h(p, zz, np.array(v))).hex() == pinned
+
 
 class TestArgmaxOracle:
+    @staticmethod
+    def counted_argmax(objective, dim):
+        calls = itertools.count()
+
+        def counted(z):
+            next(calls)
+            return objective(z)
+
+        z, val = argmax_oracle(counted, dim=dim)
+        return z, val, next(calls)
+
     def test_known_parabola(self):
-        z, val = argmax_oracle(lambda z: -(z[0] - 1.0) ** 2, dim=1)
-        assert abs(z[0] - 1.0) < 1e-9
+        # parabolic steps land on a quadratic's vertex in a few evaluations
+        z, val, evals = self.counted_argmax(lambda z: -(z[0] - 1.0) ** 2, dim=1)
+        assert abs(z[0] - 1.0) < 1e-12
         assert val == pytest.approx(0.0, abs=1e-17)
+        assert evals <= 30
+
+    def test_kinked_line(self):
+        # parabolas through a kink mislead, so the golden steps carry the search
+        z, val, _ = self.counted_argmax(lambda z: -abs(z[0] - 0.3), dim=1)
+        assert abs(z[0] - 0.3) < 1e-8
+        assert val == pytest.approx(0.0, abs=1e-8)
+
+    def test_smooth_non_quadratic(self):
+        # strictly concave but not quadratic: parabolic steps only approximate
+        z, _, _ = self.counted_argmax(
+            lambda z: -math.cosh(z[0] - 0.5) - math.cosh(z[0] + z[1]), dim=2)
+        np.testing.assert_allclose(z, [0.5, -0.5], atol=1e-8)
 
     def test_single_firm_fixture(self, single_firm):
         z, _ = oracle_rates(single_firm, (2.0, 0.0))
@@ -251,25 +306,45 @@ class TestArgmaxOracle:
 
     @pytest.mark.parametrize("kind", [Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED])
     def test_two_firm_evaluation_budget(self, kind):
-        # counts objective evaluations instead of timing; a stopping rule that
-        # rounding cannot meet runs to the cycle cap (about 43k evaluations for
-        # two firms), and a 201-point scan of each coordinate costs a single
-        # firm 651
-        dim, budget = (2, 450) if kind is Kind.SINGLE_FIRM else (4, 9_999)
+        # counts objective evaluations instead of timing.  These draws take at
+        # most 77 (one firm) and 858 (two firms) with Brent line searches;
+        # golden-section line searches take 287 and 2658, and a stopping rule
+        # that rounding cannot meet runs to the cycle cap (tens of thousands)
+        dim, budget = (2, 100) if kind is Kind.SINGLE_FIRM else (4, 1_200)
         rng = np.random.default_rng(101)
         for _ in range(5):
             p = draw_principal_params(rng, kind)
             v = draw_gradient(rng)
-            calls = itertools.count()
-
-            def counted(z):
-                next(calls)
-                return hamiltonian_h(p, z, v)
-
-            z_hat, _ = argmax_oracle(counted, dim=dim)
+            z_hat, _, evals = self.counted_argmax(lambda z: hamiltonian_h(p, z, v), dim)
             closed = rates_single(p, v) if kind is Kind.SINGLE_FIRM else rates_two(p, v)
             np.testing.assert_allclose(z_hat, closed.as_array(), atol=1e-6)
-            assert next(calls) <= budget
+            assert evals <= budget
+
+    @pytest.mark.parametrize("kind", [Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED])
+    def test_every_evaluation_is_a_traced_hamiltonian_call(self, kind, monkeypatch):
+        # the benchmark counts oracle evaluations by wrapping the module
+        # attribute decarb.contract.hamiltonian_h, so the objective that
+        # oracle_rates hands to argmax_oracle must call through it once each
+        h_calls, objective_calls = itertools.count(), itertools.count()
+        real_h, real_argmax = contract.hamiltonian_h, contract.argmax_oracle
+
+        def traced_h(*args):
+            next(h_calls)
+            return real_h(*args)
+
+        def traced_argmax(objective, dim):
+            def counted(z):
+                next(objective_calls)
+                return objective(z)
+            return real_argmax(counted, dim)
+
+        monkeypatch.setattr(contract, "hamiltonian_h", traced_h)
+        monkeypatch.setattr(contract, "argmax_oracle", traced_argmax)
+        rng = np.random.default_rng(7)
+        oracle_rates(draw_principal_params(rng, kind), draw_gradient(rng))
+        evals = next(objective_calls)
+        assert evals > 0
+        assert next(h_calls) == evals
 
     @pytest.mark.parametrize("kind", [Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED])
     @settings(max_examples=40, deadline=None)
