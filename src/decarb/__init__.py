@@ -21,7 +21,6 @@ from .errors import (
     BlowUp,
     ConfigMismatch,
     DecarbError,
-    Empty,
     MaximizerOnBoundary,
     MissingField,
     NonFinitePath,
@@ -37,7 +36,6 @@ from .mc import (
     Deviation,
     SimConfig,
     UtilityEstimate,
-    estimate_utility,
     simulate_nash,
     simulate_principal,
 )
@@ -45,7 +43,6 @@ from .model import (
     Kind,
     ModelParams,
     Scope,
-    effort_cost_c,
     price,
     revenue_f,
     social_cost_g,
@@ -73,7 +70,6 @@ from .riccati import (
 from .verify import (
     GridSpec,
     ResidualReport,
-    finite_diff_check,
     hjb_residual_nash,
     hjb_residual_principal,
     sup_consistency,

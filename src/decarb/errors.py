@@ -88,10 +88,6 @@ class OutOfHorizon(DecarbError):
     """Time argument outside the solved interval [0, T]."""
 
 
-class Empty(DecarbError):
-    """Empty sample set where at least one observation is required."""
-
-
 def integer(field: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
     """``value`` as an int: an integer, not a bool, within [minimum, maximum]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (

@@ -105,7 +105,7 @@ from typing import Sequence
 import numpy as np
 
 from . import contract, model
-from .errors import ConfigMismatch, Empty, NonFinitePath, OutOfRange, flag, integer, real, reals
+from .errors import ConfigMismatch, NonFinitePath, OutOfRange, flag, integer, real, reals
 from .model import Kind, ModelParams, Scope
 from .nash import FeedbackStrategy, payoff_rate
 from .riccati import QuadraticValueFn
@@ -222,15 +222,6 @@ def _stats(utilities: np.ndarray, antithetic: bool) -> tuple[float, float]:
     if samples.size < 2:
         return mean, 0.0
     return mean, float(np.std(samples, ddof=1) / math.sqrt(samples.size))
-
-
-def estimate_utility(samples: Sequence[float], eta: float, label: str = "", seed: int = 0) -> UtilityEstimate:
-    """Mean and standard error of -exp(-eta*Z) over per-path payoffs Z."""
-    z = np.asarray(samples, dtype=float)
-    if z.size == 0:
-        raise Empty("no payoff samples")
-    mean, se = _stats(-np.exp(-eta * z), False)
-    return UtilityEstimate(label=label, mean=mean, std_err=se, n_paths=int(z.size), seed=seed)
 
 
 def _estimates(cfg: SimConfig, labels: Sequence[str], etas: Sequence[float],

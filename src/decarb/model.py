@@ -33,11 +33,9 @@ class Kind(enum.Enum):
 
 
 class Scope(enum.Enum):
-    """Revenue attribution: whole market or a single firm/technology."""
+    """Revenue attribution: the whole market."""
 
     TOTAL = "total"
-    FIRM1 = "firm1"
-    FIRM2 = "firm2"
 
 
 PRINCIPAL_KINDS = (Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED)
@@ -194,9 +192,8 @@ def _price_factor(params: ModelParams, x1, x2, out, scratch):
 def revenue_f(params: ModelParams, x, scope: Scope | None = Scope.TOTAL, out=None, scratch=None):
     """Revenue flow: the price factor times the produced quantity in scope.
 
-    ``Scope.TOTAL`` weights by x1 + x2; ``Scope.FIRM1``/``Scope.FIRM2`` weight
-    by the single coordinate, so the two firm revenues always sum to the total.
-    ``scope=None`` gives both firm revenues at once, stacked on a last axis of
+    ``Scope.TOTAL`` weights by x1 + x2.  ``scope=None`` gives the two firm
+    revenues, each weighted by its own coordinate, stacked on a last axis of
     length 2 like the state.  ``out`` receives the result and ``scratch``,
     shaped like one state coordinate, holds an intermediate; each is
     allocated when None.
@@ -209,14 +206,12 @@ def revenue_f(params: ModelParams, x, scope: Scope | None = Scope.TOTAL, out=Non
         np.multiply(p, x2, out=f2)
         np.multiply(p, x1, out=f1)
         return out
-    if scope not in (Scope.TOTAL, Scope.FIRM1, Scope.FIRM2):
+    if scope is not Scope.TOTAL:
         raise OutOfRange("scope", f"unknown scope {scope!r}")
     out = np.empty(x1.shape) if out is None else out
     scratch = np.empty(x1.shape) if scratch is None else scratch
     p = _price_factor(params, x1, x2, out, scratch)
-    if scope is Scope.TOTAL:
-        return np.multiply(p, np.add(x1, x2, out=scratch), out=out)
-    return np.multiply(p, x1 if scope is Scope.FIRM1 else x2, out=out)
+    return np.multiply(p, np.add(x1, x2, out=scratch), out=out)
 
 
 def social_cost_g(params: ModelParams, x, out=None, scratch=None):
@@ -249,8 +244,3 @@ def social_cost_g(params: ModelParams, x, out=None, scratch=None):
     np.multiply(quad, xd, out=quad)
     return np.add(quad, out, out=out)
 
-
-def effort_cost_c(params: ModelParams, a, firm: int):
-    """Quadratic effort cost a^2 / (2*gamma_firm)."""
-    a = np.asarray(a, dtype=float)
-    return a * a / (2.0 * params.gamma(firm))

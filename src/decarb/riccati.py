@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,11 +59,12 @@ class TimeGrid:
 
 
 def rk4_stage_times(grid: TimeGrid) -> list[float]:
-    """Every time at which :func:`rk4_backward` evaluates ``rhs`` on this grid.
+    """Every stage time of :func:`rk4_backward`'s steps on this grid, in the
+    order a :class:`Kernel`'s drive lists its values.
 
     Built with the integrator's own float expressions (``t``, ``t + half``,
-    ``t + h``), so a table of time-dependent inputs keyed by these values
-    matches each ``rhs`` call exactly.
+    ``t + h``), so a drive sampled at these values is the time-dependent input
+    each stage reads.
     """
     h = -grid.dt
     half = 0.5 * h
@@ -92,8 +93,8 @@ class OdeTable(NamedTuple):
 
     def rhs(self, args: Sequence[float]):
         """``rhs(x, u)`` with ``args`` bound to ``params``: ``x`` is the drive's value
-        (unused without a drive, so ``rhs(t, u)`` suits :func:`rk4_backward`) and
-        ``u`` unpacks into the states, as floats or as node-sampled columns."""
+        (unused without a drive) and ``u`` unpacks into the states, as floats or
+        as node-sampled columns."""
         return functools.partial(_compile(self)["rhs"], *args)
 
 
@@ -135,17 +136,17 @@ def _compile(table: OdeTable) -> dict:
     ``rhs(*params, x, u)`` evaluates the derivatives once.  ``march(u, top,
     stop, rows, half, h, sixth, drive, *params)`` appends to ``rows`` the
     states after each RK4 step from node ``top`` down to ``stop``.  It runs
-    the generic stepper's float operations in the same order, with every
-    stage written out: state S enters stage s as ``_S_s``, its derivative
-    there is ``_dS_s``, and the drive reads ``drive[3k - 3]``,
-    ``drive[3k - 2]`` and ``drive[3k - 1]`` in the step from node k, as the
-    stage times are listed.  The source holds only the table's names and the
+    the float operations of a classic RK4 step that calls ``rhs`` once per
+    stage, in the same order, with every stage written out: state S enters
+    stage s as ``_S_s``, its derivative there is ``_dS_s``, and the drive
+    reads ``drive[3k - 3]``, ``drive[3k - 2]`` and ``drive[3k - 1]`` in the
+    step from node k, as the stage times are listed.  The source holds only the table's names and the
     fixed stage arithmetic; parameter values arrive as arguments.
     """
     _check_table(table)
     states, drive = table.states, table.drive
     read = set(re.findall(_NAME, " ".join(table.derivs)))
-    head = [f"    {name} = {expr}" for name, expr in table.consts] + [f"    {', '.join(states)} = u"]
+    head = [f"    {name} = {expr}" for name, expr in table.consts] + [f"    {', '.join(states)}, = u"]
     lines = [f"def rhs({', '.join([*table.params, drive or '_t', 'u'])}):", *head,
              f"    return ({', '.join(table.derivs)},)",
              f"def march({', '.join(['u, top, stop, rows, half, h, sixth, drive', *table.params])}):",
@@ -169,71 +170,38 @@ def _compile(table: OdeTable) -> dict:
     return namespace
 
 
-def rk4_backward(
-    rhs: Callable[[float, Sequence[float]], Sequence[float]] | Kernel,
-    terminal: np.ndarray,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """March du/dt = rhs(t, u) from u(T) = terminal back to t = 0.
+def rk4_backward(kernel: Kernel, terminal: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """March the kernel's table du/dt = f(t, u) from u(T) = terminal back to t = 0.
 
-    ``rhs(t, u)`` takes the state as a sequence of floats and returns its
-    derivative as a sequence of floats of the same length; it is called at
-    the times :func:`rk4_stage_times` lists.  Returns the trajectory on all
-    grid nodes, shape (n_nodes, len(terminal)), row k holding u(t_k).  The
-    terminal row is the terminal data bit for bit.
-
-    ``rhs`` may instead be a :class:`Kernel`: an :class:`OdeTable` bound to
-    one solve.  Its blocks are then marched by the table's compiled kernel,
-    which runs the same RK4 arithmetic with every stage inlined and gives the
-    bits the generic stepper gives on the table's :meth:`OdeTable.rhs`.
+    Returns the trajectory on all grid nodes, shape (n_nodes, len(terminal)),
+    row k holding u(t_k); the terminal row is the terminal data bit for bit.
+    The table's compiled kernel runs classic RK4 with every stage inlined; a
+    drive is read at the times :func:`rk4_stage_times` lists.
 
     Rows are collected in blocks of ``_BLOCK`` steps, each stored with one
     slice assignment and checked at once.  :class:`BlowUp` reports the first
     node, in marching order, with a coefficient beyond ``BLOWUP_LIMIT``, NaN
-    or inf: the node a check after every step would report.  Float ``+``,
-    ``-`` and ``*`` give inf or NaN rather than raise, so marching on past an
-    escape to the end of its block changes nothing.  If ``rhs`` raises, the
-    rows marched so far are checked first: an escape among them raises
-    :class:`BlowUp` at its node, and otherwise the exception propagates.
+    or inf: the node a check after every step would report.  A table's float
+    ``+``, ``-`` and ``*`` give inf or NaN rather than raise, so marching on
+    past an escape to the end of its block changes nothing.
     """
     terminal = np.asarray(terminal, dtype=float)
     n = grid.n_nodes
     nodes = grid.nodes.tolist()
     h = -grid.dt
-    half, sixth = 0.5 * h, h / 6.0
-    if isinstance(rhs, Kernel):
-        march, extra = _compile(rhs.table)["march"], (half, h, sixth, rhs.drive, *rhs.args)
-    else:
-        march, extra = _rk4_steps, (rhs, nodes, half, h, sixth)
+    march = _compile(kernel.table)["march"]
+    extra = (0.5 * h, h, h / 6.0, kernel.drive, *kernel.args)
     out = np.empty((n, terminal.size))
     out[-1] = terminal
     u = terminal.tolist()
     for top in range(n - 1, 0, -_BLOCK):
         rows = []
-        try:
-            march(u, top, max(top - _BLOCK, 0), rows, *extra)
-        except Exception:
-            _check_block(np.array(rows), nodes, top - 1)
-            raise
+        march(u, top, max(top - _BLOCK, 0), rows, *extra)
         block = np.array(rows)
         _check_block(block, nodes, top - 1)
         out[top - len(rows):top] = block[::-1]
         u = rows[-1]
     return out
-
-
-def _rk4_steps(u, top, stop, rows, rhs, nodes, half, h, sixth) -> None:
-    """Generic stepper: march ``u`` from node ``top`` down to ``stop``, appending each row."""
-    for k in range(top, stop, -1):
-        t = nodes[k]
-        t_mid = t + half
-        k1 = rhs(t, u)
-        k2 = rhs(t_mid, [x + half * d for x, d in zip(u, k1)])
-        k3 = rhs(t_mid, [x + half * d for x, d in zip(u, k2)])
-        k4 = rhs(t + h, [x + h * d for x, d in zip(u, k3)])
-        u = [x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-             for x, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
-        rows.append(u)
 
 
 def _check_block(block: np.ndarray, nodes: list[float], first: int) -> None:

@@ -11,7 +11,7 @@ right-hand sides), spatial terms from the economic primitives in
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -210,54 +210,6 @@ def hjb_residual_nash(
                      for k in ks)
         reports.append(_report(f"nash_hjb_firm{firm}", grid, times, residuals, X, Y))
     return reports[0], reports[1]
-
-
-def finite_diff_check(
-    value: Callable[[float, np.ndarray], float],
-    t: float,
-    x,
-    h: float = 1e-5,
-    gradient: Callable[[float, np.ndarray], np.ndarray] | None = None,
-    hessian: Callable[[float, np.ndarray], np.ndarray] | None = None,
-    time_derivative: Callable[[float, np.ndarray], float] | None = None,
-) -> float:
-    """Worst relative error between analytic derivatives and central differences.
-
-    The gradient and time derivative difference the value; the Hessian
-    differences the analytic gradient (second differences of the value would
-    drown in rounding at small h).  At least one analytic callable is required.
-    """
-    if gradient is None and hessian is None and time_derivative is None:
-        raise ValueError("supply at least one analytic derivative to check")
-    x = np.asarray(x, dtype=float)
-    dim = x.size
-    worst = 0.0
-
-    def rel(err: float, ref: float) -> float:
-        return abs(err) / max(1.0, abs(ref))
-
-    if gradient is not None:
-        g = np.asarray(gradient(t, x), dtype=float)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            fd = (value(t, x + e) - value(t, x - e)) / (2.0 * h)
-            worst = max(worst, rel(fd - g[i], g[i]))
-    if hessian is not None:
-        if gradient is None:
-            raise ValueError("hessian check needs the analytic gradient")
-        H = np.asarray(hessian(t, x), dtype=float)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            fd_row = (np.asarray(gradient(t, x + e)) - np.asarray(gradient(t, x - e))) / (2.0 * h)
-            for j in range(dim):
-                worst = max(worst, rel(fd_row[j] - H[i, j], H[i, j]))
-    if time_derivative is not None:
-        ref = time_derivative(t, x)
-        fd = (value(t + h, x) - value(t - h, x)) / (2.0 * h)
-        worst = max(worst, rel(fd - ref, ref))
-    return worst
 
 
 def sup_consistency(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from decarb import Kind, ModelParams, validate_params
+from decarb import BlowUp, Kind, ModelParams, TimeGrid, validate_params
+from decarb.riccati import BLOWUP_LIMIT
 
 # filled by the acceptance suite; echoed after the test session so the
 # per-criterion lines survive output capture
@@ -75,6 +76,9 @@ GAMMA_RANGE, SIGMA_RANGE, ETA_RANGE, GRADIENT_RANGE = (0.5, 3.0), (0.3, 1.2), (0
 def principal_params(kind: Kind, gammas, sigmas, etas) -> ModelParams:
     """A regulated model with the given (gamma1, gamma2), (sigma1, sigma2) and
     aversions, (eta_a, eta_p) for a single firm or (eta1, eta2, eta_p) for two."""
+    # floats, as validate_params gives: numpy scalars would run the oracle's
+    # arithmetic about twice as slowly, with the same values
+    gammas, sigmas, etas = ([float(v) for v in vs] for vs in (gammas, sigmas, etas))
     common = dict(
         gamma1=gammas[0], gamma2=gammas[1], sigma1=sigmas[0], sigma2=sigmas[1],
         p0=1.0, p1=0.6, p2=0.4, kappa=1.0, lambda_=1.0, delta=1.0, horizon=1.0,
@@ -94,3 +98,34 @@ def draw_principal_params(rng: np.random.Generator, kind: Kind) -> ModelParams:
 def draw_gradient(rng: np.random.Generator) -> np.ndarray:
     """Gradient draw bounded away from zero so negative controls stay visible."""
     return rng.uniform(*GRADIENT_RANGE, 2) * rng.choice([-1.0, 1.0], 2)
+
+
+def reference_rk4(rhs, terminal, grid: TimeGrid) -> np.ndarray:
+    """Classic RK4 on du/dt = rhs(t, u) from u(T) = terminal back to t = 0, one
+    ``rhs`` call per stage, with the limit checked after every step.
+
+    The reference the compiled kernels of ``rk4_backward`` must equal bit for
+    bit: the same float operations in the same order, at stage times ``t``,
+    ``t + half`` and ``t + h`` built as ``rk4_stage_times`` builds them.
+    Returns the rows on all nodes, or raises :class:`BlowUp` at the first
+    node with a value beyond ``BLOWUP_LIMIT``, NaN or inf.
+    """
+    nodes = grid.nodes.tolist()
+    h = -grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    u = [float(x) for x in terminal]
+    out = np.empty((grid.n_nodes, len(u)))
+    out[-1] = u
+    for k in range(grid.n_nodes - 1, 0, -1):
+        t = nodes[k]
+        t_mid = t + half
+        k1 = rhs(t, u)
+        k2 = rhs(t_mid, [x + half * d for x, d in zip(u, k1)])
+        k3 = rhs(t_mid, [x + half * d for x, d in zip(u, k2)])
+        k4 = rhs(t + h, [x + h * d for x, d in zip(u, k3)])
+        u = [x + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+             for x, d1, d2, d3, d4 in zip(u, k1, k2, k3, k4)]
+        if not all(abs(x) <= BLOWUP_LIMIT for x in u):  # also catches NaN and inf
+            raise BlowUp(nodes[k - 1])
+        out[k - 1] = u
+    return out

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ from conftest import (
 def tiny_eta_p_params() -> ModelParams:
     return validate_params(dict(TWO_FIRM_FIXTURE, eta_p=1e-12))
 
+
+
+@pytest.mark.parametrize("kind", [Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED])
+def test_drawn_params_hold_plain_floats(kind):
+    # numpy scalars would run every oracle call's arithmetic about twice as slowly
+    p = draw_principal_params(np.random.default_rng(3), kind)
+    numeric = {f.name: getattr(p, f.name) for f in fields(p) if f.name not in ("kind", "literal_signs")}
+    assert all(type(v) is float for v in numeric.values() if v is not None), numeric
+    assert sum(v is not None for v in numeric.values()) == (13 if kind is Kind.SINGLE_FIRM else 14)
 
 class TestEffectiveAversions:
     def test_vanishing_principal_aversion(self):

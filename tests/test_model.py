@@ -12,7 +12,7 @@ from decarb import (
     Scope,
     UnexpectedField,
     WrongKind,
-    effort_cost_c,
+    payoff_rate,
     price,
     revenue_f,
     social_cost_g,
@@ -148,15 +148,16 @@ class TestPrice:
     def test_is_the_revenue_factor(self, literal):
         p = validate_params(dict(SINGLE_FIRM_FIXTURE, literal_signs=literal))
         xs = np.random.default_rng(2).normal(size=(50, 2))
-        for scope, quantity in ((Scope.FIRM1, xs[:, 0]), (Scope.FIRM2, xs[:, 1])):
-            assert np.array_equal(revenue_f(p, xs, scope), price(p, xs) * quantity)
+        by_firm = revenue_f(p, xs, None)
+        for i in (0, 1):
+            assert np.array_equal(by_firm[:, i], price(p, xs) * xs[:, i])
         assert price(p, (0.0, 1.0)) == (p.p0 + p.p2 if literal else p.p0 - p.p2)
 
 
 class TestRevenue:
     def test_zero_production(self, two_firm):
-        for scope in Scope:
-            assert revenue_f(two_firm, (0.0, 0.0), scope) == 0.0
+        assert revenue_f(two_firm, (0.0, 0.0), Scope.TOTAL) == 0.0
+        assert not revenue_f(two_firm, (0.0, 0.0), None).any()
 
     def test_total_at_half(self, two_firm):
         # price factor 0.5 times total quantity 1.0
@@ -167,7 +168,7 @@ class TestRevenue:
         for _ in range(100):
             x = rng.normal(scale=2.0, size=2)
             total = revenue_f(two_firm, x, Scope.TOTAL)
-            parts = revenue_f(two_firm, x, Scope.FIRM1) + revenue_f(two_firm, x, Scope.FIRM2)
+            parts = revenue_f(two_firm, x, None).sum()
             assert parts == pytest.approx(total, rel=1e-13, abs=1e-13)
 
     def test_literal_single_firm_variant(self):
@@ -182,7 +183,7 @@ class TestRevenue:
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.normal(size=2)
-            assert revenue_f(p, x, Scope.FIRM1) + revenue_f(p, x, Scope.FIRM2) == pytest.approx(
+            assert revenue_f(p, x, None).sum() == pytest.approx(
                 revenue_f(p, x, Scope.TOTAL), rel=1e-13, abs=1e-13)
 
 
@@ -222,23 +223,30 @@ class TestSocialCost:
             social_cost_g(nash_params, (0.0, 0.0))
 
 
+def effort_cost(params, a, firm):
+    """Firm ``firm``'s effort cost a^2 / (2*gamma_firm), as the payoff flow
+    subtracts it: the flow of a game without prices at the origin is its negative."""
+    free = replace(params, p0=0.0, p1=0.0, p2=0.0)
+    return -payoff_rate(free, firm, 0.0, 0.0, a)
+
+
 class TestEffortCost:
     def test_zero_effort(self, nash_params):
-        assert effort_cost_c(nash_params, 0.0, 1) == 0.0
+        assert effort_cost(nash_params, 0.0, 1) == 0.0
 
     def test_frozen_values(self, nash_params):
-        assert effort_cost_c(nash_params, 3.0, 1) == pytest.approx(3.0, abs=1e-15)  # 9/(2*1.5)
-        assert effort_cost_c(nash_params, 1.0, 2) == pytest.approx(0.5, abs=1e-15)  # 1/(2*1.0)
+        assert effort_cost(nash_params, 3.0, 1) == pytest.approx(3.0, abs=1e-15)  # 9/(2*1.5)
+        assert effort_cost(nash_params, 1.0, 2) == pytest.approx(0.5, abs=1e-15)  # 1/(2*1.0)
 
     def test_even_and_strictly_convex(self, nash_params):
         rng = np.random.default_rng(5)
         h = 1e-3
         for _ in range(50):
             a = rng.normal(scale=2.0)
-            assert effort_cost_c(nash_params, a, 1) == effort_cost_c(nash_params, -a, 1)
-            second = (effort_cost_c(nash_params, a + h, 1)
-                      - 2.0 * effort_cost_c(nash_params, a, 1)
-                      + effort_cost_c(nash_params, a - h, 1))
+            assert effort_cost(nash_params, a, 1) == effort_cost(nash_params, -a, 1)
+            second = (effort_cost(nash_params, a + h, 1)
+                      - 2.0 * effort_cost(nash_params, a, 1)
+                      + effort_cost(nash_params, a - h, 1))
             assert second > 0.0
 
 

@@ -18,9 +18,9 @@ from decarb import (
     validate_params,
 )
 from decarb.nash import BR_COLUMNS, NASH_COLUMNS, _BR_TABLES, _NASH, _game_args, sample_opponent
-from decarb.riccati import TimeGrid, rk4_backward, rk4_stage_times
+from decarb.riccati import TimeGrid, rk4_stage_times
 from decarb.verify import hjb_residual_nash
-from conftest import NASH_FIXTURE, swap_firms
+from conftest import NASH_FIXTURE, reference_rk4, swap_firms
 
 ZERO_ECONOMY = dict(NASH_FIXTURE, p0=0.0, p1=0.0, p2=0.0)
 
@@ -211,12 +211,12 @@ class TestPinnedOutputs:
 
 
 class TestFusedKernel:
-    """The compiled block march against the generic stepper on each system's closure."""
+    """The compiled block march against the reference stepper on each system's right-hand side."""
 
     @pytest.mark.parametrize("n_nodes", [201, 1001])
     def test_nash_equals_generic_stepper(self, nash_params, n_nodes):
         grid = TimeGrid(nash_params.horizon, n_nodes)
-        generic = rk4_backward(_NASH.rhs(_game_args(nash_params)), np.zeros(12), grid)
+        generic = reference_rk4(_NASH.rhs(_game_args(nash_params)), np.zeros(12), grid)
         assert np.array_equal(solve_nash(nash_params, n_nodes).values, generic)
 
     @pytest.mark.parametrize("n_nodes", [201, 1001])
@@ -229,7 +229,7 @@ class TestFusedKernel:
         times = rk4_stage_times(grid)
         flow = dict(zip(times, np.interp(times, grid.nodes, sample_opponent(opponent, grid)).tolist()))
         rhs = _BR_TABLES[firm].rhs(_game_args(nash_params))
-        generic = rk4_backward(lambda t, u: rhs(flow[t], u), np.zeros(6), grid)
+        generic = reference_rk4(lambda t, u: rhs(flow[t], u), np.zeros(6), grid)
         assert np.array_equal(best_response(nash_params, firm, opponent, n_nodes).values, generic)
 
     @pytest.mark.parametrize("horizon, t_escape", [(1.04, 0.002795), (1.05, 0.012796875000000003)])
@@ -238,7 +238,7 @@ class TestFusedKernel:
         with pytest.raises(BlowUp) as fused:
             solve_nash(params, 16001)
         with pytest.raises(BlowUp) as generic:
-            rk4_backward(_NASH.rhs(_game_args(params)), np.zeros(12), TimeGrid(horizon, 16001))
+            reference_rk4(_NASH.rhs(_game_args(params)), np.zeros(12), TimeGrid(horizon, 16001))
         assert fused.value.t_escape == generic.value.t_escape == t_escape
 
 

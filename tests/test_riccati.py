@@ -27,8 +27,9 @@ from decarb import (
     solve_principal,
     validate_params,
 )
-from decarb.riccati import BLOWUP_LIMIT, _BLOCK, Kernel, OdeTable, coefficient_table, rk4_stage_times
-from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE, swap_firms
+from decarb.nash import _BR_TABLES, _NASH
+from decarb.riccati import BLOWUP_LIMIT, _BLOCK, _LQG, Kernel, OdeTable, coefficient_table, rk4_stage_times
+from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE, reference_rk4, swap_firms
 
 # coefficient_table rows (A11, A12, A22, B1, B2, C) at 1001 nodes, recorded
 # before the Riccati right-hand side moved from 2x2 matrix products to closed
@@ -86,49 +87,55 @@ class TestTimeGrid:
         assert exc.value.field == field
 
 
+# da/dt = -(1 + a^2), a(T) = 0 has solution a(t) = tan(T - t)
+TANGENT = OdeTable("tangent", ("w",), (), ("-(1.0 + w * w)",))
+# a table whose derivative is its drive, read at rk4_stage_times
+DRIVEN = OdeTable("driven", ("w",), (), ("x",), drive="x")
+
+
+def tangent(grid: TimeGrid) -> np.ndarray:
+    return rk4_backward(Kernel(TANGENT, ()), np.array([0.0]), grid)
+
+
 class TestRK4:
     def test_zero_rhs_keeps_terminal(self):
         grid = TimeGrid(1.0, 11)
-        traj = rk4_backward(lambda t, u: np.zeros_like(u), np.array([3.0, -2.0]), grid)
+        zero = OdeTable("zero", ("w", "z"), (), ("0.0", "0.0"))
+        traj = rk4_backward(Kernel(zero, ()), np.array([3.0, -2.0]), grid)
         assert np.all(traj == [3.0, -2.0])
 
     def test_scalar_riccati_tangent(self):
-        # da/dt = -(1 + a^2), a(T) = 0  has solution a(t) = tan(T - t)
-        grid = TimeGrid(0.5, 1001)
-        traj = rk4_backward(lambda t, u: [-(1.0 + u[0] * u[0])], np.array([0.0]), grid)
+        traj = tangent(TimeGrid(0.5, 1001))
         assert abs(traj[0, 0] - math.tan(0.5)) <= 1e-9
+
+    @pytest.mark.parametrize("n_nodes", [11, 21, 1001])
+    def test_one_state_table_equals_reference(self, n_nodes):
+        # the kernel must unpack a single state from its row ("w, = u")
+        grid = TimeGrid(0.5, n_nodes)
+        want = reference_rk4(TANGENT.rhs(()), [0.0], grid)
+        assert np.array_equal(tangent(grid), want)
 
     def test_stage_times_integrate_cubic_exactly(self):
         # RK4 on du/dt = f(t) is Simpson's rule, exact for cubics, so a
-        # wrong stage time shows at once
+        # drive read at a wrong stage time shows at once
         grid = TimeGrid(1.0, 11)
-        traj = rk4_backward(lambda t, u: [3.0 * t * t], np.array([1.0]), grid)
+        cubic = Kernel(DRIVEN, (), [3.0 * t * t for t in rk4_stage_times(grid)])
+        traj = rk4_backward(cubic, np.array([1.0]), grid)
         np.testing.assert_allclose(traj[:, 0], grid.nodes ** 3, rtol=0.0, atol=1e-14)
-
-    def test_stage_times_listed_exactly(self):
-        # best_response keys its opponent table by these floats
-        grid = TimeGrid(0.7, 37)
-        seen = []
-        rk4_backward(lambda t, u: seen.append(t) or [0.0], np.array([0.0]), grid)
-        want = rk4_stage_times(grid)
-        assert set(seen) == set(want) and len(want) == 3 * (grid.n_nodes - 1)
 
     def test_fourth_order_convergence(self):
         # measured on coarse grids; at 1000 steps the error is already at the
         # rounding floor and halving shows nothing
         def err(n):
-            grid = TimeGrid(0.5, n)
-            traj = rk4_backward(lambda t, u: [-(1.0 + u[0] * u[0])], np.array([0.0]), grid)
-            return abs(traj[0, 0] - math.tan(0.5))
+            return abs(tangent(TimeGrid(0.5, n))[0, 0] - math.tan(0.5))
 
         assert err(11) / err(21) >= 12.0
         assert err(21) / err(41) >= 12.0
 
     def test_blow_up_detected_with_time(self):
         # tan escapes at T - t = pi/2, i.e. near t = 2 - pi/2 ~ 0.43
-        grid = TimeGrid(2.0, 2001)
         with pytest.raises(BlowUp) as exc:
-            rk4_backward(lambda t, u: [-(1.0 + u[0] * u[0])], np.array([0.0]), grid)
+            tangent(TimeGrid(2.0, 2001))
         assert 0.3 < exc.value.t_escape < 0.5
 
 
@@ -149,15 +156,23 @@ def reference_escape(c: float, grid: TimeGrid):
     return None
 
 
+SHIFTED_TANGENT = OdeTable("shifted_tangent", ("w",), ("c",), ("-(c + w * w)",))
+
+
 class TestBlockedBlowUpCheck:
     # nodes at the integers 0 .. 1000, so every stage time is exact; the
     # steps from nodes 1000 .. 1001 - _BLOCK form the first block
     GRID = TimeGrid(1000.0, 1001)
 
-    @staticmethod
-    def jump_below(j):
-        """rhs that is zero down to node j and huge below it: u escapes at node j - 1."""
-        return lambda t, u: [-1e15 if t < j else 0.0]
+    @classmethod
+    def driven(cls, f) -> Kernel:
+        """The derivative ``f(t)`` at each stage time."""
+        return Kernel(DRIVEN, (), [f(t) for t in rk4_stage_times(cls.GRID)])
+
+    @classmethod
+    def jump_below(cls, j) -> Kernel:
+        """Zero down to node j and huge below it: u escapes at node j - 1."""
+        return cls.driven(lambda t: -1e15 if t < j else 0.0)
 
     @pytest.mark.parametrize("escape", [
         900,                      # inside the first block
@@ -171,37 +186,16 @@ class TestBlockedBlowUpCheck:
         assert exc.value.t_escape == float(escape)
 
     def test_blocked_store_keeps_every_row(self):
-        traj = rk4_backward(lambda t, u: [1.0], np.array([0.0]), self.GRID)
+        one = OdeTable("one", ("w",), (), ("1.0",))
+        traj = rk4_backward(Kernel(one, ()), np.array([0.0]), self.GRID)
         np.testing.assert_array_equal(traj[:, 0], self.GRID.nodes - 1000.0)
 
     def test_nan_at_one_node(self):
-        # the step into node 600 reads rhs at t = 600 in its last stage
-        nan_at = lambda t, u: [math.nan if t == 600.0 else 0.0]
+        # the step into node 600 reads the drive at t = 600 in its last stage
+        nan_at = self.driven(lambda t: math.nan if t == 600.0 else 0.0)
         with pytest.raises(BlowUp) as exc:
             rk4_backward(nan_at, np.array([0.0]), self.GRID)
         assert exc.value.t_escape == 600.0
-
-    def test_rhs_raising_after_the_escape_reports_the_escape(self):
-        # u passes the limit at node 899 and grows by 1e15 a step; the exp
-        # term adds nothing until it overflows, a few steps on in the same block
-        def rhs(t, u):
-            return [(-1e15 if t < 900 else 0.0) + 0.0 * math.exp(u[0] / 1e13)]
-
-        with pytest.raises(OverflowError):
-            rhs(0.0, [1e16])
-        with pytest.raises(BlowUp) as exc:
-            rk4_backward(rhs, np.array([0.0]), self.GRID)
-        assert exc.value.t_escape == 899.0
-        assert isinstance(exc.value.__context__, OverflowError)
-
-    def test_rhs_raising_without_an_escape_propagates(self):
-        def rhs(t, u):
-            if t < 700:
-                raise ZeroDivisionError("rhs failed")
-            return [1.0]
-
-        with pytest.raises(ZeroDivisionError):
-            rk4_backward(rhs, np.array([0.0]), self.GRID)
 
     @settings(max_examples=60, deadline=None)
     @given(c=st.floats(0.05, 50.0), horizon=st.floats(0.05, 6.0),
@@ -210,7 +204,7 @@ class TestBlockedBlowUpCheck:
         grid = TimeGrid(horizon, n_nodes)
         want = reference_escape(c, grid)
         try:
-            rk4_backward(lambda t, u: [-(c + u[0] * u[0])], np.array([0.0]), grid)
+            rk4_backward(Kernel(SHIFTED_TANGENT, (c,)), np.array([0.0]), grid)
             got = None
         except BlowUp as exc:
             got = exc.t_escape
@@ -222,9 +216,9 @@ def record_rk4_calls(monkeypatch) -> list:
     attributes the solves look up, as a tracer wrapping them from outside does."""
     calls = []
 
-    def recorder(rhs, terminal, grid):
-        calls.append((rhs, grid))
-        return rk4_backward(rhs, terminal, grid)
+    def recorder(kernel, terminal, grid):
+        calls.append((kernel, grid))
+        return rk4_backward(kernel, terminal, grid)
 
     for module in (riccati, nash):
         monkeypatch.setattr(module, "rk4_backward", recorder)
@@ -239,7 +233,7 @@ class TestFusedKernel:
         v = solve_principal(validate_params(fixture), n_nodes)
         [(kernel, grid)] = calls
         assert isinstance(kernel, Kernel) and kernel.table is riccati._LQG
-        generic = rk4_backward(kernel.table.rhs(kernel.args), np.zeros(6), grid)
+        generic = reference_rk4(kernel.table.rhs(kernel.args), np.zeros(6), grid)
         assert np.array_equal(coefficient_table(v)[:, 1:], generic)
 
     def test_second_solve_does_not_compile(self, two_firm):
@@ -268,6 +262,57 @@ class TestFusedKernel:
     def test_table_must_be_plain_float_arithmetic(self, states, derivs, consts):
         with pytest.raises(ValueError):
             riccati._compile(OdeTable("bad", states, (), derivs, consts))
+
+
+def outcome(march, rhs, terminal, grid):
+    """The rows a march returns, or the escape time it raises."""
+    try:
+        return march(rhs, terminal, grid)
+    except BlowUp as exc:
+        return exc.t_escape
+
+
+def bounded(lo, hi, n):
+    return st.tuples(*[st.floats(lo, hi)] * n)
+
+
+class TestKernelEqualsReference:
+    """Each shipped table's compiled kernel against the reference stepper on
+    its right-hand side, over random parameters and grids: every row equal bit
+    for bit, or both escaping at the same node."""
+
+    SETTINGS = settings(max_examples=40, deadline=None)
+    GRIDS = dict(horizon=st.floats(0.05, 3.0), n_nodes=st.integers(2, 3 * _BLOCK + 7))
+    # s1, s2 (squared volatilities); e1, e2, g1, g2; p0, p1, p2
+    GAME = st.tuples(*[st.floats(0.01, 1.5)] * 2, *[st.floats(0.2, 3.0)] * 4, *[st.floats(0.0, 2.0)] * 3)
+
+    @staticmethod
+    def check(kernel, rhs, terminal, horizon, n_nodes):
+        grid = TimeGrid(horizon, n_nodes)
+        got = outcome(rk4_backward, kernel, np.array(terminal), grid)
+        want = outcome(reference_rk4, rhs, terminal, grid)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
+    @SETTINGS
+    @given(q=bounded(-3.0, 3.0, 5), m=bounded(-3.0, 3.0, 2), d=bounded(0.0, 2.0, 2),
+           q0=st.floats(-1.0, 1.0), terminal=bounded(-1.0, 1.0, 6), **GRIDS)
+    def test_lqg(self, q, m, d, q0, terminal, horizon, n_nodes):
+        args = (*q, *m, *d, q0)
+        self.check(Kernel(_LQG, args), _LQG.rhs(args), terminal, horizon, n_nodes)
+
+    @SETTINGS
+    @given(args=GAME, **GRIDS)
+    def test_nash(self, args, horizon, n_nodes):
+        self.check(Kernel(_NASH, args), _NASH.rhs(args), [0.0] * 12, horizon, n_nodes)
+
+    @SETTINGS
+    @given(firm=st.sampled_from([1, 2]), args=GAME, opponent=st.floats(-2.0, 2.0), **GRIDS)
+    def test_best_response(self, firm, args, opponent, horizon, n_nodes):
+        table = _BR_TABLES[firm]
+        kernel = Kernel(table, args, [opponent] * (3 * n_nodes - 3))
+        rhs = table.rhs(args)
+        self.check(kernel, lambda t, u: rhs(opponent, u), [0.0] * 6, horizon, n_nodes)
 
 
 class TestTracerContract:
