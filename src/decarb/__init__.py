@@ -42,7 +42,6 @@ from .mc import (
 from .model import (
     Kind,
     ModelParams,
-    Scope,
     price,
     revenue_f,
     social_cost_g,

@@ -28,12 +28,13 @@ gradient coupling matrix M = diag(m1, m2) of the reduced PDE
 
     0 = 0.5 x.Qx + L.x + q0 + dv/dt + 0.5 Tr(Sigma Sigma^T D^2 v) + 0.5 Dv.M Dv
 
-whose quadratic data (Q, L, q0) expand the net flow f(x) - g(x).
+whose quadratic data (Q, L, q0) expand the net flow f(x) - g(x).  The rates
+and the couplings both read one table of per-coordinate constants,
+:func:`_rate_table`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -92,15 +93,15 @@ IncentiveRates = SingleFirmRates | TwoFirmRates
 class ContractLQG:
     """Quadratic data of the principal's reduced PDE.
 
-    Q (symmetric 2x2), L (2-vector) and q0 expand f(x) - g(x); M and Sigma are
-    diagonal 2x2 matrices holding the gradient couplings m_i and volatilities.
+    Q (symmetric 2x2), L (2-vector) and q0 expand f(x) - g(x); m and sigma
+    are the diagonals (m1, m2) and (sigma1, sigma2) of M and Sigma.
     """
 
     Q: np.ndarray
     L: np.ndarray
     q0: float
-    M: np.ndarray
-    Sigma: np.ndarray
+    m: tuple[float, float]
+    sigma: tuple[float, float]
 
 
 def _require_kind(params: ModelParams, *kinds: Kind) -> None:
@@ -120,6 +121,38 @@ def effective_aversions(params: ModelParams) -> EffectiveRiskAversion:
     )
 
 
+def _rate_table(params: ModelParams) -> tuple[tuple[float, float, float], ...]:
+    """Per coordinate i, the constants (a_i, b_i, c_i) of the completed
+    squares in h: z_ii* = (a_i/b_i)*v_i and m_i = a_i^2/b_i - c_i.
+
+    Single firm: a = gamma + sigma^2*eta_p, b = sigma^2*eta_p + gamma + eta_a*sigma^2,
+    c = eta_p*sigma^2.  Two firms: a = gamma_i + eta_bar_j*sigma_i^2,
+    b = gamma_i + (eta_i + eta_bar_j)*sigma_i^2, c = eta_bar_j*sigma_i^2, with j
+    the other firm.
+    """
+    gs = ((params.gamma1, params.sigma1 ** 2), (params.gamma2, params.sigma2 ** 2))
+    if params.kind is Kind.SINGLE_FIRM:
+        ep, ea = params.eta_p, params.eta_a
+        return tuple((g + s * ep, s * ep + g + ea * s, ep * s) for g, s in gs)
+    av = effective_aversions(params)
+    return tuple((g + eb * s, g + (e + eb) * s, eb * s)
+                 for (g, s), e, eb in zip(gs, (params.eta1, params.eta2), (av.eta_bar_2, av.eta_bar_1)))
+
+
+def _rate_factors(params: ModelParams, ndim: int) -> tuple[np.ndarray, ...]:
+    """Per-coordinate factors of the closed-form rates, as columns that
+    broadcast along the first axis of an ``ndim``-dimensional gradient: the
+    own factors a_i/b_i of :func:`_rate_table` ((Lambda_12, Lambda_21) for two
+    firms), then for two firms the cross factors (eta_1p, eta_2p).
+    """
+    shape = (2,) + (1,) * (ndim - 1)
+    own = np.reshape([a / b for a, b, _ in _rate_table(params)], shape)
+    if params.kind is Kind.SINGLE_FIRM:
+        return (own,)
+    av = effective_aversions(params)
+    return own, np.reshape((av.eta_1p, av.eta_2p), shape)
+
+
 def lambda_pair(params: ModelParams) -> tuple[float, float]:
     """Risk-sharing ratios (Lambda_12, Lambda_21), each in (0, 1] for sigma >= 0.
 
@@ -127,34 +160,8 @@ def lambda_pair(params: ModelParams) -> tuple[float, float]:
     and symmetrically for Lambda_21.
     """
     _require_kind(params, Kind.TWO_FIRM_REGULATED)
-    av = effective_aversions(params)
-    s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
-    lam12 = (params.gamma1 + av.eta_bar_2 * s1) / (params.gamma1 + (params.eta1 + av.eta_bar_2) * s1)
-    lam21 = (params.gamma2 + av.eta_bar_1 * s2) / (params.gamma2 + (params.eta2 + av.eta_bar_1) * s2)
+    lam12, lam21 = _rate_factors(params, 1)[0].tolist()
     return lam12, lam21
-
-
-@functools.lru_cache(maxsize=64)
-def _rate_factors(params: ModelParams, ndim: int) -> tuple[np.ndarray, ...]:
-    """Per-coordinate factors of the closed-form rates, as read-only columns
-    that broadcast along the first axis of an ``ndim``-dimensional gradient:
-    (r1, r2) for the single firm with z_i* = r_i*v_i, and the pairs
-    (Lambda_12, Lambda_21) and (eta_1p, eta_2p) for two firms.  Cached
-    because :func:`rates_single` and :func:`rates_two` look them up on every
-    call; a simulation binds them once per run.
-    """
-    shape = (2,) + (1,) * (ndim - 1)
-    if params.kind is Kind.SINGLE_FIRM:
-        sq = (params.sigma1 * params.sigma1, params.sigma2 * params.sigma2)
-        factors = ([(g + s * params.eta_p) / (s * params.eta_p + g + params.eta_a * s)
-                    for g, s in zip((params.gamma1, params.gamma2), sq)],)
-    else:
-        av = effective_aversions(params)
-        factors = (lambda_pair(params), (av.eta_1p, av.eta_2p))
-    columns = tuple(np.reshape(f, shape) for f in factors)
-    for c in columns:
-        c.flags.writeable = False
-    return columns
 
 
 def _closed_form_rates(factors: tuple, v: np.ndarray, out: np.ndarray, cross: bool = True) -> np.ndarray:
@@ -169,54 +176,48 @@ def _closed_form_rates(factors: tuple, v: np.ndarray, out: np.ndarray, cross: bo
     return out
 
 
-def rates_single(params: ModelParams, grad_v: Sequence[float], out=None) -> SingleFirmRates:
+def rates_single(params: ModelParams, grad_v: Sequence[float]) -> SingleFirmRates:
     """Optimal single-firm rates z_i* = (gamma_i + sigma_i^2*eta_p) v_i / (sigma_i^2*eta_p + gamma_i + eta_a*sigma_i^2).
 
     ``grad_v`` is one gradient (v1, v2) or a batch with the components on the
-    first axis.  ``out``, shaped like ``grad_v``, receives (z1, z2) stacked on
-    the first axis; it is allocated when None.
+    first axis.
     """
     _require_kind(params, Kind.SINGLE_FIRM)
     v = np.asarray(grad_v, dtype=float)
-    z = _closed_form_rates(_rate_factors(params, v.ndim), v, np.empty(v.shape) if out is None else out)
+    z = _closed_form_rates(_rate_factors(params, v.ndim), v, np.empty(v.shape))
     return SingleFirmRates(z1=z[0], z2=z[1])
 
 
-def rates_two(params: ModelParams, grad_v: Sequence[float], out=None) -> TwoFirmRates:
+def rates_two(params: ModelParams, grad_v: Sequence[float]) -> TwoFirmRates:
     """Optimal two-firm rates.
 
     Own rates z_ii* = Lambda_ij * v_i; cross rates z_ij* = eta_ip * (v_j - z_jj*),
     the amount of the other firm's residual exposure the principal shifts onto
     firm i.  ``grad_v`` is one gradient (v1, v2) or a batch with the
-    components on the first axis.  ``out``, of shape ``(2, *grad_v.shape)``,
-    receives the own rates (z11, z22) in ``out[0]`` and the cross rates
-    (z12, z21) in ``out[1]``; it is allocated when None.
+    components on the first axis.
     """
     _require_kind(params, Kind.TWO_FIRM_REGULATED)
     v = np.asarray(grad_v, dtype=float)
-    own, cross = _closed_form_rates(_rate_factors(params, v.ndim), v,
-                                    np.empty((2,) + v.shape) if out is None else out)
+    own, cross = _closed_form_rates(_rate_factors(params, v.ndim), v, np.empty((2,) + v.shape))
     return TwoFirmRates(z11=own[0], z12=cross[0], z21=cross[1], z22=own[1])
 
 
-def hamiltonian_h(params: ModelParams, z, grad_v: Sequence[float]) -> float:
+def hamiltonian_h(params: ModelParams, z: Sequence[float], grad_v: Sequence[float]) -> float:
     """Drift objective h(z; Dv) of the principal, before maximization.
 
-    ``z`` is an :class:`IncentiveRates` instance or a flat sequence ((z1, z2)
-    for the single-firm model, (z11, z12, z21, z22) for the two-firm model).
-    The state does not enter: every x-dependent term of the principal's drift
-    cancels against the payment flow.
+    ``z`` is a flat sequence: (z1, z2) for the single-firm model, (z11, z12,
+    z21, z22) for the two-firm model.  The state does not enter: every
+    x-dependent term of the principal's drift cancels against the payment flow.
     """
     kind = params.kind
     if kind is not Kind.SINGLE_FIRM and kind is not Kind.TWO_FIRM_REGULATED:
         _require_kind(params, Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED)
     v1, v2 = float(grad_v[0]), float(grad_v[1])
-    za = z.as_array() if isinstance(z, (SingleFirmRates, TwoFirmRates)) else z
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
     g1, g2, ep = params.gamma1, params.gamma2, params.eta_p
 
     if kind is Kind.SINGLE_FIRM:
-        z1, z2 = float(za[0]), float(za[1])
+        z1, z2 = float(z[0]), float(z[1])
         quad1 = s1 * z1 * z1
         quad2 = s2 * z2 * z2
         return (
@@ -227,7 +228,7 @@ def hamiltonian_h(params: ModelParams, z, grad_v: Sequence[float]) -> float:
             - 0.5 * params.eta_a * (quad1 + quad2)
         )
 
-    z11, z12, z21, z22 = (float(za[0]), float(za[1]), float(za[2]), float(za[3]))
+    z11, z12, z21, z22 = (float(z[0]), float(z[1]), float(z[2]), float(z[3]))
     e1, e2 = params.eta1, params.eta2
     pooled1 = z11 + z21
     pooled2 = z22 + z12
@@ -388,19 +389,8 @@ def gradient_couplings(params: ModelParams) -> tuple[float, float]:
     the brute-force check in :func:`decarb.verify.sup_consistency`.
     """
     _require_kind(params, Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED)
-    s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
-    ep = params.eta_p
-    if params.kind is Kind.SINGLE_FIRM:
-        ea = params.eta_a
-        m1 = (params.gamma1 + s1 * ep) ** 2 / (s1 * ep + params.gamma1 + ea * s1) - ep * s1
-        m2 = (params.gamma2 + s2 * ep) ** 2 / (s2 * ep + params.gamma2 + ea * s2) - ep * s2
-        return m1, m2
-    av = effective_aversions(params)
-    m1 = (params.gamma1 + av.eta_bar_2 * s1) ** 2 / (params.gamma1 + (params.eta1 + av.eta_bar_2) * s1) \
-        - av.eta_bar_2 * s1
-    m2 = (params.gamma2 + av.eta_bar_1 * s2) ** 2 / (params.gamma2 + (params.eta2 + av.eta_bar_1) * s2) \
-        - av.eta_bar_1 * s2
-    return m1, m2
+    (a1, b1, c1), (a2, b2, c2) = _rate_table(params)
+    return a1 ** 2 / b1 - c1, a2 ** 2 / b2 - c2
 
 
 def quadratic_flow_coefficients(params: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:
@@ -417,19 +407,13 @@ def quadratic_flow_coefficients(params: ModelParams) -> tuple[np.ndarray, np.nda
         ])
         L = np.array([p0 + 2.0 * lam * dlt, p0 + 2.0 * lam * dlt])
         q0 = -lam * dlt * dlt
-    elif params.kind is Kind.SINGLE_FIRM:
-        # f = (p0 - p1 x1 - p2 x2)(x1 + x2), g = 0.5*kap*x1^2 + 0.5*lam*(x1+x2-dlt)^2
-        Q = np.array([
-            [-2.0 * p1 - kap - lam, -(p1 + p2) - lam],
-            [-(p1 + p2) - lam, -2.0 * p2 - lam],
-        ])
-        L = np.array([p0 + lam * dlt, p0 + lam * dlt])
-        q0 = -0.5 * lam * dlt * dlt
     else:
-        # penalized coordinate is x2 in the two-firm model
+        # f = (p0 - p1 x1 - p2 x2)(x1 + x2), g = 0.5*kap*x_d^2 + 0.5*lam*(x1+x2-dlt)^2
+        # with x_d = x1 for the single firm and x2 for two firms; x - 0.0 is exact
+        k1, k2 = (kap, 0.0) if params.kind is Kind.SINGLE_FIRM else (0.0, kap)
         Q = np.array([
-            [-2.0 * p1 - lam, -(p1 + p2) - lam],
-            [-(p1 + p2) - lam, -2.0 * p2 - kap - lam],
+            [-2.0 * p1 - k1 - lam, -(p1 + p2) - lam],
+            [-(p1 + p2) - lam, -2.0 * p2 - k2 - lam],
         ])
         L = np.array([p0 + lam * dlt, p0 + lam * dlt])
         q0 = -0.5 * lam * dlt * dlt
@@ -437,13 +421,6 @@ def quadratic_flow_coefficients(params: ModelParams) -> tuple[np.ndarray, np.nda
 
 
 def assemble_lqg(params: ModelParams) -> ContractLQG:
-    """Assemble the reduced PDE data (Q, L, q0, M, Sigma) for a principal model."""
+    """Assemble the reduced PDE data (Q, L, q0, m, sigma) for a principal model."""
     Q, L, q0 = quadratic_flow_coefficients(params)
-    m1, m2 = gradient_couplings(params)
-    return ContractLQG(
-        Q=Q,
-        L=L,
-        q0=q0,
-        M=np.diag([m1, m2]),
-        Sigma=np.diag([params.sigma1, params.sigma2]),
-    )
+    return ContractLQG(Q=Q, L=L, q0=q0, m=gradient_couplings(params), sigma=(params.sigma1, params.sigma2))

@@ -106,7 +106,7 @@ import numpy as np
 
 from . import contract, model
 from .errors import ConfigMismatch, NonFinitePath, OutOfRange, flag, integer, real, reals
-from .model import Kind, ModelParams, Scope
+from .model import Kind, ModelParams
 from .nash import FeedbackStrategy, payoff_rate
 from .riccati import QuadraticValueFn
 
@@ -459,7 +459,7 @@ class _PrincipalStep:
         model.social_cost_g(p, X, out=flow[-1], scratch=w[0][0])
         if self.single:
             f, c, risk = flow[1], w[0][0], w[1][0]
-            model.revenue_f(p, X, Scope.TOTAL, out=f, scratch=c)
+            model.revenue_f(p, X, out=f, scratch=c)
             np.multiply(self.gamma, z, out=w[0])
             np.multiply(w[0], z, out=w[0])
             np.add(w[0][0], w[0][1], out=c)
@@ -473,7 +473,7 @@ class _PrincipalStep:
             np.subtract(f, c, out=f)
             return
         d, f, c, risk = flow[:2], flow[2:4], w[0], w[1]
-        model.revenue_f(p, X, None, out=f.T)
+        model.revenue_f(p, X, per_firm=True, out=f.T)
         np.multiply(self.half_gamma, own, out=c)
         np.multiply(c, own, out=c)
         np.multiply(self.sq, own, out=risk)
@@ -597,7 +597,7 @@ class _NashStep:
         if self.deviation is not None:
             self.deviation.apply(a)
         if w is not None:
-            payoff_rate(self.p, None, S[0], S[1], a, out=flow, scratch=w[0])
+            payoff_rate(self.p, S[0], S[1], a, out=flow, scratch=w[0])
 
     def payoffs(self, acc: np.ndarray):
         return acc

@@ -32,12 +32,6 @@ class Kind(enum.Enum):
     TWO_FIRM_NASH = "two_firm_nash"
 
 
-class Scope(enum.Enum):
-    """Revenue attribution: the whole market."""
-
-    TOTAL = "total"
-
-
 PRINCIPAL_KINDS = (Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED)
 
 
@@ -189,25 +183,23 @@ def _price_factor(params: ModelParams, x1, x2, out, scratch):
     return np.subtract(out, scratch, out=out)
 
 
-def revenue_f(params: ModelParams, x, scope: Scope | None = Scope.TOTAL, out=None, scratch=None):
-    """Revenue flow: the price factor times the produced quantity in scope.
+def revenue_f(params: ModelParams, x, per_firm: bool = False, out=None, scratch=None):
+    """Revenue flow: the price factor times the produced quantity.
 
-    ``Scope.TOTAL`` weights by x1 + x2.  ``scope=None`` gives the two firm
-    revenues, each weighted by its own coordinate, stacked on a last axis of
-    length 2 like the state.  ``out`` receives the result and ``scratch``,
-    shaped like one state coordinate, holds an intermediate; each is
-    allocated when None.
+    By default the quantity is x1 + x2, the whole market.  ``per_firm=True``
+    gives the two firm revenues, each weighted by its own coordinate, stacked
+    on a last axis of length 2 like the state.  ``out`` receives the result
+    and ``scratch``, shaped like one state coordinate, holds an intermediate;
+    each is allocated when None.
     """
     x1, x2 = _split_state(x)
-    if scope is None:
+    if per_firm:
         out = np.empty(x1.shape + (2,)) if out is None else out
         f1, f2 = out[..., 0], out[..., 1]
         p = _price_factor(params, x1, x2, f1, f2)
         np.multiply(p, x2, out=f2)
         np.multiply(p, x1, out=f1)
         return out
-    if scope is not Scope.TOTAL:
-        raise OutOfRange("scope", f"unknown scope {scope!r}")
     out = np.empty(x1.shape) if out is None else out
     scratch = np.empty(x1.shape) if scratch is None else scratch
     p = _price_factor(params, x1, x2, out, scratch)

@@ -160,9 +160,10 @@ _NASH = OdeTable("nash", NASH_COLUMNS, _GAME_PARAMS, _EQUILIBRIUM + _firm2(_EQUI
 
 
 def _game_args(params: ModelParams) -> tuple[float, ...]:
-    """Values of ``_GAME_PARAMS``."""
-    return (params.sigma1 ** 2, params.sigma2 ** 2, params.eta1, params.eta2,
-            params.gamma1, params.gamma2, params.p0, params.p1, params.p2)
+    """Values of ``_GAME_PARAMS``, as floats whatever scalar type ``params`` holds."""
+    sigma1, sigma2, *rest = map(float, (params.sigma1, params.sigma2, params.eta1, params.eta2,
+                                        params.gamma1, params.gamma2, params.p0, params.p1, params.p2))
+    return (sigma1 ** 2, sigma2 ** 2, *rest)
 
 
 def sample_opponent(opponent, grid: TimeGrid) -> np.ndarray:
@@ -249,56 +250,49 @@ def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: flo
 
 
 @functools.lru_cache(maxsize=64)
-def _payoff_factors(params: ModelParams, firms: tuple[int, ...], ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cross price slope and doubled effort efficiency of each firm in
-    ``firms``, as read-only columns over the firm rows of an ``ndim``-dimensional
-    flow.  Cached because a simulation evaluates the flows once per step."""
-    shape = (len(firms),) + (1,) * (ndim - 1)
-    columns = (np.reshape([params.p2 if f == 1 else params.p1 for f in firms], shape),
-               np.reshape([2.0 * params.gamma(f) for f in firms], shape))
+def _payoff_factors(p1: float, p2: float, gamma1: float, gamma2: float,
+                    ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cross price slope and doubled effort efficiency of each firm, as
+    read-only columns over the firm rows of an ``ndim``-dimensional flow.
+    Cached, on plain numbers, because a simulation evaluates the flows once
+    per step."""
+    shape = (2,) + (1,) * (ndim - 1)
+    columns = np.reshape([p2, p1], shape), np.reshape([2.0 * gamma1, 2.0 * gamma2], shape)
     for c in columns:
         c.flags.writeable = False
     return columns
 
 
-def payoff_rate(params: ModelParams, firm: int | None, x, y, a, out=None, scratch=None):
-    """Running payoff flow priced by the equilibrium value functions.
+def payoff_rate(params: ModelParams, x, y, a, out=None, scratch=None):
+    """Running payoff flows of both firms, priced by the equilibrium value functions.
 
     The solved W_i measure the CARA certainty equivalent of exactly this flow:
     simulated estimates of E[-exp(-eta_i * integral)] converge to
     -exp(eta_i * W_i(0, x0, y0)).  Firm 1's flow is
     ``p1*x*x + p2*x*y - p0 - a*a/(2*gamma1)`` and firm 2's its mirror
-    ``p2*y*y + p1*x*y - p0 - a*a/(2*gamma2)``.  ``firm=None`` evaluates both
-    firms at once: ``a`` then holds firm 1's and firm 2's efforts on a leading
-    axis of length 2, and so does the result.  ``out`` receives the flow and
-    ``scratch``, shaped like it, holds an intermediate; each is allocated
-    when None.
+    ``p2*y*y + p1*x*y - p0 - a*a/(2*gamma2)``.  ``a`` holds firm 1's and
+    firm 2's efforts on a leading axis of length 2, and so does the result.
+    ``out`` receives the flows and ``scratch``, shaped like it, holds an
+    intermediate; each is allocated when None.
     """
     _require_nash(params)
-    if firm is not None:
-        firm = integer("firm", firm, 1, 2)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
-    firms = (1, 2) if firm is None else (firm,)
     if out is None:
-        shape = np.broadcast_shapes(x.shape, y.shape, a.shape[1:] if firm is None else a.shape)
-        out = np.empty(a.shape[:1] + shape if firm is None else shape)
+        out = np.empty(a.shape[:1] + np.broadcast_shapes(x.shape, y.shape, a.shape[1:]))
     scratch = np.empty(out.shape) if scratch is None else scratch
-    # one row per firm, so a single firm runs the same sequence as both
-    flow, work, effort = (out, scratch, a) if firm is None else (out[None], scratch[None], a[None])
-    cross, two_gamma = _payoff_factors(params, firms, flow.ndim)
-    for i, f in enumerate(firms):
-        own, slope = (x, params.p1) if f == 1 else (y, params.p2)
-        row = np.multiply(slope, own, out=flow[i, ...])  # a view even of a 0-d row
+    cross, two_gamma = _payoff_factors(params.p1, params.p2, params.gamma1, params.gamma2, out.ndim)
+    for i, (own, slope) in enumerate(((x, params.p1), (y, params.p2))):
+        row = np.multiply(slope, own, out=out[i, ...])  # a view even of a 0-d row
         np.multiply(row, own, out=row)
-    np.multiply(cross, x, out=work)
-    np.multiply(work, y, out=work)
-    np.add(flow, work, out=flow)
-    np.subtract(flow, params.p0, out=flow)
-    np.multiply(effort, effort, out=work)
-    np.divide(work, two_gamma, out=work)
-    np.subtract(flow, work, out=flow)
+    np.multiply(cross, x, out=scratch)
+    np.multiply(scratch, y, out=scratch)
+    np.add(out, scratch, out=out)
+    np.subtract(out, params.p0, out=out)
+    np.multiply(a, a, out=scratch)
+    np.divide(scratch, two_gamma, out=scratch)
+    np.subtract(out, scratch, out=out)
     return out
 
 

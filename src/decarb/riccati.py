@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contract import ContractLQG, assemble_lqg, rates_single, rates_two, IncentiveRates
-from .errors import BlowUp, OutOfHorizon, OutOfRange, integer, real
+from .errors import BlowUp, OutOfHorizon, integer, real
 from .model import Kind, ModelParams
 
 BLOWUP_LIMIT = 1e12
@@ -40,13 +40,14 @@ _BLOCK = 256  # RK4 steps stored and checked together
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform nodes on [0, t_end], endpoints included; construction checks both fields."""
+    """Uniform nodes on [0, t_end], endpoints included; construction checks both
+    fields and holds ``t_end`` as a float, so the integrator steps in float arithmetic."""
 
     t_end: float
     n_nodes: int = 1001
 
     def __post_init__(self):
-        real("t_end", self.t_end, positive=True)
+        object.__setattr__(self, "t_end", real("t_end", self.t_end, positive=True))
         integer("n_nodes", self.n_nodes, 2)
 
     @property
@@ -269,7 +270,7 @@ class QuadraticValueFn:
         return self.coeffs_at(t)[0]
 
 
-# The Riccati system in scalar form; M and Sigma are diagonal, d_i = Sigma_ii^2
+# The Riccati system in scalar form; M and Sigma are diagonal, d_i = sigma_i^2
 _LQG = OdeTable(
     name="lqg",
     states=("a11", "a12", "a22", "b1", "b2", "c"),
@@ -291,14 +292,11 @@ def solve_lqg(
     n_nodes: int = 1001,
     kind: Kind | None = None,
 ) -> QuadraticValueFn:
-    """Integrate the Riccati system for given quadratic PDE data (M and Sigma diagonal)."""
-    for name, mat in (("M", lqg.M), ("Sigma", lqg.Sigma)):
-        if mat[0, 1] != 0.0 or mat[1, 0] != 0.0:
-            raise OutOfRange(name, f"{name} must be diagonal, got {mat.tolist()}")
+    """Integrate the Riccati system for given quadratic PDE data."""
     q11, q12, q22 = float(lqg.Q[0, 0]), 0.5 * float(lqg.Q[0, 1] + lqg.Q[1, 0]), float(lqg.Q[1, 1])
     l1, l2 = map(float, lqg.L)
-    m1, m2 = np.diag(lqg.M).tolist()
-    d1, d2 = (s * s for s in np.diag(lqg.Sigma).tolist())
+    m1, m2 = map(float, lqg.m)
+    d1, d2 = (s * s for s in map(float, lqg.sigma))
     q0 = float(lqg.q0)
     grid = TimeGrid(horizon, n_nodes)
     traj = rk4_backward(Kernel(_LQG, (q11, q12, q22, l1, l2, m1, m2, d1, d2, q0)), np.zeros(6), grid)

@@ -28,7 +28,6 @@ from decarb import (
 from decarb import contract
 from decarb.contract import (MAX_CYCLES, SingleFirmRates, TwoFirmRates, gradient_couplings,
                              quadratic_flow_coefficients)
-from decarb.model import Scope
 from conftest import (
     ETA_RANGE,
     GAMMA_RANGE,
@@ -114,6 +113,27 @@ class TestLambdaPair:
             assert 0.0 < lam12 < 1.0 and 0.0 < lam21 < 1.0
 
 
+@pytest.mark.parametrize("kind", [Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_firm_swap_mirrors_the_closed_forms_exactly(kind, data):
+    # exchanging the firms' labels (and the gradient's components) reverses
+    # Lambda and the couplings, and maps z11 <-> z22 and z12 <-> z21, bit for bit
+    def draw(box, n):
+        return data.draw(st.tuples(*[st.floats(*box)] * n))
+
+    single = kind is Kind.SINGLE_FIRM
+    gammas, sigmas, etas = draw(GAMMA_RANGE, 2), draw(SIGMA_RANGE, 2), draw(ETA_RANGE, 2 if single else 3)
+    p = principal_params(kind, gammas, sigmas, etas)
+    q = principal_params(kind, gammas[::-1], sigmas[::-1], etas if single else (etas[1], etas[0], etas[2]))
+    v = np.multiply(draw(GRADIENT_RANGE, 2), data.draw(st.tuples(*[st.sampled_from([-1.0, 1.0])] * 2)))
+    assert gradient_couplings(q) == gradient_couplings(p)[::-1]
+    if not single:
+        assert lambda_pair(q) == lambda_pair(p)[::-1]
+    rates = rates_single if single else rates_two
+    assert rates(q, v[::-1]).as_array().tolist() == rates(p, v).as_array()[::-1].tolist()
+
+
 class TestClosedFormRates:
     def test_single_no_noise_passthrough(self):
         p = ModelParams(kind=Kind.SINGLE_FIRM, gamma1=1.5, gamma2=1.0,
@@ -186,7 +206,7 @@ class TestHamiltonian:
 
     def test_single_firm_maximum_closed_form(self, single_firm):
         v = (2.0, -1.0)
-        z_star = rates_single(single_firm, v)
+        z_star = rates_single(single_firm, v).as_array()
         h_star = hamiltonian_h(single_firm, z_star, v)
         expected = 0.0
         for gamma, sigma, vi in ((1.5, 0.2, 2.0), (1.0, 0.3, -1.0)):
@@ -235,7 +255,7 @@ class TestHamiltonian:
         # parameters as floats (configs) and as numpy scalars (random draws)
         p = principal_params(kind, *[tuple(map(scalar, x)) for x in (gammas, sigmas, etas)])
         rates = (SingleFirmRates if kind is Kind.SINGLE_FIRM else TwoFirmRates)(*z)
-        for zz in (rates, tuple(z), np.array(z)):
+        for zz in (rates.as_array(), tuple(z), list(z)):
             assert float(hamiltonian_h(p, zz, v)).hex() == pinned
             assert float(hamiltonian_h(p, zz, np.array(v))).hex() == pinned
 
@@ -380,8 +400,8 @@ class TestLQGAssembly:
         np.testing.assert_allclose(lqg.Q, [[-2.2, -2.0], [-2.0, -2.8]], atol=1e-15)
         np.testing.assert_allclose(lqg.L, [2.0, 2.0], atol=1e-15)
         assert lqg.q0 == pytest.approx(-0.5, abs=1e-15)
-        assert lqg.Sigma[0, 0] == 0.2 and lqg.Sigma[1, 1] == 0.3
-        assert lqg.M[0, 1] == 0.0 and lqg.Sigma[0, 1] == 0.0
+        assert lqg.sigma == (0.2, 0.3)
+        assert lqg.m == gradient_couplings(two_firm)
 
     def test_zero_economy(self):
         p = validate_params(dict(TWO_FIRM_FIXTURE, p0=0.0, p1=0.0, p2=0.0,
@@ -401,7 +421,7 @@ class TestLQGAssembly:
         rng = np.random.default_rng(6)
         for _ in range(100):
             x = rng.normal(scale=2.0, size=2)
-            flow = revenue_f(p, x, Scope.TOTAL) - social_cost_g(p, x)
+            flow = revenue_f(p, x) - social_cost_g(p, x)
             quad = 0.5 * x @ Q @ x + L @ x + q0
             assert quad == pytest.approx(flow, rel=1e-12, abs=1e-12)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import threading
 import weakref
 
@@ -612,6 +613,31 @@ class TestDrawChunk:
         assert len(calls) == 32
         for a, b in zip(reused, fresh):
             assert np.array_equal(a, b)
+
+
+def test_nash_step_neither_hashes_nor_compares_params(pinned_models):
+    # the flows' factors are cached on plain numbers: a step that keyed a
+    # cache on ModelParams would run its generated __hash__ (and __eq__ for
+    # an equal copy) once per step
+    params, strategies = pinned_models["nash"]
+    watched = {ModelParams.__hash__.__code__, ModelParams.__eq__.__code__}
+
+    def calls(n_steps):
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                seen.append(frame.f_code.co_name)
+
+        cfg = SimConfig(n_paths=16, dt=params.horizon / n_steps, seed=35)
+        sys.setprofile(profile)
+        try:
+            nash_path_payoffs(params, strategies, cfg)
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    assert len(calls(200)) - len(calls(100)) == 0
 
 
 class TestTracedBoundaries:

@@ -9,7 +9,6 @@ from decarb import (
     MissingField,
     ModelParams,
     OutOfRange,
-    Scope,
     UnexpectedField,
     WrongKind,
     payoff_rate,
@@ -18,8 +17,6 @@ from decarb import (
     social_cost_g,
     validate_params,
 )
-from decarb.contract import _rate_factors
-from decarb.nash import _payoff_factors
 from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
 
 
@@ -148,7 +145,7 @@ class TestPrice:
     def test_is_the_revenue_factor(self, literal):
         p = validate_params(dict(SINGLE_FIRM_FIXTURE, literal_signs=literal))
         xs = np.random.default_rng(2).normal(size=(50, 2))
-        by_firm = revenue_f(p, xs, None)
+        by_firm = revenue_f(p, xs, per_firm=True)
         for i in (0, 1):
             assert np.array_equal(by_firm[:, i], price(p, xs) * xs[:, i])
         assert price(p, (0.0, 1.0)) == (p.p0 + p.p2 if literal else p.p0 - p.p2)
@@ -156,35 +153,35 @@ class TestPrice:
 
 class TestRevenue:
     def test_zero_production(self, two_firm):
-        assert revenue_f(two_firm, (0.0, 0.0), Scope.TOTAL) == 0.0
-        assert not revenue_f(two_firm, (0.0, 0.0), None).any()
+        assert revenue_f(two_firm, (0.0, 0.0)) == 0.0
+        assert not revenue_f(two_firm, (0.0, 0.0), per_firm=True).any()
 
     def test_total_at_half(self, two_firm):
         # price factor 0.5 times total quantity 1.0
-        assert revenue_f(two_firm, (0.5, 0.5), Scope.TOTAL) == pytest.approx(0.5, abs=1e-15)
+        assert revenue_f(two_firm, (0.5, 0.5)) == pytest.approx(0.5, abs=1e-15)
 
     def test_decomposition_identity(self, two_firm):
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rng.normal(scale=2.0, size=2)
-            total = revenue_f(two_firm, x, Scope.TOTAL)
-            parts = revenue_f(two_firm, x, None).sum()
+            total = revenue_f(two_firm, x)
+            parts = revenue_f(two_firm, x, per_firm=True).sum()
             assert parts == pytest.approx(total, rel=1e-13, abs=1e-13)
 
     def test_literal_single_firm_variant(self):
         p = validate_params(dict(SINGLE_FIRM_FIXTURE, literal_signs=True))
         # (p0 - p1*x1 + p2*x2)(x1+x2) at (1, 1) = (1 - 0.6 + 0.4) * 2
-        assert revenue_f(p, (1.0, 1.0), Scope.TOTAL) == pytest.approx(1.6, abs=1e-14)
+        assert revenue_f(p, (1.0, 1.0)) == pytest.approx(1.6, abs=1e-14)
         base = validate_params(SINGLE_FIRM_FIXTURE)
-        assert revenue_f(base, (1.0, 1.0), Scope.TOTAL) == pytest.approx(0.0, abs=1e-14)
+        assert revenue_f(base, (1.0, 1.0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_literal_decomposition_still_holds(self):
         p = validate_params(dict(SINGLE_FIRM_FIXTURE, literal_signs=True))
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.normal(size=2)
-            assert revenue_f(p, x, None).sum() == pytest.approx(
-                revenue_f(p, x, Scope.TOTAL), rel=1e-13, abs=1e-13)
+            assert revenue_f(p, x, per_firm=True).sum() == pytest.approx(
+                revenue_f(p, x), rel=1e-13, abs=1e-13)
 
 
 class TestSocialCost:
@@ -227,7 +224,7 @@ def effort_cost(params, a, firm):
     """Firm ``firm``'s effort cost a^2 / (2*gamma_firm), as the payoff flow
     subtracts it: the flow of a game without prices at the origin is its negative."""
     free = replace(params, p0=0.0, p1=0.0, p2=0.0)
-    return -payoff_rate(free, firm, 0.0, 0.0, a)
+    return -payoff_rate(free, 0.0, 0.0, (a, a))[firm - 1]
 
 
 class TestEffortCost:
@@ -255,12 +252,7 @@ def test_equal_params_hash_equal_and_share_cache_entries():
     b = validate_params(dict(TWO_FIRM_FIXTURE))
     assert a == b and a is not b
     assert hash(a) == hash(b) == hash(a)
-    assert _rate_factors(b, 1) is _rate_factors(a, 1)
-    hits = _rate_factors.cache_info().hits
-    _rate_factors(b, 1)
-    assert _rate_factors.cache_info().hits == hits + 1
-    n = validate_params(NASH_FIXTURE)
-    assert _payoff_factors(validate_params(NASH_FIXTURE), (1, 2), 1) is _payoff_factors(n, (1, 2), 1)
+    assert {a: 1}[b] == 1
     assert replace(a, p0=2.0) != a
     copied = pickle.loads(pickle.dumps(a))
     assert copied == a and hash(copied) == hash(a)

@@ -1,5 +1,6 @@
 import hashlib
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,28 @@ class TestSolveNash:
     def test_wrong_kind(self, two_firm):
         with pytest.raises(WrongKind):
             solve_nash(two_firm)
+
+    @pytest.mark.parametrize("horizon", [1.0, 1.05])
+    def test_numpy_scalar_params_march_in_floats(self, horizon):
+        # ModelParams built directly may hold numpy scalars; the march must
+        # still run on floats, so an escape is a BlowUp, never a numpy
+        # overflow warning, and the rows keep every bit
+        floats = validate_params(dict(NASH_FIXTURE, horizon=horizon))
+        scalars = replace(floats, **{f.name: np.float64(getattr(floats, f.name))
+                                     for f in fields(floats) if type(getattr(floats, f.name)) is float})
+        assert type(scalars.horizon) is np.float64
+        outcomes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (floats, scalars):
+                try:
+                    outcomes.append(solve_nash(p, n_nodes=1001).values)
+                except BlowUp as exc:
+                    outcomes.append(exc.t_escape)
+        if horizon == 1.0:
+            assert np.array_equal(*outcomes)
+        else:
+            assert outcomes[0] == outcomes[1] == pytest.approx(0.01155, abs=1e-12)
 
 
 class TestPinnedOutputs:
@@ -362,32 +385,22 @@ class TestFeedbackStrategies:
 class TestPayoffRate:
     def test_zero_economy_is_pure_cost(self):
         p = validate_params(ZERO_ECONOMY)
-        assert payoff_rate(p, 1, 2.0, -1.0, 3.0) == pytest.approx(-3.0, abs=1e-15)
-        assert payoff_rate(p, 2, 2.0, -1.0, 1.0) == pytest.approx(-0.5, abs=1e-15)
-
-    def test_firm_index(self, nash_params):
-        for firm in (0, 3):
-            with pytest.raises(OutOfRange) as exc:
-                payoff_rate(nash_params, firm, 0.0, 0.0, 0.0)
-            assert exc.value.field == "firm"
+        flow = payoff_rate(p, 2.0, -1.0, (3.0, 1.0))
+        assert flow[0] == pytest.approx(-3.0, abs=1e-15)
+        assert flow[1] == pytest.approx(-0.5, abs=1e-15)
 
     @pytest.mark.parametrize("x, y, a1, a2", [(0.1, 0.2, 0.3, 0.4), ([0.1, 1.0], [0.2, 2.0], [0.3, 1.0], [0.4, 2.0])])
     def test_both_firms_stack_each_firm(self, nash_params, x, y, a1, a2):
-        both = payoff_rate(nash_params, None, x, y, np.array([a1, a2]))
-        assert np.array_equal(both[0], payoff_rate(nash_params, 1, x, y, a1))
-        assert np.array_equal(both[1], payoff_rate(nash_params, 2, x, y, a2))
-
-    def test_firm_index_does_not_depend_on_earlier_calls(self, nash_params):
-        # a firm=1 call caches firm 1's factors under a key that True and 1.0 equal
-        payoff_rate(nash_params, 1, 0.1, 0.2, 0.3)
-        for firm in (True, 1.0):
-            with pytest.raises(OutOfRange) as exc:
-                payoff_rate(nash_params, firm, 0.1, 0.2, 0.3)
-            assert exc.value.field == "firm"
+        # each row is that firm's flow, written out in the same operation order
+        p = nash_params
+        x, y, a1, a2 = map(np.asarray, (x, y, a1, a2))
+        both = payoff_rate(p, x, y, np.array([a1, a2]))
+        assert np.array_equal(both[0], p.p1 * x * x + p.p2 * x * y - p.p0 - a1 * a1 / (2.0 * p.gamma1))
+        assert np.array_equal(both[1], p.p2 * y * y + p.p1 * x * y - p.p0 - a2 * a2 / (2.0 * p.gamma2))
 
     def test_wrong_kind(self, two_firm):
         with pytest.raises(WrongKind):
-            payoff_rate(two_firm, 1, 0.0, 0.0, 0.0)
+            payoff_rate(two_firm, 0.0, 0.0, (0.0, 0.0))
 
     @pytest.mark.parametrize("t", [-5.0, -1e-9, 1.0 + 1e-9, 4.0])
     def test_outside_horizon_raises(self, nash_params, t):

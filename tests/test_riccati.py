@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +53,13 @@ PRINCIPAL_1001_ROWS = {
 }
 
 
-def make_lqg(Q=None, L=None, q0=0.0, M=None, sigma=(0.0, 0.0)) -> ContractLQG:
-    z = np.zeros((2, 2))
+def make_lqg(Q=None, L=None, q0=0.0, m=(0.0, 0.0), sigma=(0.0, 0.0)) -> ContractLQG:
     return ContractLQG(
-        Q=z if Q is None else np.asarray(Q, float),
+        Q=np.zeros((2, 2)) if Q is None else np.asarray(Q, float),
         L=np.zeros(2) if L is None else np.asarray(L, float),
         q0=q0,
-        M=z if M is None else np.asarray(M, float),
-        Sigma=np.diag(sigma),
+        m=m,
+        sigma=sigma,
     )
 
 
@@ -346,19 +344,8 @@ class TestSolveLQG:
         # C(0) = int_0^T [0.5*(Q11+Q22)*(T-s) + q0] ds = 0.5*3*0.5 + 0.25
         assert v.C[0] == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("field", ["M", "Sigma"])
-    def test_off_diagonal_entries_rejected(self, field):
-        # the scalar right-hand side reads only the diagonals, so an
-        # off-diagonal entry must fail instead of being dropped
-        lqg = make_lqg(Q=np.eye(2), M=np.eye(2), sigma=(0.2, 0.3))
-        mat = getattr(lqg, field).copy()
-        mat[1, 0] = 0.1
-        with pytest.raises(OutOfRange) as exc:
-            solve_lqg(replace(lqg, **{field: mat}), horizon=1.0, n_nodes=11)
-        assert exc.value.field == field
-
     def test_matrix_riccati_blow_up(self):
-        lqg = make_lqg(Q=4.0 * np.eye(2), M=np.eye(2))
+        lqg = make_lqg(Q=4.0 * np.eye(2), m=(1.0, 1.0))
         with pytest.raises(BlowUp):
             solve_lqg(lqg, horizon=2.0, n_nodes=2001)
 

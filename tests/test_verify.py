@@ -174,13 +174,14 @@ class TestFiniteDiffCheck:
     def test_time_derivative_matches_ode_rhs_at_midpoints(self, two_firm):
         v = solve_principal(two_firm, n_nodes=2001)
         lqg = assemble_lqg(two_firm)
-        diff = lqg.Sigma @ lqg.Sigma.T
+        M, Sigma = np.diag(lqg.m), np.diag(lqg.sigma)
+        diff = Sigma @ Sigma.T
 
         def dvdt(t, x):
             A, B, _ = v.coeffs_at(t)
-            dA = -lqg.Q - A @ lqg.M @ A
-            dB = -lqg.L - A @ lqg.M @ B
-            dC = -0.5 * np.trace(diff @ A) - 0.5 * (B @ lqg.M @ B) - lqg.q0
+            dA = -lqg.Q - A @ M @ A
+            dB = -lqg.L - A @ M @ B
+            dC = -0.5 * np.trace(diff @ A) - 0.5 * (B @ M @ B) - lqg.q0
             return 0.5 * x @ dA @ x + dB @ x + dC
 
         rng = np.random.default_rng(11)
