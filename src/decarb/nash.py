@@ -32,19 +32,38 @@ feedback rules
     a2(t,x,y) = -gamma2 * (At x + Bt y + Et);
 
 substituting a2 into firm 1's system, and the swap of the result for firm 2,
-gives the twelve coupled ODEs integrated here.  The two halves are one
+gives the twelve coupled ODEs of ``_NASH``.  The two halves are one
 expression under renaming, so the swapped game solves to the permuted
 columns bit for bit.  Backward blow-up is reported as a first-class outcome:
 the equilibrium characterization is conditional on existence over the
 horizon.
 
+Neither flow has a term linear in x or y and the terminal data are zero, so
+in equilibrium the linear coefficients D, E, Dt and Et solve a homogeneous
+linear system (their derivatives are linear in them, with the quadratic
+coefficients as factors) from zero data, and vanish identically.
+:func:`solve_nash` therefore marches the other eight, A, B, C, F, At, Bt, Ct
+and Ft, on ``_NASH_LIVE``: ``_NASH`` with the four states dropped and read as
+the literal 0.0 where the others' derivatives name them.  The four columns
+hold +0.0.  The bits are those of the twelve-state march.  There every stage
+value of the four is exactly +0.0, by induction: each starts at +0.0, and
+under round-to-nearest +0.0 + (+-0.0) is +0.0.  So the literal gives every
+live derivative the same operands in the same order.  The escape row is the
+same too: a vanishing state turns NaN only after some live stage value is
+already inf, and that inf enters its own state's final RK4 combination in
+both marches.  ``_NASH`` stays the one definition of the game:
+:func:`ode_residual` checks all twelve columns against it, and the value-PDE
+residuals of :mod:`decarb.verify` read all twelve, so a vanishing state with
+a nonzero derivative would show in both.
+
 Each system is an :class:`~decarb.riccati.OdeTable` (``_BR_TABLES[firm]``,
-``_NASH``), compiled on its first solve, once per process, into a block march
-that runs the integrator's RK4 steps with every stage written out, and a
-right-hand side that :func:`ode_residual` evaluates on node-sampled columns.
-Parameters arrive as arguments, so no source is built from their values.  A
-best response reads the opponent flow from a flat list, interpolated once at
-the integrator's stage times, three values per step.
+``_NASH``, ``_NASH_LIVE``), compiled on its first solve, once per process,
+into a block march that runs the integrator's RK4 steps with every stage
+written out, and a right-hand side that :func:`ode_residual` evaluates on
+node-sampled columns.  Parameters arrive as arguments, so no source is built
+from their values.  A best response reads the opponent flow from a flat
+list, interpolated once at the integrator's stage times, three values per
+step.
 """
 
 from __future__ import annotations
@@ -137,8 +156,12 @@ _SWAP = dict(pair for a, b in (
 ) for pair in ((a, b), (b, a)))
 
 
+def _renamed(expr: str, names: dict[str, str]) -> str:
+    return re.sub(r"\b[A-Za-z_]\w*", lambda m: names.get(m[0], m[0]), expr)
+
+
 def _swapped(expr: str) -> str:
-    return re.sub(r"\b[A-Za-z_]\w*", lambda m: _SWAP.get(m[0], m[0]), expr)
+    return _renamed(expr, _SWAP)
 
 
 def _firm2(derivs: tuple[str, ...]) -> tuple[str, ...]:
@@ -157,6 +180,13 @@ _BR_TABLES = {
 }
 # the twelve coupled equilibrium ODEs (autonomous)
 _NASH = OdeTable("nash", NASH_COLUMNS, _GAME_PARAMS, _EQUILIBRIUM + _firm2(_EQUILIBRIUM), _GAME_CONSTS)
+# the eight that solve_nash marches: the states that vanish identically are
+# dropped, and read as the literal 0.0 where the others' derivatives name them
+_VANISHING = ("D", "E", "Dt", "Et")
+_LIVE = [j for j, name in enumerate(NASH_COLUMNS) if name not in _VANISHING]
+_NASH_LIVE = OdeTable(
+    "nash_live", tuple(NASH_COLUMNS[j] for j in _LIVE), _GAME_PARAMS,
+    tuple(_renamed(_NASH.derivs[j], dict.fromkeys(_VANISHING, "0.0")) for j in _LIVE), _GAME_CONSTS)
 
 
 def _game_args(params: ModelParams) -> tuple[float, ...]:
@@ -202,18 +232,26 @@ def best_response(
 
 
 def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
-    """Integrate the coupled twelve-ODE equilibrium system backward from zero data."""
+    """Integrate the coupled equilibrium system backward from zero data.
+
+    Only the eight live coefficients are marched; the columns D, E, Dt and Et
+    hold +0.0, the value a march of all twelve gives them at every node.
+    """
     _require_nash(params)
     grid = TimeGrid(params.horizon, n_nodes)
 
+    # allocated before the march, so the march's own array is freed above it
+    # and leaves no hole below the result that outlives it
+    values = np.zeros((grid.n_nodes, len(NASH_COLUMNS)))
     try:
-        values = rk4_backward(Kernel(_NASH, _game_args(params)), np.zeros(12), grid)
+        live = rk4_backward(Kernel(_NASH_LIVE, _game_args(params)), np.zeros(len(_LIVE)), grid)
     except BlowUp as exc:
         raise BlowUp(
             exc.t_escape,
             f"equilibrium coefficients escaped at t = {exc.t_escape:.6g}; "
             "no equilibrium on this horizon is certified",
         ) from exc
+    values[:, _LIVE] = live
     return NashCoeffs(grid=grid, values=values)
 
 
@@ -305,9 +343,11 @@ def ode_residual(
 
     Derivatives are estimated by fourth-order central differences at interior
     nodes and compared against the system right-hand sides, so the check never
-    reuses the integrator's stepping.
+    reuses the integrator's stepping.  Fewer than 5 nodes leave no interior
+    node to check and raise :class:`OutOfRange` naming ``n_nodes``.
     """
     _require_nash(params)
+    integer("n_nodes", coeffs.grid.n_nodes, 5)
     values = coeffs.values
     if isinstance(coeffs, NashCoeffs):
         table, drive = _NASH, None

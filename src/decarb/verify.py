@@ -76,6 +76,10 @@ class ResidualReport:
         }
 
 
+# nodes a residual check needs: the one-sided stencil at node 1 reads node 5
+_MIN_NODES = 6
+
+
 def sampled_time_derivative(values: np.ndarray, dt: float, k: int) -> np.ndarray:
     """Fourth-order derivative estimate of a node-sampled trajectory at node k.
 
@@ -121,8 +125,10 @@ def hjb_residual_principal(
 
     Evaluates f(x) - g(x) + dv/dt + 0.5*(sigma1^2 v11 + sigma2^2 v22)
     + 0.5*(m1 v1^2 + m2 v2^2) slice by slice, with dv/dt rebuilt from stencil
-    derivatives of the stored coefficient trajectories.
+    derivatives of the stored coefficient trajectories.  Fewer than 6 nodes
+    raise :class:`OutOfRange` naming ``n_nodes``.
     """
+    integer("n_nodes", v.grid.n_nodes, _MIN_NODES)
     grid = grid or GridSpec()
     m1, m2 = gradient_couplings(params)
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
@@ -192,8 +198,10 @@ def hjb_residual_nash(
 
     with a2 = -g2*(Ct*x + Bt*y + Et).  Firm 2's is the same expression in the
     firm-swapped game: the firms' sigma, eta, gamma and p1 <-> p2 exchanged,
-    x <-> y, and the coefficient columns permuted.
+    x <-> y, and the coefficient columns permuted.  Fewer than 6 nodes raise
+    :class:`OutOfRange` naming ``n_nodes``.
     """
+    integer("n_nodes", coeffs.grid.n_nodes, _MIN_NODES)
     grid = grid or GridSpec()
     ax = grid.axis()
     X, Y = np.meshgrid(ax, ax, indexing="ij")

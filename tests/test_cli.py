@@ -20,6 +20,27 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # SHA-256 of emit_csv's bytes for pinned_table(), recorded when every value
 # was formatted one numpy scalar at a time
 PINNED_CSV_SHA256 = "bcfadc26b542b2f3239ea75aef81d56e8ce394c175d8b71942e2bf338d4b9c46"
+# SHA-256 of every file the game's scenarios write from fig2_nash.json (seed
+# 7), at its 1001 nodes and at 16001, recorded while solve_nash marched all
+# twelve coefficients
+GAME_OUTPUT_SHA256 = {
+    ("nash", 1001): {
+        "nash_coeffs.csv": "5eee9efbcd831ee3a091fe74ddc118f3667d812c0d5ca1b062b73d99ee850e08",
+        "summary.json": "9fac7d510dab1ed1745bc4fea7a1d917b9ab738d2d1b5e3fcab3ba86d9285421",
+    },
+    ("nash", 16001): {
+        "nash_coeffs.csv": "a095fed7ff2730ca143dfb83b39fe30e66bfefe68abdb0a9ffd741780f2d5c79",
+        "summary.json": "b6a3d1127548e5ec8ecf81359879891b1a3b31a4220559253bf8a3c5e749685a",
+    },
+    ("verify", 1001): {
+        "residuals.json": "32c45029dcd352aa380fcaceaee3e0f2bb1fa48800594879563796e0184e533c",
+        "summary.json": "6061889db1349dd4e68d87a7fab4c450641447e5de3b7ba7339a713166e5e460",
+    },
+    ("verify", 16001): {
+        "residuals.json": "b229f2714e6f4985ed2946d0b0bcf39c2d138531c8d380e8271a523fda0229e8",
+        "summary.json": "a515cf95058ac73d2cc896fb4dde39614fb2567f0f27738fcd8b2e86372c52e7",
+    },
+}
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -133,6 +154,24 @@ class TestScenarios:
         assert residuals["reports"][0]["label"] == "principal_hjb"
         assert residuals["reports"][0]["max_residual"] <= 1e-6
 
+    @pytest.mark.parametrize("scenario, n_nodes", sorted(GAME_OUTPUT_SHA256))
+    def test_pinned_game_outputs(self, tmp_path, scenario, n_nodes):
+        payload = json.loads((CONFIG_DIR / "fig2_nash.json").read_text(encoding="utf-8"))
+        assert payload["numerics"] == {"n_nodes": 1001, "seed": 7}
+        payload["numerics"]["n_nodes"] = n_nodes
+        out = tmp_path / "out"
+        assert run([scenario, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in GAME_OUTPUT_SHA256[scenario, n_nodes]}
+        assert digests == GAME_OUTPUT_SHA256[scenario, n_nodes]
+
+    @pytest.mark.parametrize("config", ["two_firm.json", "fig2_nash.json"])
+    def test_verify_on_six_nodes(self, tmp_path, config):
+        payload = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
+        payload["numerics"]["n_nodes"] = 6
+        cfg = write_config(tmp_path, payload)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_simulate_scenario_principal(self, tmp_path):
         out = tmp_path / "sim"
         cfg = write_config(tmp_path, {
@@ -223,6 +262,19 @@ class TestErrorPaths:
     def test_malformed_n_nodes_names_field(self, tmp_path, capsys, n_nodes):
         cfg = write_config(tmp_path, {"model": NASH_FIXTURE, "numerics": {"n_nodes": n_nodes}})
         assert run(["nash", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OutOfRange"
+        assert err["field"] == "n_nodes"
+        assert err["exit_code"] == 1
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4, 5])
+    @pytest.mark.parametrize("config", ["two_firm.json", "fig2_nash.json"])
+    def test_verify_on_too_few_nodes_names_field(self, tmp_path, capsys, config, n_nodes):
+        # the one-sided residual stencil at node 1 reads node 5
+        payload = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
+        payload["numerics"]["n_nodes"] = n_nodes
+        cfg = write_config(tmp_path, payload)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "OutOfRange"
         assert err["field"] == "n_nodes"

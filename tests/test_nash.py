@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decarb import (
     BlowUp,
@@ -18,7 +19,8 @@ from decarb import (
     solve_nash,
     validate_params,
 )
-from decarb.nash import BR_COLUMNS, NASH_COLUMNS, _BR_TABLES, _NASH, _game_args, sample_opponent
+from decarb.nash import (BR_COLUMNS, NASH_COLUMNS, _BR_TABLES, _NASH, _VANISHING, _game_args,
+                         sample_opponent)
 from decarb.riccati import TimeGrid, rk4_stage_times
 from decarb.verify import hjb_residual_nash
 from conftest import NASH_FIXTURE, reference_rk4, swap_firms
@@ -171,6 +173,17 @@ class TestSolveNash:
             bad[100, 0] = np.nan
             assert np.isnan(ode_residual(replace(coeffs, values=bad), nash_params))
 
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4])
+    def test_residual_needs_an_interior_node(self, nash_params, n_nodes):
+        for coeffs in (solve_nash(nash_params, n_nodes), best_response(nash_params, 1, 0.5, n_nodes)):
+            with pytest.raises(OutOfRange) as exc:
+                ode_residual(coeffs, nash_params)
+            assert exc.value.field == "n_nodes"
+
+    def test_residual_on_five_nodes(self, nash_params):
+        for coeffs in (solve_nash(nash_params, 5), best_response(nash_params, 1, 0.5, 5)):
+            assert np.isfinite(ode_residual(coeffs, nash_params))
+
     def test_blow_up_reported_as_existence_failure(self):
         p = validate_params(dict(NASH_FIXTURE, horizon=1.5))
         with pytest.raises(BlowUp) as exc:
@@ -263,6 +276,61 @@ class TestFusedKernel:
         with pytest.raises(BlowUp) as generic:
             reference_rk4(_NASH.rhs(_game_args(params)), np.zeros(12), TimeGrid(horizon, 16001))
         assert fused.value.t_escape == generic.value.t_escape == t_escape
+
+
+def march_outcome(solve):
+    """``solve()``'s rows as bytes, or the escape time of the BlowUp it raises."""
+    try:
+        return solve().tobytes()
+    except BlowUp as exc:
+        return exc.t_escape
+
+
+def zero_or(values):
+    return st.one_of(st.just(0.0), values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gammas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+       etas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+       sigmas=st.tuples(zero_or(st.floats(0.05, 1.0)), zero_or(st.floats(0.05, 1.0))),
+       p0=zero_or(st.floats(0.0, 2.0)),
+       slopes=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))),
+       horizon=st.floats(0.05, 2.0))
+def test_live_march_equals_full_system(gammas, etas, sigmas, p0, slopes, horizon):
+    # solve_nash marches eight states; the twelve-state reference must give
+    # the same bits, vanishing columns included, or escape at the same node
+    params = replace(validate_params(NASH_FIXTURE), gamma1=gammas[0], gamma2=gammas[1],
+                     eta1=etas[0], eta2=etas[1], sigma1=sigmas[0], sigma2=sigmas[1],
+                     p0=p0, p1=slopes[0], p2=slopes[1], horizon=horizon)
+    grid = TimeGrid(horizon, 201)
+    live = march_outcome(lambda: solve_nash(params, grid.n_nodes).values)
+    full = march_outcome(lambda: reference_rk4(_NASH.rhs(_game_args(params)), np.zeros(12), grid))
+    assert live == full
+
+
+def vanishes(table, args, others) -> bool:
+    """Whether ``table``'s derivatives of D, E, Dt and Et are all 0 where those
+    four states are 0.0 and the other eight take the values ``others``."""
+    others = iter(others)
+    u = [0.0 if name in _VANISHING else next(others) for name in NASH_COLUMNS]
+    derivs = table.rhs(args)(None, u)
+    return all(derivs[NASH_COLUMNS.index(name)] == 0.0 for name in _VANISHING)
+
+
+# the game with a constant added to D's derivative, which vanishes() must reject
+_BUMPED = _NASH._replace(name="nash_bumped", derivs=tuple(
+    d + " + 1.0" if name == "D" else d for name, d in zip(NASH_COLUMNS, _NASH.derivs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=st.tuples(*[st.floats(-5.0, 5.0)] * 9), others=st.tuples(*[st.floats(-1e3, 1e3)] * 8))
+def test_linear_coefficients_stay_at_zero(args, others):
+    # D, E, Dt and Et have zero derivatives wherever they are zero, whatever
+    # the other states and the parameters: so from zero terminal data they
+    # vanish, which solve_nash relies on when it marches only the other eight
+    assert vanishes(_NASH, args, others)
+    assert not vanishes(_BUMPED, args, others)
 
 
 class TestFirmSwap:

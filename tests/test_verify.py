@@ -114,6 +114,15 @@ class TestPrincipalResidual:
         rep = hjb_residual_principal(broken, two_firm)
         assert rep.max_residual >= 0.5 * two_firm.lambda_ * two_firm.delta ** 2 - 1e-6
 
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4, 5])
+    def test_too_few_nodes_raise(self, two_firm, n_nodes):
+        with pytest.raises(OutOfRange) as exc:
+            hjb_residual_principal(solve_principal(two_firm, n_nodes), two_firm)
+        assert exc.value.field == "n_nodes"
+
+    def test_six_nodes_suffice(self, two_firm):
+        assert np.isfinite(hjb_residual_principal(solve_principal(two_firm, 6), two_firm).max_residual)
+
     def test_report_structure_and_determinism(self, two_firm):
         v = solve_principal(two_firm)
         grid = GridSpec()
@@ -139,6 +148,16 @@ class TestNashResidual:
         r1, r2 = hjb_residual_nash(coeffs, nash_params)
         assert r1.max_residual <= 1e-6
         assert r2.max_residual <= 1e-6
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4, 5])
+    def test_too_few_nodes_raise(self, nash_params, n_nodes):
+        with pytest.raises(OutOfRange) as exc:
+            hjb_residual_nash(solve_nash(nash_params, n_nodes), nash_params)
+        assert exc.value.field == "n_nodes"
+
+    def test_six_nodes_suffice(self, nash_params):
+        reports = hjb_residual_nash(solve_nash(nash_params, 6), nash_params)
+        assert all(np.isfinite(r.max_residual) for r in reports)
 
     def test_perturbed_coefficient_detected(self, nash_params):
         coeffs = solve_nash(nash_params, n_nodes=2001)
