@@ -32,8 +32,6 @@ SCENARIO_KINDS = {
 }
 
 RICCATI_HEADER = ("t", "A11", "A12", "A22", "B1", "B2", "C")
-BR_HEADER = ("t",) + nash.BR_COLUMNS
-NASH_HEADER = ("t",) + nash.NASH_COLUMNS
 _CSV_BLOCK = 1024  # rows per tolist() copy, which bounds its memory
 
 
@@ -132,30 +130,27 @@ class _Run:
         }
 
 
+def _write_coefficients(run: _Run, csv_name: str, table, header, **fields) -> dict:
+    """Write a solved trajectory as ``csv_name`` and return the run's summary with ``fields``."""
+    emit_csv(table, header, run.out_dir / csv_name)
+    return {**run.summary_base(), **fields, "outputs": [csv_name]}
+
+
+def _write_game_coefficients(run: _Run, csv_name: str, coeffs, columns, **fields) -> dict:
+    return _write_coefficients(run, csv_name, np.column_stack([coeffs.grid.nodes, coeffs.values]),
+                               ("t", *columns), **fields,
+                               coefficients_at_0=dict(zip(columns, coeffs.values[0].tolist())))
+
+
 def _run_principal(run: _Run) -> dict:
     v = riccati.solve_principal(run.params, run.n_nodes)
-    csv_path = run.out_dir / "riccati_coeffs.csv"
-    emit_csv(riccati.coefficient_table(v), RICCATI_HEADER, csv_path)
-    summary = run.summary_base()
-    summary.update({
-        "value_at_origin": v.C[0],
-        "A0": v.A[0].tolist(),
-        "B0": v.B[0].tolist(),
-        "outputs": [csv_path.name],
-    })
-    return summary
+    return _write_coefficients(run, "riccati_coeffs.csv", riccati.coefficient_table(v), RICCATI_HEADER,
+                               value_at_origin=v.C[0], A0=v.A[0].tolist(), B0=v.B[0].tolist())
 
 
 def _run_nash(run: _Run) -> dict:
     coeffs = nash.solve_nash(run.params, run.n_nodes)
-    csv_path = run.out_dir / "nash_coeffs.csv"
-    emit_csv(np.column_stack([coeffs.grid.nodes, coeffs.values]), NASH_HEADER, csv_path)
-    summary = run.summary_base()
-    summary.update({
-        "coefficients_at_0": {name: coeffs.column(name)[0] for name in nash.NASH_COLUMNS},
-        "outputs": [csv_path.name],
-    })
-    return summary
+    return _write_game_coefficients(run, "nash_coeffs.csv", coeffs, nash.NASH_COLUMNS)
 
 
 def _opponent_spec(run: _Run) -> tuple[int, object]:
@@ -174,15 +169,7 @@ def _opponent_spec(run: _Run) -> tuple[int, object]:
 def _run_best_response(run: _Run) -> dict:
     firm, flow = _opponent_spec(run)
     coeffs = nash.best_response(run.params, firm, flow, run.n_nodes)
-    csv_path = run.out_dir / "best_response_coeffs.csv"
-    emit_csv(np.column_stack([coeffs.grid.nodes, coeffs.values]), BR_HEADER, csv_path)
-    summary = run.summary_base()
-    summary.update({
-        "firm": firm,
-        "coefficients_at_0": {name: coeffs.column(name)[0] for name in nash.BR_COLUMNS},
-        "outputs": [csv_path.name],
-    })
-    return summary
+    return _write_game_coefficients(run, "best_response_coeffs.csv", coeffs, nash.BR_COLUMNS, firm=firm)
 
 
 def _run_verify(run: _Run) -> dict:

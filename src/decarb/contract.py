@@ -41,8 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MaximizerOnBoundary, OracleNotConverged, WrongKind
-from .model import Kind, ModelParams
+from .errors import MaximizerOnBoundary, OracleNotConverged
+from .model import Kind, ModelParams, _require_kind
 
 EPS = float(np.finfo(float).eps)
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of a bracket
@@ -102,12 +102,6 @@ class ContractLQG:
     q0: float
     m: tuple[float, float]
     sigma: tuple[float, float]
-
-
-def _require_kind(params: ModelParams, *kinds: Kind) -> None:
-    if params.kind not in kinds:
-        allowed = ", ".join(k.value for k in kinds)
-        raise WrongKind(f"operation requires model kind in {{{allowed}}}, got {params.kind.value}")
 
 
 def effective_aversions(params: ModelParams) -> EffectiveRiskAversion:
@@ -258,13 +252,19 @@ def _line_max(objective: Callable[[Sequence[float]], float], z: list[float], fz:
     the value at ``u`` is equal as much as when it is lower, and counting
     equal values so ends the search quickly once rounding flattens the top.
 
-    It stops once the bracket lies within ``_TOL + 2*sqrt(eps)*|alpha|`` of
-    the best point on both sides, in units of the largest component of
-    ``direction``: Brent's stopping rule with absolute tolerance ``_TOL/2``
-    and relative tolerance ``sqrt(eps)``.
+    It stops once the bracket lies within ``_TOL + 2*sqrt(eps)*|z|`` of the
+    best point on both sides, with ``|z|`` the best point's largest
+    component, in units of the largest component of ``direction``: Brent's
+    stopping rule with absolute tolerance ``_TOL/2`` and relative tolerance
+    ``sqrt(eps)``, taken relative to the point rather than to ``alpha``.
+    Comparisons of values cannot place the top closer than that, so a line
+    whose maximum already sits at alpha = 0 ends in a few evaluations
+    instead of shrinking its bracket to ``_TOL`` by golden steps.
     """
     pairs = list(zip(z, direction))
-    tol = 0.5 * _TOL / max(max(map(abs, direction)), _TOL)
+    scale = 1.0 / max(max(map(abs, direction)), _TOL)
+    tol = 0.5 * _TOL * scale
+    rel = _SQRT_EPS * scale * max(map(abs, z))  # the relative tolerance at the best point
     a, b = lo, hi
     x = w = v = 0.0
     fx = fw = fv = fz
@@ -272,7 +272,7 @@ def _line_max(objective: Callable[[Sequence[float]], float], z: list[float], fz:
     d = e = 0.0  # the last step and the one before it
     while True:
         m = 0.5 * (a + b)
-        tol1 = tol + _SQRT_EPS * abs(x)
+        tol1 = tol + rel
         if max(x - a, b - x) <= 2.0 * tol1:
             return zx, fx
         parabolic = False
@@ -302,6 +302,7 @@ def _line_max(objective: Callable[[Sequence[float]], float], z: list[float], fz:
                 a = x
             v, fv, w, fw = w, fw, x, fx
             x, fx, zx = u, fu, zu
+            rel = _SQRT_EPS * scale * max(map(abs, zu))
         else:
             if u < x:
                 a = u
@@ -321,9 +322,10 @@ def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int) -> tu
     the box [-10, 10]^dim from its centre: each coordinate step is a Brent
     line search (parabolic interpolation of objective values with a
     golden-section fallback) of its coordinate over the whole box down to
-    1e-10, and each cycle ends with the same search along the cycle's
-    displacement, which collapses the slow geometric tail of coordinate
-    ascent under cross-coupling.  A coordinate refined onto the box edge
+    1e-10 plus 1.5e-8 times the point's largest component (see
+    :func:`_line_max`), and each cycle ends with the same search along the
+    cycle's displacement, which collapses the slow geometric tail of
+    coordinate ascent under cross-coupling.  A coordinate refined onto the box edge
     doubles the box and restarts the search; at half-width 1e4 it raises
     :class:`MaximizerOnBoundary` instead.
 
@@ -334,8 +336,8 @@ def argmax_oracle(objective: Callable[[Sequence[float]], float], dim: int) -> tu
     magnitudes scale with the objective, so the rule does not depend on its
     units.  Comparing values alone cannot place the top of a quadratic closer
     than about ``sqrt(eps)`` (1.5e-8) times its scale, since nearer than that
-    the differences drown in rounding; so the 1e-10 only bounds each line
-    search's bracket, not the accuracy of the returned point.  After
+    the differences drown in rounding; so that bound on each line search's
+    bracket is not the accuracy of the returned point.  After
     ``MAX_CYCLES`` cycles without such a stop it raises
     :class:`OracleNotConverged`, naming the last cycle's movement and gain.
 

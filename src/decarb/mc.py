@@ -522,10 +522,7 @@ def principal_path_payoffs(
     """
     if not params.has_principal:
         raise ConfigMismatch(f"simulate_principal needs a principal model, got {params.kind.value}")
-    if v.kind is not None and v.kind is not params.kind:
-        raise ConfigMismatch(f"value function solved for {v.kind.value}, params are {params.kind.value}")
-    if abs(v.grid.t_end - params.horizon) > 1e-9:
-        raise ConfigMismatch(f"value function horizon {v.grid.t_end} != params horizon {params.horizon}")
+    model._require_solved_for(params, "value function", v.grid.t_end, v.kind)
     y0 = _agent_y0(params, cfg)
     pay_p, *pays_a = _run_paths(lambda nodes: _PrincipalStep(params, v, nodes, y0), params, cfg,
                                 scheme, chunk_size, brownian_refinement)
@@ -612,9 +609,15 @@ def nash_path_payoffs(
     chunk_size: int | None = None,
     brownian_refinement: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path accumulated payoff flows (Z1, Z2) of both firms, canonical order."""
+    """Per-path accumulated payoff flows (Z1, Z2) of both firms, canonical order.
+
+    A strategy solved on another horizon than ``params.horizon`` raises
+    :class:`ConfigMismatch`.
+    """
     if params.kind is not Kind.TWO_FIRM_NASH:
         raise ConfigMismatch(f"simulate_nash needs the no-incentive game, got {params.kind.value}")
+    for s in strategies:
+        model._require_solved_for(params, f"firm {s.firm} strategy", float(s.nodes[-1]))
     z1, z2 = _run_paths(lambda nodes: _NashStep(params, strategies, deviation, nodes), params, cfg,
                         scheme, chunk_size, brownian_refinement)
     return z1, z2

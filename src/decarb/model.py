@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import MissingField, OutOfRange, UnexpectedField, WrongKind, flag, integer, real
+from .errors import ConfigMismatch, MissingField, OutOfRange, UnexpectedField, WrongKind, flag, integer, real
 
 
 class Kind(enum.Enum):
@@ -90,6 +90,23 @@ class ModelParams:
 
     def gamma(self, firm: int) -> float:
         return self.gamma1 if integer("firm", firm, 1, 2) == 1 else self.gamma2
+
+
+def _require_kind(params: ModelParams, *kinds: Kind) -> None:
+    """Raise :class:`WrongKind` unless ``params`` describes one of ``kinds``."""
+    if params.kind not in kinds:
+        allowed = ", ".join(k.value for k in kinds)
+        raise WrongKind(f"operation requires model kind in {{{allowed}}}, got {params.kind.value}")
+
+
+def _require_solved_for(params: ModelParams, what: str, t_end: float, kind: Kind | None = None) -> None:
+    """Raise :class:`ConfigMismatch` unless ``what``, solved on [0, ``t_end``] for
+    ``kind`` (None when it records none), belongs to ``params``: the same kind,
+    and a horizon within 1e-9."""
+    if kind is not None and kind is not params.kind:
+        raise ConfigMismatch(f"{what} solved for {kind.value}, params are {params.kind.value}")
+    if abs(t_end - params.horizon) > 1e-9:
+        raise ConfigMismatch(f"{what} horizon {t_end} != params horizon {params.horizon}")
 
 
 # Field sets per kind, beyond those common to every kind.
@@ -218,7 +235,7 @@ def social_cost_g(params: ModelParams, x, out=None, scratch=None):
     when None.
     """
     if params.kind not in PRINCIPAL_KINDS:
-        raise WrongKind("social cost is defined only for models with a principal")
+        _require_kind(params, *PRINCIPAL_KINDS)
     x1, x2 = _split_state(x)
     if params.kind is Kind.SINGLE_FIRM:
         xd = x1

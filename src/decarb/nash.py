@@ -69,14 +69,14 @@ step.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, OutOfRange, WrongKind, integer, real
-from .model import Kind, ModelParams
-from .riccati import Kernel, OdeTable, TimeGrid, _in_horizon, centered_derivative, rk4_backward, rk4_stage_times
+from .errors import BlowUp, OutOfRange, integer, real
+from .model import Kind, ModelParams, _require_kind
+from .riccati import (Kernel, OdeTable, TimeGrid, _in_horizon, _renamed, centered_derivative, rk4_backward,
+                      rk4_stage_times)
 
 BR_COLUMNS = ("A", "B", "C", "D", "E", "F")
 NASH_COLUMNS = ("A", "B", "C", "D", "E", "F", "At", "Bt", "Ct", "Dt", "Et", "Ft")
@@ -124,11 +124,6 @@ class FeedbackStrategy:
         return -self.gamma * (cx * np.asarray(x) + cy * np.asarray(y) + c0)
 
 
-def _require_nash(params: ModelParams) -> None:
-    if params.kind is not Kind.TWO_FIRM_NASH:
-        raise WrongKind(f"operation requires the no-incentive game, got {params.kind.value}")
-
-
 # The coefficient systems, written for firm 1 only.  Only parameter products
 # that left-to-right evaluation computes first are hoisted into constants
 # (``s2 * e1 * C * C`` is ``s2e1 * C * C``), which keeps every bit.
@@ -154,10 +149,6 @@ _SWAP = dict(pair for a, b in (
     ("s1", "s2"), ("e1", "e2"), ("g1", "g2"), ("p1", "p2"), ("k1", "k2"), ("s2e1", "s1e2"),
     ("hs1", "hs2"), ("hg1", "hg2"), ("p1x2", "p2x2"), ("g1x2", "g2x2"), ("a1", "a2"),
 ) for pair in ((a, b), (b, a)))
-
-
-def _renamed(expr: str, names: dict[str, str]) -> str:
-    return re.sub(r"\b[A-Za-z_]\w*", lambda m: names.get(m[0], m[0]), expr)
 
 
 def _swapped(expr: str) -> str:
@@ -221,7 +212,7 @@ def best_response(
     a callable, or node samples on the grid; samples interpolate linearly at
     integration stage times, all of them at once before the solve.
     """
-    _require_nash(params)
+    _require_kind(params, Kind.TWO_FIRM_NASH)
     firm = integer("firm", firm, 1, 2)
     grid = TimeGrid(params.horizon, n_nodes)
     samples = sample_opponent(opponent, grid)
@@ -237,7 +228,7 @@ def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
     Only the eight live coefficients are marched; the columns D, E, Dt and Et
     hold +0.0, the value a march of all twelve gives them at every node.
     """
-    _require_nash(params)
+    _require_kind(params, Kind.TWO_FIRM_NASH)
     grid = TimeGrid(params.horizon, n_nodes)
 
     # allocated before the march, so the march's own array is freed above it
@@ -260,7 +251,7 @@ def feedback_strategies(coeffs: NashCoeffs, params: ModelParams) -> tuple[Feedba
 
     a1(t,x,y) = -gamma1*(A x + C y + D); a2(t,x,y) = -gamma2*(At x + Bt y + Et).
     """
-    _require_nash(params)
+    _require_kind(params, Kind.TWO_FIRM_NASH)
     nodes = coeffs.grid.nodes
     columns = {1: ("A", "C", "D"), 2: ("Ct", "Bt", "Et")}  # x slope, y slope, intercept
     return tuple(FeedbackStrategy(f, params.gamma(f), nodes, *map(coeffs.column, columns[f]))
@@ -313,7 +304,7 @@ def payoff_rate(params: ModelParams, x, y, a, out=None, scratch=None):
     ``out`` receives the flows and ``scratch``, shaped like it, holds an
     intermediate; each is allocated when None.
     """
-    _require_nash(params)
+    _require_kind(params, Kind.TWO_FIRM_NASH)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -346,7 +337,7 @@ def ode_residual(
     reuses the integrator's stepping.  Fewer than 5 nodes leave no interior
     node to check and raise :class:`OutOfRange` naming ``n_nodes``.
     """
-    _require_nash(params)
+    _require_kind(params, Kind.TWO_FIRM_NASH)
     integer("n_nodes", coeffs.grid.n_nodes, 5)
     values = coeffs.values
     if isinstance(coeffs, NashCoeffs):

@@ -130,6 +130,11 @@ def _check_table(table: OdeTable) -> None:
             raise ValueError(f"ODE table {table.name!r}: {expr!r} is not plain float arithmetic")
 
 
+def _renamed(expr: str, names: dict[str, str]) -> str:
+    """``expr`` with every name that is a key of ``names`` replaced by its value."""
+    return re.sub(_NAME, lambda m: names.get(m[0], m[0]), expr)
+
+
 @functools.cache
 def _compile(table: OdeTable) -> dict:
     """Generate and compile ``table``'s functions ``rhs`` and ``march``, once per table.
@@ -161,8 +166,7 @@ def _compile(table: OdeTable) -> dict:
         names = {S: S if s == 1 else f"_{S}_{s}" for S in states}
         if step:
             body += [f"_{S}_{s} = {S} + {step} * _d{S}_{s - 1}" for S in states if S in read]
-        body += [f"_d{S}_{s} = " + re.sub(_NAME, lambda m: names.get(m[0], m[0]), expr)
-                 for S, expr in zip(states, table.derivs)]
+        body += [f"_d{S}_{s} = " + _renamed(expr, names) for S, expr in zip(states, table.derivs)]
     body += [f"{S} = {S} + sixth * (_d{S}_1 + 2.0 * _d{S}_2 + 2.0 * _d{S}_3 + _d{S}_4)" for S in states]
     body.append(f"append([{', '.join(states)}])")
     namespace: dict = {}

@@ -18,7 +18,7 @@ import numpy as np
 from . import model
 from .contract import gradient_couplings, oracle_rates
 from .errors import OutOfRange, integer, real
-from .model import ModelParams
+from .model import PRINCIPAL_KINDS, Kind, ModelParams, _require_kind, _require_solved_for
 from .nash import NashCoeffs
 from .riccati import QuadraticValueFn, centered_derivative
 
@@ -96,9 +96,18 @@ def sampled_time_derivative(values: np.ndarray, dt: float, k: int) -> np.ndarray
     return (25.0 * f0 - 48.0 * f1 + 36.0 * f2 - 16.0 * f3 + 3.0 * f4) / (12.0 * dt)
 
 
-def _slice_nodes(v_grid, times: np.ndarray) -> list[int]:
-    dt = v_grid.dt
-    return [int(round(t / dt)) for t in times]
+def _slicing(solved: QuadraticValueFn | NashCoeffs, params: ModelParams, grid: GridSpec | None,
+             *kinds: Kind) -> tuple[GridSpec, np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The grid (``GridSpec()`` for None), its state mesh ``(X, Y)``, the slice
+    times and the node of each, once ``params`` is of one of ``kinds`` and
+    ``solved`` belongs to it and has the nodes the stencils need."""
+    _require_kind(params, *kinds)
+    _require_solved_for(params, "coefficients", solved.grid.t_end, getattr(solved, "kind", None))
+    integer("n_nodes", solved.grid.n_nodes, _MIN_NODES)
+    grid = grid or GridSpec()
+    X, Y = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+    times = grid.slice_times(params.horizon)
+    return grid, X, Y, times, [int(round(t / solved.grid.dt)) for t in times]
 
 
 def _report(label: str, grid: GridSpec, times, residuals, X, Y) -> ResidualReport:
@@ -125,16 +134,14 @@ def hjb_residual_principal(
 
     Evaluates f(x) - g(x) + dv/dt + 0.5*(sigma1^2 v11 + sigma2^2 v22)
     + 0.5*(m1 v1^2 + m2 v2^2) slice by slice, with dv/dt rebuilt from stencil
-    derivatives of the stored coefficient trajectories.  Fewer than 6 nodes
-    raise :class:`OutOfRange` naming ``n_nodes``.
+    derivatives of the stored coefficient trajectories.  Params without a
+    principal raise :class:`WrongKind`; a ``v`` solved for another kind or
+    horizon raises :class:`ConfigMismatch`, and one on fewer than 6 nodes
+    :class:`OutOfRange` naming ``n_nodes``.
     """
-    integer("n_nodes", v.grid.n_nodes, _MIN_NODES)
-    grid = grid or GridSpec()
+    grid, X1, X2, times, nodes = _slicing(v, params, grid, *PRINCIPAL_KINDS)
     m1, m2 = gradient_couplings(params)
     s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
-
-    ax = grid.axis()
-    X1, X2 = np.meshgrid(ax, ax, indexing="ij")
     states = np.stack([X1, X2], axis=-1)
     flow = model.revenue_f(params, states) - model.social_cost_g(params, states)
 
@@ -153,8 +160,7 @@ def hjb_residual_principal(
             + 0.5 * (m1 * v1 * v1 + m2 * v2 * v2)
         )
 
-    times = grid.slice_times(params.horizon)
-    return _report("principal_hjb", grid, times, map(residual, _slice_nodes(v.grid, times)), X1, X2)
+    return _report("principal_hjb", grid, times, map(residual, nodes), X1, X2)
 
 
 # column j of the firm-swapped game's Nash trajectory is column _FIRM_SWAP[j] of
@@ -198,26 +204,21 @@ def hjb_residual_nash(
 
     with a2 = -g2*(Ct*x + Bt*y + Et).  Firm 2's is the same expression in the
     firm-swapped game: the firms' sigma, eta, gamma and p1 <-> p2 exchanged,
-    x <-> y, and the coefficient columns permuted.  Fewer than 6 nodes raise
-    :class:`OutOfRange` naming ``n_nodes``.
+    x <-> y, and the coefficient columns permuted.  Params of another kind
+    raise :class:`WrongKind`; ``coeffs`` solved on another horizon raise
+    :class:`ConfigMismatch`, and on fewer than 6 nodes :class:`OutOfRange`
+    naming ``n_nodes``.
     """
-    integer("n_nodes", coeffs.grid.n_nodes, _MIN_NODES)
-    grid = grid or GridSpec()
-    ax = grid.axis()
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
+    grid, X, Y, times, nodes = _slicing(coeffs, params, grid, Kind.TWO_FIRM_NASH)
     swapped = replace(params, sigma1=params.sigma2, sigma2=params.sigma1, eta1=params.eta2,
                       eta2=params.eta1, gamma1=params.gamma2, gamma2=params.gamma1,
                       p1=params.p2, p2=params.p1)
-    times = grid.slice_times(params.horizon)
-    ks = _slice_nodes(coeffs.grid, times)
     values, dt = coeffs.values, coeffs.grid.dt
-    reports = []
-    for firm, game, cols, x, y in ((1, params, slice(None), X, Y), (2, swapped, _FIRM_SWAP, Y, X)):
-        residuals = (_nash_firm1_residual(game, values[k][cols],
-                                          sampled_time_derivative(values, dt, k)[cols], x, y)
-                     for k in ks)
-        reports.append(_report(f"nash_hjb_firm{firm}", grid, times, residuals, X, Y))
-    return reports[0], reports[1]
+    return tuple(
+        _report(f"nash_hjb_firm{firm}", grid, times,
+                (_nash_firm1_residual(game, values[k][cols], sampled_time_derivative(values, dt, k)[cols], x, y)
+                 for k in nodes), X, Y)
+        for firm, game, cols, x, y in ((1, params, slice(None), X, Y), (2, swapped, _FIRM_SWAP, Y, X)))
 
 
 def sup_consistency(

@@ -43,6 +43,52 @@ GAME_OUTPUT_SHA256 = {
 }
 
 
+# SHA-256 of every other file the scenarios write from the checked-in configs
+# (their own seeds), keyed by (scenario, config, n_nodes or None for the
+# config's own, extra flags); with GAME_OUTPUT_SHA256 this pins all 27 files
+OUTPUT_SHA256 = {
+    ("best-response", "fig1_best_response_a2_0.json", None, ()): {
+        "best_response_coeffs.csv": "1c99deb121df885de8027093f08573cbd274dca458825a13011e317ac21eafda",
+        "summary.json": "94b62b8908c75d867e9f3f02d58f4dbe547c70ad567746849898a8c443b2e674",
+    },
+    ("best-response", "fig1_best_response_a2_05.json", None, ()): {
+        "best_response_coeffs.csv": "125e57f6303ef924c390bef2c7b877c6b7dd36763fad8b1911bc57181e970c6e",
+        "summary.json": "7aefdad9db55b49f7f222435b52ebab0dc93f4731a6914efad818af195e93b46",
+    },
+    ("best-response", "fig1_best_response_a2_1.json", None, ()): {
+        "best_response_coeffs.csv": "ddd09afc4bd9276bb83d00ff1670ad09422cc57d4742d26ca00bebc8c55416ed",
+        "summary.json": "467b7b30274f4c4d4cdcc76a3e695a7293b71d6c9f828855561d65f1b9145fbd",
+    },
+    ("simulate", "simulate_two_firm.json", None, ()): {
+        "summary.json": "ffea24bdc8248556e055e0af8f1a9ff75c596b65d350f51ffcb557773163e266",
+    },
+    ("single-firm", "single_firm.json", None, ()): {
+        "riccati_coeffs.csv": "1a031af42aaf1c6b5632a92491eaaf88412032a20d95855246c2cc9c070983fc",
+        "summary.json": "3859bb17510f028cd00102f6cad2fcef7d27f7420ebb4deb77b7d760d9460148",
+    },
+    ("single-firm", "single_firm.json", None, ("--literal-signs",)): {
+        "riccati_coeffs.csv": "e949097cdd0386cac6039ff9057213592c230e665c6c6dbb3455b87731ed1c70",
+        "summary.json": "8933b452e526cb495f7e26fe74c8749bb4e0c1000e04f4f7131d4e1cefb4c160",
+    },
+    ("two-firm", "two_firm.json", None, ()): {
+        "riccati_coeffs.csv": "a080adae3714fcfa26f3251aeeb41363de97b800a0649830323b1da6b9c21c51",
+        "summary.json": "4a4f9f65e677fff213b5a56d56d7ab317aed1e507f293cca11ced22d95e46a79",
+    },
+    ("two-firm", "two_firm.json", 16001, ()): {
+        "riccati_coeffs.csv": "18f9d5642e39d68c01a2c07780316aa1a154113fdd2eb3407d71aa5ace91c9bd",
+        "summary.json": "c562d91999f9dbb1cb863721afb3f297cbfd63a5dc276c4171fd28f577ef8b01",
+    },
+    ("verify", "single_firm.json", None, ()): {
+        "residuals.json": "6b83b3fe5f4c34cfac16a2181093c9fd29e1c61d8d74ce41755f288b30822c56",
+        "summary.json": "099d664dd71ac2f331f684d1de41592e81b819332e62102c15f5fd34fb529434",
+    },
+    ("verify", "two_firm.json", None, ()): {
+        "residuals.json": "b9378af63c6c066a52d55257013c539ec026a1e6b889d60c17e6270282249437",
+        "summary.json": "88da641f440ac467864b8317513dd38a2751d4b317783329e622a46a10a3ed13",
+    },
+}
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -164,6 +210,19 @@ class TestScenarios:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in GAME_OUTPUT_SHA256[scenario, n_nodes]}
         assert digests == GAME_OUTPUT_SHA256[scenario, n_nodes]
+
+    @pytest.mark.parametrize("key", sorted(OUTPUT_SHA256, key=repr), ids=lambda key: "-".join(
+        str(part) for part in (key[0], key[1].removesuffix(".json"), key[2], *key[3]) if part))
+    def test_pinned_outputs(self, tmp_path, key):
+        scenario, config, n_nodes, flags = key
+        payload = json.loads((CONFIG_DIR / config).read_text(encoding="utf-8"))
+        if n_nodes is not None:
+            payload["numerics"]["n_nodes"] = n_nodes
+        out = tmp_path / "out"
+        assert run([scenario, "--config", write_config(tmp_path, payload), "--out", str(out), *flags]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_SHA256[key])
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUT_SHA256[key]}
+        assert digests == OUTPUT_SHA256[key]
 
     @pytest.mark.parametrize("config", ["two_firm.json", "fig2_nash.json"])
     def test_verify_on_six_nodes(self, tmp_path, config):

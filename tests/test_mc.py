@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,6 +291,30 @@ class TestNashSimulation:
                     simulate_nash(nash_params, (runaway, passive_strategy(nash_params)), cfg,
                                   chunk_size=chunk_size)
             assert (exc.value.path_index, exc.value.t) == (expected[0], expected[1] * cfg.dt)
+
+    @pytest.mark.parametrize("horizon", [0.5, 2.0])
+    def test_strategies_solved_on_another_horizon(self, nash_params, horizon):
+        # the engine's interpolation would hold the gains flat past the last
+        # node, or use half of them, where a strategy's own call raises
+        strategies = feedback_strategies(solve_nash(nash_params, 101), nash_params)
+        other = replace(nash_params, horizon=horizon)
+        cfg = SimConfig(n_paths=4, dt=0.01, seed=3)
+        with pytest.raises(ConfigMismatch, match="strategy horizon"):
+            nash_path_payoffs(other, strategies, cfg)
+        with pytest.raises(ConfigMismatch, match="strategy horizon"):
+            simulate_nash(other, strategies, cfg)
+
+    def test_strategies_solved_on_a_shorter_horizon(self, nash_params):
+        short = replace(nash_params, horizon=0.5)
+        strategies = feedback_strategies(solve_nash(nash_params, 101), nash_params)
+        mismatched = feedback_strategies(solve_nash(short, 51), short)
+        cfg = SimConfig(n_paths=4, dt=0.01, seed=3)
+        with pytest.raises(ConfigMismatch, match="firm 1 strategy horizon 0.5 != params horizon 1.0"):
+            simulate_nash(nash_params, mismatched, cfg)
+        with pytest.raises(ConfigMismatch, match="firm 2 strategy"):
+            simulate_nash(nash_params, (strategies[0], mismatched[1]), cfg)
+        # each set runs on its own horizon
+        assert simulate_nash(short, mismatched, cfg)[0].n_paths == 4
 
     @pytest.mark.parametrize("field,value", BAD_ENGINE_ARGS)
     def test_engine_arguments_validated(self, nash_params, field, value):

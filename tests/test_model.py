@@ -11,10 +11,13 @@ from decarb import (
     OutOfRange,
     UnexpectedField,
     WrongKind,
+    hjb_residual_nash,
     payoff_rate,
     price,
+    rates_two,
     revenue_f,
     social_cost_g,
+    solve_nash,
     validate_params,
 )
 from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
@@ -219,6 +222,21 @@ class TestSocialCost:
         with pytest.raises(WrongKind):
             social_cost_g(nash_params, (0.0, 0.0))
 
+
+
+@pytest.mark.parametrize("call, params, allowed", [
+    (lambda p: social_cost_g(p, (0.0, 0.0)), "nash_params", "single_firm, two_firm_regulated"),
+    (lambda p: payoff_rate(p, 0.0, 0.0, (0.0, 0.0)), "two_firm", "two_firm_nash"),
+    (lambda p: solve_nash(p, 11), "single_firm", "two_firm_nash"),
+    (lambda p: rates_two(p, (1.0, 1.0)), "single_firm", "two_firm_regulated"),
+    (lambda p: hjb_residual_nash(None, p), "two_firm", "two_firm_nash"),
+], ids=["social_cost_g", "payoff_rate", "solve_nash", "rates_two", "hjb_residual_nash"])
+def test_one_wrong_kind_message(request, call, params, allowed):
+    # every operation refuses a model kind through one guard, in one wording
+    p = request.getfixturevalue(params)
+    with pytest.raises(WrongKind) as exc:
+        call(p)
+    assert str(exc.value) == f"operation requires model kind in {{{allowed}}}, got {p.kind.value}"
 
 def effort_cost(params, a, firm):
     """Firm ``firm``'s effort cost a^2 / (2*gamma_firm), as the payoff flow

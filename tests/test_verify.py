@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from decarb import (
+    ConfigMismatch,
     GridSpec,
     Kind,
     OutOfRange,
+    WrongKind,
     hjb_residual_nash,
     hjb_residual_principal,
     solve_nash,
@@ -16,6 +18,7 @@ from decarb import (
     validate_params,
 )
 from decarb.contract import assemble_lqg, gradient_couplings, effective_aversions
+from decarb.riccati import solve_lqg
 from decarb.verify import sampled_time_derivative
 from conftest import (
     NASH_FIXTURE,
@@ -165,6 +168,49 @@ class TestNashResidual:
         bumped[:, 9] += 0.1  # firm 2's x-slope coefficient Dt
         _, r2 = hjb_residual_nash(replace(coeffs, values=bumped), nash_params)
         assert r2.max_residual > 1e-3
+
+
+class TestSolvedObjectMustMatch:
+    """A residual check refuses a solved object that does not belong to its
+    params, instead of an IndexError, a residual of another model, or a check
+    of part of the horizon."""
+
+    @pytest.mark.parametrize("horizon", [0.5, 1.5, 1.0 + 2e-9])
+    def test_principal_horizon(self, two_firm, horizon):
+        v = solve_principal(two_firm, 1001)
+        with pytest.raises(ConfigMismatch, match="horizon"):
+            hjb_residual_principal(v, replace(two_firm, horizon=horizon))
+
+    @pytest.mark.parametrize("horizon", [0.5, 1.5, 1.0 + 2e-9])
+    def test_nash_horizon(self, nash_params, horizon):
+        coeffs = solve_nash(nash_params, 1001)
+        with pytest.raises(ConfigMismatch, match="horizon"):
+            hjb_residual_nash(coeffs, replace(nash_params, horizon=horizon))
+
+    def test_horizon_within_rounding_accepted(self, two_firm, nash_params):
+        v = solve_principal(two_firm, 1001)
+        near = replace(two_firm, horizon=1.0 + 5e-10)
+        assert hjb_residual_principal(v, near).max_residual <= 1e-6
+        coeffs = solve_nash(nash_params, 1001)
+        assert all(np.isfinite(r.max_residual)
+                   for r in hjb_residual_nash(coeffs, replace(nash_params, horizon=1.0 - 5e-10)))
+
+    def test_principal_solved_for_another_kind(self, two_firm, single_firm):
+        with pytest.raises(ConfigMismatch, match="solved for two_firm_regulated"):
+            hjb_residual_principal(solve_principal(two_firm, 201), single_firm)
+        with pytest.raises(ConfigMismatch, match="solved for single_firm"):
+            hjb_residual_principal(solve_principal(single_firm, 201), two_firm)
+
+    def test_value_function_without_kind_accepted(self, two_firm):
+        v = solve_lqg(assemble_lqg(two_firm), two_firm.horizon, 1001)
+        assert v.kind is None
+        assert hjb_residual_principal(v, two_firm) == hjb_residual_principal(solve_principal(two_firm), two_firm)
+
+    def test_wrong_params_kind(self, two_firm, nash_params):
+        with pytest.raises(WrongKind):
+            hjb_residual_nash(solve_nash(nash_params, 201), two_firm)
+        with pytest.raises(WrongKind):
+            hjb_residual_principal(solve_principal(two_firm, 201), nash_params)
 
 
 class TestFiniteDiffCheck:
