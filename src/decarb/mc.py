@@ -611,11 +611,16 @@ def nash_path_payoffs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path accumulated payoff flows (Z1, Z2) of both firms, canonical order.
 
-    A strategy solved on another horizon than ``params.horizon`` raises
+    ``strategies`` are firm 1's and firm 2's, in that order; another order,
+    or a strategy solved on another horizon than ``params.horizon``, raises
     :class:`ConfigMismatch`.
     """
     if params.kind is not Kind.TWO_FIRM_NASH:
         raise ConfigMismatch(f"simulate_nash needs the no-incentive game, got {params.kind.value}")
+    firms = [s.firm for s in strategies]
+    if firms != [1, 2]:
+        raise ConfigMismatch(f"strategies must be firm 1's and firm 2's, in order, got firms {firms}",
+                             "strategies")
     for s in strategies:
         model._require_solved_for(params, f"firm {s.firm} strategy", float(s.nodes[-1]))
     z1, z2 = _run_paths(lambda nodes: _NashStep(params, strategies, deviation, nodes), params, cfg,

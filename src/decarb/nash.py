@@ -43,23 +43,38 @@ in equilibrium the linear coefficients D, E, Dt and Et solve a homogeneous
 linear system (their derivatives are linear in them, with the quadratic
 coefficients as factors) from zero data, and vanish identically.
 :func:`solve_nash` therefore marches the other eight, A, B, C, F, At, Bt, Ct
-and Ft, on ``_NASH_LIVE``: ``_NASH`` with the four states dropped and read as
-the literal 0.0 where the others' derivatives name them.  The four columns
-hold +0.0.  The bits are those of the twelve-state march.  There every stage
-value of the four is exactly +0.0, by induction: each starts at +0.0, and
-under round-to-nearest +0.0 + (+-0.0) is +0.0.  So the literal gives every
-live derivative the same operands in the same order.  The escape row is the
-same too: a vanishing state turns NaN only after some live stage value is
-already inf, and that inf enters its own state's final RK4 combination in
-both marches.  ``_NASH`` stays the one definition of the game:
-:func:`ode_residual` checks all twelve columns against it, and the value-PDE
-residuals of :mod:`decarb.verify` read all twelve, so a vanishing state with
-a nonzero derivative would show in both.
+and Ft, on ``_nash_live()``: ``_NASH`` with the four states dropped and read as
+the literal 0.0 where the others' derivatives name them, and the terms that
+literal zeroes folded away.  The four columns hold +0.0.  The bits are those
+of the twelve-state march.  There every stage value of the four is exactly
++0.0, by induction: each starts at +0.0, and under round-to-nearest
++0.0 + (+-0.0) is +0.0.  So the literal gives every live derivative the same
+operands in the same order.  The escape row is the same too: a vanishing
+state turns NaN only after some live stage value is already inf, and that
+inf enters its own state's final RK4 combination in both marches.
+
+The fold rewrites ``name * 0.0 * 0.0`` as ``0.0``, ``0.0 + S`` as ``S`` and
+drops ``+ 0.0``, so F's derivative is ``0.0 - hs1 * A - hs2 * B - p0`` (5
+float operations in place of 16) and Ft's its mirror; no other derivative
+reads the literal.  It keeps the bits for finite γ, η, σ² >= 0, which
+:func:`~decarb.model.validate_params` guarantees.  Every folded product is
+then +0.0.  ``0.0 + S`` is S because a stage value is never -0.0: it starts
+at +0.0, and x + y is -0.0 only when both are.  The dropped ``+ 0.0``
+follows ``0.0 - hs1 * A - hs2 * B``, never -0.0 either, as x - y is -0.0
+only when x is.  Even a folded value that differed in the sign of a zero
+would not reach a state: no derivative reads F or Ft, and adding a zero of
+either sign to a state, never -0.0, leaves it unchanged.
+
+``_NASH`` stays the one definition of the game: :func:`ode_residual` checks
+all twelve columns against it, and the value-PDE residuals of
+:mod:`decarb.verify` read all twelve, so a vanishing state with a nonzero
+derivative would show in both.
 
 Each system is an :class:`~decarb.riccati.OdeTable` (``_BR_TABLES[firm]``,
-``_NASH``, ``_NASH_LIVE``), compiled on its first solve, once per process,
+``_NASH``, ``_nash_live()``), compiled on its first solve, once per process,
 into a block march that runs the integrator's RK4 steps with every stage
-written out, and a right-hand side that :func:`ode_residual` evaluates on
+written out, with 4 shared products per stage in ``_nash_live()`` and in each
+best response, and a right-hand side that :func:`ode_residual` evaluates on
 node-sampled columns.  Parameters arrive as arguments, so no source is built
 from their values.  A best response reads the opponent flow from a flat
 list, interpolated once at the integrator's stage times, three values per
@@ -68,6 +83,7 @@ step.
 
 from __future__ import annotations
 
+import ast
 import functools
 from dataclasses import dataclass
 
@@ -75,8 +91,8 @@ import numpy as np
 
 from .errors import BlowUp, OutOfRange, integer, real
 from .model import Kind, ModelParams, _require_kind
-from .riccati import (Kernel, OdeTable, TimeGrid, _in_horizon, _renamed, centered_derivative, rk4_backward,
-                      rk4_stage_times)
+from .riccati import (Kernel, OdeTable, TimeGrid, _bottom_up, _in_horizon, _renamed, centered_derivative,
+                      rk4_backward, rk4_stage_times)
 
 BR_COLUMNS = ("A", "B", "C", "D", "E", "F")
 NASH_COLUMNS = ("A", "B", "C", "D", "E", "F", "At", "Bt", "Ct", "Dt", "Et", "Ft")
@@ -171,13 +187,31 @@ _BR_TABLES = {
 }
 # the twelve coupled equilibrium ODEs (autonomous)
 _NASH = OdeTable("nash", NASH_COLUMNS, _GAME_PARAMS, _EQUILIBRIUM + _firm2(_EQUILIBRIUM), _GAME_CONSTS)
-# the eight that solve_nash marches: the states that vanish identically are
-# dropped, and read as the literal 0.0 where the others' derivatives name them
+# the states that vanish identically; solve_nash marches the other eight
 _VANISHING = ("D", "E", "Dt", "Et")
 _LIVE = [j for j, name in enumerate(NASH_COLUMNS) if name not in _VANISHING]
-_NASH_LIVE = OdeTable(
-    "nash_live", tuple(NASH_COLUMNS[j] for j in _LIVE), _GAME_PARAMS,
-    tuple(_renamed(_NASH.derivs[j], dict.fromkeys(_VANISHING, "0.0")) for j in _LIVE), _GAME_CONSTS)
+
+
+def _fold_zero(node):
+    """``name * 0.0 * 0.0`` as ``0.0``, and a sum with a ``0.0`` term as its other term."""
+    match node:
+        case ast.BinOp(ast.BinOp(ast.Name(), ast.Mult(), ast.Constant(0.0)), ast.Mult(), ast.Constant(0.0)):
+            return ast.Constant(0.0)
+        case ast.BinOp(ast.Constant(0.0), ast.Add(), term) | ast.BinOp(term, ast.Add(), ast.Constant(0.0)):
+            return term
+    return node
+
+
+@functools.cache
+def _nash_live() -> OdeTable:
+    """The eight-state table :func:`solve_nash` marches, built on its first
+    call: ``_NASH`` with the vanishing states read as ``0.0`` and the terms
+    they zero folded away."""
+    zeros = dict.fromkeys(_VANISHING, "0.0")
+    derivs = (_bottom_up(ast.parse(_renamed(_NASH.derivs[j], zeros), mode="eval").body, _fold_zero)
+              for j in _LIVE)
+    return OdeTable("nash_live", tuple(NASH_COLUMNS[j] for j in _LIVE), _GAME_PARAMS,
+                    tuple(map(ast.unparse, derivs)), _GAME_CONSTS)
 
 
 def _game_args(params: ModelParams) -> tuple[float, ...]:
@@ -235,7 +269,7 @@ def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
     # and leaves no hole below the result that outlives it
     values = np.zeros((grid.n_nodes, len(NASH_COLUMNS)))
     try:
-        live = rk4_backward(Kernel(_NASH_LIVE, _game_args(params)), np.zeros(len(_LIVE)), grid)
+        live = rk4_backward(Kernel(_nash_live(), _game_args(params)), np.zeros(len(_LIVE)), grid)
     except BlowUp as exc:
         raise BlowUp(
             exc.t_escape,

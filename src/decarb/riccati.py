@@ -18,13 +18,23 @@ The coefficient systems here and in :mod:`decarb.nash` are written once each
 as an :class:`OdeTable` of expressions.  On a system's first solve the table
 is compiled into straight-line Python with the four RK4 stages inlined,
 which marches a block of steps about twice as fast as calling a right-hand
-side per stage, with the same bits.
+side per stage, with the same bits.  The march also skips repeated work,
+by two rewrites of the table's syntax trees: a negated parameter (``-q11``)
+is negated once per call, and a product of two names that occurs twice or
+more (``m1 * a11``) is computed once per stage.  Each rewrite does the same
+IEEE operation on the same operands, once instead of several times, so
+every value keeps its bits.  The candidates are tree nodes, so ``c * a * b``,
+which is ``(c * a) * b``, shares ``c * a`` and never ``a * b``, which rounds
+differently.  The right-hand side keeps the table's text as written, so
+classic RK4 calling it once per stage checks every march bit for bit.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -135,28 +145,77 @@ def _renamed(expr: str, names: dict[str, str]) -> str:
     return re.sub(_NAME, lambda m: names.get(m[0], m[0]), expr)
 
 
+def _bottom_up(node: ast.AST, rewrite) -> ast.AST:
+    """``node`` with ``rewrite`` applied to each of its subtrees, innermost first."""
+    class Rewriter(ast.NodeTransformer):
+        def generic_visit(self, child):
+            return rewrite(super().generic_visit(child))
+
+    return Rewriter().visit(node)
+
+
+def _product(node: ast.AST) -> str | None:
+    """``"a * b"`` when ``node`` is the product of two names, else None."""
+    match node:
+        case ast.BinOp(ast.Name(a), ast.Mult(), ast.Name(b)):
+            return f"{a} * {b}"
+    return None
+
+
+def _march_form(table: OdeTable) -> tuple[dict[str, str], list[str], list[str]]:
+    """``table``'s derivatives as ``march`` evaluates them (see the module notes).
+
+    Returns the per-call negations (``{"_q11_neg": "-q11"}``), the products
+    of two names that occur twice or more, and the derivatives, which read
+    the negations by name and the i-th shared product as ``_i``.
+    """
+    per_call = {*table.params, *(n for n, _ in table.consts)}
+    negated: dict[str, str] = {}
+
+    def hoist(node):
+        match node:
+            case ast.UnaryOp(ast.USub(), ast.Name(name)) if name in per_call:
+                negated[f"_{name}_neg"] = f"-{name}"
+                return ast.Name(f"_{name}_neg")
+        return node
+
+    trees = [_bottom_up(ast.parse(expr, mode="eval").body, hoist) for expr in table.derivs]
+    counts = Counter(_product(node) for tree in trees for node in ast.walk(tree))
+    shared = [product for product, n in counts.items() if product and n > 1]
+
+    def share(node):
+        product = _product(node)
+        return ast.Name(f"_{shared.index(product)}") if product in shared else node
+
+    return negated, shared, [ast.unparse(_bottom_up(tree, share)) for tree in trees]
+
+
 @functools.cache
 def _compile(table: OdeTable) -> dict:
     """Generate and compile ``table``'s functions ``rhs`` and ``march``, once per table.
 
-    ``rhs(*params, x, u)`` evaluates the derivatives once.  ``march(u, top,
-    stop, rows, half, h, sixth, drive, *params)`` appends to ``rows`` the
-    states after each RK4 step from node ``top`` down to ``stop``.  It runs
-    the float operations of a classic RK4 step that calls ``rhs`` once per
-    stage, in the same order, with every stage written out: state S enters
-    stage s as ``_S_s``, its derivative there is ``_dS_s``, and the drive
-    reads ``drive[3k - 3]``, ``drive[3k - 2]`` and ``drive[3k - 1]`` in the
-    step from node k, as the stage times are listed.  The source holds only the table's names and the
-    fixed stage arithmetic; parameter values arrive as arguments.
+    ``rhs(*params, x, u)`` evaluates the derivatives once, as the table
+    writes them.  ``march(u, top, stop, rows, half, h, sixth, drive,
+    *params)`` appends to ``rows`` the states after each RK4 step from node
+    ``top`` down to ``stop``.  It runs the float operations of a classic RK4
+    step that calls ``rhs`` once per stage, in the same order, with every
+    stage written out: state S enters stage s as ``_S_s``, its derivative
+    there is ``_dS_s``, and the drive reads ``drive[3k - 3]``, ``drive[3k -
+    2]`` and ``drive[3k - 1]`` in the step from node k, as the stage times
+    are listed.  The derivatives are in :func:`_march_form`, with shared
+    product i held in stage s as ``_i_s``.  The source holds only the
+    table's names and the fixed stage arithmetic; parameter values arrive as
+    arguments.
     """
     _check_table(table)
     states, drive = table.states, table.drive
+    negated, shared, derivs = _march_form(table)
     read = set(re.findall(_NAME, " ".join(table.derivs)))
     head = [f"    {name} = {expr}" for name, expr in table.consts] + [f"    {', '.join(states)}, = u"]
     lines = [f"def rhs({', '.join([*table.params, drive or '_t', 'u'])}):", *head,
              f"    return ({', '.join(table.derivs)},)",
              f"def march({', '.join(['u, top, stop, rows, half, h, sixth, drive', *table.params])}):",
-             *head, "    append = rows.append",
+             *head, *(f"    {name} = {expr}" for name, expr in negated.items()), "    append = rows.append",
              "    for j in range(3 * top - 3, 3 * stop - 3, -3):" if drive else
              "    for _ in range(top - stop):"]
     body = []
@@ -164,9 +223,11 @@ def _compile(table: OdeTable) -> dict:
         if drive and at:
             body.append(f"{drive} = drive[{at}]")
         names = {S: S if s == 1 else f"_{S}_{s}" for S in states}
+        names.update((f"_{i}", f"_{i}_{s}") for i in range(len(shared)))
         if step:
             body += [f"_{S}_{s} = {S} + {step} * _d{S}_{s - 1}" for S in states if S in read]
-        body += [f"_d{S}_{s} = " + _renamed(expr, names) for S, expr in zip(states, table.derivs)]
+        body += [f"_{i}_{s} = " + _renamed(product, names) for i, product in enumerate(shared)]
+        body += [f"_d{S}_{s} = " + _renamed(expr, names) for S, expr in zip(states, derivs)]
     body += [f"{S} = {S} + sixth * (_d{S}_1 + 2.0 * _d{S}_2 + 2.0 * _d{S}_3 + _d{S}_4)" for S in states]
     body.append(f"append([{', '.join(states)}])")
     namespace: dict = {}
@@ -192,7 +253,6 @@ def rk4_backward(kernel: Kernel, terminal: np.ndarray, grid: TimeGrid) -> np.nda
     """
     terminal = np.asarray(terminal, dtype=float)
     n = grid.n_nodes
-    nodes = grid.nodes.tolist()
     h = -grid.dt
     march = _compile(kernel.table)["march"]
     extra = (0.5 * h, h, h / 6.0, kernel.drive, *kernel.args)
@@ -203,18 +263,19 @@ def rk4_backward(kernel: Kernel, terminal: np.ndarray, grid: TimeGrid) -> np.nda
         rows = []
         march(u, top, max(top - _BLOCK, 0), rows, *extra)
         block = np.array(rows)
-        _check_block(block, nodes, top - 1)
+        _check_block(block, grid, top - 1)
         out[top - len(rows):top] = block[::-1]
         u = rows[-1]
     return out
 
 
-def _check_block(block: np.ndarray, nodes: list[float], first: int) -> None:
-    """Raise BlowUp at the first escaped row; row i holds u at node ``first - i``."""
+def _check_block(block: np.ndarray, grid: TimeGrid, first: int) -> None:
+    """Raise BlowUp at the first escaped row; row i holds u at node ``first - i``
+    of ``grid``, whose nodes are built only then."""
     ok = np.abs(block) <= BLOWUP_LIMIT  # also catches NaN and inf
     if not ok.all():
         i = int(np.argmin(ok.all(axis=1)))
-        raise BlowUp(nodes[first - i])
+        raise BlowUp(float(grid.nodes[first - i]))
 
 
 def centered_derivative(values: np.ndarray, dt: float) -> np.ndarray:

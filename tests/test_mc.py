@@ -316,6 +316,18 @@ class TestNashSimulation:
         # each set runs on its own horizon
         assert simulate_nash(short, mismatched, cfg)[0].n_paths == 4
 
+    @pytest.mark.parametrize("order", [(1, 0), (0, 0), (1, 1)])
+    def test_strategies_out_of_order(self, nash_params, order):
+        # each row of the step reads its gains and gamma from its slot, so a
+        # swapped or duplicated pair would simulate another game
+        strategies = feedback_strategies(solve_nash(nash_params, 101), nash_params)
+        picked = tuple(strategies[i] for i in order)
+        cfg = SimConfig(n_paths=4, dt=0.01, seed=3)
+        for run in (nash_path_payoffs, simulate_nash):
+            with pytest.raises(ConfigMismatch, match="strategies must be firm 1's") as exc:
+                run(nash_params, picked, cfg)
+            assert exc.value.field == "strategies"
+
     @pytest.mark.parametrize("field,value", BAD_ENGINE_ARGS)
     def test_engine_arguments_validated(self, nash_params, field, value):
         strategies = (passive_strategy(nash_params, 1), passive_strategy(nash_params))

@@ -19,7 +19,7 @@ from decarb import (
     solve_nash,
     validate_params,
 )
-from decarb.nash import (BR_COLUMNS, NASH_COLUMNS, _BR_TABLES, _NASH, _VANISHING, _game_args,
+from decarb.nash import (BR_COLUMNS, NASH_COLUMNS, _BR_TABLES, _NASH, _VANISHING, _game_args, _nash_live,
                          sample_opponent)
 from decarb.riccati import TimeGrid, rk4_stage_times
 from decarb.verify import hjb_residual_nash
@@ -316,6 +316,15 @@ def vanishes(table, args, others) -> bool:
     u = [0.0 if name in _VANISHING else next(others) for name in NASH_COLUMNS]
     derivs = table.rhs(args)(None, u)
     return all(derivs[NASH_COLUMNS.index(name)] == 0.0 for name in _VANISHING)
+
+
+def test_live_derivatives_fold_the_vanished_zeros():
+    # the literal 0.0 of a vanishing state leaves no arithmetic behind
+    table = _nash_live()
+    assert not any("* 0.0" in d or "0.0 +" in d or "+ 0.0" in d for d in table.derivs)
+    live = dict(zip(table.states, table.derivs))
+    assert live["F"] == "0.0 - hs1 * A - hs2 * B - p0"
+    assert live["Ft"] == "0.0 - hs2 * Bt - hs1 * At - p0"
 
 
 # the game with a constant added to D's derivative, which vanishes() must reject

@@ -244,7 +244,7 @@ class TestFusedKernel:
     def test_nothing_compiled_at_import(self):
         src = str(Path(riccati.__file__).parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import decarb.cli, decarb.riccati as r; "
-                "assert r._compile.cache_info().currsize == 0")
+                "assert r._compile.cache_info().currsize == decarb.nash._nash_live.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", code], check=True)
 
     @pytest.mark.parametrize("states, derivs, consts", [
@@ -311,6 +311,35 @@ class TestKernelEqualsReference:
         kernel = Kernel(table, args, [opponent] * (3 * n_nodes - 3))
         rhs = table.rhs(args)
         self.check(kernel, lambda t, u: rhs(opponent, u), [0.0] * 6, horizon, n_nodes)
+
+
+# a product read three ways, (a * x) * y, a * (x * y) and x * a; the march may
+# share only whole product nodes, a * x and x * y here
+GROUPINGS = OdeTable("groupings", ("x", "y"), ("a",), ("a * x * y - x * a", "a * (x * y) + a * x - x * y"))
+
+
+class TestMarchForm:
+    def test_shares_whole_products_only(self):
+        negated, shared, derivs = riccati._march_form(GROUPINGS)
+        assert (negated, shared, derivs) == ({}, ["a * x", "x * y"], ["_0 * y - x * a", "a * _1 + _0 - _1"])
+
+    def test_product_groupings_keep_their_bits(self):
+        # a kernel that read a * x * y as a * (x * y) differs from the
+        # reference wherever the two groupings round apart, as in these draws
+        rng = np.random.default_rng(5)
+        draws = [(float(rng.uniform(-2.0, 2.0)), rng.uniform(-1.0, 1.0, 2).tolist()) for _ in range(8)]
+        assert any((a * x) * y != a * (x * y) for a, (x, y) in draws)
+        for a, terminal in draws:
+            TestKernelEqualsReference.check(Kernel(GROUPINGS, (a,)), GROUPINGS.rhs((a,)), terminal, 0.5, 101)
+
+    def test_negated_parameters_become_constants(self):
+        negated, _, derivs = riccati._march_form(_LQG)
+        assert negated == {f"_{n}_neg": f"-{n}" for n in ("q11", "q12", "q22", "l1", "l2")}
+        assert not any("-q" in d or "-l" in d for d in derivs)
+
+    @pytest.mark.parametrize("table", [_LQG, nash._nash_live(), *_BR_TABLES.values()], ids=lambda t: t.name)
+    def test_shipped_tables_share_four_products(self, table):
+        assert len(riccati._march_form(table)[1]) == 4
 
 
 class TestTracerContract:
