@@ -45,9 +45,9 @@ rows) at time node k: the rates and the drift, and the flows too when it is
 given ``scratch`` (the pc predictor gives none: it reads only the drift).
 ``payment_noise(slot, dW, scratch)``, or None, adds the payment noise to
 the slot's flows.  ``payoffs(acc)`` returns the per-path payoffs.  The
-engine accumulates: it multiplies the slot's flows (under pc, first replaced
-by the trapezoid mean) by dt, calls ``payment_noise`` and adds them to the
-stacked accumulators.  ``scratch`` is a pair of (2, rows) engine buffers
+engine accumulates: it multiplies the slot's flows by dt (under pc, the sum
+of both slots' flows by ``0.5*dt``), calls ``payment_noise`` and adds them
+to the stacked accumulators.  ``scratch`` is a pair of (2, rows) engine buffers
 whose contents are spent at that point of the step (the state noise and a
 state no longer needed), and ``evaluate`` uses its own slot's drift or flow
 before filling it, so the working set stays small enough for the processor
@@ -75,8 +75,24 @@ or writes into a buffer, and whether an operand is a row of its own or a
 row of a stacked array broadcast against a column.  Every expression keeps
 its left-to-right order (``0.5*gamma1*z11*z11`` is ``((0.5*gamma1)*z11)*z11``),
 so the in-place step makes the same operations on the same operands as the
-plain per-row expressions would.  ``tests/test_mc.py`` pins the SHA-256 of
-every payoff array over the engine's options.
+plain per-row expressions would.  Two steps differ from those expressions
+and keep the bits.  The pc drift average and trapezoid flow are a sum times
+``0.5*dt``, not half the sum times dt: halving is exact, so both round the
+same real product, unless ``0.5*s`` would be subnormal (``|s| < 2**-1021``).
+Without payment noise (the game) the state noise is made on the drawn half,
+``(sqdt*inc)*sigma``, and negated into the mirror, as ``(-d)*sigma`` is
+``-(d*sigma)`` exactly.  ``tests/test_mc.py`` pins the SHA-256 of every
+payoff array over the engine's options.
+
+The non-finite checks.  A march checks the state and the checked
+accumulators after every ``_CHECK``-th step and after its last, not after
+every step.  Each is updated by adding to itself (``S + drift*dt + noise``,
+``acc + flow``), and a non-finite value plus anything is non-finite, so a
+path that turns non-finite stays so and a block's check sees every failure
+in it.  A failed check re-marches the chunk from step 0 up to the checked
+step, checking every step; the same operations on the same draws fail at
+the same step, which names the earliest step and the lowest canonical
+index failing at it, as a check after every step would.
 
 :class:`SimConfig` and :class:`Deviation` check their fields at construction;
 what needs the model too (``dt`` dividing the horizon, one ``y0`` per agent)
@@ -111,6 +127,7 @@ from .nash import FeedbackStrategy, payoff_rate
 from .riccati import QuadraticValueFn
 
 _CHUNK = 4096
+_CHECK = 32  # steps between finiteness checks of a march
 _BLOCK = 64  # paths drawn path-major before one transpose into a chunk
 _SCHEMES = ("pc", "euler")
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -306,20 +323,27 @@ def _first_non_finite(S: np.ndarray, checked: np.ndarray, start: int, m: int, an
 
 
 def _march(step, inc: np.ndarray, cfg: SimConfig, pc: bool, n_steps: int, start: int,
-           outs: Sequence[np.ndarray]) -> tuple[int, int] | None:
+           outs: Sequence[np.ndarray], every: int = _CHECK) -> tuple[int, int] | None:
     """March one chunk of paths, drawn as ``inc``, through ``n_steps`` steps and
     write their payoffs into ``outs``; return (steps done, canonical index) of
     the earliest non-finite value instead, if any.
 
+    Finiteness is checked after every ``every``-th step and after the last.  A
+    failed check re-marches the chunk up to that step checking every step,
+    which names the step and the path exactly (see the module docstring).
     Every buffer is a local, so all of them are freed before the next chunk
     is drawn.
     """
     m = inc.shape[2]
     width = 2 if cfg.antithetic else 1
     rows = width * m
-    dt, sqdt, sigma, payment_noise = cfg.dt, math.sqrt(cfg.dt), step.sigma, step.payment_noise
+    dt, half_dt, sqdt = cfg.dt, 0.5 * cfg.dt, math.sqrt(cfg.dt)
+    sigma, payment_noise = step.sigma, step.payment_noise
     S, S_next, dW, noise = np.empty((4, 2, rows))
-    dW_drawn, dW_mirrored = dW[:, :m], dW[:, m:]
+    # the game's noise is made on the drawn half and negated into the mirror,
+    # as (-d)*sigma == -(d*sigma); the principal's payment noise reads dW itself
+    halved = noise if payment_noise is None else dW
+    drawn, mirrored = halved[:, :m], halved[:, m:]
     S[...] = np.array(cfg.x0)[:, None]
     acc = np.empty((len(step.acc0), rows))
     checked = acc[:step.n_checked]
@@ -335,33 +359,40 @@ def _march(step, inc: np.ndarray, cfg: SimConfig, pc: bool, n_steps: int, start:
         if k == 0 or not pc:
             # before the draw, the noise and the next state are free scratch
             step.evaluate(k, S, slots[cur], (noise, S_next))
-        np.multiply(sqdt, inc[k], out=dW_drawn)
+        np.multiply(sqdt, inc[k], out=drawn)
+        if payment_noise is None:
+            np.multiply(drawn, sigma, out=drawn)
         if width == 2:
-            np.negative(dW_drawn, out=dW_mirrored)
-        np.multiply(dW, sigma, out=noise)
+            np.negative(drawn, out=mirrored)
+        if payment_noise is not None:
+            np.multiply(dW, sigma, out=noise)
         if pc:
             # the predictor's state and drift are consumed before the
             # corrector's overwrite them, and only its drift is read
             step.evaluate(k + 1, _advance(S, drift[cur], dt, noise, S_next), slots[nxt])
-            d_avg = np.add(drift[cur], drift[nxt], out=drift[nxt])
-            np.multiply(0.5, d_avg, out=d_avg)
-            _advance(S, d_avg, dt, noise, S_next)
+            # the mean drift times dt, as the sum times 0.5*dt
+            d_sum = np.add(drift[cur], drift[nxt], out=drift[nxt])
+            _advance(S, d_sum, half_dt, noise, S_next)
             # the state noise and the old state are spent: they are scratch
             step.evaluate(k + 1, S_next, slots[nxt], (noise, S))
-            # trapezoid: the start flow slot becomes the step's mean flow
+            # trapezoid: the start flow slot becomes the step's mean flow times dt
             np.add(flow[cur], flow[nxt], out=flow[cur])
-            np.multiply(0.5, flow[cur], out=flow[cur])
+            np.multiply(flow[cur], half_dt, out=flow[cur])
         else:
             _advance(S, drift[cur], dt, noise, S_next)
-        np.multiply(flow[cur], dt, out=flow[cur])
+            np.multiply(flow[cur], dt, out=flow[cur])
         if payment_noise is not None:
             payment_noise(slots[cur], dW, (noise, S))
         np.add(acc, flow[cur], out=acc)
         if pc:
             cur, nxt = nxt, cur
         S, S_next = S_next, S
+        if (k + 1) % every and k + 1 < n_steps:
+            continue
         if not (np.logical_and.reduce(np.isfinite(S, out=finite), axis=None)
                 and np.logical_and.reduce(np.isfinite(checked, out=finite_checked), axis=None)):
+            if every > 1:
+                return _march(step, inc, cfg, pc, k + 1, start, (), every=1)
             return k + 1, _first_non_finite(S, checked, start, m, width == 2)
     for out, pay in zip(outs, step.payoffs(acc)):
         out.reshape(-1, width)[start:start + m] = pay.reshape(width, m).T
@@ -612,7 +643,8 @@ def nash_path_payoffs(
     """Per-path accumulated payoff flows (Z1, Z2) of both firms, canonical order.
 
     ``strategies`` are firm 1's and firm 2's, in that order; another order,
-    or a strategy solved on another horizon than ``params.horizon``, raises
+    a strategy solved on another horizon than ``params.horizon``, or one
+    whose ``gamma`` is not its firm's in ``params``, raises
     :class:`ConfigMismatch`.
     """
     if params.kind is not Kind.TWO_FIRM_NASH:
@@ -623,6 +655,10 @@ def nash_path_payoffs(
                              "strategies")
     for s in strategies:
         model._require_solved_for(params, f"firm {s.firm} strategy", float(s.nodes[-1]))
+        # the step scales the effort by the strategy's gamma, the flow charges it at the model's
+        if s.gamma != params.gamma(s.firm):
+            raise ConfigMismatch(f"firm {s.firm} strategy gamma {s.gamma} != params gamma{s.firm} "
+                                 f"{params.gamma(s.firm)}", "strategies")
     z1, z2 = _run_paths(lambda nodes: _NashStep(params, strategies, deviation, nodes), params, cfg,
                         scheme, chunk_size, brownian_refinement)
     return z1, z2

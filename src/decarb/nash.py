@@ -29,7 +29,7 @@ maps firm 1's system onto firm 2's, which is made from it by that renaming
 feedback rules
 
     a1(t,x,y) = -gamma1 * (A x + C y + D),
-    a2(t,x,y) = -gamma2 * (At x + Bt y + Et);
+    a2(t,x,y) = -gamma2 * (Ct x + Bt y + Et);
 
 substituting a2 into firm 1's system, and the swap of the result for firm 2,
 gives the twelve coupled ODEs of ``_NASH``.  The two halves are one
@@ -283,7 +283,7 @@ def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
 def feedback_strategies(coeffs: NashCoeffs, params: ModelParams) -> tuple[FeedbackStrategy, FeedbackStrategy]:
     """Equilibrium feedback rules of both firms.
 
-    a1(t,x,y) = -gamma1*(A x + C y + D); a2(t,x,y) = -gamma2*(At x + Bt y + Et).
+    a1(t,x,y) = -gamma1*(A x + C y + D); a2(t,x,y) = -gamma2*(Ct x + Bt y + Et).
     """
     _require_kind(params, Kind.TWO_FIRM_NASH)
     nodes = coeffs.grid.nodes

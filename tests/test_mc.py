@@ -328,6 +328,18 @@ class TestNashSimulation:
                 run(nash_params, picked, cfg)
             assert exc.value.field == "strategies"
 
+    @pytest.mark.parametrize("firm", [1, 2])
+    def test_strategy_gamma_not_the_models(self, nash_params, firm):
+        # the step scales the effort by the strategy's gamma while the flow
+        # charges it at the model's, so another gamma would simulate another game
+        strategies = list(feedback_strategies(solve_nash(nash_params, 101), nash_params))
+        strategies[firm - 1] = replace(strategies[firm - 1], gamma=2.0 * nash_params.gamma(firm))
+        cfg = SimConfig(n_paths=4, dt=0.01, seed=3)
+        for run in (nash_path_payoffs, simulate_nash):
+            with pytest.raises(ConfigMismatch, match=f"firm {firm} strategy gamma") as exc:
+                run(nash_params, tuple(strategies), cfg)
+            assert exc.value.field == "strategies"
+
     @pytest.mark.parametrize("field,value", BAD_ENGINE_ARGS)
     def test_engine_arguments_validated(self, nash_params, field, value):
         strategies = (passive_strategy(nash_params, 1), passive_strategy(nash_params))
@@ -343,6 +355,125 @@ class TestNashSimulation:
         with pytest.raises(OutOfRange):
             simulate_nash(nash_params, strategies, SimConfig(n_paths=4),
                           deviation=Deviation(firm=3))
+
+
+class PlantedStep:
+    """A step that follows the engine's contract and turns chosen paths
+    non-finite at chosen steps.
+
+    ``plants`` holds (kind, step, canonical path index): a ``"state"`` plant
+    makes a NaN drift in one state row, so the path's state is NaN after that
+    many steps; a ``"checked"`` plant an infinite flow into the checked
+    accumulator, which is infinite after that many steps; an ``"unchecked"``
+    plant the same in the unchecked accumulator, which the engine ignores.
+    Each plant is made by the evaluation with flows at the node whose drift
+    or flow first enters that step (see the module docstring of ``mc``).
+    """
+
+    sigma = np.array([[0.5], [0.25]])
+    acc0 = (0.0, 1.0)  # checked, unchecked
+    n_checked = n_payoffs = 1
+    payment_noise = None
+
+    def __init__(self, plants, pc: bool, antithetic: bool):
+        self.plants = {}
+        for kind, step, index in plants:
+            # the flows of a pc step are the trapezoid of its two end nodes
+            node = step - 1 if kind == "state" or not pc else step
+            self.plants.setdefault(node, []).append((kind, step, index))
+        self.antithetic = antithetic
+        self.chunk = None  # (first substream, count) of the chunk being marched
+
+    def slots(self, drift, flow):
+        return tuple(zip(drift, flow))
+
+    def rows(self, index: int) -> list[int]:
+        """This chunk's row of the canonical path ``index``, if it holds one."""
+        start, count = self.chunk
+        sub, mirror = divmod(index, 2) if self.antithetic else (index, 0)
+        return [sub - start + mirror * count] if start <= sub < start + count else []
+
+    def evaluate(self, k, S, slot, w=None):
+        drift, flow = slot
+        np.negative(S, out=drift)
+        if w is None:
+            return
+        np.multiply(S[0], S[1], out=flow[0])
+        flow[1] = 0.0
+        for kind, step, index in self.plants.get(k, ()):
+            if kind == "state":
+                drift[step % 2, self.rows(index)] = np.nan
+            else:
+                flow[int(kind == "unchecked"), self.rows(index)] = np.inf
+
+    def payoffs(self, acc):
+        return acc[:1]
+
+
+class TestBlockChecks:
+    """The march checks finiteness once per ``mc._CHECK`` steps and after the
+    last, and re-marches a failed chunk checking every step, so the report is
+    still the earliest step and the lowest canonical index failing at it."""
+
+    N_PATHS, N_STEPS = 10, 70  # the last block (steps 65-70) is partial
+    DT = 1.0 / N_STEPS  # on the unit horizon of NASH_FIXTURE
+    CHUNK_SIZES = (1, 3, None)
+
+    def run(self, plants, scheme, antithetic, chunk_size):
+        cfg = SimConfig(n_paths=self.N_PATHS, dt=self.DT, seed=37, antithetic=antithetic)
+        step = PlantedStep(plants, scheme == "pc", antithetic)
+        draw = mc._draw_chunk
+
+        def recorded(seed, start, count, *rest):
+            step.chunk = (start, count)
+            return draw(seed, start, count, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_draw_chunk", recorded)
+            return mc._run_paths(lambda nodes: step, validate_params(NASH_FIXTURE), cfg, scheme,
+                                 chunk_size, 1)
+
+    def check(self, plants, scheme, antithetic):
+        """Every chunking reports the earliest planted (step, index) of the
+        state or the checked accumulator, or returns finite payoffs."""
+        failing = [(step, index) for kind, step, index in plants if kind != "unchecked"]
+        for chunk_size in self.CHUNK_SIZES:
+            if not failing:
+                [payoffs] = self.run(plants, scheme, antithetic, chunk_size)
+                assert np.isfinite(payoffs).all()
+                continue
+            with pytest.raises(NonFinitePath) as exc:
+                self.run(plants, scheme, antithetic, chunk_size)
+            step, index = min(failing)
+            assert (exc.value.path_index, exc.value.t) == (index, step * self.DT), chunk_size
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    @pytest.mark.parametrize("plants", [
+        [("state", 1, 3)],
+        [("state", 31, 4), ("state", 32, 1)],
+        [("state", 32, 5), ("state", 33, 0)],
+        [("state", 33, 6), ("checked", 34, 0)],
+        [("state", 64, 2), ("state", 65, 1)],
+        [("state", 70, 2)],
+        [("checked", 70, 9), ("state", 69, 8)],
+        # a later chunk fails earlier than the first, and at one step by two paths
+        [("state", 40, 0), ("state", 5, 9), ("checked", 5, 8)],
+        # only a checked accumulator fails, after an unchecked one
+        [("checked", 33, 7), ("unchecked", 2, 0)],
+        [("unchecked", 1, 0), ("unchecked", 70, 9)],
+    ], ids=lambda plants: "-".join(f"{kind}{step}p{index}" for kind, step, index in plants))
+    def test_planted_boundaries(self, plants, scheme, antithetic):
+        assert mc._CHECK == 32  # the plants sit at the edges of 32-step blocks
+        self.check(plants, scheme, antithetic)
+
+    @settings(deadline=None, max_examples=40)
+    @given(plants=st.lists(st.tuples(st.sampled_from(["state", "checked", "unchecked"]),
+                                     st.integers(1, N_STEPS), st.integers(0, N_PATHS - 1)),
+                           max_size=5),
+           scheme=st.sampled_from(["pc", "euler"]), antithetic=st.booleans())
+    def test_any_planted_set(self, plants, scheme, antithetic):
+        self.check(plants, scheme, antithetic)
 
 
 # Payoff means of a 64-path run per model and engine setting, recorded before

@@ -433,6 +433,17 @@ class TestFeedbackStrategies:
         assert s1(t, x, y) == pytest.approx(-1.5 * (A * x + C * y + D), rel=1e-12)
         assert s2(t, x, y) == pytest.approx(-1.0 * (Ct * x + Bt * y + Et), rel=1e-12)
 
+    def test_gains_are_the_value_columns(self, nash_params):
+        # a1 = -gamma1*(A x + C y + D) = -gamma1*dW1/dx and, by the firm swap,
+        # a2 = -gamma2*(Ct x + Bt y + Et) = -gamma2*dW2/dy
+        coeffs = solve_nash(nash_params, n_nodes=201)
+        strategies = feedback_strategies(coeffs, nash_params)
+        for s, firm, names in zip(strategies, (1, 2), (("A", "C", "D"), ("Ct", "Bt", "Et"))):
+            assert (s.firm, s.gamma) == (firm, nash_params.gamma(firm))
+            assert np.array_equal(s.nodes, coeffs.grid.nodes)
+            for gain, name in zip((s.kx, s.ky, s.k0), names):
+                assert np.array_equal(gain, coeffs.column(name)), (firm, name)
+
     def test_strategy_is_scaled_value_gradient(self, nash_params):
         # a1 = -gamma1 * dW1/dx with W1 rebuilt from the solved coefficients
         coeffs = solve_nash(nash_params, n_nodes=401)
