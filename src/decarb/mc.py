@@ -36,13 +36,15 @@ The step contract.  ``make_step(nodes)`` returns a step with ``sigma`` (the
 state volatilities as a (2, 1) column), ``acc0`` (initial accumulator
 values), ``n_checked`` (how many leading accumulators are checked for
 finiteness with the state), ``n_payoffs`` (how many payoff arrays it
-returns) and four members that hold no per-chunk state.  ``slots(drift,
-flow)`` takes the engine's two slots, for the start and the end of a step,
-of ``drift`` (shape (2, 2, rows)) and ``flow`` (one row per accumulator),
-and returns per-slot views, with the rates next to them.  ``evaluate(k, S,
-slot, scratch=None)`` fills one slot in place from the state S of shape (2,
-rows) at time node k: the rates and the drift, and the flows too when it is
-given ``scratch`` (the pc predictor gives none: it reads only the drift).
+returns), ``odd`` (whether its drift is odd and its flows even under
+``S -> -S``; see the half-width march below) and four members that hold
+no per-chunk state.  ``slots(drift, flow)`` takes the engine's two slots, for
+the start and the end of a step, of ``drift`` (shape (2, 2, rows)) and
+``flow`` (one row per accumulator), and returns per-slot views, with the
+rates next to them.  ``evaluate(k, S, slot, scratch=None)`` fills one slot
+in place from the state S of shape (2, rows) at time node k: the rates and
+the drift, and the flows too when it is given ``scratch`` (the pc predictor
+gives none: it reads only the drift).
 ``payment_noise(slot, dW, scratch)``, or None, adds the payment noise to
 the slot's flows.  ``payoffs(acc)`` returns the per-path payoffs.  The
 engine accumulates: it multiplies the slot's flows by dt (under pc, the sum
@@ -83,6 +85,28 @@ Without payment noise (the game) the state noise is made on the drawn half,
 ``(sqdt*inc)*sigma``, and negated into the mirror, as ``(-d)*sigma`` is
 ``-(d*sigma)`` exactly.  ``tests/test_mc.py`` pins the SHA-256 of every
 payoff array over the engine's options.
+
+The half-width march.  Under antithetic sampling from ``x0 = 0`` with an odd
+step, each mirror is its drawn path negated with the same payoffs, so the
+march holds only the drawn rows and writes each payoff into both slots of
+its pair.  The game's step is odd when every interpolated intercept ``k0``
+is zero and a deviation, if any, has no shift; the principal's never is, as
+B(t) is not 0.  The bits are those of a full march, by induction over the
+steps.  ``k0`` is exactly zero, so an effort ``-gamma*(kx*x + ky*y + k0)``,
+scaled by a deviation, is the drawn one negated: negation is exact, and
+round-to-nearest rounds a sum or product of negated operands to the negated
+result.  So are ``drift*dt`` and the next state ``S + drift*dt + noise``,
+whose noise is negated too.  The flows are then equal, as
+``(p*(-x))*(-x)``, ``(c*(-x))*(-y)`` and ``a*a`` (of the negated effort)
+round the same products as ``(p*x)*x``, ``(c*x)*y`` and the drawn ``a*a``.
+The one inexact negation is a sum that cancels to zero, which is +0 on both
+paths, so the mirror may hold +0 where the negated path holds -0.  A zero's
+sign changes no nonzero result of an addition or multiplication, only the
+sign of a zero one, and the accumulators start at +0, which stays +0 when a
+zero of either sign is added: zero signs cannot reach a payoff.  A path and
+its mirror turn non-finite at the same step (inf negates to -inf, NaN stays
+NaN), so the report names the drawn path 2j, the lower index, as a full
+march would.
 
 The non-finite checks.  A march checks the state and the checked
 accumulators after every ``_CHECK``-th step and after its last, not after
@@ -318,7 +342,8 @@ def _first_non_finite(S: np.ndarray, checked: np.ndarray, start: int, m: int, an
     for a in checked:
         finite &= np.isfinite(a)
     local = np.flatnonzero(~finite)
-    # under antithetic sampling row j < m is path 2*(start+j), row m+j its mirror
+    # under antithetic sampling row j < m is path 2*(start+j), row m+j its
+    # mirror; a half-width march has only the former, each failing with its mirror
     return int(np.min(2 * (start + local % m) + local // m if antithetic else start + local))
 
 
@@ -335,7 +360,10 @@ def _march(step, inc: np.ndarray, cfg: SimConfig, pc: bool, n_steps: int, start:
     is drawn.
     """
     m = inc.shape[2]
-    width = 2 if cfg.antithetic else 1
+    pair = 2 if cfg.antithetic else 1  # paths per substream
+    # an odd step from the origin makes each mirror its drawn path negated,
+    # with the same payoffs, so only the drawn half is marched
+    width = 1 if step.odd and not any(cfg.x0) else pair
     rows = width * m
     dt, half_dt, sqdt = cfg.dt, 0.5 * cfg.dt, math.sqrt(cfg.dt)
     sigma, payment_noise = step.sigma, step.payment_noise
@@ -393,9 +421,9 @@ def _march(step, inc: np.ndarray, cfg: SimConfig, pc: bool, n_steps: int, start:
                 and np.logical_and.reduce(np.isfinite(checked, out=finite_checked), axis=None)):
             if every > 1:
                 return _march(step, inc, cfg, pc, k + 1, start, (), every=1)
-            return k + 1, _first_non_finite(S, checked, start, m, width == 2)
+            return k + 1, _first_non_finite(S, checked, start, m, cfg.antithetic)
     for out, pay in zip(outs, step.payoffs(acc)):
-        out.reshape(-1, width)[start:start + m] = pay.reshape(width, m).T
+        out.reshape(-1, pair)[start:start + m] = pay.reshape(width, m).T
     return None
 
 
@@ -447,6 +475,8 @@ class _PrincipalStep:
     (z12, z21) for two firms, as ``contract.rates_single`` and ``rates_two``
     lay them out.
     """
+
+    odd = False  # B(t) is not 0
 
     def __init__(self, params: ModelParams, v: QuadraticValueFn, nodes: np.ndarray, y0: tuple[float, ...]):
         self.p = params
@@ -610,6 +640,11 @@ class _NashStep:
         self.kx, self.ky, self.k0 = (
             np.array([np.interp(nodes, s.nodes, getattr(s, name)) for s in strategies]).T[:, :, None]
             for name in ("kx", "ky", "k0"))
+
+    @property
+    def odd(self) -> bool:
+        """Whether the efforts are odd in the state: no intercept, and no shift."""
+        return not self.k0.any() and (self.deviation is None or self.deviation.shift == 0.0)
 
     def slots(self, drift: np.ndarray, flow: np.ndarray) -> tuple:
         return tuple(zip(drift, flow))

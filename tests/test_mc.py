@@ -4,12 +4,14 @@ import sys
 import threading
 import weakref
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from decarb import (
+    BlowUp,
     ConfigMismatch,
     Deviation,
     Kind,
@@ -374,6 +376,7 @@ class PlantedStep:
     acc0 = (0.0, 1.0)  # checked, unchecked
     n_checked = n_payoffs = 1
     payment_noise = None
+    odd = False
 
     def __init__(self, plants, pc: bool, antithetic: bool):
         self.plants = {}
@@ -410,6 +413,31 @@ class PlantedStep:
         return acc[:1]
 
 
+class SymmetricPlantedStep(PlantedStep):
+    """A :class:`PlantedStep` that is odd, as its drift ``-S`` is odd and its
+    flow ``x*y`` even in the state, for antithetic sampling.
+
+    Each plant ``(kind, step, substream)`` turns the drawn path and its
+    mirror non-finite together, as an odd step's mirror follows its drawn
+    path; under the half-width march the mirror is not marched.  ``widths``
+    records the march widths seen, in rows per substream.
+    """
+
+    def __init__(self, plants, pc: bool, odd: bool):
+        super().__init__(plants, pc, antithetic=True)
+        self.odd = odd
+        self.widths = set()
+
+    def rows(self, sub: int) -> list[int]:
+        start, count = self.chunk
+        return [sub - start + h * count for h in range(self.width)] if start <= sub < start + count else []
+
+    def evaluate(self, k, S, slot, w=None):
+        self.width = S.shape[1] // self.chunk[1]
+        self.widths.add(self.width)
+        super().evaluate(k, S, slot, w)
+
+
 class TestBlockChecks:
     """The march checks finiteness once per ``mc._CHECK`` steps and after the
     last, and re-marches a failed chunk checking every step, so the report is
@@ -419,18 +447,17 @@ class TestBlockChecks:
     DT = 1.0 / N_STEPS  # on the unit horizon of NASH_FIXTURE
     CHUNK_SIZES = (1, 3, None)
 
-    def run(self, plants, scheme, antithetic, chunk_size):
+    def run(self, stub, scheme, antithetic, chunk_size):
         cfg = SimConfig(n_paths=self.N_PATHS, dt=self.DT, seed=37, antithetic=antithetic)
-        step = PlantedStep(plants, scheme == "pc", antithetic)
         draw = mc._draw_chunk
 
         def recorded(seed, start, count, *rest):
-            step.chunk = (start, count)
+            stub.chunk = (start, count)
             return draw(seed, start, count, *rest)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mc, "_draw_chunk", recorded)
-            return mc._run_paths(lambda nodes: step, validate_params(NASH_FIXTURE), cfg, scheme,
+            return mc._run_paths(lambda nodes: stub, validate_params(NASH_FIXTURE), cfg, scheme,
                                  chunk_size, 1)
 
     def check(self, plants, scheme, antithetic):
@@ -438,12 +465,13 @@ class TestBlockChecks:
         state or the checked accumulator, or returns finite payoffs."""
         failing = [(step, index) for kind, step, index in plants if kind != "unchecked"]
         for chunk_size in self.CHUNK_SIZES:
+            stub = PlantedStep(plants, scheme == "pc", antithetic)
             if not failing:
-                [payoffs] = self.run(plants, scheme, antithetic, chunk_size)
+                [payoffs] = self.run(stub, scheme, antithetic, chunk_size)
                 assert np.isfinite(payoffs).all()
                 continue
             with pytest.raises(NonFinitePath) as exc:
-                self.run(plants, scheme, antithetic, chunk_size)
+                self.run(stub, scheme, antithetic, chunk_size)
             step, index = min(failing)
             assert (exc.value.path_index, exc.value.t) == (index, step * self.DT), chunk_size
 
@@ -474,6 +502,37 @@ class TestBlockChecks:
            scheme=st.sampled_from(["pc", "euler"]), antithetic=st.booleans())
     def test_any_planted_set(self, plants, scheme, antithetic):
         self.check(plants, scheme, antithetic)
+
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    @pytest.mark.parametrize("plants", [
+        [("state", 1, 1)],
+        [("state", 31, 2), ("state", 32, 0)],
+        [("state", 33, 3), ("checked", 34, 0)],
+        [("state", 70, 4)],
+        [("state", 40, 0), ("state", 5, 4), ("checked", 5, 3)],
+        [("checked", 33, 2), ("unchecked", 2, 0)],
+        [("unchecked", 1, 0)],
+    ], ids=lambda plants: "-".join(f"{kind}{step}s{sub}" for kind, step, sub in plants))
+    def test_half_width_march_reports_as_the_full(self, plants, scheme):
+        # an odd step from the origin marches only the drawn rows; a path
+        # failing there fails with its mirror, so the report names the
+        # drawn path, the lower index, at the same step as a full march
+        failing = [(step, 2 * sub) for kind, step, sub in plants if kind != "unchecked"]
+        for chunk_size in self.CHUNK_SIZES:
+            outcomes = []
+            for odd in (True, False):
+                stub = SymmetricPlantedStep(plants, scheme == "pc", odd)
+                try:
+                    outcomes.append(self.run(stub, scheme, True, chunk_size)[0])
+                except NonFinitePath as exc:
+                    outcomes.append((exc.path_index, exc.t))
+                assert stub.widths == {1 if odd else 2}
+            half, full = outcomes
+            if failing:
+                step, index = min(failing)
+                assert half == full == (index, step * self.DT), chunk_size
+            else:
+                assert np.array_equal(half.view(np.int64), full.view(np.int64)), chunk_size
 
 
 # Payoff means of a 64-path run per model and engine setting, recorded before
@@ -572,6 +631,25 @@ PINNED_DIGESTS = {
 }
 # two-firm principal at the benchmark's mc_long shape: one full chunk of 1000 pc steps
 PINNED_LONG_DIGEST = "33aff60d0d464129debb4acfc9f643814fb6deac3350838d991e720c33ab4aac"
+# The game's digests from x0 = (0, 0) under antithetic sampling, where every
+# mirror is its drawn path negated, recorded while the engine still marched
+# both halves of each pair.  Keys: run/scheme-r<brownian_refinement>, the run
+# one of ORIGIN_DEVIATIONS.
+ORIGIN_DEVIATIONS = {"eq": None, "dev1": Deviation(1, 0.9), "dev2": Deviation(2, 1.1)}
+PINNED_ORIGIN_DIGESTS = {
+    "eq/pc-r1": "c5827b9b2eb323e7cf81a046a640a84130679ea05f788f462efac11f8f1d9750",
+    "eq/pc-r2": "0fa4da5eaf10407e731a47dd335ae2223991bdaf7859dd151dd58af7249f4f59",
+    "eq/euler-r1": "afcd7c0de3d47f3b6a07732e122cae46a4134d3291ed27502d817c130dd96822",
+    "eq/euler-r2": "eb5ad6da2338e0ec8114eb45815ddce5bdb81c178e6982f83e49f5ad2d28bf18",
+    "dev1/pc-r1": "299247b019528ce71e85acfd795818b35e90c1d00e03b654c1b6089a78ddf2a6",
+    "dev1/pc-r2": "f36711cae6b83695a7d422b008247c39f44f0ada460fcb0dc5032da903d22f34",
+    "dev1/euler-r1": "ad6e884f558dba88e67745ba1cb56b7bf3cabc700b741afe16b0a8c025ec1597",
+    "dev1/euler-r2": "cf035c7f29f30e6018cc38311790e89a50b156a992c1b1c28266d382d9c1a616",
+    "dev2/pc-r1": "b635883dc9eafe285be5d4b9023f2751290ae4c22fb39cec84a1f14e8d418d19",
+    "dev2/pc-r2": "552d1dcd9a9527cd9bd36c380fa6168f4bd2745ac1b9cc59aa658882d466b26d",
+    "dev2/euler-r1": "35f418ac59907be1fb97699f379a74c52ba2a9e1301b3e8ce2f3234cc7208901",
+    "dev2/euler-r2": "d12f4fd15003b2419c497f4be2a211b6ea23b0a69227c551733e48d5583a2fde",
+}
 
 
 @pytest.fixture(scope="module")
@@ -618,6 +696,17 @@ class TestFrozenSeedOutputs:
                         antithetic=sampling == "anti")
         payoffs = pinned_payoffs(digest_models, name, cfg, scheme, chunk_size, int(ref[1:]))
         assert payoff_digest(payoffs) == PINNED_DIGESTS[key]
+
+    @pytest.mark.parametrize("chunk_size", [None, 7])
+    @pytest.mark.parametrize("key", sorted(PINNED_ORIGIN_DIGESTS))
+    def test_payoff_bits_pinned_from_the_origin(self, pinned_models, key, chunk_size):
+        run, setting = key.split("/")
+        scheme, ref = setting.split("-")
+        params, strategies = pinned_models["nash"]
+        cfg = SimConfig(n_paths=64, dt=0.02, seed=11, x0=(0.0, 0.0))
+        payoffs = nash_path_payoffs(params, strategies, cfg, ORIGIN_DEVIATIONS[run], scheme,
+                                    chunk_size, int(ref[1:]))
+        assert payoff_digest(payoffs) == PINNED_ORIGIN_DIGESTS[key]
 
     def test_payoff_bits_pinned_long(self, two_firm):
         v = solve_principal(two_firm, 1001)
@@ -811,7 +900,9 @@ def test_nash_step_neither_hashes_nor_compares_params(pinned_models):
 class TestTracedBoundaries:
     """The engine reaches the RNG and the flow functions through these module
     attributes, so wrapping one counts every call: once per substream of each
-    drawn chunk, and one flow evaluation per step plus the first under pc."""
+    drawn chunk, and one flow evaluation per step plus the first under pc.
+    A flow call's arguments show the rows marched: two per substream under
+    antithetic sampling, or one where the mirror is the drawn path negated."""
 
     N_PATHS, DT, CHUNK = 64, 0.02, 8  # 32 substreams in 4 chunks of 50 steps
 
@@ -842,6 +933,9 @@ class TestTracedBoundaries:
         principal_path_payoffs(params, v, cfg, scheme, self.CHUNK)
         assert sorted(args[1] for args in draws) == list(range(self.N_PATHS // 2))
         assert len(revenue) == len(cost) == self.flow_calls(scheme)
+        # from x0 = 0 too, both halves of each pair: B(t) is not 0, so the
+        # principal's mirrors are not its drawn paths negated
+        assert {args[1].shape[0] for args in revenue} == {2 * self.CHUNK}
 
     @pytest.mark.parametrize("scheme", ["pc", "euler"])
     def test_nash(self, monkeypatch, pinned_models, scheme):
@@ -854,3 +948,84 @@ class TestTracedBoundaries:
         nash_path_payoffs(params, strategies, cfg, None, scheme, self.CHUNK)
         assert sorted(args[1] for args in draws) == list(range(self.N_PATHS // 2))
         assert len(flows) == self.flow_calls(scheme)
+
+    def nash_rows(self, pinned_models, antithetic=True, x0=(0.0, 0.0), deviation=None, strategies=None):
+        """The rows each ``payoff_rate`` call of a pc game run sees."""
+        params, equilibrium = pinned_models["nash"]
+        cfg = SimConfig(n_paths=self.N_PATHS, dt=self.DT, seed=34, x0=x0, antithetic=antithetic)
+        flows = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.count(monkeypatch, mc, "payoff_rate", flows)
+            nash_path_payoffs(params, strategies or equilibrium, cfg, deviation, "pc", self.CHUNK)
+        # one flow evaluation per step and the first, per chunk
+        assert len(flows) == self.flow_calls("pc") * (1 if antithetic else 2)
+        return {args[1].shape[-1] for args in flows}
+
+    def test_nash_from_the_origin_marches_the_drawn_rows(self, pinned_models):
+        # each chunk holds CHUNK substreams: their pairs are marched once
+        assert self.nash_rows(pinned_models) == {self.CHUNK}
+        assert self.nash_rows(pinned_models, x0=(-0.0, 0.0)) == {self.CHUNK}
+        assert self.nash_rows(pinned_models, deviation=Deviation(2, -1.3)) == {self.CHUNK}
+        assert self.nash_rows(pinned_models, antithetic=False) == {self.CHUNK}
+
+    def test_nash_marches_both_halves_unless_odd_from_the_origin(self, pinned_models):
+        params, (first, second) = pinned_models["nash"]
+        intercept = FeedbackStrategy(firm=2, gamma=params.gamma2, nodes=np.array([0.0, 1.0]),
+                                     kx=np.zeros(2), ky=np.zeros(2), k0=np.array([0.0, 0.1]))
+        for run in (dict(x0=(0.1, 0.0)), dict(deviation=Deviation(1, 1.0, 0.05)),
+                    dict(strategies=(first, intercept))):
+            assert self.nash_rows(pinned_models, **run) == {2 * self.CHUNK}, run
+
+
+def zero_or(values):
+    return st.one_of(st.just(0.0), values)
+
+
+class TestHalfWidthMarch:
+    """From x0 = 0 with antithetic sampling, an odd step (the game with no
+    intercept and no shifted deviation) marches each pair once."""
+
+    def test_pairs_are_equal_only_when_odd_from_the_origin(self, pinned_models):
+        params, strategies = pinned_models["nash"]
+        cfg = SimConfig(n_paths=64, dt=0.02, seed=36, x0=(0.0, 0.0))
+        with patch.object(mc._NashStep, "odd", False):  # a full-width march
+            for run, equal in ((dict(), True), (dict(deviation=Deviation(1, -0.7)), True),
+                               (dict(deviation=Deviation(1, 1.0, 0.1)), False),
+                               (dict(cfg=replace(cfg, x0=(0.5, 0.5))), False)):
+                z1, z2 = nash_path_payoffs(params, strategies, **{"cfg": cfg, **run})
+                assert (np.array_equal(z1[0::2], z1[1::2]) and np.array_equal(z2[0::2], z2[1::2])) == equal
+
+    @settings(deadline=None, max_examples=60)
+    @given(gammas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+           etas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+           sigmas=st.tuples(zero_or(st.floats(0.05, 1.0)), zero_or(st.floats(0.05, 1.0))),
+           p0=zero_or(st.floats(0.0, 2.0)),
+           slopes=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))),
+           horizon=st.floats(0.05, 2.0),
+           n_steps=st.integers(1, 40), n_pairs=st.integers(1, 100), seed=st.integers(0, 2**32),
+           x0=st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0])),
+           deviation=st.one_of(st.none(), st.builds(Deviation, st.integers(1, 2), st.floats(-2.0, 2.0),
+                                                    st.sampled_from([0.0, -0.0]))),
+           scheme=st.sampled_from(["pc", "euler"]), refinement=st.integers(1, 3),
+           chunk_size=st.sampled_from([1, 3, 7, None]))
+    def test_equals_the_full_march(self, gammas, etas, sigmas, p0, slopes, horizon, n_steps, n_pairs,
+                                   seed, x0, deviation, scheme, refinement, chunk_size):
+        params = replace(validate_params(NASH_FIXTURE), gamma1=gammas[0], gamma2=gammas[1],
+                         eta1=etas[0], eta2=etas[1], sigma1=sigmas[0], sigma2=sigmas[1],
+                         p0=p0, p1=slopes[0], p2=slopes[1], horizon=horizon)
+        try:
+            coeffs = solve_nash(params, 201)
+        except BlowUp as exc:  # half the time left at the escape solves
+            params = replace(params, horizon=0.5 * (horizon - exc.t_escape))
+            try:
+                coeffs = solve_nash(params, 201)
+            except BlowUp:
+                assume(False)
+        strategies = feedback_strategies(coeffs, params)
+        cfg = SimConfig(n_paths=2 * n_pairs, dt=params.horizon / n_steps, seed=seed, x0=x0)
+        args = (params, strategies, cfg, deviation, scheme, chunk_size, refinement)
+        half = nash_path_payoffs(*args)
+        with patch.object(mc._NashStep, "odd", False):
+            full = nash_path_payoffs(*args)
+        for a, b in zip(half, full):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
