@@ -88,6 +88,11 @@ def _block(config: dict, key: str, allowed: tuple[str, ...]) -> dict | None:
     return section
 
 
+def _nested(key: str, exc: OutOfRange) -> OutOfRange:
+    """``exc``, raised for a field of the config object ``key``, named ``key.field``."""
+    return OutOfRange(f"{key}.{exc.field}", f"{key}.{exc}")
+
+
 def _build(cls, section, key: str):
     """``cls`` from a JSON object of its fields; a field it rejects is named ``key.field``."""
     if not isinstance(section, dict):
@@ -96,7 +101,7 @@ def _build(cls, section, key: str):
     try:
         return cls(**section)
     except OutOfRange as exc:
-        raise OutOfRange(f"{key}.{exc.field}", f"{key}.{exc}") from None
+        raise _nested(key, exc) from None
 
 
 class _Run:
@@ -172,15 +177,25 @@ def _run_best_response(run: _Run) -> dict:
     return _write_game_coefficients(run, "best_response_coeffs.csv", coeffs, nash.BR_COLUMNS, firm=firm)
 
 
+def _residuals(check, *args):
+    """``check(*args)``, with a grid field too large to hold named ``grid.field``."""
+    try:
+        return check(*args)
+    except OutOfRange as exc:
+        if exc.field in _fields(verify.GridSpec):
+            raise _nested("grid", exc) from None
+        raise
+
+
 def _run_verify(run: _Run) -> dict:
     grid = run.grid_spec
     if run.params.has_principal:
         v = riccati.solve_principal(run.params, run.n_nodes)
-        reports = [verify.hjb_residual_principal(v, run.params, grid)]
+        reports = [_residuals(verify.hjb_residual_principal, v, run.params, grid)]
         residuals = {}
     else:
         coeffs = nash.solve_nash(run.params, run.n_nodes)
-        reports = verify.hjb_residual_nash(coeffs, run.params, grid)
+        reports = _residuals(verify.hjb_residual_nash, coeffs, run.params, grid)
         residuals = {"ode_max_residual": nash.ode_residual(coeffs, run.params)}
     residuals["reports"] = [r.to_dict() for r in reports]
     _write_json(residuals, run.out_dir / "residuals.json")

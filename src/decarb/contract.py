@@ -395,11 +395,13 @@ def gradient_couplings(params: ModelParams) -> tuple[float, float]:
 
     Derived by completing the square in h; the subtraction of the effective
     aversion term (eta_bar_j for the two-firm model) is the sign that survives
-    the brute-force check in :func:`decarb.verify.sup_consistency`.
+    the brute-force check in :func:`decarb.verify.sup_consistency`.  The
+    squares are products, which IEEE arithmetic rounds correctly; ``a ** 2``
+    calls libm's ``pow``, which can miss by one unit in the last place.
     """
     _require_kind(params, Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED)
     (a1, b1, c1), (a2, b2, c2) = _rate_table(params)
-    return a1 ** 2 / b1 - c1, a2 ** 2 / b2 - c2
+    return a1 * a1 / b1 - c1, a2 * a2 / b2 - c2
 
 
 def quadratic_flow_coefficients(params: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:

@@ -3,9 +3,11 @@ and the field checks every input boundary uses: :func:`integer`, :func:`real`,
 :func:`reals` and :func:`flag` return a count, finite number, list of numbers or
 flag as a plain Python value, or raise :class:`OutOfRange` naming the field.  A
 bool is never a number.  The config types and ``validate_params`` check their
-fields with them at construction.
+fields with them at construction.  :func:`holding` names the field whose size
+an allocation cannot meet.
 """
 
+import contextlib
 import math
 import numbers
 
@@ -129,3 +131,15 @@ def flag(field: str, value) -> bool:
     if not isinstance(value, bool):
         raise OutOfRange(field, f"{field} must be true or false, got {value!r}")
     return value
+
+
+@contextlib.contextmanager
+def holding(field: str, size):
+    """Run the allocations whose size ``field`` sets: one that numpy refuses
+    (ValueError) or the machine cannot meet (MemoryError) raises
+    :class:`OutOfRange` naming ``field``.  Wrap only allocations, so that no
+    other ValueError is reported as a bad field."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise OutOfRange(field, f"{field} = {size!r} makes arrays too large to hold: {exc}") from exc

@@ -119,8 +119,9 @@ the same step, which names the earliest step and the lowest canonical
 index failing at it, as a check after every step would.
 
 :class:`SimConfig` and :class:`Deviation` check their fields at construction;
-what needs the model too (``dt`` dividing the horizon, one ``y0`` per agent)
-raises :class:`~decarb.errors.ConfigMismatch` naming ``dt`` or ``y0``.
+what needs the model too (``dt`` dividing the horizon into steps that can be
+held, one ``y0`` per agent) raises :class:`~decarb.errors.ConfigMismatch`
+naming ``dt`` or ``y0``.
 
 The simulators verify solved value functions against the dynamics they price:
 
@@ -145,7 +146,7 @@ from typing import Sequence
 import numpy as np
 
 from . import contract, model
-from .errors import ConfigMismatch, NonFinitePath, OutOfRange, flag, integer, real, reals
+from .errors import ConfigMismatch, NonFinitePath, OutOfRange, flag, holding, integer, real, reals
 from .model import Kind, ModelParams
 from .nash import FeedbackStrategy, payoff_rate
 from .riccati import QuadraticValueFn
@@ -223,11 +224,18 @@ class Deviation:
         np.add(row, self.shift, out=row)
 
 
-def _n_steps(horizon: float, dt: float) -> int:
-    n = round(horizon / dt)
-    if n < 1 or abs(horizon - n * dt) > 1e-9:
-        raise ConfigMismatch(f"horizon {horizon} is not an integer multiple of dt {dt}", "dt")
-    return n
+def _step_times(horizon: float, dt: float) -> np.ndarray:
+    """The time nodes 0, dt, ..., horizon of a run.  A ``dt`` that does not
+    divide the horizon, or that makes more steps than can be held, raises
+    :class:`ConfigMismatch` naming ``dt``."""
+    try:
+        n = round(horizon / dt)  # OverflowError once the ratio overflows to inf
+        if n >= 1 and abs(horizon - n * dt) <= 1e-9:
+            return np.arange(n + 1) * dt
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ConfigMismatch(f"dt {dt} makes more steps over horizon {horizon} than can be held: {exc}",
+                             "dt") from exc
+    raise ConfigMismatch(f"horizon {horizon} is not an integer multiple of dt {dt}", "dt")
 
 
 _philox = threading.local()
@@ -439,15 +447,14 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
     if scheme not in _SCHEMES:
         raise OutOfRange("scheme", f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     n_sub = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    n_steps = _n_steps(params.horizon, cfg.dt)
+    nodes = _step_times(params.horizon, cfg.dt)
+    n_steps = len(nodes) - 1
     chunk = _CHUNK if chunk_size is None else integer("chunk_size", chunk_size, 1)
     refinement = integer("brownian_refinement", brownian_refinement, 1)
-    step = make_step(np.arange(n_steps + 1) * cfg.dt)
-    try:
-        # before any chunk is drawn, so an impossible n_paths fails at once
+    step = make_step(nodes)
+    # before any chunk is drawn, so an impossible n_paths fails at once
+    with holding("n_paths", cfg.n_paths):
         outs = [np.empty(cfg.n_paths) for _ in range(step.n_payoffs)]
-    except (ValueError, MemoryError) as exc:
-        raise OutOfRange("n_paths", f"cannot hold {cfg.n_paths} payoffs: {exc}") from exc
     failure = None  # (steps done, canonical index) of the earliest non-finite value
     for start in range(0, n_sub, chunk):
         # after a failure, later chunks only look for an earlier or equal one

@@ -120,20 +120,12 @@ _POSITIVE = ("gamma1", "gamma2", "sigma1", "sigma2", "horizon",
              "eta_a", "eta1", "eta2", "eta_p")
 _NON_NEGATIVE = ("p0", "p1", "p2", "kappa", "lambda_")
 
-_KIND_ALIASES = {
-    "single_firm": Kind.SINGLE_FIRM,
-    "single-firm": Kind.SINGLE_FIRM,
-    "two_firm_regulated": Kind.TWO_FIRM_REGULATED,
-    "two-firm": Kind.TWO_FIRM_REGULATED,
-    "two_firm_nash": Kind.TWO_FIRM_NASH,
-    "nash": Kind.TWO_FIRM_NASH,
-}
-
 
 def validate_params(raw: Mapping) -> ModelParams:
     """Build validated :class:`ModelParams` from a flat mapping.
 
-    Accepts ``"lambda"`` as a spelling of ``lambda_``.  Rejects missing or
+    Accepts ``"lambda"`` as a spelling of ``lambda_``, and as ``kind`` a
+    :class:`Kind` or one of its three values.  Rejects missing or
     unexpected fields for the declared kind, numeric fields that are not real
     numbers (booleans and strings included), non-finite numbers, values
     violating sign constraints, and a ``literal_signs`` that is not a bool;
@@ -148,13 +140,11 @@ def validate_params(raw: Mapping) -> ModelParams:
     kind_raw = data.pop("kind", None)
     if kind_raw is None:
         raise MissingField("kind")
-    if isinstance(kind_raw, Kind):
-        kind = kind_raw
-    else:
-        try:
-            kind = _KIND_ALIASES[str(kind_raw)]
-        except KeyError:
-            raise OutOfRange("kind", f"unknown model kind '{kind_raw}'") from None
+    try:
+        kind = Kind(kind_raw)
+    except ValueError:
+        raise OutOfRange("kind", f"unknown model kind {kind_raw!r}, expected one of "
+                                 f"{', '.join(k.value for k in Kind)}") from None
 
     literal_signs = flag("literal_signs", data.pop("literal_signs", False))
 

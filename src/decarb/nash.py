@@ -89,9 +89,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, OutOfRange, integer, real
+from .errors import BlowUp, OutOfRange, holding, integer, real
 from .model import Kind, ModelParams, _require_kind
-from .riccati import (Kernel, OdeTable, TimeGrid, _bottom_up, _in_horizon, _renamed, centered_derivative,
+from .riccati import (OdeTable, TimeGrid, _between_nodes, _bottom_up, _renamed, centered_derivative,
                       rk4_backward, rk4_stage_times)
 
 BR_COLUMNS = ("A", "B", "C", "D", "E", "F")
@@ -135,8 +135,7 @@ class FeedbackStrategy:
     k0: np.ndarray
 
     def __call__(self, t: float, x, y):
-        t = _in_horizon(t, self.nodes[-1])
-        cx, cy, c0 = (float(np.interp(t, self.nodes, c)) for c in (self.kx, self.ky, self.k0))
+        cx, cy, c0 = _between_nodes(t, self.nodes, self.kx, self.ky, self.k0)
         return -self.gamma * (cx * np.asarray(x) + cy * np.asarray(y) + c0)
 
 
@@ -249,10 +248,11 @@ def best_response(
     _require_kind(params, Kind.TWO_FIRM_NASH)
     firm = integer("firm", firm, 1, 2)
     grid = TimeGrid(params.horizon, n_nodes)
+    with holding("n_nodes", n_nodes):
+        stages = rk4_stage_times(grid)
     samples = sample_opponent(opponent, grid)
-    flow = np.interp(rk4_stage_times(grid), grid.nodes, samples).tolist()
-    kernel = Kernel(_BR_TABLES[firm], _game_args(params), flow)
-    values = rk4_backward(kernel, np.zeros(6), grid)
+    flow = np.interp(stages, grid.nodes, samples).tolist()
+    values = rk4_backward(_BR_TABLES[firm], _game_args(params), np.zeros(6), grid, flow)
     return BestResponseCoeffs(grid=grid, values=values, firm=firm, opponent=samples)
 
 
@@ -267,9 +267,10 @@ def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
 
     # allocated before the march, so the march's own array is freed above it
     # and leaves no hole below the result that outlives it
-    values = np.zeros((grid.n_nodes, len(NASH_COLUMNS)))
+    with holding("n_nodes", n_nodes):
+        values = np.zeros((grid.n_nodes, len(NASH_COLUMNS)))
     try:
-        live = rk4_backward(Kernel(_nash_live(), _game_args(params)), np.zeros(len(_LIVE)), grid)
+        live = rk4_backward(_nash_live(), _game_args(params), np.zeros(len(_LIVE)), grid)
     except BlowUp as exc:
         raise BlowUp(
             exc.t_escape,
@@ -305,8 +306,7 @@ def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: flo
         block = coeffs.values
     else:
         block = coeffs.values[:, 6 * firm - 6:6 * firm]
-    t, nodes = _in_horizon(t, coeffs.grid.t_end), coeffs.grid.nodes
-    a, b, c, d, e, f = (np.interp(t, nodes, block[:, j]) for j in range(6))
+    a, b, c, d, e, f = _between_nodes(t, coeffs.grid.nodes, *block.T)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return 0.5 * a * x * x + 0.5 * b * y * y + c * x * y + d * x + e * y + f

@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contract import ContractLQG, assemble_lqg, rates_single, rates_two, IncentiveRates
-from .errors import BlowUp, OutOfHorizon, integer, real
+from .errors import BlowUp, OutOfHorizon, holding, integer, real
 from .model import Kind, ModelParams
 
 BLOWUP_LIMIT = 1e12
@@ -64,14 +64,15 @@ class TimeGrid:
     def dt(self) -> float:
         return self.t_end / (self.n_nodes - 1)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
+        """The nodes, built once on first use; callers read them, never write them."""
         return np.linspace(0.0, self.t_end, self.n_nodes)
 
 
 def rk4_stage_times(grid: TimeGrid) -> list[float]:
     """Every stage time of :func:`rk4_backward`'s steps on this grid, in the
-    order a :class:`Kernel`'s drive lists its values.
+    order its ``drive`` lists its values.
 
     Built with the integrator's own float expressions (``t``, ``t + half``,
     ``t + h``), so a drive sampled at these values is the time-dependent input
@@ -107,16 +108,6 @@ class OdeTable(NamedTuple):
         (unused without a drive) and ``u`` unpacks into the states, as floats or
         as node-sampled columns."""
         return functools.partial(_compile(self)["rhs"], *args)
-
-
-class Kernel(NamedTuple):
-    """An :class:`OdeTable` bound to one solve: ``args`` are its ``params`` in
-    order, and ``drive`` the drive's value at each of the grid's
-    :func:`rk4_stage_times` (None for a table without a drive)."""
-
-    table: OdeTable
-    args: tuple[float, ...]
-    drive: list[float] | None = None
 
 
 # patterns as strings, so that nothing is compiled at import
@@ -236,13 +227,17 @@ def _compile(table: OdeTable) -> dict:
     return namespace
 
 
-def rk4_backward(kernel: Kernel, terminal: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """March the kernel's table du/dt = f(t, u) from u(T) = terminal back to t = 0.
+def rk4_backward(table: OdeTable, args: Sequence[float], terminal: np.ndarray, grid: TimeGrid,
+                 drive: list[float] | None = None) -> np.ndarray:
+    """March ``table``'s du/dt = f(t, u), with ``args`` as its ``params``, from
+    u(T) = terminal back to t = 0.
 
     Returns the trajectory on all grid nodes, shape (n_nodes, len(terminal)),
     row k holding u(t_k); the terminal row is the terminal data bit for bit.
-    The table's compiled kernel runs classic RK4 with every stage inlined; a
-    drive is read at the times :func:`rk4_stage_times` lists.
+    The table's compiled kernel runs classic RK4 with every stage inlined.
+    ``drive`` (None for a table without one) holds the drive's value at each
+    time :func:`rk4_stage_times` lists, three per step.  A grid too large to
+    hold raises :class:`~decarb.errors.OutOfRange` naming ``n_nodes``.
 
     Rows are collected in blocks of ``_BLOCK`` steps, each stored with one
     slice assignment and checked at once.  :class:`BlowUp` reports the first
@@ -254,9 +249,10 @@ def rk4_backward(kernel: Kernel, terminal: np.ndarray, grid: TimeGrid) -> np.nda
     terminal = np.asarray(terminal, dtype=float)
     n = grid.n_nodes
     h = -grid.dt
-    march = _compile(kernel.table)["march"]
-    extra = (0.5 * h, h, h / 6.0, kernel.drive, *kernel.args)
-    out = np.empty((n, terminal.size))
+    march = _compile(table)["march"]
+    extra = (0.5 * h, h, h / 6.0, drive, *args)
+    with holding("n_nodes", n):
+        out = np.empty((n, terminal.size))
     out[-1] = terminal
     u = terminal.tolist()
     for top in range(n - 1, 0, -_BLOCK):
@@ -283,11 +279,12 @@ def centered_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * dt)
 
 
-def _in_horizon(t: float, t_end: float) -> float:
-    """``t`` clamped onto [0, t_end]; beyond a 1e-12 rounding slack raises :class:`OutOfHorizon`."""
-    if t < -1e-12 or t > t_end + 1e-12:
-        raise OutOfHorizon(f"t = {t:.6g} outside [0, {t_end:.6g}]")
-    return min(max(t, 0.0), t_end)
+def _between_nodes(t: float, nodes: np.ndarray, *columns: np.ndarray) -> list:
+    """``np.interp`` of each of ``columns``, sampled on ``nodes``, at ``t``; a NaN ``t``, or
+    one beyond [0, nodes[-1]] by more than a 1e-12 rounding slack, raises :class:`OutOfHorizon`."""
+    if not -1e-12 <= t <= nodes[-1] + 1e-12:
+        raise OutOfHorizon(f"t = {t:.6g} outside [0, {nodes[-1]:.6g}]")
+    return [np.interp(t, nodes, c) for c in columns]
 
 
 @dataclass(frozen=True)
@@ -296,7 +293,8 @@ class QuadraticValueFn:
 
     A has shape (n_nodes, 2, 2) and stays symmetric; B is (n_nodes, 2); C is
     (n_nodes,).  Evaluation interpolates coefficients linearly between nodes
-    (O(dt^2), far below the solver's accuracy needs at the default grid).
+    (O(dt^2), far below the solver's accuracy needs at the default grid) by
+    ``np.interp``, as the simulator does, so both read the same bits.
     """
 
     grid: TimeGrid
@@ -305,19 +303,15 @@ class QuadraticValueFn:
     C: np.ndarray
     kind: Kind | None = None
 
-    def _locate(self, t: float) -> tuple[int, int, float]:
-        s = _in_horizon(t, self.grid.t_end) / self.grid.dt
-        k = min(int(s), self.grid.n_nodes - 2)
-        return k, k + 1, s - k
-
     def coeffs_at(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Interpolated (A(t), B(t), C(t))."""
-        k0, k1, w = self._locate(t)
-        return (
-            (1.0 - w) * self.A[k0] + w * self.A[k1],
-            (1.0 - w) * self.B[k0] + w * self.B[k1],
-            (1.0 - w) * self.C[k0] + w * self.C[k1],
-        )
+        a11, a12, a22, b1, b2, c = _between_nodes(t, self.grid.nodes, *self._columns)
+        return np.array([[a11, a12], [a12, a22]]), np.array([b1, b2]), c
+
+    @functools.cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """A11, A12, A22, B1, B2 and C, copied contiguous once rather than per call."""
+        return tuple(map(np.ascontiguousarray, (*self.A.reshape(-1, 4)[:, [0, 1, 3]].T, *self.B.T, self.C)))
 
     def value_and_gradient(self, t: float, x) -> tuple[float, np.ndarray]:
         A, B, C = self.coeffs_at(t)
@@ -364,7 +358,7 @@ def solve_lqg(
     d1, d2 = (s * s for s in map(float, lqg.sigma))
     q0 = float(lqg.q0)
     grid = TimeGrid(horizon, n_nodes)
-    traj = rk4_backward(Kernel(_LQG, (q11, q12, q22, l1, l2, m1, m2, d1, d2, q0)), np.zeros(6), grid)
+    traj = rk4_backward(_LQG, (q11, q12, q22, l1, l2, m1, m2, d1, d2, q0), np.zeros(6), grid)
     A = traj[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
     return QuadraticValueFn(grid=grid, A=A, B=traj[:, 3:5], C=traj[:, 5], kind=kind)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model
 from .contract import gradient_couplings, oracle_rates
-from .errors import OutOfRange, integer, real
+from .errors import OutOfRange, holding, integer, real
 from .model import PRINCIPAL_KINDS, Kind, ModelParams, _require_kind, _require_solved_for
 from .nash import NashCoeffs
 from .riccati import QuadraticValueFn, centered_derivative
@@ -100,14 +100,19 @@ def _slicing(solved: QuadraticValueFn | NashCoeffs, params: ModelParams, grid: G
              *kinds: Kind) -> tuple[GridSpec, np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """The grid (``GridSpec()`` for None), its state mesh ``(X, Y)``, the slice
     times and the node of each, once ``params`` is of one of ``kinds`` and
-    ``solved`` belongs to it and has the nodes the stencils need."""
+    ``solved`` belongs to it and has the nodes the stencils need.  A grid too
+    large to hold raises :class:`OutOfRange` naming ``n_points`` or
+    ``n_time_slices``."""
     _require_kind(params, *kinds)
     _require_solved_for(params, "coefficients", solved.grid.t_end, getattr(solved, "kind", None))
     integer("n_nodes", solved.grid.n_nodes, _MIN_NODES)
     grid = grid or GridSpec()
-    X, Y = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
-    times = grid.slice_times(params.horizon)
-    return grid, X, Y, times, [int(round(t / solved.grid.dt)) for t in times]
+    with holding("n_points", grid.n_points):
+        X, Y = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+    with holding("n_time_slices", grid.n_time_slices):
+        times = grid.slice_times(params.horizon)
+        nodes = [int(round(t / solved.grid.dt)) for t in times]
+    return grid, X, Y, times, nodes
 
 
 def _report(label: str, grid: GridSpec, times, residuals, X, Y) -> ResidualReport:

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from decarb import BlowUp, Kind, ModelParams, TimeGrid, validate_params
 from decarb.riccati import BLOWUP_LIMIT
@@ -71,6 +74,30 @@ def nash_params() -> ModelParams:
 # box of the oracle-vs-closed-form comparisons: each gamma_i, sigma_i, eta
 # and gradient magnitude |v_i| is drawn from its range
 GAMMA_RANGE, SIGMA_RANGE, ETA_RANGE, GRADIENT_RANGE = (0.5, 3.0), (0.3, 1.2), (0.4, 2.5), (0.5, 2.0)
+
+
+def zero_or(values):
+    return st.one_of(st.just(0.0), values)
+
+
+# box of the game's march properties, as keyword strategies for game_params;
+# zero volatilities, intercept and slopes included
+GAME_BOX = dict(
+    gammas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+    etas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+    sigmas=st.tuples(zero_or(st.floats(0.05, 1.0)), zero_or(st.floats(0.05, 1.0))),
+    p0=zero_or(st.floats(0.0, 2.0)),
+    slopes=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))),
+    horizon=st.floats(0.05, 2.0),
+)
+
+
+def game_params(gammas, etas, sigmas, p0, slopes, horizon) -> ModelParams:
+    """The game with the given (gamma1, gamma2), (eta1, eta2), (sigma1, sigma2),
+    intercept, (p1, p2) and horizon; unvalidated, so sigma_i may be 0."""
+    return replace(validate_params(NASH_FIXTURE), gamma1=gammas[0], gamma2=gammas[1],
+                   eta1=etas[0], eta2=etas[1], sigma1=sigmas[0], sigma2=sigmas[1],
+                   p0=p0, p1=slopes[0], p2=slopes[1], horizon=horizon)
 
 
 def principal_params(kind: Kind, gammas, sigmas, etas) -> ModelParams:

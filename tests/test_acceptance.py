@@ -38,7 +38,7 @@ from decarb import (
 from decarb.cli import run as cli_run
 from decarb.contract import effective_aversions, gradient_couplings
 from decarb.mc import Deviation, nash_path_payoffs, paired_difference
-from decarb.riccati import Kernel, OdeTable
+from decarb.riccati import OdeTable
 from conftest import (
     NASH_FIXTURE,
     SINGLE_FIRM_FIXTURE,
@@ -101,10 +101,10 @@ def test_criterion_02_sup_consistency_and_sign_control():
 
 def test_criterion_03_integrator_order():
     # the compiled kernel every solve runs, on da/dt = -(1 + a^2), a(T) = 0
-    tangent = Kernel(OdeTable("tangent", ("w",), (), ("-(1.0 + w * w)",)), ())
+    tangent = OdeTable("tangent", ("w",), (), ("-(1.0 + w * w)",))
 
     def endpoint_error(n_nodes: int) -> float:
-        traj = rk4_backward(tangent, np.array([0.0]), TimeGrid(0.5, n_nodes))
+        traj = rk4_backward(tangent, (), np.array([0.0]), TimeGrid(0.5, n_nodes))
         return abs(traj[0, 0] - math.tan(0.5))
 
     err_1000 = endpoint_error(1001)

@@ -317,6 +317,13 @@ class TestErrorPaths:
         assert err["field"] == "gamma1"
         assert err["exit_code"] == 1
 
+    @pytest.mark.parametrize("kind", ["single-firm", "two-firm", "nash", True, 5, ["x"]])
+    def test_unknown_kind_names_field(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, {"model": dict(TWO_FIRM_FIXTURE, kind=kind)})
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"], err["exit_code"]) == ("OutOfRange", "kind", 1)
+
     @pytest.mark.parametrize("n_nodes", [2.7, 1, True, "abc"])
     def test_malformed_n_nodes_names_field(self, tmp_path, capsys, n_nodes):
         cfg = write_config(tmp_path, {"model": NASH_FIXTURE, "numerics": {"n_nodes": n_nodes}})
@@ -386,6 +393,28 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["field"], err["exit_code"]) == ("OutOfRange", "n_paths", 1)
         assert draws == []
+
+    @pytest.mark.parametrize("scenario, model, numerics, error, field", [
+        *((scenario, model, {"n_nodes": 2 ** 62}, "OutOfRange", "n_nodes") for scenario, model in (
+            ("single-firm", SINGLE_FIRM_FIXTURE), ("two-firm", TWO_FIRM_FIXTURE), ("nash", NASH_FIXTURE),
+            ("best-response", NASH_FIXTURE), ("verify", TWO_FIRM_FIXTURE), ("verify", NASH_FIXTURE),
+            ("simulate", TWO_FIRM_FIXTURE), ("simulate", NASH_FIXTURE))),
+        ("verify", TWO_FIRM_FIXTURE, {"grid": {"n_points": 2 ** 62}}, "OutOfRange", "grid.n_points"),
+        ("verify", NASH_FIXTURE, {"grid": {"n_time_slices": 2 ** 62}}, "OutOfRange", "grid.n_time_slices"),
+        ("simulate", TWO_FIRM_FIXTURE, {"dt": 1e-300}, "ConfigMismatch", "dt"),
+        ("simulate", NASH_FIXTURE, {"dt": 5e-324}, "ConfigMismatch", "dt"),
+    ])
+    def test_size_beyond_any_array_names_field(self, tmp_path, capsys, scenario, model, numerics,
+                                               error, field):
+        # within each field's own bounds, but numpy refuses arrays that large
+        config = {"model": model, "numerics": {"n_nodes": 201, "n_paths": 64, **numerics}}
+        if scenario == "best-response":
+            config["opponent"] = {"firm": 1, "flow": 0.5}
+        cfg = write_config(tmp_path, config)
+        assert run([scenario, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"], err["exit_code"]) == (error, field, 1)
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_every_numerics_field_accepted(self, tmp_path):
         out = tmp_path / "full"

@@ -13,19 +13,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decarb import (
+    ConfigMismatch,
     Deviation,
     OutOfRange,
     SimConfig,
     best_response,
     certainty_surface,
+    feedback_strategies,
+    hjb_residual_nash,
+    hjb_residual_principal,
+    nash,
+    rk4_backward,
+    simulate_nash,
+    simulate_principal,
     solve_nash,
+    solve_principal,
     validate_params,
 )
-from decarb.riccati import TimeGrid
+from decarb.riccati import OdeTable, TimeGrid
 from decarb.verify import GridSpec
 from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
 
 NASH = validate_params(NASH_FIXTURE)
+SINGLE_FIRM = validate_params(SINGLE_FIRM_FIXTURE)
+TWO_FIRM = validate_params(TWO_FIRM_FIXTURE)
 
 LIBRARY_CASES = [
     pytest.param("seed", lambda: SimConfig(seed=1.5), id="SimConfig-seed-1.5"),
@@ -156,3 +167,80 @@ def test_grid_spec_accepts_exactly_valid_fields(field, value):
 def test_time_grid_accepts_exactly_valid_fields(t_end, n_nodes):
     check_boundary(lambda v: TimeGrid(v, 11), t_end, finite(t_end) and t_end > 0, "t_end")
     check_boundary(lambda v: TimeGrid(1.0, v), n_nodes, count(n_nodes, 2), "n_nodes")
+
+
+# sizes no array can have: numpy refuses them before allocating anything
+HUGE = 2 ** 62
+ONE = OdeTable("one", ("w",), (), ("1.0",))
+
+
+def simulated(params, **cfg):
+    """Simulate ``params``, solved on 11 nodes, with the settings ``cfg``."""
+    cfg = SimConfig(**{"n_paths": 64, **cfg})
+    if params.has_principal:
+        return simulate_principal(params, solve_principal(params, 11), cfg)
+    return simulate_nash(params, feedback_strategies(solve_nash(params, 11), params), cfg)
+
+
+@pytest.mark.parametrize("field, error, run", [
+    pytest.param("n_nodes", OutOfRange, lambda: rk4_backward(ONE, (), [0.0], TimeGrid(1.0, HUGE)),
+                 id="rk4_backward"),
+    pytest.param("n_nodes", OutOfRange, lambda: solve_principal(SINGLE_FIRM, HUGE), id="single-firm"),
+    pytest.param("n_nodes", OutOfRange, lambda: solve_principal(TWO_FIRM, HUGE), id="two-firm"),
+    pytest.param("n_nodes", OutOfRange, lambda: solve_nash(NASH, HUGE), id="solve_nash"),
+    pytest.param("n_nodes", OutOfRange, lambda: best_response(NASH, 1, 0.5, HUGE), id="best_response"),
+    pytest.param("n_points", OutOfRange,
+                 lambda: hjb_residual_principal(solve_principal(TWO_FIRM, 11), TWO_FIRM, GridSpec(n_points=HUGE)),
+                 id="hjb_residual_principal-n_points"),
+    pytest.param("n_time_slices", OutOfRange,
+                 lambda: hjb_residual_nash(solve_nash(NASH, 11), NASH, GridSpec(n_time_slices=HUGE)),
+                 id="hjb_residual_nash-n_time_slices"),
+    pytest.param("dt", ConfigMismatch, lambda: simulated(TWO_FIRM, dt=1e-300), id="principal-dt-1e-300"),
+    pytest.param("dt", ConfigMismatch, lambda: simulated(NASH, dt=5e-324), id="nash-dt-5e-324"),
+])
+def test_size_beyond_any_array_names_field(field, error, run):
+    with pytest.raises(error) as exc:
+        run()
+    assert exc.value.field == field
+
+
+def refused(monkeypatch, name: str, size: int) -> None:
+    """Let ``np.<name>`` raise MemoryError, as a machine without the memory
+    does, when asked for an array of ``size`` elements."""
+    allocate = getattr(np, name)
+
+    def refusing(shape, *args, **kwargs):
+        if int(np.prod(shape)) == size:
+            raise MemoryError(f"cannot allocate {size} elements")
+        return allocate(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, name, refusing)
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError("cannot allocate")
+
+
+@pytest.mark.parametrize("field, error, refuse, run", [
+    pytest.param("n_nodes", OutOfRange, lambda mp: refused(mp, "empty", 11 * 6),
+                 lambda: solve_principal(TWO_FIRM, 11), id="solve_principal"),
+    pytest.param("n_nodes", OutOfRange, lambda mp: refused(mp, "zeros", 11 * 12),
+                 lambda: solve_nash(NASH, 11), id="solve_nash"),
+    pytest.param("n_nodes", OutOfRange, lambda mp: mp.setattr(nash, "rk4_stage_times", out_of_memory),
+                 lambda: best_response(NASH, 1, 0.5, 11), id="best_response"),
+    pytest.param("n_points", OutOfRange, lambda mp: mp.setattr(np, "meshgrid", out_of_memory),
+                 lambda: hjb_residual_principal(solve_principal(TWO_FIRM, 11), TWO_FIRM),
+                 id="hjb_residual_principal"),
+    pytest.param("n_time_slices", OutOfRange, lambda mp: mp.setattr(GridSpec, "slice_times", out_of_memory),
+                 lambda: hjb_residual_nash(solve_nash(NASH, 11), NASH), id="hjb_residual_nash"),
+    pytest.param("n_paths", OutOfRange, lambda mp: refused(mp, "empty", 64),
+                 lambda: simulated(TWO_FIRM, dt=0.1), id="n_paths"),
+    pytest.param("dt", ConfigMismatch, lambda mp: refused(mp, "arange", 11),
+                 lambda: simulated(NASH, dt=0.1), id="dt"),
+])
+def test_size_beyond_memory_names_field(monkeypatch, field, error, refuse, run):
+    refuse(monkeypatch)
+    with pytest.raises(error) as exc:
+        run()
+    assert exc.value.field == field
+    assert isinstance(exc.value.__cause__, MemoryError)

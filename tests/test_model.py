@@ -120,6 +120,19 @@ class TestValidation:
         with pytest.raises(OutOfRange):
             two_firm.gamma(3)
 
+    @pytest.mark.parametrize("kind", ["single-firm", "two-firm", "nash", True, 5, ["x"]])
+    def test_only_kind_values_parse(self, kind):
+        # the scenario names are not model kinds
+        with pytest.raises(OutOfRange) as exc:
+            validate_params(dict(TWO_FIRM_FIXTURE, kind=kind))
+        assert exc.value.field == "kind"
+        assert all(k.value in str(exc.value) for k in Kind)
+
+    @pytest.mark.parametrize("fixture", [SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE, NASH_FIXTURE])
+    def test_kind_parses_from_its_value_or_member(self, fixture):
+        kind = Kind(fixture["kind"])
+        assert validate_params(fixture).kind is validate_params(dict(fixture, kind=kind)).kind is kind
+
 
 class TestPrice:
     def test_origin(self, nash_params):

@@ -15,6 +15,7 @@ from decarb import (
     OutOfRange,
     TimeGrid,
     best_response,
+    mc,
     nash,
     oracle_rates,
     rate_profile,
@@ -27,7 +28,7 @@ from decarb import (
     validate_params,
 )
 from decarb.nash import _BR_TABLES, _NASH
-from decarb.riccati import BLOWUP_LIMIT, _BLOCK, _LQG, Kernel, OdeTable, coefficient_table, rk4_stage_times
+from decarb.riccati import BLOWUP_LIMIT, _BLOCK, _LQG, OdeTable, coefficient_table, rk4_stage_times
 from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE, reference_rk4, swap_firms
 
 # coefficient_table rows (A11, A12, A22, B1, B2, C) at 1001 nodes, recorded
@@ -92,14 +93,14 @@ DRIVEN = OdeTable("driven", ("w",), (), ("x",), drive="x")
 
 
 def tangent(grid: TimeGrid) -> np.ndarray:
-    return rk4_backward(Kernel(TANGENT, ()), np.array([0.0]), grid)
+    return rk4_backward(TANGENT, (), np.array([0.0]), grid)
 
 
 class TestRK4:
     def test_zero_rhs_keeps_terminal(self):
         grid = TimeGrid(1.0, 11)
         zero = OdeTable("zero", ("w", "z"), (), ("0.0", "0.0"))
-        traj = rk4_backward(Kernel(zero, ()), np.array([3.0, -2.0]), grid)
+        traj = rk4_backward(zero, (), np.array([3.0, -2.0]), grid)
         assert np.all(traj == [3.0, -2.0])
 
     def test_scalar_riccati_tangent(self):
@@ -117,8 +118,8 @@ class TestRK4:
         # RK4 on du/dt = f(t) is Simpson's rule, exact for cubics, so a
         # drive read at a wrong stage time shows at once
         grid = TimeGrid(1.0, 11)
-        cubic = Kernel(DRIVEN, (), [3.0 * t * t for t in rk4_stage_times(grid)])
-        traj = rk4_backward(cubic, np.array([1.0]), grid)
+        cubic = [3.0 * t * t for t in rk4_stage_times(grid)]
+        traj = rk4_backward(DRIVEN, (), np.array([1.0]), grid, cubic)
         np.testing.assert_allclose(traj[:, 0], grid.nodes ** 3, rtol=0.0, atol=1e-14)
 
     def test_fourth_order_convergence(self):
@@ -163,12 +164,13 @@ class TestBlockedBlowUpCheck:
     GRID = TimeGrid(1000.0, 1001)
 
     @classmethod
-    def driven(cls, f) -> Kernel:
-        """The derivative ``f(t)`` at each stage time."""
-        return Kernel(DRIVEN, (), [f(t) for t in rk4_stage_times(cls.GRID)])
+    def driven(cls, f) -> np.ndarray:
+        """March DRIVEN from 0 with the derivative ``f(t)`` at each stage time."""
+        drive = [f(t) for t in rk4_stage_times(cls.GRID)]
+        return rk4_backward(DRIVEN, (), np.array([0.0]), cls.GRID, drive)
 
     @classmethod
-    def jump_below(cls, j) -> Kernel:
+    def jump_below(cls, j) -> np.ndarray:
         """Zero down to node j and huge below it: u escapes at node j - 1."""
         return cls.driven(lambda t: -1e15 if t < j else 0.0)
 
@@ -180,19 +182,18 @@ class TestBlockedBlowUpCheck:
     ])
     def test_escape_node_in_any_block_position(self, escape):
         with pytest.raises(BlowUp) as exc:
-            rk4_backward(self.jump_below(escape + 1), np.array([0.0]), self.GRID)
+            self.jump_below(escape + 1)
         assert exc.value.t_escape == float(escape)
 
     def test_blocked_store_keeps_every_row(self):
         one = OdeTable("one", ("w",), (), ("1.0",))
-        traj = rk4_backward(Kernel(one, ()), np.array([0.0]), self.GRID)
+        traj = rk4_backward(one, (), np.array([0.0]), self.GRID)
         np.testing.assert_array_equal(traj[:, 0], self.GRID.nodes - 1000.0)
 
     def test_nan_at_one_node(self):
         # the step into node 600 reads the drive at t = 600 in its last stage
-        nan_at = self.driven(lambda t: math.nan if t == 600.0 else 0.0)
         with pytest.raises(BlowUp) as exc:
-            rk4_backward(nan_at, np.array([0.0]), self.GRID)
+            self.driven(lambda t: math.nan if t == 600.0 else 0.0)
         assert exc.value.t_escape == 600.0
 
     @settings(max_examples=60, deadline=None)
@@ -202,7 +203,7 @@ class TestBlockedBlowUpCheck:
         grid = TimeGrid(horizon, n_nodes)
         want = reference_escape(c, grid)
         try:
-            rk4_backward(Kernel(SHIFTED_TANGENT, (c,)), np.array([0.0]), grid)
+            rk4_backward(SHIFTED_TANGENT, (c,), np.array([0.0]), grid)
             got = None
         except BlowUp as exc:
             got = exc.t_escape
@@ -214,9 +215,9 @@ def record_rk4_calls(monkeypatch) -> list:
     attributes the solves look up, as a tracer wrapping them from outside does."""
     calls = []
 
-    def recorder(kernel, terminal, grid):
-        calls.append((kernel, grid))
-        return rk4_backward(kernel, terminal, grid)
+    def recorder(table, args, terminal, grid, drive=None):
+        calls.append((table, args, grid))
+        return rk4_backward(table, args, terminal, grid, drive)
 
     for module in (riccati, nash):
         monkeypatch.setattr(module, "rk4_backward", recorder)
@@ -229,9 +230,9 @@ class TestFusedKernel:
     def test_lqg_equals_generic_stepper(self, monkeypatch, fixture, n_nodes):
         calls = record_rk4_calls(monkeypatch)
         v = solve_principal(validate_params(fixture), n_nodes)
-        [(kernel, grid)] = calls
-        assert isinstance(kernel, Kernel) and kernel.table is riccati._LQG
-        generic = reference_rk4(kernel.table.rhs(kernel.args), np.zeros(6), grid)
+        [(table, args, grid)] = calls
+        assert table is riccati._LQG
+        generic = reference_rk4(table.rhs(args), np.zeros(6), grid)
         assert np.array_equal(coefficient_table(v)[:, 1:], generic)
 
     def test_second_solve_does_not_compile(self, two_firm):
@@ -262,10 +263,10 @@ class TestFusedKernel:
             riccati._compile(OdeTable("bad", states, (), derivs, consts))
 
 
-def outcome(march, rhs, terminal, grid):
-    """The rows a march returns, or the escape time it raises."""
+def outcome(march):
+    """The rows ``march()`` returns, or the escape time it raises."""
     try:
-        return march(rhs, terminal, grid)
+        return march()
     except BlowUp as exc:
         return exc.t_escape
 
@@ -285,10 +286,10 @@ class TestKernelEqualsReference:
     GAME = st.tuples(*[st.floats(0.01, 1.5)] * 2, *[st.floats(0.2, 3.0)] * 4, *[st.floats(0.0, 2.0)] * 3)
 
     @staticmethod
-    def check(kernel, rhs, terminal, horizon, n_nodes):
+    def check(table, args, rhs, terminal, horizon, n_nodes, drive=None):
         grid = TimeGrid(horizon, n_nodes)
-        got = outcome(rk4_backward, kernel, np.array(terminal), grid)
-        want = outcome(reference_rk4, rhs, terminal, grid)
+        got = outcome(lambda: rk4_backward(table, args, np.array(terminal), grid, drive))
+        want = outcome(lambda: reference_rk4(rhs, terminal, grid))
         assert type(got) is type(want)
         assert np.array_equal(got, want)
 
@@ -297,20 +298,20 @@ class TestKernelEqualsReference:
            q0=st.floats(-1.0, 1.0), terminal=bounded(-1.0, 1.0, 6), **GRIDS)
     def test_lqg(self, q, m, d, q0, terminal, horizon, n_nodes):
         args = (*q, *m, *d, q0)
-        self.check(Kernel(_LQG, args), _LQG.rhs(args), terminal, horizon, n_nodes)
+        self.check(_LQG, args, _LQG.rhs(args), terminal, horizon, n_nodes)
 
     @SETTINGS
     @given(args=GAME, **GRIDS)
     def test_nash(self, args, horizon, n_nodes):
-        self.check(Kernel(_NASH, args), _NASH.rhs(args), [0.0] * 12, horizon, n_nodes)
+        self.check(_NASH, args, _NASH.rhs(args), [0.0] * 12, horizon, n_nodes)
 
     @SETTINGS
     @given(firm=st.sampled_from([1, 2]), args=GAME, opponent=st.floats(-2.0, 2.0), **GRIDS)
     def test_best_response(self, firm, args, opponent, horizon, n_nodes):
         table = _BR_TABLES[firm]
-        kernel = Kernel(table, args, [opponent] * (3 * n_nodes - 3))
         rhs = table.rhs(args)
-        self.check(kernel, lambda t, u: rhs(opponent, u), [0.0] * 6, horizon, n_nodes)
+        self.check(table, args, lambda t, u: rhs(opponent, u), [0.0] * 6, horizon, n_nodes,
+                   [opponent] * (3 * n_nodes - 3))
 
 
 # a product read three ways, (a * x) * y, a * (x * y) and x * a; the march may
@@ -330,7 +331,7 @@ class TestMarchForm:
         draws = [(float(rng.uniform(-2.0, 2.0)), rng.uniform(-1.0, 1.0, 2).tolist()) for _ in range(8)]
         assert any((a * x) * y != a * (x * y) for a, (x, y) in draws)
         for a, terminal in draws:
-            TestKernelEqualsReference.check(Kernel(GROUPINGS, (a,)), GROUPINGS.rhs((a,)), terminal, 0.5, 101)
+            TestKernelEqualsReference.check(GROUPINGS, (a,), GROUPINGS.rhs((a,)), terminal, 0.5, 101)
 
     def test_negated_parameters_become_constants(self):
         negated, _, derivs = riccati._march_form(_LQG)
@@ -354,7 +355,7 @@ class TestTracerContract:
     def test_each_solve_calls_the_module_attribute_once(self, monkeypatch, solve):
         calls = record_rk4_calls(monkeypatch)
         solved = solve()
-        assert [grid for _, grid in calls] == [solved.grid]
+        assert [grid for _, _, grid in calls] == [solved.grid]
 
 
 class TestSolveLQG:
@@ -440,6 +441,45 @@ class TestFirmSwap:
 
     def test_cost_on_firm_2_breaks_the_map(self):
         assert self.gaps(1.0, 1001)[0] > 0.1
+
+
+class TestBetweenNodes:
+    """Every reader of a solved trajectory between nodes runs ``np.interp`` on
+    its columns, with one rounding slack at the horizon's ends."""
+
+    def test_value_function_reads_the_simulators_bits(self, two_firm):
+        v = solve_principal(two_firm, 1001)
+        ts = np.random.default_rng(23).uniform(0.0, two_firm.horizon, 1000)
+        A_T, B_t = mc._interp_coeffs(v, ts)
+        for t, A, B in zip(ts, A_T, B_t):
+            got_A, got_B, _ = v.coeffs_at(t)
+            assert got_A.tobytes() == A.T.tobytes() and got_B.tobytes() == B[:, 0].tobytes()
+
+    def test_a_read_copies_no_column(self, two_firm):
+        """The nodes are built once per grid and the columns made contiguous
+        once, and ``np.interp`` copies an array only when it is not contiguous
+        and writeable, so a read costs the same at any node count."""
+        v = solve_principal(two_firm, 201)
+        assert v.grid.nodes is v.grid.nodes and v._columns is v._columns
+        assert all(c.flags.c_contiguous and c.flags.writeable for c in (v.grid.nodes, *v._columns))
+
+    @pytest.mark.parametrize("reader", ["coeffs_at", "strategy", "certainty_surface"])
+    def test_one_rounding_slack(self, two_firm, nash_params, reader):
+        v = solve_principal(two_firm, 101)
+        game = solve_nash(nash_params, 101)
+        strategy = nash.feedback_strategies(game, nash_params)[0]
+        read = {
+            "coeffs_at": lambda t: np.hstack([c.ravel() for c in v.coeffs_at(t)]),
+            "strategy": lambda t: np.asarray(strategy(t, 0.5, -0.5)),
+            "certainty_surface": lambda t: np.asarray(nash.certainty_surface(game, 1, t, 0.3, -0.8)),
+        }[reader]
+        end = two_firm.horizon
+        assert end == nash_params.horizon == 1.0
+        assert read(end + 5e-13).tobytes() == read(end).tobytes()
+        assert read(-5e-13).tobytes() == read(0.0).tobytes()
+        for t in (end + 2e-12, -2e-12, math.nan):
+            with pytest.raises(OutOfHorizon):
+                read(t)
 
 
 class TestValueFn:
