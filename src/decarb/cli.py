@@ -32,22 +32,29 @@ SCENARIO_KINDS = {
 }
 
 RICCATI_HEADER = ("t", "A11", "A12", "A22", "B1", "B2", "C")
-_CSV_BLOCK = 1024  # rows per tolist() copy, which bounds its memory
+_CSV_BLOCK = 256  # rows per tolist() copy and per write, which bounds their memory
 
 
 def emit_csv(trajectory, header, path) -> None:
-    """Write rectangular float data as UTF-8 CSV with round-trip formatting."""
+    """Write rectangular float data as UTF-8 CSV with round-trip formatting.
+
+    Each block of rows is copied out as one flat list of floats and written
+    with one ``write``; no list is built per row, so a large table runs no
+    garbage collection.
+    """
     rows = np.atleast_2d(np.asarray(trajectory, dtype=float))
     if rows.size == 0:
         rows = rows.reshape(0, len(header))
-    if rows.shape[1] != len(header):
-        raise ValueError(f"data has {rows.shape[1]} columns, header has {len(header)}")
+    width = rows.shape[1]
+    if width != len(header):
+        raise ValueError(f"data has {width} columns, header has {len(header)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        # repr of a Python float is faster than of a numpy scalar
         for lo in range(0, len(rows), _CSV_BLOCK):
-            fh.writelines(",".join(map(repr, row)) + "\n"
-                          for row in rows[lo:lo + _CSV_BLOCK].tolist())
+            # repr of a Python float is faster than of a numpy scalar; zip
+            # groups the value strings into lines, the trailing "" ends the last
+            values = map(repr, rows[lo:lo + _CSV_BLOCK].ravel().tolist())
+            fh.write("\n".join([*map(",".join, zip(*[values] * width)), ""]))
 
 
 def _write_json(payload: dict, path: Path) -> None:

@@ -124,7 +124,8 @@ def _rate_table(params: ModelParams) -> tuple[tuple[float, float, float], ...]:
     b = gamma_i + (eta_i + eta_bar_j)*sigma_i^2, c = eta_bar_j*sigma_i^2, with j
     the other firm.
     """
-    gs = ((params.gamma1, params.sigma1 ** 2), (params.gamma2, params.sigma2 ** 2))
+    # squares as products, never ** 2 (see gradient_couplings)
+    gs = ((params.gamma1, params.sigma1 * params.sigma1), (params.gamma2, params.sigma2 * params.sigma2))
     if params.kind is Kind.SINGLE_FIRM:
         ep, ea = params.eta_p, params.eta_a
         return tuple((g + s * ep, s * ep + g + ea * s, ep * s) for g, s in gs)
@@ -207,7 +208,7 @@ def hamiltonian_h(params: ModelParams, z: Sequence[float], grad_v: Sequence[floa
     if kind is not Kind.SINGLE_FIRM and kind is not Kind.TWO_FIRM_REGULATED:
         _require_kind(params, Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED)
     v1, v2 = float(grad_v[0]), float(grad_v[1])
-    s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
+    s1, s2 = params.sigma1 * params.sigma1, params.sigma2 * params.sigma2
     g1, g2, ep = params.gamma1, params.gamma2, params.eta_p
 
     if kind is Kind.SINGLE_FIRM:

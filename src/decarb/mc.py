@@ -494,7 +494,7 @@ class _PrincipalStep:
         self.factors = contract._rate_factors(params, 2)
         self.sigma = _pair(params.sigma1, params.sigma2)
         self.gamma = _pair(params.gamma1, params.gamma2)
-        s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
+        s1, s2 = params.sigma1 * params.sigma1, params.sigma2 * params.sigma2
         self.sq = _pair(s1, s2)
         if not self.single:
             self.half_gamma = _pair(0.5 * params.gamma1, 0.5 * params.gamma2)

@@ -116,7 +116,7 @@ class NashCoeffs:
     """Solved coefficients of both equilibrium value functions."""
 
     grid: TimeGrid
-    values: np.ndarray  # (n_nodes, 12), columns NASH_COLUMNS
+    values: np.ndarray  # (n_nodes, 12), columns NASH_COLUMNS, column-major
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, NASH_COLUMNS.index(name)]
@@ -217,7 +217,7 @@ def _game_args(params: ModelParams) -> tuple[float, ...]:
     """Values of ``_GAME_PARAMS``, as floats whatever scalar type ``params`` holds."""
     sigma1, sigma2, *rest = map(float, (params.sigma1, params.sigma2, params.eta1, params.eta2,
                                         params.gamma1, params.gamma2, params.p0, params.p1, params.p2))
-    return (sigma1 ** 2, sigma2 ** 2, *rest)
+    return (sigma1 * sigma1, sigma2 * sigma2, *rest)
 
 
 def sample_opponent(opponent, grid: TimeGrid) -> np.ndarray:
@@ -266,9 +266,11 @@ def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
     grid = TimeGrid(params.horizon, n_nodes)
 
     # allocated before the march, so the march's own array is freed above it
-    # and leaves no hole below the result that outlives it
+    # and leaves no hole below the result that outlives it; column-major, so
+    # every column a strategy or certainty_surface hands np.interp is
+    # contiguous and read without a copy
     with holding("n_nodes", n_nodes):
-        values = np.zeros((grid.n_nodes, len(NASH_COLUMNS)))
+        values = np.zeros((grid.n_nodes, len(NASH_COLUMNS)), order="F")
     try:
         live = rk4_backward(_nash_live(), _game_args(params), np.zeros(len(_LIVE)), grid)
     except BlowUp as exc:
@@ -285,6 +287,8 @@ def feedback_strategies(coeffs: NashCoeffs, params: ModelParams) -> tuple[Feedba
     """Equilibrium feedback rules of both firms.
 
     a1(t,x,y) = -gamma1*(A x + C y + D); a2(t,x,y) = -gamma2*(Ct x + Bt y + Et).
+    The gains are views of the game's column-major ``values``, contiguous, so
+    a read copies no column.
     """
     _require_kind(params, Kind.TWO_FIRM_NASH)
     nodes = coeffs.grid.nodes

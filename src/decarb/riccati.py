@@ -114,7 +114,7 @@ class OdeTable(NamedTuple):
 _NAME = r"\b[A-Za-z_]\w*"
 _PLAIN = r"[\w\s.+\-*()]*"
 # names the generated functions use themselves
-_RESERVED = frozenset({"u", "top", "stop", "rows", "half", "h", "sixth", "drive", "append", "j", "range"})
+_RESERVED = frozenset({"u", "top", "stop", "rows", "half", "h", "sixth", "drive", "extend", "j", "range"})
 
 
 def _check_table(table: OdeTable) -> None:
@@ -187,16 +187,16 @@ def _compile(table: OdeTable) -> dict:
 
     ``rhs(*params, x, u)`` evaluates the derivatives once, as the table
     writes them.  ``march(u, top, stop, rows, half, h, sixth, drive,
-    *params)`` appends to ``rows`` the states after each RK4 step from node
-    ``top`` down to ``stop``.  It runs the float operations of a classic RK4
-    step that calls ``rhs`` once per stage, in the same order, with every
-    stage written out: state S enters stage s as ``_S_s``, its derivative
-    there is ``_dS_s``, and the drive reads ``drive[3k - 3]``, ``drive[3k -
-    2]`` and ``drive[3k - 1]`` in the step from node k, as the stage times
-    are listed.  The derivatives are in :func:`_march_form`, with shared
-    product i held in stage s as ``_i_s``.  The source holds only the
-    table's names and the fixed stage arithmetic; parameter values arrive as
-    arguments.
+    *params)`` extends the flat list ``rows`` by the states after each RK4
+    step from node ``top`` down to ``stop``, building no list per step.  It
+    runs the float operations of a classic RK4 step that calls ``rhs`` once
+    per stage, in the same order, with every stage written out: state S
+    enters stage s as ``_S_s``, its derivative there is ``_dS_s``, and the
+    drive reads ``drive[3k - 3]``, ``drive[3k - 2]`` and ``drive[3k - 1]``
+    in the step from node k, as the stage times are listed.  The
+    derivatives are in :func:`_march_form`, with shared product i held in
+    stage s as ``_i_s``.  The source holds only the table's names and the
+    fixed stage arithmetic; parameter values arrive as arguments.
     """
     _check_table(table)
     states, drive = table.states, table.drive
@@ -206,7 +206,7 @@ def _compile(table: OdeTable) -> dict:
     lines = [f"def rhs({', '.join([*table.params, drive or '_t', 'u'])}):", *head,
              f"    return ({', '.join(table.derivs)},)",
              f"def march({', '.join(['u, top, stop, rows, half, h, sixth, drive', *table.params])}):",
-             *head, *(f"    {name} = {expr}" for name, expr in negated.items()), "    append = rows.append",
+             *head, *(f"    {name} = {expr}" for name, expr in negated.items()), "    extend = rows.extend",
              "    for j in range(3 * top - 3, 3 * stop - 3, -3):" if drive else
              "    for _ in range(top - stop):"]
     body = []
@@ -220,7 +220,7 @@ def _compile(table: OdeTable) -> dict:
         body += [f"_{i}_{s} = " + _renamed(product, names) for i, product in enumerate(shared)]
         body += [f"_d{S}_{s} = " + _renamed(expr, names) for S, expr in zip(states, derivs)]
     body += [f"{S} = {S} + sixth * (_d{S}_1 + 2.0 * _d{S}_2 + 2.0 * _d{S}_3 + _d{S}_4)" for S in states]
-    body.append(f"append([{', '.join(states)}])")
+    body.append(f"extend(({', '.join(states)},))")
     namespace: dict = {}
     exec(compile("\n".join(lines + ["        " + line for line in body]),
                  f"<rk4 {table.name}>", "exec"), namespace)
@@ -239,29 +239,31 @@ def rk4_backward(table: OdeTable, args: Sequence[float], terminal: np.ndarray, g
     time :func:`rk4_stage_times` lists, three per step.  A grid too large to
     hold raises :class:`~decarb.errors.OutOfRange` naming ``n_nodes``.
 
-    Rows are collected in blocks of ``_BLOCK`` steps, each stored with one
-    slice assignment and checked at once.  :class:`BlowUp` reports the first
-    node, in marching order, with a coefficient beyond ``BLOWUP_LIMIT``, NaN
-    or inf: the node a check after every step would report.  A table's float
+    Rows are collected flat in blocks of ``_BLOCK`` steps, each read into an
+    array by one ``np.fromiter``, checked at once and stored with one slice
+    assignment; the next block resumes from the last row's values.
+    :class:`BlowUp` reports the first node, in marching order, with a
+    coefficient beyond ``BLOWUP_LIMIT``, NaN or inf: the node a check after
+    every step would report.  A table's float
     ``+``, ``-`` and ``*`` give inf or NaN rather than raise, so marching on
     past an escape to the end of its block changes nothing.
     """
     terminal = np.asarray(terminal, dtype=float)
-    n = grid.n_nodes
+    n, width = grid.n_nodes, terminal.size
     h = -grid.dt
     march = _compile(table)["march"]
     extra = (0.5 * h, h, h / 6.0, drive, *args)
     with holding("n_nodes", n):
-        out = np.empty((n, terminal.size))
+        out = np.empty((n, width))
     out[-1] = terminal
     u = terminal.tolist()
     for top in range(n - 1, 0, -_BLOCK):
         rows = []
         march(u, top, max(top - _BLOCK, 0), rows, *extra)
-        block = np.array(rows)
+        block = np.fromiter(rows, float, len(rows)).reshape(-1, width)
         _check_block(block, grid, top - 1)
-        out[top - len(rows):top] = block[::-1]
-        u = rows[-1]
+        out[top - len(block):top] = block[::-1]
+        u = rows[-width:]
     return out
 
 

@@ -146,7 +146,7 @@ def hjb_residual_principal(
     """
     grid, X1, X2, times, nodes = _slicing(v, params, grid, *PRINCIPAL_KINDS)
     m1, m2 = gradient_couplings(params)
-    s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
+    s1, s2 = params.sigma1 * params.sigma1, params.sigma2 * params.sigma2
     states = np.stack([X1, X2], axis=-1)
     flow = model.revenue_f(params, states) - model.social_cost_g(params, states)
 
@@ -176,7 +176,7 @@ _FIRM_SWAP = [7, 6, 8, 10, 9, 11, 1, 0, 2, 4, 3, 5]
 def _nash_firm1_residual(game: ModelParams, row: np.ndarray, der: np.ndarray, x, y) -> np.ndarray:
     """|Firm 1's value-PDE residual| at (x, y), from one node's twelve
     coefficients ``row`` and their time derivatives ``der``."""
-    s1, s2 = game.sigma1 ** 2, game.sigma2 ** 2
+    s1, s2 = game.sigma1 * game.sigma1, game.sigma2 * game.sigma2
     e1, g1, g2 = game.eta1, game.gamma1, game.gamma2
     p0, p1, p2 = game.p0, game.p1, game.p2
     A, B, C, D, E, _F, _At, Bt, Ct, _Dt, Et, _Ft = row
@@ -240,7 +240,8 @@ def sup_consistency(
     v = np.asarray(grad_v, dtype=float)
     if m is None:
         m = gradient_couplings(params)
-    s1, s2 = params.sigma1 ** 2, params.sigma2 ** 2
-    closed = 0.5 * ((m[0] + params.eta_p * s1) * v[0] ** 2 + (m[1] + params.eta_p * s2) * v[1] ** 2)
+    s1, s2 = params.sigma1 * params.sigma1, params.sigma2 * params.sigma2
+    closed = 0.5 * ((m[0] + params.eta_p * s1) * (v[0] * v[0])
+                    + (m[1] + params.eta_p * s2) * (v[1] * v[1]))
     _z, value = oracle_rates(params, v)
     return abs(value - closed)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -137,6 +138,33 @@ class TestEmitCsv:
     def test_column_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv(np.zeros((2, 2)), ("a",), tmp_path / "bad.csv")
+
+    def test_one_column_has_one_value_per_line(self, tmp_path):
+        path = tmp_path / "one.csv"
+        emit_csv(np.arange(1025.0)[:, None], ("x",), path)
+        assert path.read_text(encoding="utf-8") == "x\n" + "".join(f"{float(k)!r}\n" for k in range(1025))
+
+    def test_a_large_table_runs_no_collection(self, tmp_path):
+        """A 16001 x 13 table, the size of a Nash trajectory at 16001 nodes, is
+        written with no list per row, so no garbage collection runs under
+        CPython's default thresholds (a list per row ran 15)."""
+        table = np.random.default_rng(7).standard_normal((16001, 13))
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        thresholds = gc.get_threshold()
+        gc.set_threshold(700, 10, 10)
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            emit_csv(table, tuple("abcdefghijklm"), tmp_path / "large.csv")
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*thresholds)
+        assert collections == []
 
 
 class TestScenarios:

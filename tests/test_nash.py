@@ -502,6 +502,39 @@ class TestPayoffRate:
             assert strategy(1.0 + 1e-13, 0.5, -0.5) == strategy(1.0, 0.5, -0.5)
 
 
+class TestContiguousColumns:
+    """The game's coefficients are stored column-major, so that neither a
+    strategy nor a certainty surface copies a column per read; every read
+    keeps the bits of ``np.interp`` on a row-major copy's strided columns."""
+
+    def test_reads_copy_no_column(self, nash_params):
+        game = solve_nash(nash_params, 201)
+        assert game.values.flags.f_contiguous and game.values.flags.writeable
+        for s in feedback_strategies(game, nash_params):
+            for gain in (s.kx, s.ky, s.k0):
+                assert gain.flags.c_contiguous and np.shares_memory(gain, game.values)
+
+    def test_reads_keep_the_strided_columns_bits(self, nash_params):
+        game = solve_nash(nash_params, 201)
+        rows = np.ascontiguousarray(game.values)
+        assert rows.tobytes() == game.values.tobytes()  # the same values, row-major
+        nodes = game.grid.nodes
+        gains = {1: ("A", "C", "D"), 2: ("Ct", "Bt", "Et")}
+        rng = np.random.default_rng(31)
+        for t, x, y in zip(rng.uniform(0.0, 1.0, 100), *rng.normal(size=(2, 100))):
+            for s in feedback_strategies(game, nash_params):
+                kx, ky, k0 = (np.interp(t, nodes, rows[:, NASH_COLUMNS.index(name)])
+                              for name in gains[s.firm])
+                want = -s.gamma * (kx * x + ky * y + k0)
+                assert np.asarray(s(t, x, y)).tobytes() == np.asarray(want).tobytes()
+            for firm in (1, 2):
+                block = rows[:, 6 * firm - 6:6 * firm]
+                a, b, c, d, e, f = (np.interp(t, nodes, column) for column in block.T)
+                want = 0.5 * a * x * x + 0.5 * b * y * y + c * x * y + d * x + e * y + f
+                got = certainty_surface(game, firm, t, x, y)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestCertaintySurface:
     @pytest.mark.parametrize("t", [-5.0, -1e-9, 1.0 + 1e-9, 4.0])
     def test_outside_horizon_raises(self, nash_params, t):

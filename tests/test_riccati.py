@@ -114,6 +114,19 @@ class TestRK4:
         want = reference_rk4(TANGENT.rhs(()), [0.0], grid)
         assert np.array_equal(tangent(grid), want)
 
+    @pytest.mark.parametrize("n_nodes", [257, 258, 513, 514])
+    @pytest.mark.parametrize("table, args", [
+        (_LQG, (-1.0, -0.5, -1.5, 0.3, 0.2, 0.7, 0.4, 0.04, 0.09, -0.1)),
+        (nash._nash_live(), (0.04, 0.09, 1.0, 1.0, 1.5, 1.0, 1.0, 0.6, 0.4)),
+    ], ids=["lqg", "nash_live"])
+    def test_block_edges_equal_reference(self, table, args, n_nodes):
+        # 256, 257, 512 and 513 steps: a march that ends on a block edge or one
+        # step past it, each block resuming from the last row of the one before
+        grid = TimeGrid(1.0, n_nodes)
+        terminal = np.linspace(-0.5, 0.5, len(table.states))
+        want = reference_rk4(table.rhs(args), terminal, grid)
+        assert np.array_equal(rk4_backward(table, args, terminal, grid), want)
+
     def test_stage_times_integrate_cubic_exactly(self):
         # RK4 on du/dt = f(t) is Simpson's rule, exact for cubics, so a
         # drive read at a wrong stage time shows at once

@@ -1,4 +1,5 @@
-"""Unit covariance of the solvers: the same model stated in another money unit.
+"""Unit covariance of the solvers: the same model stated in another money or
+quantity unit.
 
 Measuring money in a unit c times smaller multiplies every money amount by c.
 From the units of each parameter, not from the solvers' formulas:
@@ -14,6 +15,27 @@ firms' certainty equivalents W_i are), so it scales by c.  With c a power of
 two every rounding scales with it, so the identities hold bit for bit.  The
 1e12 escape bound is a money amount too: a rescaled solve that reads it in
 the new unit escapes at the same node.
+
+Measuring quantity (the states x, y) in a unit L times smaller multiplies
+every quantity by L.  Then:
+
+* the volatilities sigma_i (quantity per root of time) and the production
+  target delta scale by L, and gamma_i by L^2 (an effort a is quantity per
+  time, and a^2/(2*gamma) stays the same money);
+* the price slopes p1, p2 and the weights kappa, lambda (money per squared
+  quantity) scale by 1/L^2;
+* the price intercept p0 is money per quantity in the regulated models,
+  where revenue is price times output, and scales by 1/L; in the game it is
+  a money flow of its own and does not change.
+
+A coefficient of a quadratic term scales by 1/L^2, of a linear term by 1/L,
+and a constant does not change.  These identities hold bit for bit too, but
+the coefficients scale by different powers of L, so no single rescaled 1e12
+bound keeps an escape at its node; escaping draws are skipped.
+
+A volatility enters the solvers squared, so the law holds bit for bit only
+if each square is the correctly rounded product ``sigma * sigma``: libm's
+``sigma ** 2`` can miss it by an ulp, as at ``ULP_SIGMA``.
 """
 
 from dataclasses import fields, replace
@@ -23,21 +45,33 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from decarb import BlowUp, Kind, riccati, solve_nash, solve_principal, validate_params
+from decarb import BlowUp, Kind, contract, mc, nash, riccati, solve_nash, solve_principal, validate_params
 from conftest import (ETA_RANGE, GAMMA_RANGE, GAME_BOX, NASH_FIXTURE, SIGMA_RANGE, SINGLE_FIRM_FIXTURE,
                       TWO_FIRM_FIXTURE, game_params, principal_params)
 
 # the power of the money unit in each parameter that carries one
 MONEY_POWER = {"p0": 1, "p1": 1, "p2": 1, "kappa": 1, "lambda_": 1,
                "gamma1": -1, "gamma2": -1, "eta_a": -1, "eta1": -1, "eta2": -1, "eta_p": -1}
+# the power of the quantity unit in each parameter that carries one, but p0
+QUANTITY_POWER = {"sigma1": 1, "sigma2": 1, "delta": 1, "gamma1": 2, "gamma2": 2,
+                  "p1": -2, "p2": -2, "kappa": -2, "lambda_": -2}
+# the power of the quantity unit in each solved column, as `solved` stacks them:
+# A11, A12, A21, A22, B1, B2, C, and NASH_COLUMNS
+PRINCIPAL_COLUMN_POWER = np.array([-2, -2, -2, -2, -1, -1, 0])
+NASH_COLUMN_POWER = np.array([-2, -2, -2, -1, -1, 0] * 2)
 FACTORS = [2.0 ** k for k in range(-3, 4)]
+# sigma ** 2 != sigma * sigma here, as libm's pow rounds it
+ULP_SIGMA = 0.4515528601377755
 
 
-def rescaled(params, money=1.0, keep=()):
-    """``params`` with money measured in a unit ``money`` times smaller; the
-    fields in ``keep`` are left as they are (for negative controls)."""
-    return replace(params, **{name: getattr(params, name) * money ** power
-                              for name, power in MONEY_POWER.items()
+def rescaled(params, money=1.0, quantity=1.0, keep=()):
+    """``params`` with money measured in a unit ``money`` times smaller and
+    quantity in a unit ``quantity`` times smaller; the fields in ``keep`` are
+    left as they are (for negative controls)."""
+    quantity_power = {**QUANTITY_POWER, "p0": -1 if params.has_principal else 0}
+    return replace(params, **{name: getattr(params, name) * money ** MONEY_POWER.get(name, 0)
+                              * quantity ** quantity_power.get(name, 0)
+                              for name in MONEY_POWER.keys() | quantity_power.keys()
                               if getattr(params, name) is not None and name not in keep})
 
 
@@ -135,3 +169,78 @@ def test_risk_aversion_left_in_the_old_unit_breaks_the_identity(c, fixture, solv
     base = solved(solve_201(solver), params)
     wrong = solved_in_money(solve_201(solver), params, c, keep=etas)
     assert not (isinstance(wrong, np.ndarray) and np.array_equal(wrong, c * base))
+
+
+def solved_in_quantity(solve, params, quantity: float, keep=()) -> np.ndarray | float:
+    """:func:`solved` on ``rescaled(params, quantity=quantity, keep=keep)``."""
+    return solved(solve, rescaled(params, quantity=quantity, keep=keep))
+
+
+def assert_quantity_covariant(solve, params, quantity: float, powers: np.ndarray) -> None:
+    base, scaled = solved(solve, params), solved_in_quantity(solve, params, quantity)
+    # one 1e12 bound cannot carry a single quantity unit when the columns scale
+    # by different powers of it, so an escape on either side is skipped
+    assume(not isinstance(base, float) and not isinstance(scaled, float))
+    assert scaled.tobytes() == (base * quantity ** powers).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from(FACTORS), **GAME_BOX)
+# (sigma1 * q) ** 2 != sigma1 ** 2 * q * q here, so the law failed while the solvers squared with **
+@example(q=8.0, gammas=(1.5, 1.0), etas=(1.0, 1.0), sigmas=(0.9179837724128391, 0.3), p0=1.0,
+         slopes=(0.6, 0.4), horizon=1.0)
+def test_game_coefficients_are_quantities(q, gammas, etas, sigmas, p0, slopes, horizon):
+    params = game_params(gammas, etas, sigmas, p0, slopes, horizon)
+    assume(no_tiny_values(params))
+    assert_quantity_covariant(solve_201(solve_nash), params, q, NASH_COLUMN_POWER)
+
+
+@pytest.mark.parametrize("kind", [Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED])
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from(FACTORS), **PRINCIPAL_BOX)
+@example(q=8.0, gammas=(1.5, 1.0), sigmas=(0.9179837724128391, 0.3), etas=(1.0, 1.0, 1.0),
+         prices=(1.0, 0.6, 0.4), weights=(1.0, 1.0), delta=1.0, horizon=1.0)
+def test_principal_coefficients_are_quantities(kind, q, gammas, sigmas, etas, prices, weights, delta,
+                                               horizon):
+    params = principal_params(kind, gammas, sigmas, etas[:2] if kind is Kind.SINGLE_FIRM else etas)
+    params = replace(params, p0=prices[0], p1=prices[1], p2=prices[2], kappa=weights[0],
+                     lambda_=weights[1], delta=delta, horizon=horizon)
+    assume(no_tiny_values(params))
+    assert_quantity_covariant(solve_201(solve_principal), params, q, PRINCIPAL_COLUMN_POWER)
+
+
+@pytest.mark.parametrize("q", [f for f in FACTORS if f != 1.0])
+@pytest.mark.parametrize("fixture", [TWO_FIRM_FIXTURE, SINGLE_FIRM_FIXTURE], ids=["two-firm", "single-firm"])
+def test_regulated_intercept_left_in_the_old_unit_breaks_the_identity(q, fixture):
+    # the regulated p0 is a price per unit of quantity, unlike the game's
+    params = validate_params(fixture)
+    base = solved(solve_201(solve_principal), params)
+    wrong = solved_in_quantity(solve_201(solve_principal), params, q, keep=("p0",))
+    assert not (isinstance(wrong, np.ndarray) and np.array_equal(wrong, base * q ** PRINCIPAL_COLUMN_POWER))
+
+
+class TestSquaredVolatility:
+    """Each square of a volatility that a test can read is ``sigma * sigma``."""
+
+    def test_game_arguments(self):
+        params = replace(validate_params(NASH_FIXTURE), sigma1=ULP_SIGMA, sigma2=ULP_SIGMA / 4)
+        assert ULP_SIGMA ** 2 != ULP_SIGMA * ULP_SIGMA
+        assert nash._game_args(params)[:2] == (ULP_SIGMA * ULP_SIGMA, (ULP_SIGMA / 4) * (ULP_SIGMA / 4))
+
+    REGULATED = pytest.mark.parametrize("fixture", [SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE],
+                                        ids=["single-firm", "two-firm"])
+
+    @REGULATED
+    def test_rate_constants(self, fixture):
+        # c_1 = eta * sigma_1^2, with eta = eta_p (single firm) or eta_bar_2 (two firms)
+        params = replace(validate_params(fixture), sigma1=ULP_SIGMA)
+        single = params.kind is Kind.SINGLE_FIRM
+        eta = params.eta_p if single else contract.effective_aversions(params).eta_bar_2
+        assert contract._rate_table(params)[0][2] == eta * (ULP_SIGMA * ULP_SIGMA)
+
+    @REGULATED
+    def test_simulator_step(self, fixture):
+        params = replace(validate_params(fixture), sigma1=ULP_SIGMA)
+        v = solve_principal(params, 11)
+        step = mc._PrincipalStep(params, v, v.grid.nodes, (0.0,) * len(params.agent_aversions()))
+        assert step.sq[0, 0] == ULP_SIGMA * ULP_SIGMA
