@@ -156,7 +156,8 @@ def _write_game_coefficients(run: _Run, csv_name: str, coeffs, columns, **fields
 
 def _run_principal(run: _Run) -> dict:
     v = riccati.solve_principal(run.params, run.n_nodes)
-    return _write_coefficients(run, "riccati_coeffs.csv", riccati.coefficient_table(v), RICCATI_HEADER,
+    table = np.column_stack([v.grid.nodes, *v.columns])
+    return _write_coefficients(run, "riccati_coeffs.csv", table, RICCATI_HEADER,
                                value_at_origin=v.C[0], A0=v.A[0].tolist(), B0=v.B[0].tolist())
 
 
@@ -214,10 +215,10 @@ def _run_verify(run: _Run) -> dict:
     return summary
 
 
-def _dump_paths(run: _Run, cfg: mc.SimConfig, labels, payoff_columns) -> str:
+def _dump_paths(run: _Run, cfg: mc.SimConfig, labels, payoffs) -> str:
     if cfg.n_paths > 100_000:
         print(f"warning: dumping {cfg.n_paths} paths to paths.csv", file=sys.stderr)
-    table = np.column_stack([np.arange(cfg.n_paths, dtype=float), *payoff_columns])
+    table = np.column_stack([np.arange(cfg.n_paths, dtype=float), *payoffs])
     emit_csv(table, ("path", *labels), run.out_dir / "paths.csv")
     return "paths.csv"
 

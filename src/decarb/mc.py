@@ -293,13 +293,9 @@ def _agent_y0(params: ModelParams, cfg: SimConfig) -> tuple[float, ...]:
 def _interp_coeffs(v: QuadraticValueFn, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A(t) as the transposed view the gradient multiplies, and B(t) as (2, 1)
     columns, at the times ``ts``."""
-    nodes = v.grid.nodes
-    A = np.empty((ts.size, 2, 2))
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        A[:, i, j] = np.interp(ts, nodes, v.A[:, i, j])
-    A[:, 1, 0] = A[:, 0, 1]
-    B = np.array([np.interp(ts, nodes, v.B[:, i]) for i in (0, 1)])
-    return A.transpose(0, 2, 1), B.T[:, :, None]
+    a11, a12, a22, b1, b2 = (np.interp(ts, v.grid.nodes, c) for c in v.columns[:5])
+    A = np.stack([a11, a12, a12, a22], axis=-1).reshape(-1, 2, 2)
+    return A.transpose(0, 2, 1), np.array([b1, b2]).T[:, :, None]
 
 
 def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int) -> np.ndarray:

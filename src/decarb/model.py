@@ -26,7 +26,6 @@ from .errors import ConfigMismatch, MissingField, OutOfRange, UnexpectedField, W
 class Kind(enum.Enum):
     """Which of the three production models a parameter set describes."""
 
-    __hash__ = object.__hash__  # members are singletons; C-level, unlike Enum.__hash__
     SINGLE_FIRM = "single_firm"
     TWO_FIRM_REGULATED = "two_firm_regulated"
     TWO_FIRM_NASH = "two_firm_nash"

@@ -103,7 +103,7 @@ class BestResponseCoeffs:
     """Solved coefficients of one firm's value function against a known opponent flow."""
 
     grid: TimeGrid
-    values: np.ndarray  # (n_nodes, 6), columns BR_COLUMNS
+    values: np.ndarray  # (n_nodes, 6), columns BR_COLUMNS, column-major
     firm: int
     opponent: np.ndarray  # opponent flow sampled on the grid nodes
 
@@ -266,9 +266,9 @@ def solve_nash(params: ModelParams, n_nodes: int = 1001) -> NashCoeffs:
     grid = TimeGrid(params.horizon, n_nodes)
 
     # allocated before the march, so the march's own array is freed above it
-    # and leaves no hole below the result that outlives it; column-major, so
-    # every column a strategy or certainty_surface hands np.interp is
-    # contiguous and read without a copy
+    # and leaves no hole below the result that outlives it; column-major, as
+    # rk4_backward's output is, so every column a strategy or
+    # certainty_surface hands np.interp is contiguous and read without a copy
     with holding("n_nodes", n_nodes):
         values = np.zeros((grid.n_nodes, len(NASH_COLUMNS)), order="F")
     try:
@@ -363,17 +363,15 @@ def payoff_rate(params: ModelParams, x, y, a, out=None, scratch=None):
     return out
 
 
-def ode_residual(
-    coeffs: BestResponseCoeffs | NashCoeffs,
-    params: ModelParams,
-    opponent=None,
-) -> float:
+def ode_residual(coeffs: BestResponseCoeffs | NashCoeffs, params: ModelParams) -> float:
     """Maximum violation of the coefficient ODEs along a solved trajectory.
 
     Derivatives are estimated by fourth-order central differences at interior
     nodes and compared against the system right-hand sides, so the check never
-    reuses the integrator's stepping.  Fewer than 5 nodes leave no interior
-    node to check and raise :class:`OutOfRange` naming ``n_nodes``.
+    reuses the integrator's stepping.  A best response is checked against the
+    opponent flow it was solved for, read at the interior nodes from its node
+    samples ``coeffs.opponent``.  Fewer than 5 nodes leave no interior node
+    to check and raise :class:`OutOfRange` naming ``n_nodes``.
     """
     _require_kind(params, Kind.TWO_FIRM_NASH)
     integer("n_nodes", coeffs.grid.n_nodes, 5)
@@ -381,9 +379,7 @@ def ode_residual(
     if isinstance(coeffs, NashCoeffs):
         table, drive = _NASH, None
     else:
-        nodes = coeffs.grid.nodes
-        samples = coeffs.opponent if opponent is None else sample_opponent(opponent, coeffs.grid)
-        table, drive = _BR_TABLES[coeffs.firm], np.interp(nodes[2:-2], nodes, samples)
+        table, drive = _BR_TABLES[coeffs.firm], coeffs.opponent[2:-2]
     rhs = table.rhs(_game_args(params))(drive, values[2:-2].T)
     worst = [np.max(np.abs(centered_derivative(values[:, j], coeffs.grid.dt) - r), initial=0.0)
              for j, r in enumerate(rhs)]

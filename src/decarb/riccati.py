@@ -112,7 +112,7 @@ class OdeTable(NamedTuple):
 
 # patterns as strings, so that nothing is compiled at import
 _NAME = r"\b[A-Za-z_]\w*"
-_PLAIN = r"[\w\s.+\-*()]*"
+_PLAIN = r"[\w \t.+\-*()]*"  # no line breaks, which ast.parse would reject
 # names the generated functions use themselves
 _RESERVED = frozenset({"u", "top", "stop", "rows", "half", "h", "sixth", "drive", "extend", "j", "range"})
 
@@ -234,6 +234,8 @@ def rk4_backward(table: OdeTable, args: Sequence[float], terminal: np.ndarray, g
 
     Returns the trajectory on all grid nodes, shape (n_nodes, len(terminal)),
     row k holding u(t_k); the terminal row is the terminal data bit for bit.
+    The array is column-major, so each coefficient's column is a contiguous
+    view that ``np.interp`` and the CSV writer read without a copy.
     The table's compiled kernel runs classic RK4 with every stage inlined.
     ``drive`` (None for a table without one) holds the drive's value at each
     time :func:`rk4_stage_times` lists, three per step.  A grid too large to
@@ -254,7 +256,7 @@ def rk4_backward(table: OdeTable, args: Sequence[float], terminal: np.ndarray, g
     march = _compile(table)["march"]
     extra = (0.5 * h, h, h / 6.0, drive, *args)
     with holding("n_nodes", n):
-        out = np.empty((n, width))
+        out = np.empty((n, width), order="F")
     out[-1] = terminal
     u = terminal.tolist()
     for top in range(n - 1, 0, -_BLOCK):
@@ -296,7 +298,8 @@ class QuadraticValueFn:
     A has shape (n_nodes, 2, 2) and stays symmetric; B is (n_nodes, 2); C is
     (n_nodes,).  Evaluation interpolates coefficients linearly between nodes
     (O(dt^2), far below the solver's accuracy needs at the default grid) by
-    ``np.interp``, as the simulator does, so both read the same bits.
+    ``np.interp`` on :attr:`columns`, as the simulator does, so both read the
+    same bits.
     """
 
     grid: TimeGrid
@@ -307,12 +310,14 @@ class QuadraticValueFn:
 
     def coeffs_at(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Interpolated (A(t), B(t), C(t))."""
-        a11, a12, a22, b1, b2, c = _between_nodes(t, self.grid.nodes, *self._columns)
+        a11, a12, a22, b1, b2, c = _between_nodes(t, self.grid.nodes, *self.columns)
         return np.array([[a11, a12], [a12, a22]]), np.array([b1, b2]), c
 
     @functools.cached_property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """A11, A12, A22, B1, B2 and C, copied contiguous once rather than per call."""
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """A11, A12, A22, B1, B2 and C, each a contiguous column on the grid
+        nodes, where every reader takes them from; only the A columns are
+        copied, once, the others being views of the integrator's output."""
         return tuple(map(np.ascontiguousarray, (*self.A.reshape(-1, 4)[:, [0, 1, 3]].T, *self.B.T, self.C)))
 
     def value_and_gradient(self, t: float, x) -> tuple[float, np.ndarray]:
@@ -376,12 +381,3 @@ def rate_profile(params: ModelParams, v: QuadraticValueFn, t: float, x) -> Incen
     if params.kind is Kind.SINGLE_FIRM:
         return rates_single(params, grad)
     return rates_two(params, grad)
-
-
-def coefficient_table(v: QuadraticValueFn) -> np.ndarray:
-    """Trajectory as rows (t, A11, A12, A22, B1, B2, C) for CSV export."""
-    return np.column_stack([
-        v.grid.nodes,
-        v.A[:, 0, 0], v.A[:, 0, 1], v.A[:, 1, 1],
-        v.B[:, 0], v.B[:, 1], v.C,
-    ])

@@ -151,17 +151,15 @@ def hjb_residual_principal(
     flow = model.revenue_f(params, states) - model.social_cost_g(params, states)
 
     def residual(k: int) -> np.ndarray:
-        A, B = v.A[k], v.B[k]
-        Ad = sampled_time_derivative(v.A, v.grid.dt, k)
-        Bd = sampled_time_derivative(v.B, v.grid.dt, k)
-        Cd = sampled_time_derivative(v.C, v.grid.dt, k)
-        dv_dt = (0.5 * (Ad[0, 0] * X1 * X1 + 2.0 * Ad[0, 1] * X1 * X2 + Ad[1, 1] * X2 * X2)
-                 + Bd[0] * X1 + Bd[1] * X2 + Cd)
-        v1 = A[0, 0] * X1 + A[0, 1] * X2 + B[0]
-        v2 = A[0, 1] * X1 + A[1, 1] * X2 + B[1]
+        a11, a12, a22, b1, b2 = (col[k] for col in v.columns[:5])
+        d11, d12, d22, db1, db2, dc = (sampled_time_derivative(col, v.grid.dt, k) for col in v.columns)
+        dv_dt = (0.5 * (d11 * X1 * X1 + 2.0 * d12 * X1 * X2 + d22 * X2 * X2)
+                 + db1 * X1 + db2 * X2 + dc)
+        v1 = a11 * X1 + a12 * X2 + b1
+        v2 = a12 * X1 + a22 * X2 + b2
         return np.abs(
             flow + dv_dt
-            + 0.5 * (s1 * A[0, 0] + s2 * A[1, 1])
+            + 0.5 * (s1 * a11 + s2 * a22)
             + 0.5 * (m1 * v1 * v1 + m2 * v2 * v2)
         )
 

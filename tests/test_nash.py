@@ -403,13 +403,11 @@ class TestOdeResidualReference:
     @pytest.mark.parametrize("firm", [1, 2])
     def test_best_response_equals_node_loop(self, nash_params, firm):
         coeffs = best_response(nash_params, firm, lambda t: 0.3 + 0.5 * t, n_nodes=2001)
-        other = 0.2 * coeffs.grid.nodes
         v, nodes = coeffs.values, coeffs.grid.nodes
         rhs = _BR_TABLES[firm].rhs(_game_args(nash_params))
-        for opponent, samples in ((None, coeffs.opponent), (other, other)):
-            ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: rhs(
-                float(np.interp(nodes[k], nodes, samples)), v[k]))
-            assert ode_residual(coeffs, nash_params, opponent) == ref
+        ref = loop_ode_residual(v, coeffs.grid.dt, lambda k: rhs(
+            float(np.interp(nodes[k], nodes, coeffs.opponent)), v[k]))
+        assert ode_residual(coeffs, nash_params) == ref
 
 
 class TestFeedbackStrategies:
@@ -503,9 +501,10 @@ class TestPayoffRate:
 
 
 class TestContiguousColumns:
-    """The game's coefficients are stored column-major, so that neither a
-    strategy nor a certainty surface copies a column per read; every read
-    keeps the bits of ``np.interp`` on a row-major copy's strided columns."""
+    """The game's and each best response's coefficients are stored
+    column-major, so that neither a strategy nor a certainty surface copies a
+    column per read; every read keeps the bits of ``np.interp`` on a
+    row-major copy's strided columns."""
 
     def test_reads_copy_no_column(self, nash_params):
         game = solve_nash(nash_params, 201)
@@ -533,6 +532,19 @@ class TestContiguousColumns:
                 want = 0.5 * a * x * x + 0.5 * b * y * y + c * x * y + d * x + e * y + f
                 got = certainty_surface(game, firm, t, x, y)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("firm", [1, 2])
+    def test_best_response_reads_copy_no_column(self, nash_params, firm):
+        response = best_response(nash_params, firm, lambda t: 0.3 - 0.2 * t, 201)
+        assert response.values.flags.f_contiguous and response.values.flags.writeable
+        rows = np.ascontiguousarray(response.values)
+        nodes = response.grid.nodes
+        rng = np.random.default_rng(37)
+        for t, x, y in zip(rng.uniform(0.0, 1.0, 50), *rng.normal(size=(2, 50))):
+            a, b, c, d, e, f = (np.interp(t, nodes, column) for column in rows.T)
+            want = 0.5 * a * x * x + 0.5 * b * y * y + c * x * y + d * x + e * y + f
+            got = certainty_surface(response, firm, t, x, y)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestCertaintySurface:

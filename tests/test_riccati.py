@@ -28,10 +28,10 @@ from decarb import (
     validate_params,
 )
 from decarb.nash import _BR_TABLES, _NASH
-from decarb.riccati import BLOWUP_LIMIT, _BLOCK, _LQG, OdeTable, coefficient_table, rk4_stage_times
+from decarb.riccati import BLOWUP_LIMIT, _BLOCK, _LQG, OdeTable, rk4_stage_times
 from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE, reference_rk4, swap_firms
 
-# coefficient_table rows (A11, A12, A22, B1, B2, C) at 1001 nodes, recorded
+# rows of the six columns (A11, A12, A22, B1, B2, C) at 1001 nodes, recorded
 # before the Riccati right-hand side moved from 2x2 matrix products to closed
 # scalar form; the rounding may differ in the last bit
 PRINCIPAL_1001_ROWS = {
@@ -238,6 +238,11 @@ def record_rk4_calls(monkeypatch) -> list:
 
 
 class TestFusedKernel:
+    def test_trajectory_is_column_major(self):
+        # every column is contiguous, so np.interp and the CSV writer read it without a copy
+        traj = rk4_backward(_LQG, (1.0,) * 10, np.zeros(6), TimeGrid(1.0, 2 * _BLOCK + 3))
+        assert traj.flags.f_contiguous and traj.shape == (2 * _BLOCK + 3, 6)
+
     @pytest.mark.parametrize("fixture", [SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE])
     @pytest.mark.parametrize("n_nodes", [201, 1001])
     def test_lqg_equals_generic_stepper(self, monkeypatch, fixture, n_nodes):
@@ -246,7 +251,7 @@ class TestFusedKernel:
         [(table, args, grid)] = calls
         assert table is riccati._LQG
         generic = reference_rk4(table.rhs(args), np.zeros(6), grid)
-        assert np.array_equal(coefficient_table(v)[:, 1:], generic)
+        assert np.array_equal(np.column_stack(v.columns), generic)
 
     def test_second_solve_does_not_compile(self, two_firm):
         solve_principal(two_firm, 201)
@@ -261,18 +266,21 @@ class TestFusedKernel:
                 "assert r._compile.cache_info().currsize == decarb.nash._nash_live.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", code], check=True)
 
-    @pytest.mark.parametrize("states, derivs, consts", [
-        (("u",), ("u ** 2",), ()),            # ** can raise OverflowError
-        (("u",), ("abs(u)",), ()),            # calls
-        (("u",), ("u (u)",), ()),
-        (("u",), ("u * w",), ()),             # unknown name
-        (("u",), ("u.real",), ()),            # attributes
-        (("u",), ("u",), (("k", "1.0 / u"),)),  # division in a constant
-        (("h",), ("h",), ()),                 # name the kernel uses itself
-        (("u", "v"), ("u",), ()),             # a state without a derivative
+    @pytest.mark.parametrize("states, derivs, consts, message", [
+        (("w",), ("w ** 2",), (), "plain float"),             # ** can raise OverflowError
+        (("w",), ("abs(w)",), (), "plain float"),             # calls
+        (("w",), ("w (w)",), (), "plain float"),
+        (("w",), ("w * x",), (), "plain float"),              # unknown name
+        (("w",), ("w.real",), (), "plain float"),             # attributes
+        (("w",), ("w",), (("k", "1.0 / w"),), "plain float"),  # division in a constant
+        (("w",), ("w\n+ 1.0",), (), "plain float"),           # line breaks, which ast.parse rejects
+        (("w",), ("w\n w",), (), "plain float"),
+        (("w",), ("w\r+ 1.0",), (), "plain float"),
+        (("h",), ("h",), (), "clashing or malformed"),        # name the kernel uses itself
+        (("w", "v"), ("w",), (), "clashing or malformed"),    # a state without a derivative
     ])
-    def test_table_must_be_plain_float_arithmetic(self, states, derivs, consts):
-        with pytest.raises(ValueError):
+    def test_table_must_be_plain_float_arithmetic(self, states, derivs, consts, message):
+        with pytest.raises(ValueError, match=message):
             riccati._compile(OdeTable("bad", states, (), derivs, consts))
 
 
@@ -425,10 +433,10 @@ class TestSolvePrincipal:
     @pytest.mark.parametrize("name", sorted(PRINCIPAL_1001_ROWS))
     def test_pinned_rows(self, name):
         fixture, rows = PRINCIPAL_1001_ROWS[name]
-        table = coefficient_table(solve_principal(validate_params(fixture), 1001))
+        v = solve_principal(validate_params(fixture), 1001)
         for k, row in rows.items():
-            assert table[k, 0] == k / 1000
-            for got, want in zip(table[k, 1:], row):
+            assert v.grid.nodes[k] == k / 1000
+            for got, want in zip((c[k] for c in v.columns), row):
                 assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (k, got, want)
 
 
@@ -473,8 +481,8 @@ class TestBetweenNodes:
         once, and ``np.interp`` copies an array only when it is not contiguous
         and writeable, so a read costs the same at any node count."""
         v = solve_principal(two_firm, 201)
-        assert v.grid.nodes is v.grid.nodes and v._columns is v._columns
-        assert all(c.flags.c_contiguous and c.flags.writeable for c in (v.grid.nodes, *v._columns))
+        assert v.grid.nodes is v.grid.nodes and v.columns is v.columns
+        assert all(c.flags.c_contiguous and c.flags.writeable for c in (v.grid.nodes, *v.columns))
 
     @pytest.mark.parametrize("reader", ["coeffs_at", "strategy", "certainty_surface"])
     def test_one_rounding_slack(self, two_firm, nash_params, reader):

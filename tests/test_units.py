@@ -33,19 +33,41 @@ and a constant does not change.  These identities hold bit for bit too, but
 the coefficients scale by different powers of L, so no single rescaled 1e12
 bound keeps an escape at its node; escaping draws are skipped.
 
+Measuring time in a unit tau times smaller multiplies every duration by tau.
+Then:
+
+* the horizon scales by tau;
+* every flow per unit of time scales by 1/tau: the prices p0, p1, p2 and the
+  weights kappa, lambda (money per time), and gamma_i, as an effort a is
+  quantity per time and its cost a^2/(2*gamma) money per time;
+* the volatilities sigma_i (quantity per root of time) scale by 1/sqrt(tau);
+* the risk aversions and the production target delta carry no time.
+
+The solved coefficients are money and quantity amounts, not flows, so they
+do not change, and neither does the 1e12 bound: an escape keeps its node,
+whose time scales by tau.  With tau an even power of two, sqrt(tau) is a
+power of two too and the identities hold bit for bit.  A best response's
+opponent flow is an effort: it scales by 1/tau, by L in quantity, and not in
+money.
+
 A volatility enters the solvers squared, so the law holds bit for bit only
 if each square is the correctly rounded product ``sigma * sigma``: libm's
 ``sigma ** 2`` can miss it by an ulp, as at ``ULP_SIGMA``.
 """
 
-from dataclasses import fields, replace
+import ast
+import operator
+from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from decarb import BlowUp, Kind, contract, mc, nash, riccati, solve_nash, solve_principal, validate_params
+import decarb
+from decarb import (BlowUp, Kind, best_response, contract, mc, nash, riccati, solve_nash, solve_principal,
+                    validate_params)
 from conftest import (ETA_RANGE, GAMMA_RANGE, GAME_BOX, NASH_FIXTURE, SIGMA_RANGE, SINGLE_FIRM_FIXTURE,
                       TWO_FIRM_FIXTURE, game_params, principal_params)
 
@@ -55,23 +77,30 @@ MONEY_POWER = {"p0": 1, "p1": 1, "p2": 1, "kappa": 1, "lambda_": 1,
 # the power of the quantity unit in each parameter that carries one, but p0
 QUANTITY_POWER = {"sigma1": 1, "sigma2": 1, "delta": 1, "gamma1": 2, "gamma2": 2,
                   "p1": -2, "p2": -2, "kappa": -2, "lambda_": -2}
+# the power of the time unit in each parameter that carries one
+TIME_POWER = {"horizon": 1, "sigma1": -0.5, "sigma2": -0.5, "gamma1": -1, "gamma2": -1,
+              "p0": -1, "p1": -1, "p2": -1, "kappa": -1, "lambda_": -1}
 # the power of the quantity unit in each solved column, as `solved` stacks them:
-# A11, A12, A21, A22, B1, B2, C, and NASH_COLUMNS
+# A11, A12, A21, A22, B1, B2, C, and NASH_COLUMNS (a best response's are BR_COLUMNS)
 PRINCIPAL_COLUMN_POWER = np.array([-2, -2, -2, -2, -1, -1, 0])
-NASH_COLUMN_POWER = np.array([-2, -2, -2, -1, -1, 0] * 2)
+BR_COLUMN_POWER = np.array([-2, -2, -2, -1, -1, 0])
+NASH_COLUMN_POWER = np.tile(BR_COLUMN_POWER, 2)
 FACTORS = [2.0 ** k for k in range(-3, 4)]
+# time units whose square roots are powers of two as well
+TIME_FACTORS = [4.0 ** k for k in (-2, -1, 1, 2)]
 # sigma ** 2 != sigma * sigma here, as libm's pow rounds it
 ULP_SIGMA = 0.4515528601377755
 
 
-def rescaled(params, money=1.0, quantity=1.0, keep=()):
-    """``params`` with money measured in a unit ``money`` times smaller and
-    quantity in a unit ``quantity`` times smaller; the fields in ``keep`` are
-    left as they are (for negative controls)."""
+def rescaled(params, money=1.0, quantity=1.0, time=1.0, keep=()):
+    """``params`` with money measured in a unit ``money`` times smaller,
+    quantity in a unit ``quantity`` times smaller and time in a unit ``time``
+    times smaller; the fields in ``keep`` are left as they are (for negative
+    controls)."""
     quantity_power = {**QUANTITY_POWER, "p0": -1 if params.has_principal else 0}
     return replace(params, **{name: getattr(params, name) * money ** MONEY_POWER.get(name, 0)
-                              * quantity ** quantity_power.get(name, 0)
-                              for name in MONEY_POWER.keys() | quantity_power.keys()
+                              * quantity ** quantity_power.get(name, 0) * time ** TIME_POWER.get(name, 0)
+                              for name in MONEY_POWER.keys() | quantity_power.keys() | TIME_POWER.keys()
                               if getattr(params, name) is not None and name not in keep})
 
 
@@ -92,14 +121,6 @@ def solved_in_money(solve, params, c: float, keep=()) -> np.ndarray | float:
         return solved(solve, rescaled(params, money=c, keep=keep))
 
 
-def no_tiny_values(params) -> bool:
-    """Whether no parameter is nonzero and below 2**-100 in size.  Draws with
-    one are skipped: products of a few such values reach the subnormal range,
-    where scaling by c is not exact."""
-    return not any(isinstance(v, float) and 0.0 < abs(v) < 2.0 ** -100
-                   for v in (getattr(params, f.name) for f in fields(params)))
-
-
 def assert_covariant(solve, params, c: float) -> None:
     base, scaled = solved(solve, params), solved_in_money(solve, params, c)
     if isinstance(base, float):
@@ -112,22 +133,49 @@ def solve_201(solver):
     return lambda params: solver(params, 201)
 
 
+def magnitude(top: float):
+    """0.0, or a float in [2**-100, ``top``].  Products of a few nonzero values
+    below 2**-100 reach the subnormal range, where scaling by a power of two
+    is not exact, so the boxes below draw none."""
+    return st.one_of(st.just(0.0), st.floats(2.0 ** -100, top))
+
+
+# the game's box with no tiny intercept or slope
+UNIT_GAME_BOX = dict(GAME_BOX, p0=magnitude(2.0),
+                     slopes=st.one_of(st.just((0.0, 0.0)), st.tuples(magnitude(2.0), magnitude(2.0))))
 PRINCIPAL_BOX = dict(
     gammas=st.tuples(*[st.floats(*GAMMA_RANGE)] * 2),
     sigmas=st.tuples(*[st.floats(*SIGMA_RANGE)] * 2),
     etas=st.tuples(*[st.floats(*ETA_RANGE)] * 3),
-    prices=st.tuples(*[st.floats(0.0, 2.0)] * 3),
-    weights=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
-    delta=st.floats(-2.0, 2.0),
+    prices=st.tuples(*[magnitude(2.0)] * 3),
+    weights=st.tuples(magnitude(2.0), magnitude(2.0)),
+    delta=st.builds(operator.mul, st.sampled_from((1.0, -1.0)), magnitude(2.0)),
     horizon=st.floats(0.05, 2.0),
 )
+# a best response's firm and opponent flow, as node samples on 201 nodes
+RESPONSE_BOX = dict(UNIT_GAME_BOX, firm=st.sampled_from((1, 2)), seed=st.integers(0, 2 ** 32 - 1))
+
+
+def box_principal(kind, gammas, sigmas, etas, prices, weights, delta, horizon):
+    """The regulated model of ``kind`` at a draw of ``PRINCIPAL_BOX``."""
+    params = principal_params(kind, gammas, sigmas, etas[:2] if kind is Kind.SINGLE_FIRM else etas)
+    return replace(params, p0=prices[0], p1=prices[1], p2=prices[2], kappa=weights[0],
+                   lambda_=weights[1], delta=delta, horizon=horizon)
+
+
+def opponent_flow(seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, 201)
+
+
+def respond(firm: int, flow: np.ndarray):
+    """Firm ``firm``'s best response to the node samples ``flow`` on 201 nodes, as a solve of the params."""
+    return lambda params: best_response(params, firm, flow, 201)
 
 
 @settings(max_examples=200, deadline=None)
-@given(c=st.sampled_from(FACTORS), **GAME_BOX)
+@given(c=st.sampled_from(FACTORS), **UNIT_GAME_BOX)
 def test_game_coefficients_are_money(c, gammas, etas, sigmas, p0, slopes, horizon):
     params = game_params(gammas, etas, sigmas, p0, slopes, horizon)
-    assume(no_tiny_values(params))
     assert_covariant(solve_201(solve_nash), params, c)
 
 
@@ -139,11 +187,16 @@ def test_game_coefficients_are_money(c, gammas, etas, sigmas, p0, slopes, horizo
 @example(c=0.125, gammas=(1.8420162639607867, 1.0), sigmas=(0.3, 1.0), etas=(1.0, 2.00001, 0.5),
          prices=(0.0, 0.0, 0.0), weights=(0.0, 1.0), delta=0.0, horizon=1.0)
 def test_principal_coefficients_are_money(kind, c, gammas, sigmas, etas, prices, weights, delta, horizon):
-    params = principal_params(kind, gammas, sigmas, etas[:2] if kind is Kind.SINGLE_FIRM else etas)
-    params = replace(params, p0=prices[0], p1=prices[1], p2=prices[2], kappa=weights[0],
-                     lambda_=weights[1], delta=delta, horizon=horizon)
-    assume(no_tiny_values(params))
+    params = box_principal(kind, gammas, sigmas, etas, prices, weights, delta, horizon)
     assert_covariant(solve_201(solve_principal), params, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.sampled_from(FACTORS), **RESPONSE_BOX)
+def test_best_response_coefficients_are_money(c, gammas, etas, sigmas, p0, slopes, horizon, firm, seed):
+    # an effort carries no money, so the opponent flow is the same
+    flow = opponent_flow(seed)
+    assert_covariant(respond(firm, flow), game_params(gammas, etas, sigmas, p0, slopes, horizon), c)
 
 
 def test_a_rescaled_escape_keeps_its_node_only_with_the_bound_rescaled():
@@ -185,13 +238,12 @@ def assert_quantity_covariant(solve, params, quantity: float, powers: np.ndarray
 
 
 @settings(max_examples=200, deadline=None)
-@given(q=st.sampled_from(FACTORS), **GAME_BOX)
+@given(q=st.sampled_from(FACTORS), **UNIT_GAME_BOX)
 # (sigma1 * q) ** 2 != sigma1 ** 2 * q * q here, so the law failed while the solvers squared with **
 @example(q=8.0, gammas=(1.5, 1.0), etas=(1.0, 1.0), sigmas=(0.9179837724128391, 0.3), p0=1.0,
          slopes=(0.6, 0.4), horizon=1.0)
 def test_game_coefficients_are_quantities(q, gammas, etas, sigmas, p0, slopes, horizon):
     params = game_params(gammas, etas, sigmas, p0, slopes, horizon)
-    assume(no_tiny_values(params))
     assert_quantity_covariant(solve_201(solve_nash), params, q, NASH_COLUMN_POWER)
 
 
@@ -202,11 +254,19 @@ def test_game_coefficients_are_quantities(q, gammas, etas, sigmas, p0, slopes, h
          prices=(1.0, 0.6, 0.4), weights=(1.0, 1.0), delta=1.0, horizon=1.0)
 def test_principal_coefficients_are_quantities(kind, q, gammas, sigmas, etas, prices, weights, delta,
                                                horizon):
-    params = principal_params(kind, gammas, sigmas, etas[:2] if kind is Kind.SINGLE_FIRM else etas)
-    params = replace(params, p0=prices[0], p1=prices[1], p2=prices[2], kappa=weights[0],
-                     lambda_=weights[1], delta=delta, horizon=horizon)
-    assume(no_tiny_values(params))
+    params = box_principal(kind, gammas, sigmas, etas, prices, weights, delta, horizon)
     assert_quantity_covariant(solve_201(solve_principal), params, q, PRINCIPAL_COLUMN_POWER)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from(FACTORS), **RESPONSE_BOX)
+def test_best_response_coefficients_are_quantities(q, gammas, etas, sigmas, p0, slopes, horizon, firm, seed):
+    # an effort is a quantity per time, so the opponent flow scales by q
+    params, flow = game_params(gammas, etas, sigmas, p0, slopes, horizon), opponent_flow(seed)
+    base = solved(respond(firm, flow), params)
+    scaled = solved(respond(firm, flow * q), rescaled(params, quantity=q))
+    assume(not isinstance(base, float) and not isinstance(scaled, float))
+    assert scaled.tobytes() == (base * q ** BR_COLUMN_POWER).tobytes()
 
 
 @pytest.mark.parametrize("q", [f for f in FACTORS if f != 1.0])
@@ -217,6 +277,72 @@ def test_regulated_intercept_left_in_the_old_unit_breaks_the_identity(q, fixture
     base = solved(solve_201(solve_principal), params)
     wrong = solved_in_quantity(solve_201(solve_principal), params, q, keep=("p0",))
     assert not (isinstance(wrong, np.ndarray) and np.array_equal(wrong, base * q ** PRINCIPAL_COLUMN_POWER))
+
+
+def assert_time_covariant(base, scaled, tau: float) -> None:
+    """:func:`solved` in a time unit ``tau`` times smaller (``scaled``) against
+    the original (``base``): the same coefficients, or an escape at the same
+    node, its time scaled by ``tau``."""
+    if isinstance(base, float):
+        assert isinstance(scaled, float) and scaled == tau * base
+    else:
+        assert isinstance(scaled, np.ndarray) and scaled.tobytes() == base.tobytes()
+
+
+def assert_solve_time_covariant(solve, params, tau: float) -> None:
+    assert_time_covariant(solved(solve, params), solved(solve, rescaled(params, time=tau)), tau)
+
+
+CONFIGS = pytest.mark.parametrize("fixture, solver", [
+    (NASH_FIXTURE, solve_nash), (TWO_FIRM_FIXTURE, solve_principal), (SINGLE_FIRM_FIXTURE, solve_principal),
+], ids=["nash", "two-firm", "single-firm"])
+
+
+@pytest.mark.parametrize("tau", TIME_FACTORS)
+@CONFIGS
+def test_configs_are_time_covariant(tau, fixture, solver):
+    assert_solve_time_covariant(solve_201(solver), validate_params(fixture), tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=st.sampled_from(TIME_FACTORS), **UNIT_GAME_BOX)
+# escapes at node 20 of 201
+@example(tau=16.0, gammas=(0.6815537387759409, 1.140059611096553), etas=(2.7739727292051763, 0.5115039239252409),
+         sigmas=(0.4354658906964482, 0.0), p0=1.2153278213417227, slopes=(1.526830654572369, 0.7410671682018886),
+         horizon=1.0879037792163448)
+def test_game_coefficients_are_time_covariant(tau, gammas, etas, sigmas, p0, slopes, horizon):
+    assert_solve_time_covariant(solve_201(solve_nash), game_params(gammas, etas, sigmas, p0, slopes, horizon),
+                                tau)
+
+
+@pytest.mark.parametrize("kind", [Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED])
+@settings(max_examples=100, deadline=None)
+@given(tau=st.sampled_from(TIME_FACTORS), **PRINCIPAL_BOX)
+def test_principal_coefficients_are_time_covariant(kind, tau, gammas, sigmas, etas, prices, weights, delta,
+                                                   horizon):
+    params = box_principal(kind, gammas, sigmas, etas, prices, weights, delta, horizon)
+    assert_solve_time_covariant(solve_201(solve_principal), params, tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=st.sampled_from(TIME_FACTORS), **RESPONSE_BOX)
+def test_best_response_coefficients_are_time_covariant(tau, gammas, etas, sigmas, p0, slopes, horizon, firm,
+                                                       seed):
+    # an effort is a quantity per time, so the opponent flow scales by 1/tau
+    params, flow = game_params(gammas, etas, sigmas, p0, slopes, horizon), opponent_flow(seed)
+    scaled = solved(respond(firm, flow / tau), rescaled(params, time=tau))
+    assert_time_covariant(solved(respond(firm, flow), params), scaled, tau)
+
+
+@pytest.mark.parametrize("tau", TIME_FACTORS)
+@CONFIGS
+def test_volatility_scaled_as_a_rate_breaks_the_identity(tau, fixture, solver):
+    # sigma carries the root of a time: scaling it by 1/tau, as a rate, is wrong
+    params = validate_params(fixture)
+    base = solved(solve_201(solver), params)
+    wrong = solved(solve_201(solver), replace(rescaled(params, time=tau), sigma1=params.sigma1 / tau,
+                                              sigma2=params.sigma2 / tau))
+    assert not (isinstance(wrong, np.ndarray) and np.array_equal(wrong, base))
 
 
 class TestSquaredVolatility:
@@ -244,3 +370,12 @@ class TestSquaredVolatility:
         v = solve_principal(params, 11)
         step = mc._PrincipalStep(params, v, v.grid.nodes, (0.0,) * len(params.agent_aversions()))
         assert step.sq[0, 0] == ULP_SIGMA * ULP_SIGMA
+
+    def test_no_power_operator_in_the_package(self):
+        # libm's pow can miss the correctly rounded square by an ulp, which
+        # broke the laws above twice; every power in the package is a product
+        sources = sorted(Path(decarb.__file__).parent.glob("*.py"))
+        powers = [f"{path.name}:{node.lineno}" for path in sources
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)]
+        assert sources and not powers
