@@ -53,10 +53,12 @@ operands in the same order.  The escape row is the same too: a vanishing
 state turns NaN only after some live stage value is already inf, and that
 inf enters its own state's final RK4 combination in both marches.
 
-The fold rewrites ``name * 0.0 * 0.0`` as ``0.0``, ``0.0 + S`` as ``S`` and
-drops ``+ 0.0``, so F's derivative is ``0.0 - hs1 * A - hs2 * B - p0`` (5
-float operations in place of 16) and Ft's its mirror; no other derivative
-reads the literal.  It keeps the bits for finite γ, η, σ² >= 0, which
+The fold works on each derivative's syntax tree, innermost nodes first: it
+puts the constant 0.0 in place of each vanishing state's name, with no round
+trip through text, rewrites ``name * 0.0 * 0.0`` as ``0.0`` and ``0.0 + S``
+as ``S``, and drops ``+ 0.0``, so F's derivative is ``0.0 - hs1 * A - hs2 *
+B - p0`` (5 float operations in place of 16) and Ft's its mirror; no other
+derivative reads the literal.  It keeps the bits for finite γ, η, σ² >= 0, which
 :func:`~decarb.model.validate_params` guarantees.  Every folded product is
 then +0.0.  ``0.0 + S`` is S because a stage value is never -0.0: it starts
 at +0.0, and x + y is -0.0 only when both are.  The dropped ``+ 0.0``
@@ -71,11 +73,12 @@ all twelve columns against it, and the value-PDE residuals of
 derivative would show in both.
 
 Each system is an :class:`~decarb.riccati.OdeTable` (``_BR_TABLES[firm]``,
-``_NASH``, ``_nash_live()``), compiled on its first solve, once per process,
-into a block march that runs the integrator's RK4 steps with every stage
-written out, with 4 shared products per stage in ``_nash_live()`` and in each
-best response, and a right-hand side that :func:`ode_residual` evaluates on
-node-sampled columns.  Parameters arrive as arguments, so no source is built
+``_NASH``, ``_nash_live()``); firm 2's expressions are firm 1's with the
+names in each tree renamed by ``_SWAP``.  Each is compiled on its first
+solve, once per process, into a block march that runs the integrator's RK4
+steps with every stage written out, with 4 shared products per stage in
+``_nash_live()`` and in each best response, and a right-hand side that
+:func:`ode_residual` evaluates on node-sampled columns.  Parameters arrive as arguments, so no source is built
 from their values.  A best response reads the opponent flow from a flat
 list, interpolated once at the integrator's stage times, three values per
 step.
@@ -167,7 +170,7 @@ _SWAP = dict(pair for a, b in (
 
 
 def _swapped(expr: str) -> str:
-    return _renamed(expr, _SWAP)
+    return ast.unparse(_renamed(ast.parse(expr, mode="eval").body, _SWAP))
 
 
 def _firm2(derivs: tuple[str, ...]) -> tuple[str, ...]:
@@ -192,8 +195,11 @@ _LIVE = [j for j, name in enumerate(NASH_COLUMNS) if name not in _VANISHING]
 
 
 def _fold_zero(node):
-    """``name * 0.0 * 0.0`` as ``0.0``, and a sum with a ``0.0`` term as its other term."""
+    """A vanishing state as ``0.0``, ``name * 0.0 * 0.0`` as ``0.0``, and a sum
+    with a ``0.0`` term as its other term."""
     match node:
+        case ast.Name(name) if name in _VANISHING:
+            return ast.Constant(0.0)
         case ast.BinOp(ast.BinOp(ast.Name(), ast.Mult(), ast.Constant(0.0)), ast.Mult(), ast.Constant(0.0)):
             return ast.Constant(0.0)
         case ast.BinOp(ast.Constant(0.0), ast.Add(), term) | ast.BinOp(term, ast.Add(), ast.Constant(0.0)):
@@ -206,9 +212,7 @@ def _nash_live() -> OdeTable:
     """The eight-state table :func:`solve_nash` marches, built on its first
     call: ``_NASH`` with the vanishing states read as ``0.0`` and the terms
     they zero folded away."""
-    zeros = dict.fromkeys(_VANISHING, "0.0")
-    derivs = (_bottom_up(ast.parse(_renamed(_NASH.derivs[j], zeros), mode="eval").body, _fold_zero)
-              for j in _LIVE)
+    derivs = (_bottom_up(ast.parse(_NASH.derivs[j], mode="eval").body, _fold_zero) for j in _LIVE)
     return OdeTable("nash_live", tuple(NASH_COLUMNS[j] for j in _LIVE), _GAME_PARAMS,
                     tuple(map(ast.unparse, derivs)), _GAME_CONSTS)
 

@@ -15,8 +15,12 @@ a Riccati escape (any coefficient beyond 1e12) raises
 :class:`decarb.errors.BlowUp` with the time it was detected.
 
 The coefficient systems here and in :mod:`decarb.nash` are written once each
-as an :class:`OdeTable` of expressions.  On a system's first solve the table
-is compiled into straight-line Python with the four RK4 stages inlined,
+as an :class:`OdeTable` of expressions.  On a system's first solve each
+expression is parsed once, and everything after works on its syntax tree:
+the guard in front of ``exec`` admits only float arithmetic on the names the
+expression may read, and the source compiled is the checked trees unparsed,
+with the table's names renamed where the march needs it.  The table is
+compiled into straight-line Python with the four RK4 stages inlined,
 which marches a block of steps about twice as fast as calling a right-hand
 side per stage, with the same bits.  The march also skips repeated work,
 by two rewrites of the table's syntax trees: a negated parameter (``-q11``)
@@ -25,18 +29,19 @@ more (``m1 * a11``) is computed once per stage.  Each rewrite does the same
 IEEE operation on the same operands, once instead of several times, so
 every value keeps its bits.  The candidates are tree nodes, so ``c * a * b``,
 which is ``(c * a) * b``, shares ``c * a`` and never ``a * b``, which rounds
-differently.  The right-hand side keeps the table's text as written, so
-classic RK4 calling it once per stage checks every march bit for bit.
+differently.  The right-hand side keeps the table's expressions as written,
+so classic RK4 calling it once per stage checks every march bit for bit.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
-import re
+import keyword
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,14 +91,19 @@ def rk4_stage_times(grid: TimeGrid) -> list[float]:
 class OdeTable(NamedTuple):
     """A coefficient ODE system, written once as expressions over floats.
 
-    ``derivs[i]`` is the derivative of ``states[i]``.  The expressions read
-    the states, the ``params`` bound per solve, the ``consts`` (``(name,
-    expression)`` products of the params, computed in the listed order once
-    per call) and, when ``drive`` names one, a time-dependent input.  They
-    hold only these names, number literals, ``+``, ``-``, ``*`` and
-    parentheses, which :func:`_compile` checks, so evaluating them never
-    raises: an overflow gives inf or NaN, which the integrator's block check
-    reports.
+    ``derivs[i]`` is the derivative of ``states[i]``, and there is at least
+    one state.  A derivative reads the states, the ``params`` bound per
+    solve, the ``consts`` and, when ``drive`` names one, a time-dependent
+    input.  The ``consts`` are ``(name, expression)`` pairs computed in the
+    listed order once per call, so each reads only the params and the
+    constants listed before it.  The expressions hold only these names,
+    float literals (``2.0``, not ``2``), ``+``, ``-``, ``*``, unary ``-`` and
+    parentheses, which :func:`_check_table` checks on their syntax trees, so
+    evaluating them never raises: an overflow gives inf or NaN, which the
+    integrator's block check reports.  The names are distinct identifiers,
+    none a keyword or starting with ``_``; the generated code names its own
+    variables with a leading ``_``, so no other name is reserved (``h`` and
+    ``range`` are states like any other).
     """
 
     name: str
@@ -110,39 +120,56 @@ class OdeTable(NamedTuple):
         return functools.partial(_compile(self)["rhs"], *args)
 
 
-# patterns as strings, so that nothing is compiled at import
-_NAME = r"\b[A-Za-z_]\w*"
-_PLAIN = r"[\w \t.+\-*()]*"  # no line breaks, which ast.parse would reject
-# names the generated functions use themselves
-_RESERVED = frozenset({"u", "top", "stop", "rows", "half", "h", "sixth", "drive", "extend", "j", "range"})
-
-
-def _check_table(table: OdeTable) -> None:
-    """Reject a table whose names clash or whose expressions hold anything but
-    its own names, number literals, ``+``, ``-``, ``*`` and parentheses."""
+def _check_table(table: OdeTable) -> tuple[list[ast.expr], list[ast.expr]]:
+    """The syntax trees of ``table``'s constants and derivatives; ValueError
+    unless the table is as :class:`OdeTable` describes, its names NFKC-normal
+    so that no two compile to one."""
     names = [*table.states, *table.params, *(n for n, _ in table.consts), *filter(None, [table.drive])]
-    known = set(names)
-    if (len(known) != len(names) or len(table.derivs) != len(table.states) or known & _RESERVED
-            or not all(n.isidentifier() and not n.startswith("_") for n in names)):
+    if (len(set(names)) != len(names) or not table.states or len(table.derivs) != len(table.states)
+            or not all(n.isidentifier() and not keyword.iskeyword(n) and not n.startswith("_")
+                       and unicodedata.normalize("NFKC", n) == n for n in names)):
         raise ValueError(f"ODE table {table.name!r} has clashing or malformed names")
-    for expr in (*table.derivs, *(e for _, e in table.consts)):
-        if (not re.fullmatch(_PLAIN, expr) or "**" in expr or re.search(r"\w\s*\(", expr)
-                or not set(re.findall(_NAME, expr)) <= known):
-            raise ValueError(f"ODE table {table.name!r}: {expr!r} is not plain float arithmetic")
+    known = set(table.params)
+    consts = []
+    for name, expr in table.consts:
+        consts.append(_parsed(table, expr, known))
+        known.add(name)
+    known.update(names)
+    return consts, [_parsed(table, expr, known) for expr in table.derivs]
 
 
-def _renamed(expr: str, names: dict[str, str]) -> str:
-    """``expr`` with every name that is a key of ``names`` replaced by its value."""
-    return re.sub(_NAME, lambda m: names.get(m[0], m[0]), expr)
+# the node types of plain float arithmetic besides names and float literals
+_ARITHMETIC = frozenset({ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.UnaryOp, ast.USub, ast.Load})
 
 
-def _bottom_up(node: ast.AST, rewrite) -> ast.AST:
-    """``node`` with ``rewrite`` applied to each of its subtrees, innermost first."""
-    class Rewriter(ast.NodeTransformer):
-        def generic_visit(self, child):
-            return rewrite(super().generic_visit(child))
+def _parsed(table: OdeTable, expr: str, known: set[str]) -> ast.expr:
+    """``expr``'s syntax tree, if it holds only ``+``, ``-``, ``*``, unary ``-``,
+    names in ``known`` and float literals."""
+    try:
+        tree = ast.parse(expr, mode="eval").body
+        if all(type(node) in _ARITHMETIC or type(node) is ast.Name and node.id in known
+               or type(node) is ast.Constant and type(node.value) is float for node in ast.walk(tree)):
+            return tree
+    except (SyntaxError, ValueError):
+        pass
+    raise ValueError(f"ODE table {table.name!r}: {expr!r} is not plain float arithmetic")
 
-    return Rewriter().visit(node)
+
+def _bottom_up(node: ast.expr, rewrite) -> ast.expr:
+    """``node``, a tree of plain float arithmetic, with ``rewrite`` applied to
+    each of its subtrees, innermost first; new nodes are built, and ``node``
+    is left as it is."""
+    match node:
+        case ast.BinOp(left, op, right):
+            node = ast.BinOp(_bottom_up(left, rewrite), op, _bottom_up(right, rewrite))
+        case ast.UnaryOp(op, operand):
+            node = ast.UnaryOp(op, _bottom_up(operand, rewrite))
+    return rewrite(node)
+
+
+def _renamed(node: ast.expr, names: Mapping[str, str]) -> ast.expr:
+    """``node`` with every name that is a key of ``names`` replaced by its value."""
+    return _bottom_up(node, lambda n: ast.Name(names[n.id]) if isinstance(n, ast.Name) and n.id in names else n)
 
 
 def _product(node: ast.AST) -> str | None:
@@ -153,12 +180,15 @@ def _product(node: ast.AST) -> str | None:
     return None
 
 
-def _march_form(table: OdeTable) -> tuple[dict[str, str], list[str], list[str]]:
-    """``table``'s derivatives as ``march`` evaluates them (see the module notes).
+def _march_form(table: OdeTable, names: Mapping[str, str] = {}, shared_name: str = "_{}",
+                derivs: Sequence[ast.expr] = ()) -> tuple[dict[str, str], list[str], list[str]]:
+    """``table``'s derivatives as ``march`` evaluates them (see the module notes),
+    with each state that is a key of ``names`` written as its value; ``derivs``
+    are their checked trees, which :func:`_check_table` gives when empty.
 
     Returns the per-call negations (``{"_q11_neg": "-q11"}``), the products
     of two names that occur twice or more, and the derivatives, which read
-    the negations by name and the i-th shared product as ``_i``.
+    the negations by name and the i-th shared product as ``shared_name.format(i)``.
     """
     per_call = {*table.params, *(n for n, _ in table.consts)}
     negated: dict[str, str] = {}
@@ -170,13 +200,13 @@ def _march_form(table: OdeTable) -> tuple[dict[str, str], list[str], list[str]]:
                 return ast.Name(f"_{name}_neg")
         return node
 
-    trees = [_bottom_up(ast.parse(expr, mode="eval").body, hoist) for expr in table.derivs]
+    trees = [_bottom_up(_renamed(tree, names), hoist) for tree in derivs or _check_table(table)[1]]
     counts = Counter(_product(node) for tree in trees for node in ast.walk(tree))
     shared = [product for product, n in counts.items() if product and n > 1]
 
     def share(node):
         product = _product(node)
-        return ast.Name(f"_{shared.index(product)}") if product in shared else node
+        return ast.Name(shared_name.format(shared.index(product))) if product in shared else node
 
     return negated, shared, [ast.unparse(_bottom_up(tree, share)) for tree in trees]
 
@@ -185,42 +215,46 @@ def _march_form(table: OdeTable) -> tuple[dict[str, str], list[str], list[str]]:
 def _compile(table: OdeTable) -> dict:
     """Generate and compile ``table``'s functions ``rhs`` and ``march``, once per table.
 
-    ``rhs(*params, x, u)`` evaluates the derivatives once, as the table
-    writes them.  ``march(u, top, stop, rows, half, h, sixth, drive,
-    *params)`` extends the flat list ``rows`` by the states after each RK4
-    step from node ``top`` down to ``stop``, building no list per step.  It
-    runs the float operations of a classic RK4 step that calls ``rhs`` once
-    per stage, in the same order, with every stage written out: state S
-    enters stage s as ``_S_s``, its derivative there is ``_dS_s``, and the
-    drive reads ``drive[3k - 3]``, ``drive[3k - 2]`` and ``drive[3k - 1]``
-    in the step from node k, as the stage times are listed.  The
-    derivatives are in :func:`_march_form`, with shared product i held in
-    stage s as ``_i_s``.  The source holds only the table's names and the
-    fixed stage arithmetic; parameter values arrive as arguments.
+    ``rhs(*params, x, _u)`` evaluates the derivatives once, as the table
+    writes them.  ``march(_u, _steps, _rows, _half, _h, _sixth, _drive,
+    *params)`` runs one RK4 step per index j of ``_steps``, from the state
+    ``_u``, and extends the flat list ``_rows`` by the states after each,
+    building no list per step; :func:`rk4_backward` passes j = 3k - 3 for
+    the step from node k.  It runs the float operations of a classic RK4
+    step that calls ``rhs`` once per stage, in the same order, with every
+    stage written out: state i enters stage s as ``_u{i}_{s}``, its
+    derivative there is ``_k{i}_{s}``, and the drive reads ``_drive[j]``,
+    ``_drive[j + 1]`` and ``_drive[j + 2]``, as the stage times are listed.
+    The derivatives are in :func:`_march_form`, with shared product i held
+    in stage s as ``_p{i}_{s}``: one template per expression, its stage
+    names filled in per stage.  Every name the code adds starts with ``_``
+    and is indexed by position, so none can be a table's name or another's.
+    The source holds the checked trees, unparsed, and the fixed stage
+    arithmetic; parameter values arrive as arguments.
     """
-    _check_table(table)
+    consts, derivs = _check_table(table)
     states, drive = table.states, table.drive
-    negated, shared, derivs = _march_form(table)
-    read = set(re.findall(_NAME, " ".join(table.derivs)))
-    head = [f"    {name} = {expr}" for name, expr in table.consts] + [f"    {', '.join(states)}, = u"]
-    lines = [f"def rhs({', '.join([*table.params, drive or '_t', 'u'])}):", *head,
-             f"    return ({', '.join(table.derivs)},)",
-             f"def march({', '.join(['u, top, stop, rows, half, h, sixth, drive', *table.params])}):",
-             *head, *(f"    {name} = {expr}" for name, expr in negated.items()), "    extend = rows.extend",
-             "    for j in range(3 * top - 3, 3 * stop - 3, -3):" if drive else
-             "    for _ in range(top - stop):"]
+    negated, shared, templates = _march_form(
+        table, {S: f"_u{i}_{{s}}" for i, S in enumerate(states)}, "_p{}_{{s}}", derivs)
+    read = {node.id for tree in derivs for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    head = [f"    {name} = {ast.unparse(tree)}" for (name, _), tree in zip(table.consts, consts)]
+    row = "".join(f"_u{i}_1, " for i in range(len(states)))
+    lines = [f"def rhs({', '.join([*table.params, drive or '_t', '_u'])}):", *head,
+             f"    {', '.join(states)}, = _u", f"    return ({', '.join(map(ast.unparse, derivs))},)",
+             f"def march({', '.join(['_u, _steps, _rows, _half, _h, _sixth, _drive', *table.params])}):",
+             *head, f"    {row}= _u", *(f"    {name} = {expr}" for name, expr in negated.items()),
+             "    _extend = _rows.extend", "    for _j in _steps:"]
     body = []
-    for s, (step, at) in enumerate(((None, "j"), ("half", "j + 1"), ("half", None), ("h", "j + 2")), 1):
+    for s, (step, at) in enumerate(((None, "_j"), ("_half", "_j + 1"), ("_half", None), ("_h", "_j + 2")), 1):
         if drive and at:
-            body.append(f"{drive} = drive[{at}]")
-        names = {S: S if s == 1 else f"_{S}_{s}" for S in states}
-        names.update((f"_{i}", f"_{i}_{s}") for i in range(len(shared)))
+            body.append(f"{drive} = _drive[{at}]")
         if step:
-            body += [f"_{S}_{s} = {S} + {step} * _d{S}_{s - 1}" for S in states if S in read]
-        body += [f"_{i}_{s} = " + _renamed(product, names) for i, product in enumerate(shared)]
-        body += [f"_d{S}_{s} = " + _renamed(expr, names) for S, expr in zip(states, derivs)]
-    body += [f"{S} = {S} + sixth * (_d{S}_1 + 2.0 * _d{S}_2 + 2.0 * _d{S}_3 + _d{S}_4)" for S in states]
-    body.append(f"extend(({', '.join(states)},))")
+            body += [f"_u{i}_{s} = _u{i}_1 + {step} * _k{i}_{s - 1}" for i, S in enumerate(states) if S in read]
+        body += [f"_p{i}_{s} = " + p.format(s=s) for i, p in enumerate(shared)]
+        body += [f"_k{i}_{s} = " + d.format(s=s) for i, d in enumerate(templates)]
+    body += [f"_u{i}_1 = _u{i}_1 + _sixth * (_k{i}_1 + 2.0 * _k{i}_2 + 2.0 * _k{i}_3 + _k{i}_4)"
+             for i in range(len(states))]
+    body.append(f"_extend(({row}))")
     namespace: dict = {}
     exec(compile("\n".join(lines + ["        " + line for line in body]),
                  f"<rk4 {table.name}>", "exec"), namespace)
@@ -238,8 +272,10 @@ def rk4_backward(table: OdeTable, args: Sequence[float], terminal: np.ndarray, g
     view that ``np.interp`` and the CSV writer read without a copy.
     The table's compiled kernel runs classic RK4 with every stage inlined.
     ``drive`` (None for a table without one) holds the drive's value at each
-    time :func:`rk4_stage_times` lists, three per step.  A grid too large to
-    hold raises :class:`~decarb.errors.OutOfRange` naming ``n_nodes``.
+    time :func:`rk4_stage_times` lists, three per step; a drive that does
+    not fit the table and grid is a caller's bug and raises ValueError.  A
+    grid too large to hold raises :class:`~decarb.errors.OutOfRange` naming
+    ``n_nodes``.
 
     Rows are collected flat in blocks of ``_BLOCK`` steps, each read into an
     array by one ``np.fromiter``, checked at once and stored with one slice
@@ -252,6 +288,9 @@ def rk4_backward(table: OdeTable, args: Sequence[float], terminal: np.ndarray, g
     """
     terminal = np.asarray(terminal, dtype=float)
     n, width = grid.n_nodes, terminal.size
+    if (drive is None) != (table.drive is None) or drive is not None and len(drive) != 3 * n - 3:
+        raise ValueError(f"ODE table {table.name!r} reads "
+                         + (f"3 * (n_nodes - 1) = {3 * n - 3} drive values" if table.drive else "no drive"))
     h = -grid.dt
     march = _compile(table)["march"]
     extra = (0.5 * h, h, h / 6.0, drive, *args)
@@ -261,7 +300,7 @@ def rk4_backward(table: OdeTable, args: Sequence[float], terminal: np.ndarray, g
     u = terminal.tolist()
     for top in range(n - 1, 0, -_BLOCK):
         rows = []
-        march(u, top, max(top - _BLOCK, 0), rows, *extra)
+        march(u, range(3 * top - 3, 3 * max(top - _BLOCK, 0) - 3, -3), rows, *extra)
         block = np.fromiter(rows, float, len(rows)).reshape(-1, width)
         _check_block(block, grid, top - 1)
         out[top - len(block):top] = block[::-1]

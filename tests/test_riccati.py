@@ -109,7 +109,7 @@ class TestRK4:
 
     @pytest.mark.parametrize("n_nodes", [11, 21, 1001])
     def test_one_state_table_equals_reference(self, n_nodes):
-        # the kernel must unpack a single state from its row ("w, = u")
+        # the kernel must unpack a single state from its row ("_u0_1, = _u")
         grid = TimeGrid(0.5, n_nodes)
         want = reference_rk4(TANGENT.rhs(()), [0.0], grid)
         assert np.array_equal(tangent(grid), want)
@@ -276,12 +276,110 @@ class TestFusedKernel:
         (("w",), ("w\n+ 1.0",), (), "plain float"),           # line breaks, which ast.parse rejects
         (("w",), ("w\n w",), (), "plain float"),
         (("w",), ("w\r+ 1.0",), (), "plain float"),
-        (("h",), ("h",), (), "clashing or malformed"),        # name the kernel uses itself
         (("w", "v"), ("w",), (), "clashing or malformed"),    # a state without a derivative
+        (("w", "w"), ("w", "w"), (), "clashing or malformed"),
+        ((), (), (), "clashing or malformed"),                # no state
+        (("lambda",), ("lambda",), (), "clashing or malformed"),  # a keyword
+        (("ﬁ", "fi"), ("fi", "fi"), (), "clashing or malformed"),  # one name once NFKC-normalized
+        (("w",), ("w * 1j",), (), "plain float"),             # a complex literal
+        (("w",), ("w + ٣",), (), "plain float"),              # a non-ASCII digit
+        (("w",), ("1.0w",), (), "plain float"),
+        (("w",), ("2",), (), "plain float"),                  # an int, which gives int values
+        (("w",), ("w + " + "9" * 400,), (), "plain float"),   # an int too large for a float
     ])
     def test_table_must_be_plain_float_arithmetic(self, states, derivs, consts, message):
         with pytest.raises(ValueError, match=message):
             riccati._compile(OdeTable("bad", states, (), derivs, consts))
+
+    @pytest.mark.parametrize("consts", [
+        (("k", "2.0 * w"),),                 # a state
+        (("k", "2.0 * x"),),                 # the drive
+        (("k", "2.0 * k"),),                 # itself
+        (("k", "2.0 * m"), ("m", "c")),      # a later constant
+    ])
+    def test_constant_reads_params_and_earlier_constants_only(self, consts):
+        with pytest.raises(ValueError, match="plain float"):
+            riccati._compile(OdeTable("bad", ("w",), ("c",), ("w * k",), consts, "x"))
+
+    def test_constant_reads_an_earlier_constant(self):
+        # k = 2c and m = 3k: w' = m, so w(0) = w(T) - 6c T exactly in these binary fractions
+        table = OdeTable("consts", ("w",), ("c",), ("m",), (("k", "2.0 * c"), ("m", "3.0 * k")))
+        traj = rk4_backward(table, (0.5,), np.array([1.0]), TimeGrid(1.0, 5))
+        np.testing.assert_array_equal(traj[:, 0], [-2.0, -1.25, -0.5, 0.25, 1.0])
+
+    @pytest.mark.parametrize("table", [
+        # the names of a builtin and of the step's own quantities are free
+        OdeTable("free_names", ("h", "u", "range", "top"), ("half",), ("u", "-h", "half * range", "range - top")),
+        # a state's name prefixed with d is another state's name
+        OdeTable("x_dx", ("x", "dx"), (), ("0.0", "dx")),
+    ], ids=lambda t: t.name)
+    def test_any_other_names_march_equal_to_reference(self, table):
+        grid = TimeGrid(1.0, 101)
+        terminal = np.linspace(1.0, 0.25, len(table.states))
+        args = (0.5,) * len(table.params)
+        traj = rk4_backward(table, args, terminal, grid)
+        assert np.array_equal(traj, reference_rk4(table.rhs(args), terminal, grid))
+        if table.name == "x_dx":
+            assert traj[0, 1] == pytest.approx(0.25 * math.exp(-1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("table, drive", [
+        (DRIVEN, None),
+        (DRIVEN, [0.0] * 29),
+        (DRIVEN, [0.0] * 31),
+        (TANGENT, [0.0] * 30),
+    ], ids=["missing", "short", "long", "unread"])
+    def test_drive_must_fit_the_table(self, table, drive):
+        # a caller's bug, not a bad field: a plain ValueError before any march
+        with pytest.raises(ValueError, match="drive") as exc:
+            rk4_backward(table, (), np.array([0.0]), TimeGrid(1.0, 11), drive)
+        assert type(exc.value) is ValueError
+
+
+# the guard's property test draws tables from these states, and expressions
+# that alternate operands and operators, each drawn either from the table's
+# own names and arithmetic or from these tokens
+GUARD_STATES = ["w", "v", "h", "u", "range", "j", "dw", "_w", "if", "top"]
+GUARD_OPERANDS = ["w", "v", "h", "u", "range", "dw", "c", "k", "m", "x", "1.0", "2", "1j", "1e999", "9" * 400,
+                  "٣", "if", "abs", "(", ")", "[0]", "-"]
+GUARD_OPERATORS = ["+", "-", "*", "/", "**", "@", ",", "\n", "(", ")"]
+
+
+@st.composite
+def guard_tables(draw) -> OdeTable:
+    states = draw(st.lists(st.sampled_from(GUARD_STATES), max_size=3, unique=True))
+    params = draw(st.lists(st.sampled_from(["c", "a"]), unique=True))
+    consts = draw(st.lists(st.sampled_from(["k", "m"]), unique=True))
+    drive = draw(st.sampled_from([None, "x", "a"]))
+    # two in three tokens from the table's own names and arithmetic
+    own = st.sampled_from([*states, *params, *consts, *filter(None, [drive]), "1.0"])
+    operands = st.sampled_from([own, own, st.sampled_from(GUARD_OPERANDS)]).flatmap(lambda s: s)
+    arithmetic = st.sampled_from(["+", "-", "*"])
+    operators = st.sampled_from([arithmetic, arithmetic, st.sampled_from(GUARD_OPERATORS)]).flatmap(lambda s: s)
+    exprs = st.builds(lambda sep, first, rest: sep.join([first, *(t for pair in rest for t in pair)]),
+                      st.sampled_from(["", " "]), operands, st.lists(st.tuples(operators, operands), max_size=2))
+    return OdeTable("random", tuple(states), tuple(params), tuple(draw(exprs) for _ in states),
+                    tuple((name, draw(exprs)) for name in consts), drive)
+
+
+class TestGuard:
+    @settings(max_examples=400, deadline=None)
+    @given(table=guard_tables(), values=st.lists(st.floats(), min_size=6, max_size=6),
+           n_nodes=st.integers(2, 20))
+    def test_admits_only_plain_float_arithmetic(self, table, values, n_nodes):
+        """A table the guard accepts evaluates to floats on any floats, and
+        marches or escapes; any other raises ValueError."""
+        try:
+            riccati._compile(table)
+        except ValueError:
+            return
+        width = len(table.states)
+        args, x, terminal = values[:len(table.params)], values[2], values[3:3 + width]
+        assert all(type(d) is float for d in table.rhs(args)(x, terminal))
+        drive = [x] * (3 * n_nodes - 3) if table.drive else None
+        try:
+            rk4_backward(table, args, np.array(terminal), TimeGrid(1.0, n_nodes), drive)
+        except BlowUp:
+            pass
 
 
 def outcome(march):

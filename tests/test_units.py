@@ -379,3 +379,57 @@ class TestSquaredVolatility:
                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                   if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)]
         assert sources and not powers
+
+
+class TestGeneratedCode:
+    """Generated source reaches ``exec`` only behind the table guard, and
+    adds no name that a table could hold."""
+
+    def test_exec_only_behind_the_table_guard(self):
+        sources = sorted(Path(decarb.__file__).parent.glob("*.py"))
+        behind, outside = [], []
+        for path in sources:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            guarded = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                       and (path.name, fn.name) == ("riccati.py", "_compile") for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                called = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in {"exec", "eval", "compile"}:
+                    (behind if id(node) in guarded else outside).append(f"{path.name}:{node.lineno}")
+        assert behind and not outside
+
+    @pytest.mark.parametrize("table", [riccati._LQG, nash._NASH, nash._nash_live(), *nash._BR_TABLES.values()],
+                             ids=lambda table: table.name)
+    def test_generated_names_start_with_an_underscore(self, table):
+        named = {*table.states, *table.params, *(name for name, _ in table.consts), table.drive}
+        for function in ("rhs", "march"):
+            code = riccati._compile(table)[function].__code__
+            assert all(name.startswith("_") for name in code.co_varnames if name not in named)
+            assert code.co_names in ((), ("extend",))  # no global or builtin, only the rows' method
+
+
+@pytest.mark.parametrize("kind", [Kind.SINGLE_FIRM, Kind.TWO_FIRM_REGULATED])
+@settings(max_examples=100, deadline=None)
+@given(grad=st.tuples(*[st.builds(operator.mul, st.sampled_from((1.0, -1.0)), magnitude(4.0))] * 2),
+       c=st.sampled_from(FACTORS), q=st.sampled_from(FACTORS), tau=st.sampled_from(TIME_FACTORS), **PRINCIPAL_BOX)
+def test_rates_are_money_per_quantity(kind, grad, c, q, tau, gammas, sigmas, etas, prices, weights, delta,
+                                      horizon):
+    # the gradient of the principal's value and each incentive rate are money
+    # per quantity; the rate factors are ratios of flows, and keep no time
+    params = box_principal(kind, gammas, sigmas, etas, prices, weights, delta, horizon)
+    rates = contract.rates_single if kind is Kind.SINGLE_FIRM else contract.rates_two
+    v = np.array(grad)
+    base = rates(params, v).as_array()
+    assert rates(rescaled(params, money=c), v * c).as_array().tobytes() == (base * c).tobytes()
+    assert rates(rescaled(params, quantity=q), v / q).as_array().tobytes() == (base / q).tobytes()
+    assert rates(rescaled(params, time=tau), v).as_array().tobytes() == base.tobytes()
+
+
+@pytest.mark.parametrize("keep", [("gamma1",), ("sigma1",)])
+@pytest.mark.parametrize("fixture", [SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE], ids=["single-firm", "two-firm"])
+def test_rates_with_a_field_left_in_the_old_quantity_unit_break_the_identity(fixture, keep):
+    params = validate_params(fixture)
+    rates = contract.rates_single if params.kind is Kind.SINGLE_FIRM else contract.rates_two
+    v = np.array([0.7, -0.3])
+    wrong = rates(rescaled(params, quantity=2.0, keep=keep), v / 2.0).as_array()
+    assert not np.array_equal(wrong, rates(params, v).as_array() / 2.0)
