@@ -1,20 +1,25 @@
 """Monte Carlo simulation of the state, payment and payoff dynamics.
 
-Every path owns an independent counter-based RNG substream keyed by
-``(seed, substream index)``, so results are bit-identical for a fixed
-configuration no matter how paths are chunked or distributed.  With antithetic
-sampling (the default) even-numbered paths consume their substream's draws and
-odd-numbered paths the negated draws; statistics then treat pair averages as
-the independent samples.
+Every path owns one column of an RNG stream, so results are bit-identical for
+a fixed configuration no matter how paths are chunked or distributed.
+Substreams 64g .. 64g+63 form group g, which draws from its own ``SFC64``
+generator seeded by ``SeedSequence(seed, spawn_key=(g,))`` (numpy's spawn-key
+method for independent streams), all its normals in one call, step-major:
+substream 64g + j owns column j of every step.  With antithetic sampling (the
+default) even-numbered paths consume their substream's draws and odd-numbered
+paths the negated draws; statistics then treat pair averages as the
+independent samples.
 
 The draws of a chunk of up to 4096 substreams are laid out step-major, shape
-(n_steps, 2, count), so each step reads one contiguous (2, count) slab.  Each
-thread keeps the last chunk it drew in a one-entry memo, read-only and keyed
-by (seed, first substream, count, n_steps, refinement), and hands it out
-again for the same key: an equilibrium run and its deviation runs on common
-random numbers draw once.  The memo retains ``n_steps * 2 * 8`` bytes per
-substream (64 MiB for 4096 substreams at 1000 steps) until a different chunk
-is drawn; it is emptied before that chunk is allocated, and the engine's
+(n_steps, 2, count), so each step reads one contiguous (2, count) slab; each
+group's columns are copied in, and a chunk that does not start or end on a
+multiple of 64 draws its first and last groups whole and keeps the columns it
+owns.  Each thread keeps the last chunk it drew in a one-entry memo, read-only
+and keyed by (seed, first substream, count, n_steps, refinement), and hands it
+out again for the same key: an equilibrium run and its deviation runs on
+common random numbers draw once.  The memo retains ``n_steps * 2 * 8`` bytes
+per substream (64 MiB for 4096 substreams at 1000 steps) until a different
+chunk is drawn; it is emptied before that chunk is allocated, and the engine's
 reference ends with the march of its chunk, so no two chunks are ever alive
 together.
 
@@ -67,9 +72,10 @@ What a step still calls: the views it reads are made once per chunk, and
 the rates call the unchecked closed form that the public rate functions
 share, on factors bound once per run.  Three boundaries stay calls through
 module attributes, so a wrapper on one sees every call (``tests/test_mc.py``
-counts them): :func:`path_increments` once per substream of a drawn chunk,
-and per flow evaluation ``model.revenue_f`` and ``model.social_cost_g``
-(principal) or this module's ``payoff_rate`` (the game).
+counts them): :func:`path_increments` once per group of 64 substreams that a
+drawn chunk touches, and per flow evaluation ``model.revenue_f`` and
+``model.social_cost_g`` (principal) or this module's ``payoff_rate`` (the
+game).
 
 Why the bits do not depend on this layout: an elementwise ufunc computes
 each element with the same IEEE operation whether it allocates its result
@@ -153,7 +159,7 @@ from .riccati import QuadraticValueFn
 
 _CHUNK = 4096
 _CHECK = 32  # steps between finiteness checks of a march
-_BLOCK = 64  # paths drawn path-major before one transpose into a chunk
+_GROUP = 64  # substreams drawn together, one column each, from one generator
 _SCHEMES = ("pc", "euler")
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest array size numpy can index
@@ -238,31 +244,20 @@ def _step_times(horizon: float, dt: float) -> np.ndarray:
     raise ConfigMismatch(f"horizon {horizon} is not an integer multiple of dt {dt}", "dt")
 
 
-_philox = threading.local()
+_local = threading.local()
 
 
-def path_increments(seed: int, substream: int, n_draws: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Standard-normal draws (n_draws, 2) of one path's RNG substream.
+def path_increments(seed: int, group: int, n_draws: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard-normal draws (n_draws, 2, 64) of one group of 64 substreams.
 
-    The substream is a counter-based generator keyed by the 64-bit seed and
-    the substream index, so any path's draws are well defined in isolation.
-    Each thread keeps one Philox generator and resets it on every call to a
-    fresh state (counter 0, empty buffer) with the path's key, which draws
-    exactly what a new ``Generator(Philox(key))`` would without building one.
-    That state is the generator's own ``.state`` with plain ints in place of
-    its arrays, which it reads back faster.  ``out``, a C-contiguous float
-    array of shape (n_draws, 2), receives the draws in place.
+    Group g is substreams 64g .. 64g+63, and substream 64g + j owns column j.
+    Its generator is ``SFC64`` seeded by ``SeedSequence(seed, spawn_key=(g,))``
+    with both taken modulo 2**64, so any group's draws are well defined in
+    isolation.  ``out``, a C-contiguous float array of shape (n_draws, 2, 64),
+    receives the draws in place.
     """
-    try:
-        gen, fresh = _philox.gen, _philox.fresh
-    except AttributeError:
-        gen = _philox.gen = np.random.Generator(np.random.Philox(key=0))
-        fresh = _philox.fresh = gen.bit_generator.state
-        fresh["state"] = {name: a.tolist() for name, a in fresh["state"].items()}
-        fresh["buffer"] = fresh["buffer"].tolist()
-    fresh["state"]["key"] = [int(substream) & _MASK64, int(seed) & _MASK64]
-    gen.bit_generator.state = fresh
-    return gen.standard_normal((n_draws, 2), out=out)
+    keyed = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=(int(group) & _MASK64,))
+    return np.random.Generator(np.random.SFC64(keyed)).standard_normal((n_draws, 2, _GROUP), out=out)
 
 
 def _stats(utilities: np.ndarray, antithetic: bool) -> tuple[float, float]:
@@ -302,34 +297,34 @@ def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int
     """Per-step normals (n_steps, 2, count) for substreams start..start+count-1,
     read-only and memoized per thread (see the module docstring).
 
-    Paths are drawn into a small path-major block, whose rows
-    ``path_increments`` fills contiguously, and each block is transposed into
-    place.
+    Each group of 64 substreams the chunk touches is drawn step-major into one
+    slab, whose columns are copied into place; the first and last groups are
+    clipped to the chunk.
 
     ``refinement`` draws that many sub-normals per step and aggregates them,
     which keeps the underlying Brownian path fixed across a ladder of step
-    sizes with constant dt*refinement, for weak-convergence studies.
+    sizes with constant n_steps*refinement, for weak-convergence studies.
     """
     key = (seed, start, count, n_steps, refinement)
-    memo = getattr(_philox, "chunk", None)
+    memo = getattr(_local, "chunk", None)
     if memo is not None and memo[0] == key:
         return memo[1]
-    _philox.chunk = memo = None  # free the old chunk before allocating this one
+    _local.chunk = memo = None  # free the old chunk before allocating this one
     inc = np.empty((n_steps, 2, count))
-    block = np.empty((min(_BLOCK, count), n_steps, 2))
-    fine = np.empty((n_steps * refinement, 2)) if refinement > 1 else None
-    for b0 in range(0, count, _BLOCK):
-        b = min(_BLOCK, count - b0)
-        for j in range(b):
-            if fine is None:
-                path_increments(seed, start + b0 + j, n_steps, out=block[j])
-            else:
-                path_increments(seed, start + b0 + j, fine.shape[0], out=fine)
-                np.divide(fine.reshape(n_steps, refinement, 2).sum(axis=1), math.sqrt(refinement),
-                          out=block[j])
-        inc[:, :, b0:b0 + b] = block[:b].transpose(1, 2, 0)
+    slab = np.empty((n_steps * refinement, 2, _GROUP))
+    stop = start + count
+    for group in range(start // _GROUP, (stop - 1) // _GROUP + 1):
+        first = group * _GROUP
+        lo, hi = max(start, first), min(stop, first + _GROUP)
+        path_increments(seed, group, slab.shape[0], out=slab)
+        cols, into = slab[:, :, lo - first:hi - first], inc[:, :, lo - start:hi - start]
+        if refinement == 1:
+            into[...] = cols
+        else:
+            np.divide(cols.reshape(n_steps, refinement, 2, hi - lo).sum(axis=1), math.sqrt(refinement),
+                      out=into)
     inc.flags.writeable = False
-    _philox.chunk = (key, inc)
+    _local.chunk = (key, inc)
     return inc
 
 

@@ -98,12 +98,13 @@ class OdeTable(NamedTuple):
     listed order once per call, so each reads only the params and the
     constants listed before it.  The expressions hold only these names,
     float literals (``2.0``, not ``2``), ``+``, ``-``, ``*``, unary ``-`` and
-    parentheses, which :func:`_check_table` checks on their syntax trees, so
-    evaluating them never raises: an overflow gives inf or NaN, which the
-    integrator's block check reports.  The names are distinct identifiers,
-    none a keyword or starting with ``_``; the generated code names its own
-    variables with a leading ``_``, so no other name is reserved (``h`` and
-    ``range`` are states like any other).
+    parentheses, nested at most 100 levels deep (a sum of 100 terms; the
+    deepest shipped derivative nests 9), which :func:`_check_table` checks on
+    their syntax trees, so evaluating them never raises: an overflow gives
+    inf or NaN, which the integrator's block check reports.  The names are
+    distinct identifiers, none a keyword or starting with ``_``; the
+    generated code names its own variables with a leading ``_``, so no other
+    name is reserved (``h`` and ``range`` are states like any other).
     """
 
     name: str
@@ -138,20 +139,37 @@ def _check_table(table: OdeTable) -> tuple[list[ast.expr], list[ast.expr]]:
     return consts, [_parsed(table, expr, known) for expr in table.derivs]
 
 
+# the recursive tree walks and ast.unparse stay far inside Python's recursion limit
+_MAX_DEPTH = 100
 # the node types of plain float arithmetic besides names and float literals
 _ARITHMETIC = frozenset({ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.UnaryOp, ast.USub, ast.Load})
 
 
+def _depth(tree: ast.expr) -> int:
+    """Levels of nested expressions in ``tree``, counted level by level, not by recursion."""
+    depth, level = 0, [tree]
+    while level:
+        depth += 1
+        level = [child for node in level for child in ast.iter_child_nodes(node) if isinstance(child, ast.expr)]
+    return depth
+
+
 def _parsed(table: OdeTable, expr: str, known: set[str]) -> ast.expr:
     """``expr``'s syntax tree, if it holds only ``+``, ``-``, ``*``, unary ``-``,
-    names in ``known`` and float literals."""
+    names in ``known`` and float literals, nested at most ``_MAX_DEPTH`` levels."""
+    too_deep = ValueError(f"ODE table {table.name!r}: an expression nests deeper than {_MAX_DEPTH} levels")
     try:
         tree = ast.parse(expr, mode="eval").body
-        if all(type(node) in _ARITHMETIC or type(node) is ast.Name and node.id in known
-               or type(node) is ast.Constant and type(node.value) is float for node in ast.walk(tree)):
-            return tree
+    except (RecursionError, MemoryError) as exc:  # the parser's own limits on nesting
+        raise too_deep from exc
     except (SyntaxError, ValueError):
-        pass
+        tree = None
+    if tree is not None and _depth(tree) > _MAX_DEPTH:
+        raise too_deep
+    if tree is not None and all(type(node) in _ARITHMETIC or type(node) is ast.Name and node.id in known
+                                or type(node) is ast.Constant and type(node.value) is float
+                                for node in ast.walk(tree)):
+        return tree
     raise ValueError(f"ODE table {table.name!r}: {expr!r} is not plain float arithmetic")
 
 

@@ -61,7 +61,7 @@ OUTPUT_SHA256 = {
         "summary.json": "467b7b30274f4c4d4cdcc76a3e695a7293b71d6c9f828855561d65f1b9145fbd",
     },
     ("simulate", "simulate_two_firm.json", None, ()): {
-        "summary.json": "ffea24bdc8248556e055e0af8f1a9ff75c596b65d350f51ffcb557773163e266",
+        "summary.json": "7be6ee06d8842781a58295ef71f8b5f6faf955a1121a380480a14cec6391e6ac",
     },
     ("single-firm", "single_firm.json", None, ()): {
         "riccati_coeffs.csv": "1a031af42aaf1c6b5632a92491eaaf88412032a20d95855246c2cc9c070983fc",

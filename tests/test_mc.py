@@ -186,7 +186,7 @@ class TestPrincipalSimulation:
             simulate_principal(two_firm, v, SimConfig(n_paths=4, dt=0.01), **{field: value})
         assert exc.value.field == field
 
-    @pytest.mark.parametrize("antithetic,expected", [(True, (6, 631)), (False, (4, 630))])
+    @pytest.mark.parametrize("antithetic,expected", [(True, (6, 629)), (False, (3, 629))])
     def test_non_finite_path_reported_exactly(self, two_firm, antithetic, expected):
         # a value function whose gradient grows with the state makes every
         # path explode; paths overflow a few steps apart, so the report is the
@@ -277,7 +277,7 @@ class TestNashSimulation:
                                   chunk_size=chunk_size)
             assert (exc.value.path_index, exc.value.t) == (0, 23 * cfg.dt)
 
-    @pytest.mark.parametrize("antithetic,expected", [(True, (4, 423)), (False, (2, 423))])
+    @pytest.mark.parametrize("antithetic,expected", [(True, (0, 423)), (False, (0, 423))])
     def test_non_finite_path_index_is_chunk_independent(self, nash_params, antithetic, expected):
         # a milder runaway from x0 = 0: the noise sets each path's scale, so
         # paths overflow at different steps and the report is the earliest
@@ -535,31 +535,31 @@ class TestBlockChecks:
                 assert np.array_equal(half.view(np.int64), full.view(np.int64)), chunk_size
 
 
-# Payoff means of a 64-path run per model and engine setting, recorded before
-# the two simulators were merged into one path engine; the engine must
+# Payoff means of a 64-path run per model and engine setting, recorded on the
+# stream of SFC64 generators per group of 64 substreams; the engine must
 # reproduce them (rel 1e-12 leaves room only for BLAS rounding).
 # Keys: model/scheme-sampling-r<brownian_refinement>.
 PINNED_MEANS = {
-    "single/pc-anti-r1": (-0.49094463044877845, 0.3127381242408975),
-    "two/pc-anti-r1": (-0.7257533936287797, 0.2964330401455568, 0.3188772945769784),
-    "nash/pc-anti-r1": (-0.9450992017480455, -0.9679194961268319),
-    "nashdev/pc-anti-r1": (-0.9446758497799941, -0.9693625683851217),
-    "single/euler-anti-r1": (-0.5009197122786374, 0.3131742595177678),
-    "two/euler-anti-r1": (-0.7368510364104003, 0.29645484465683014, 0.3193177778488827),
-    "nash/euler-anti-r1": (-0.9517594703139076, -0.9725171804677726),
-    "nashdev/euler-anti-r1": (-0.9518570448304459, -0.9749010627885145),
-    "single/pc-plain-r1": (-0.48999492246148413, 0.2927417192001861),
-    "two/pc-plain-r1": (-0.723770799583284, 0.2912548313243115, 0.3016783094093818),
-    "nash/pc-plain-r1": (-0.96935910751818, -0.9555344030294624),
-    "nashdev/pc-plain-r1": (-0.9680805624197636, -0.9580684481154561),
-    "single/pc-anti-r2": (-0.48954255473616315, 0.3144524320735408),
-    "two/pc-anti-r2": (-0.7237912412312149, 0.3007611546713376, 0.31399283693783653),
-    "nash/pc-anti-r2": (-0.9508218855679562, -0.9610936896469997),
-    "nashdev/pc-anti-r2": (-0.9502041407158217, -0.9625419537716129),
-    "single/euler-plain-r2": (-0.49921878259252933, 0.3091337092787455),
-    "two/euler-plain-r2": (-0.7340334306699441, 0.29927900614643194, 0.3094127424029524),
-    "nash/euler-plain-r2": (-0.9716269521597274, -0.9673259400100518),
-    "nashdev/euler-plain-r2": (-0.9714410617368918, -0.9712163321434883),
+    "single/pc-anti-r1": (-0.4887949928295563, 0.3128849715197647),
+    "two/pc-anti-r1": (-0.7228449456989835, 0.30531320299299847, 0.3039969798759342),
+    "nash/pc-anti-r1": (-0.9536672105857789, -0.9520592883773431),
+    "nashdev/pc-anti-r1": (-0.9533538447575052, -0.9534575419079978),
+    "single/euler-anti-r1": (-0.49878378890419306, 0.3133402828082213),
+    "two/euler-anti-r1": (-0.7338517373113551, 0.3054616694191581, 0.3042292838409639),
+    "nash/euler-anti-r1": (-0.9597309796319855, -0.9570840257979922),
+    "nashdev/euler-anti-r1": (-0.9599046646455935, -0.9594190326180322),
+    "single/pc-plain-r1": (-0.4891878566913749, 0.2987611771602966),
+    "two/pc-plain-r1": (-0.7222886666435355, 0.3109762574211964, 0.2886183964520552),
+    "nash/pc-plain-r1": (-0.9575185007985983, -0.9542902323423962),
+    "nashdev/pc-plain-r1": (-0.9575884734907714, -0.9553070901765388),
+    "single/pc-anti-r2": (-0.4892195274020701, 0.3055382745540526),
+    "two/pc-anti-r2": (-0.7228005560412154, 0.30361204480817217, 0.29701987865127577),
+    "nash/pc-anti-r2": (-0.9539672507959933, -0.9462001231363626),
+    "nashdev/pc-anti-r2": (-0.9534886722007381, -0.9475725007727762),
+    "single/euler-plain-r2": (-0.4992645724742036, 0.29924323361513094),
+    "two/euler-plain-r2": (-0.7338020619812057, 0.30932698132628367, 0.29077560789926515),
+    "nash/euler-plain-r2": (-0.9650964889570188, -0.957217678689952),
+    "nashdev/euler-plain-r2": (-0.9656694981811862, -0.9596094368288681),
 }
 
 
@@ -584,71 +584,71 @@ def payoff_digest(payoffs) -> str:
 
 
 # SHA-256 of every payoff array of a 64-path run per model and engine
-# setting, recorded before the path step moved into reused buffers; a change
-# in the last bit of one path changes the digest.  Every chunking must give
+# setting, recorded on the same stream; a change in the last bit of one path
+# changes the digest.  Every chunking must give
 # the same digest.  Keys: model/scheme-sampling-r<brownian_refinement>.
 PINNED_DIGESTS = {
-    "single/pc-anti-r1": "b702f620dcda7c5b4f70316cc2254ab63cf6f2a7bc762baef559441a790b3c9c",
-    "single/pc-anti-r2": "0aba0a51742d9e961565c682061f73cc46f4c67c5a03cf5247afec4c2903ea59",
-    "single/pc-plain-r1": "47d37768e4ef89d1bd2f74d622bd478aa7d41871f64264265132a771caeb6fc9",
-    "single/pc-plain-r2": "a401fb5c1d2b55f5dfd619e545d5e844941ea3f54d4aacd1ea119a62d3622223",
-    "single/euler-anti-r1": "99bda149fc861e47e6d86c621ce2c76cdeee892b9d33abe345e62d6843f40e56",
-    "single/euler-anti-r2": "89046f8a07d41aad20b461652574175e7cb0c4dab79ffcf0c62c557a72594dc6",
-    "single/euler-plain-r1": "2fa9ef46561c624436249d2d78fad2dfa031d5093ead3258877371445f98d1c5",
-    "single/euler-plain-r2": "788c4651e4ba35539c5c34970644ebe787bbc0cdead83b403daf55775e32bdeb",
-    "literal/pc-anti-r1": "00107eb83b8fe978a8e2ffa39719b6e2d3a0c9efe671ff60421b2f54ac891ca8",
-    "literal/pc-anti-r2": "8e37843ea04de01c1da8b56065e2c47e75477266c6160b44f69f06acb7642275",
-    "literal/pc-plain-r1": "9c2fb61f63e61174fef94c718705a89aa01d61c3c1e7d9d345d69935a1ff949e",
-    "literal/pc-plain-r2": "91a6604ee2bf160114a8b866495a6e1c732ebf74dbdd5b6afb88721e52d9d8be",
-    "literal/euler-anti-r1": "74d8236a18c2b5cebba429e062ffba0ba3de1c00ee2d8e3671cdef2c7bef02c9",
-    "literal/euler-anti-r2": "16ea9ff64499754a921bfb1ea15b29e7429b120cdb58e469263993d1b531af19",
-    "literal/euler-plain-r1": "53804fcd6bd98291cf9fce785d225a20a4ab00827957b5282d5a045e93728819",
-    "literal/euler-plain-r2": "926d54dfb964510e71ba8d37ba41dda6b3a6fa29418c5eef1ad9d1c4a9ed6f71",
-    "two/pc-anti-r1": "a5c18884ba6bcdfe674bf003eddd90747dfe0d2648eacd4077bb4e4dff15bce9",
-    "two/pc-anti-r2": "f28ad7985f828fe8e3f4a292e5a93d5d71043b3b8c972b4f7124be85c0feb6c4",
-    "two/pc-plain-r1": "d70e799dc7709384356d68c15b47f524836f79a4a14d8f51b5de461175260be7",
-    "two/pc-plain-r2": "a64a973f96b1abc02e158bb29414637e188f18e1fe67707eddf2df5034325999",
-    "two/euler-anti-r1": "8c3f4c9f1558d920e7aa501bd84e0c5f7ab99152a058dba302f7e11067fab2d3",
-    "two/euler-anti-r2": "67e7a82e63db350b794f3ffe0d98202d8823a285bcba5ffd34bbaf1d8c559df1",
-    "two/euler-plain-r1": "8748e929f478dc608e2867ffb251b7cbbf9fe310d363a882df904934e1ef0aac",
-    "two/euler-plain-r2": "c097bc184149c83074294b6ffb6a7e31caf0783e8b3b49df3935c9aa306f8275",
-    "nash/pc-anti-r1": "980515ba55d9baf173c58854f6ec538177fa8af76bde89d95c1abfba7a5df231",
-    "nash/pc-anti-r2": "5704723e42aaa8e3954154b3ed9bcbfe70784aa3ae561600a5149025b91e7c12",
-    "nash/pc-plain-r1": "9e3d09dc09075d9a93f5c48b26a8e8e6e5c2f0200c39d0ab5e8b859d339ecb68",
-    "nash/pc-plain-r2": "9e0a94cc5b4d1fa269a84881e5681c9930a73afd033589a3a3991dfa9419ab6f",
-    "nash/euler-anti-r1": "f8b061ff5f3634e8a60a1fae60ec6c7e282776cf8cb6a29ddf5489901e7a15a2",
-    "nash/euler-anti-r2": "72e771523763f22b7565e00ea9e4f2f19258e37669838026be45d5da8f2efdf3",
-    "nash/euler-plain-r1": "cba8aad5b887c8a7191a344bbeeb9ebd5d4bcb470fd137abdb132a73e4f65bc5",
-    "nash/euler-plain-r2": "3e60f273daf0ef2772cb2f3bc68ea58ad89bbf83cc23c30eafe67b9a53c57273",
-    "nashdev/pc-anti-r1": "ec322af78ed98569294a704108ee1bede560316442aaca5236518ed8b3dbb48f",
-    "nashdev/pc-anti-r2": "7113139012c6bd65124fafbc6e7640c64c35561cbc393a463276dca0c8679129",
-    "nashdev/pc-plain-r1": "43770c54a0002b5973ad6cddbaf505b11e23c205d21b0fea74499b62265bf77d",
-    "nashdev/pc-plain-r2": "33bd725ff444c1e8135a5089ddbb0ab81523859e9fc3bf1655d9570e8af91d7c",
-    "nashdev/euler-anti-r1": "694045a096fff89b54d5e8de0e5502abe62df70142bbd829c218ce0bb1036c4e",
-    "nashdev/euler-anti-r2": "60ff3f0ba9c31f6586106c951a5bbd378f16641a4554959b3c98c24c853465b3",
-    "nashdev/euler-plain-r1": "89128737ec4ae58c7fd0f687c67880929c92a4b81c55f5d42b9974f2861fafc8",
-    "nashdev/euler-plain-r2": "36cbadf280ae00f066e28cb877781c7d9be6a17bd9955c7b0af3e2023cc97e0c",
+    "single/pc-anti-r1": "2600d0d7a41dc6edc198c66c9e8ddd9d5ea72a2745abf1e0d7f7ea2c6daed2bf",
+    "single/pc-anti-r2": "0bec7b4bb362bd2b5fedf02216355f38e388c5d1d9deaa87278a5ec51409b6eb",
+    "single/pc-plain-r1": "ca35b9c6f1aa70ba328e0780cda80764983c3b24e50b5d5e81d64bcbdfb5b9e7",
+    "single/pc-plain-r2": "bcfeae199462ae9dc9c4d11c4b6ec3db14fbefcbbdd38b31293039730c21138e",
+    "single/euler-anti-r1": "88c8ffc77b4dbc0098e253e66b0273a73b636e3ed57480e5f5d5a9567e562686",
+    "single/euler-anti-r2": "65a62a130f900b76110446efb6439cec5771a30a135538db3e55f5f0e4e450ce",
+    "single/euler-plain-r1": "2b1ab00fc61874125828dbb3e37e370d3d93545238d5f4f1e6e72c0866a59ecd",
+    "single/euler-plain-r2": "f19224124415dc18a1cb7506bbcbe26db4e4852e3c4ad0ba4d65dc5a4d34a888",
+    "literal/pc-anti-r1": "9968b571c337f3049a0ef63e61be8342ec181720f7b9d7d0bdc2602851cd9243",
+    "literal/pc-anti-r2": "d2e0c5d96cec34421f848947fc4bade8e9b49466c8dba8283bb8a2862f0e5d4d",
+    "literal/pc-plain-r1": "4b9a8d4a889867b836ccd17bde4832bd01070d89ee2eecafdae32a195d03e1e5",
+    "literal/pc-plain-r2": "73d8635a0f404e101ae3d8c4d5d34882b974217b98bd84e856d62b75761c6d8c",
+    "literal/euler-anti-r1": "545e49cd148435c76fcf3625094f626dfb68a9494d05dafcf746398fc3ba974f",
+    "literal/euler-anti-r2": "86ba6992e4286084032958232efe2f75e28716b3771135db31a86c5f55b5ed89",
+    "literal/euler-plain-r1": "fb4e804e2e7568f23f319ed9614dad2034584603235c1b8fbe792e7a9f3e284f",
+    "literal/euler-plain-r2": "33a2aa562b529c8899e877f4f8e3b7fe16d93947dbf39ae903574c6f1bc725c4",
+    "two/pc-anti-r1": "58f596d59ce8a256a9aa102a2d647644791c116250ae4ca2fb0edff68349cdab",
+    "two/pc-anti-r2": "e46c67183bc7b79ee4cd4726f605387d04d65f9d6a85367b3624d2547e6d5c79",
+    "two/pc-plain-r1": "93a35aa93ec259f786df65dc42a3723bf3893741a1a5c5be19c350d9858fe3a0",
+    "two/pc-plain-r2": "4c0b95bf26f761bf8d9c511de9152c5f2a1ad2d1f4d11ca434dd1b32a8b100f4",
+    "two/euler-anti-r1": "5a37988ce65d718021a740476b3d8f45fde558e663012f1b8cf74cf288e0b903",
+    "two/euler-anti-r2": "4e9678bb6026925d8cc1eae6599e9c4d80140e8d42793fee083e6ac4bba0d94f",
+    "two/euler-plain-r1": "7a2be9265a26658a5e82d1360d29658d34ab853bb78775b59b9de454d9ec5056",
+    "two/euler-plain-r2": "bf3d6efd7525060a963227ab7998bc420526c6b5b2d123fe06ebee90d34210af",
+    "nash/pc-anti-r1": "7f46d8f37a4d4aa732bf8c939360b2d91968ce2d49d022487c584ead3b03a1bf",
+    "nash/pc-anti-r2": "f27ced5a95d82dc1efb6fccac1214af5c2198e497c00c0853eab8de788fb637e",
+    "nash/pc-plain-r1": "b24972833069e7360d5bdfb16333683effee67a3bf13dbe2d9d379e5f52fb027",
+    "nash/pc-plain-r2": "76d508240f5717867065b5e7ea738a3b77c0ad1b2fd18a7207ba1c5eb5e6f482",
+    "nash/euler-anti-r1": "0c46432df164df8589053e3006672c353c3a0eec58d6df3cf52968d2cb1945a2",
+    "nash/euler-anti-r2": "474a70892cc9ecb646316df0d666ac0029d48d64edfb6b923c4efad02ca549ff",
+    "nash/euler-plain-r1": "f7490e3f384a7669958114121836f55629b7d3dac1746e97c4887b6cbdbbe673",
+    "nash/euler-plain-r2": "ed5682a68e1a7ab2b4e353dfa1327d612d9e2bb2ae858f21221fb19f8f6605bf",
+    "nashdev/pc-anti-r1": "1d45f21e2111d2405c64be67337c775e540f7bd86f0316ab52e1033989cf0e7e",
+    "nashdev/pc-anti-r2": "58d9f2334191100df1f1308c24f6f365b0dd7e92484a8293ca11735455ba598e",
+    "nashdev/pc-plain-r1": "cfc37c3deafd06b2b2c648d0b8c19cc4cb45838e6cf22643fb5b2f162a4d520b",
+    "nashdev/pc-plain-r2": "92872bc5a97d694b62db602eb73397d92ddcff9f752caaa3b8d438eab8fbe6cb",
+    "nashdev/euler-anti-r1": "14328f66cf7f0ae189aa4ddc3fdb0b932e16129af30fe1932ff970247ec6f687",
+    "nashdev/euler-anti-r2": "e20f91389059524150b4f956419ac16007f9a8d5c11fb33ebb7bcea0fafdb049",
+    "nashdev/euler-plain-r1": "d0a2f4997271c767e7bfd6d8e4ea7ae430944b58a56fd2cc17ce5f254091d600",
+    "nashdev/euler-plain-r2": "78f32c76cb84c73f1ce075435dc5740f62699c90aa5ebf9d3ba0ce3b95652582",
 }
 # two-firm principal at the benchmark's mc_long shape: one full chunk of 1000 pc steps
-PINNED_LONG_DIGEST = "33aff60d0d464129debb4acfc9f643814fb6deac3350838d991e720c33ab4aac"
+PINNED_LONG_DIGEST = "0608dd73a0d4637fd87cf8b5d6c0402198dbedfb3de657b10dadd002c72112b2"
 # The game's digests from x0 = (0, 0) under antithetic sampling, where every
-# mirror is its drawn path negated, recorded while the engine still marched
-# both halves of each pair.  Keys: run/scheme-r<brownian_refinement>, the run
-# one of ORIGIN_DEVIATIONS.
+# mirror is its drawn path negated and only the drawn half is marched
+# (TestHalfWidthMarch checks that against a march of both halves).
+# Keys: run/scheme-r<brownian_refinement>, the run one of ORIGIN_DEVIATIONS.
 ORIGIN_DEVIATIONS = {"eq": None, "dev1": Deviation(1, 0.9), "dev2": Deviation(2, 1.1)}
 PINNED_ORIGIN_DIGESTS = {
-    "eq/pc-r1": "c5827b9b2eb323e7cf81a046a640a84130679ea05f788f462efac11f8f1d9750",
-    "eq/pc-r2": "0fa4da5eaf10407e731a47dd335ae2223991bdaf7859dd151dd58af7249f4f59",
-    "eq/euler-r1": "afcd7c0de3d47f3b6a07732e122cae46a4134d3291ed27502d817c130dd96822",
-    "eq/euler-r2": "eb5ad6da2338e0ec8114eb45815ddce5bdb81c178e6982f83e49f5ad2d28bf18",
-    "dev1/pc-r1": "299247b019528ce71e85acfd795818b35e90c1d00e03b654c1b6089a78ddf2a6",
-    "dev1/pc-r2": "f36711cae6b83695a7d422b008247c39f44f0ada460fcb0dc5032da903d22f34",
-    "dev1/euler-r1": "ad6e884f558dba88e67745ba1cb56b7bf3cabc700b741afe16b0a8c025ec1597",
-    "dev1/euler-r2": "cf035c7f29f30e6018cc38311790e89a50b156a992c1b1c28266d382d9c1a616",
-    "dev2/pc-r1": "b635883dc9eafe285be5d4b9023f2751290ae4c22fb39cec84a1f14e8d418d19",
-    "dev2/pc-r2": "552d1dcd9a9527cd9bd36c380fa6168f4bd2745ac1b9cc59aa658882d466b26d",
-    "dev2/euler-r1": "35f418ac59907be1fb97699f379a74c52ba2a9e1301b3e8ce2f3234cc7208901",
-    "dev2/euler-r2": "d12f4fd15003b2419c497f4be2a211b6ea23b0a69227c551733e48d5583a2fde",
+    "eq/pc-r1": "231eff8b5bc94670a9a1c0885fcb82c275177b95e72a63aee9548d6c4f98c266",
+    "eq/pc-r2": "bf8cc30ea37660ace3c3140205784a955b64add9b231bc06be1f0ea45591f86a",
+    "eq/euler-r1": "8216cb013cdcbd970a45518060727c43667dda73f4e0113d87d0dc8756069573",
+    "eq/euler-r2": "3ad04aa792b02cf856c10deaa1a07c98c110e4d3f781dcceadcd8fed31743ff4",
+    "dev1/pc-r1": "9475895c8495fdddc5625256619d1ac8749cb7247599a4da584058f55cb7967d",
+    "dev1/pc-r2": "3110a4d9c4b94f3c5817f3958f99605fb83abf34c0296d8501c1968e9de26ead",
+    "dev1/euler-r1": "ca20ba72b27d9d5a415d7bc25ad12ef23886af79b4089424a5898e2adf181d75",
+    "dev1/euler-r2": "1fc85e2038b18922538cfc0f7f5a117a2bfaf7e675187c9966cbc8621af458f8",
+    "dev2/pc-r1": "d8fac57114aefc2132def5fd393b6f0cd82e7f4d77b38ff5cf57266dd88df2f0",
+    "dev2/pc-r2": "8a5d7207e84a8ee3df4a42f7cda155e0ce3c6d281df80deb7b8a43d79b2d2eae",
+    "dev2/euler-r1": "74be30345f9109d90b78b36648928c2ffe6077a05dadaf1291647592c2bc7ead",
+    "dev2/euler-r2": "689edb83e908e20e9ede7ca4cc84628ba2b6282689e8fac77f197f41a3301a0f",
 }
 
 
@@ -715,48 +715,59 @@ class TestFrozenSeedOutputs:
         assert payoff_digest([pay_p, *pays_a]) == PINNED_LONG_DIGEST
 
 
-def fresh_draws(seed: int, substream: int, n_draws: int) -> np.ndarray:
-    key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | (substream & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal((n_draws, 2))
+def fresh_draws(seed: int, group: int, n_draws: int) -> np.ndarray:
+    """Group ``group``'s draws from a generator built as the stream defines it."""
+    keyed = np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(group & 0xFFFFFFFFFFFFFFFF,))
+    return np.random.Generator(np.random.SFC64(keyed)).standard_normal((n_draws, 2, 64))
+
+
+def fresh_columns(seed: int, start: int, count: int, n_draws: int) -> np.ndarray:
+    """Substreams start .. start+count-1, each column taken from its group's fresh draws."""
+    groups = {}
+    columns = np.empty((n_draws, 2, count))
+    for j in range(count):
+        group, column = divmod(start + j, 64)
+        if group not in groups:
+            groups[group] = fresh_draws(seed, group, n_draws)
+        columns[:, :, j] = groups[group][:, :, column]
+    return columns
 
 
 class TestPathIncrements:
     @pytest.mark.parametrize("seed", [-1, 0, 2**63])
-    @pytest.mark.parametrize("substream", [0, 2**40])
-    def test_matches_fresh_generator(self, seed, substream):
-        expected = fresh_draws(seed, substream, 7)
-        assert np.array_equal(path_increments(seed, substream, 7), expected)
-        out = np.empty((7, 2))
-        assert path_increments(seed, substream, 7, out=out) is out
+    @pytest.mark.parametrize("group", [0, 2**40])
+    def test_matches_fresh_generator(self, seed, group):
+        expected = fresh_draws(seed, group, 7)
+        assert np.array_equal(path_increments(seed, group, 7), expected)
+        out = np.empty((7, 2, 64))
+        assert path_increments(seed, group, 7, out=out) is out
         assert np.array_equal(out, expected)
 
     def test_unaffected_by_an_earlier_draw(self):
-        # leave the thread's generator part-way through its output buffer and
-        # holding a cached 32-bit half before the call under test
+        # no generator outlives a call: a draw of another length or key
+        # before the call under test changes nothing
         path_increments(5, 3, 3)
-        mc._philox.gen.integers(0, 2**32, size=3, dtype=np.uint32)
+        path_increments(9, 2**40, 1)
         assert np.array_equal(path_increments(9, 2**40, 5), fresh_draws(9, 2**40, 5))
-        out = np.empty((5, 2))
+        out = np.empty((5, 2, 64))
         path_increments(-1, 0, 5, out=out)
         assert np.array_equal(out, fresh_draws(-1, 0, 5))
 
     @settings(deadline=None, max_examples=60)
-    @given(seed=st.integers(-2**63, 2**64 - 1), substream=st.integers(-2**63, 2**64 - 1),
+    @given(seed=st.integers(-2**63, 2**64 - 1), group=st.integers(-2**63, 2**64 - 1),
            fresh_thread=st.booleans())
-    def test_any_64_bit_key_matches_fresh_generator(self, seed, substream, fresh_thread):
-        if fresh_thread:  # a thread that has no generator yet
+    def test_any_64_bit_key_matches_fresh_generator(self, seed, group, fresh_thread):
+        if fresh_thread:  # a thread that has drawn nothing yet
             got = []
-            worker = threading.Thread(target=lambda: got.append(path_increments(seed, substream, 5)))
+            worker = threading.Thread(target=lambda: got.append(path_increments(seed, group, 5)))
             worker.start()
             worker.join(timeout=60)
             assert not worker.is_alive()
             drawn = got[0]
-        else:  # this thread's generator part-way through its buffer, holding a 32-bit half
+        else:  # this thread, after a draw of another key
             path_increments(5, 3, 3)
-            mc._philox.gen.integers(0, 2**32, size=3, dtype=np.uint32)
-            assert mc._philox.gen.bit_generator.state["has_uint32"] == 1
-            drawn = path_increments(seed, substream, 5)
-        assert np.array_equal(drawn, fresh_draws(seed, substream, 5))
+            drawn = path_increments(seed, group, 5)
+        assert np.array_equal(drawn, fresh_draws(seed, group, 5))
 
     def test_other_thread_draws_the_same(self):
         got = []
@@ -774,23 +785,64 @@ def evict_chunk_memo() -> None:
 class TestDrawChunk:
     @pytest.mark.parametrize("refinement", [1, 2])
     def test_step_major_layout(self, refinement):
-        seed, start, count, n_steps = 3, 5, 2 * mc._BLOCK + 3, 4  # ends in a partial block
+        seed, start, count, n_steps = 3, 5, 2 * 64 + 3, 4  # starts and ends inside a group
         inc = mc._draw_chunk(seed, start, count, n_steps, refinement)
         assert inc.shape == (n_steps, 2, count)
+        fine = fresh_columns(seed, start, count, n_steps * refinement)
         for j in range(count):
-            path = path_increments(seed, start + j, n_steps * refinement)
+            path = fine[:, :, j]
             if refinement > 1:
-                path = np.divide(path.reshape(n_steps, refinement, 2).sum(axis=1),
-                                 math.sqrt(refinement))
+                path = np.divide(path.reshape(n_steps, refinement, 2).sum(axis=1), math.sqrt(refinement))
             for k in range(n_steps):
                 assert np.array_equal(inc[k, :, j], path[k])
 
     def test_full_chunk_columns_match_fresh_generators(self):
         seed, start, n_steps = 3, mc._CHUNK, 200  # the second chunk of a run
         inc = mc._draw_chunk(seed, start, mc._CHUNK, n_steps, 1)
-        for j in (0, mc._BLOCK - 1, mc._BLOCK, mc._CHUNK - 1):
-            assert np.array_equal(inc[:, :, j], fresh_draws(seed, start + j, n_steps))
+        for j in (0, 63, 64, mc._CHUNK - 1):
+            group, column = divmod(start + j, 64)
+            assert np.array_equal(inc[:, :, j], fresh_draws(seed, group, n_steps)[:, :, column])
         evict_chunk_memo()
+
+    @pytest.mark.parametrize("start", [0, 61])
+    @pytest.mark.parametrize("count", [1, 7, 63, 65, 4096])
+    def test_chunk_columns_equal_their_groups(self, start, count):
+        # from 61, every count but 1 crosses a group boundary
+        seed, n_steps = 5, 3
+        inc = mc._draw_chunk(seed, start, count, n_steps, 1)
+        assert np.array_equal(inc, fresh_columns(seed, start, count, n_steps))
+        evict_chunk_memo()
+
+    @pytest.mark.parametrize("refinement", [1, 2, 4, 5])
+    def test_fine_draws_fixed_across_a_refinement_ladder(self, refinement):
+        # n_steps * refinement stays 20: every rung sums the same fine draws
+        seed, start, count, n_fine = 9, 61, 70, 20
+        n_steps = n_fine // refinement
+        inc = mc._draw_chunk(seed, start, count, n_steps, refinement)
+        fine = fresh_columns(seed, start, count, n_fine)
+        coarse = fine.reshape(n_steps, refinement, 2, count).sum(axis=1) / math.sqrt(refinement)
+        assert np.array_equal(inc, coarse)
+        evict_chunk_memo()
+
+    def test_a_full_chunk_looks_standard_normal(self):
+        # every bound is 5 standard errors, set before the first run
+        n_steps, count = 200, mc._CHUNK
+        inc = mc._draw_chunk(41, 0, count, n_steps, 1)
+        evict_chunk_memo()
+        # per coordinate (step and state), across the substreams
+        assert np.abs(inc.mean(axis=2)).max() <= 5.0 / math.sqrt(count)
+        assert np.abs(inc.var(axis=2, ddof=1) - 1.0).max() <= 5.0 * math.sqrt(2.0 / (count - 1))
+        # per substream, across steps and states
+        assert np.abs(inc.mean(axis=(0, 1))).max() <= 5.0 / math.sqrt(2 * n_steps)
+        # neighbouring columns, within a group and across its edges, and the
+        # same column of neighbouring groups; a product of two independent
+        # standard normals has variance 1
+        for lag in (1, 64):
+            products = inc[:, :, :-lag] * inc[:, :, lag:]
+            assert abs(products.mean()) <= 5.0 / math.sqrt(products.size)
+            # and per block of 64 products: each group (lag 1), each pair of groups (lag 64)
+            per_group = products[:, :, :count - 64].reshape(n_steps, 2, -1, 64).mean(axis=(0, 1, 3))
+            assert np.abs(per_group).max() <= 5.0 / math.sqrt(n_steps * 2 * 64)
 
     @pytest.mark.parametrize("other", [(8, 0, 10, 6, 1), (7, 1, 10, 6, 1), (7, 0, 9, 6, 1),
                                        (7, 0, 10, 5, 1), (7, 0, 10, 6, 2)])
@@ -803,7 +855,7 @@ class TestDrawChunk:
         with pytest.raises(ValueError):
             first[0, 0, 0] = 0.0
         evicting = mc._draw_chunk(*other)
-        assert mc._philox.chunk[0] == other and mc._philox.chunk[1] is evicting
+        assert mc._local.chunk[0] == other and mc._local.chunk[1] is evicting
         again = mc._draw_chunk(*key)
         assert again is not first and np.array_equal(again, first)
 
@@ -865,9 +917,9 @@ class TestDrawChunk:
         evict_chunk_memo()
         monkeypatch.setattr(mc, "path_increments", counted)
         nash_path_payoffs(nash_params, strategies, cfg)
-        assert len(calls) == 32
+        assert calls == [(32, 0, 50)]  # the 32 substreams are group 0
         reused = nash_path_payoffs(nash_params, strategies, cfg, deviation)
-        assert len(calls) == 32
+        assert len(calls) == 1
         for a, b in zip(reused, fresh):
             assert np.array_equal(a, b)
 
@@ -899,12 +951,13 @@ def test_nash_step_neither_hashes_nor_compares_params(pinned_models):
 
 class TestTracedBoundaries:
     """The engine reaches the RNG and the flow functions through these module
-    attributes, so wrapping one counts every call: once per substream of each
-    drawn chunk, and one flow evaluation per step plus the first under pc.
+    attributes, so wrapping one counts every call: once per group of 64
+    substreams each drawn chunk touches, and one flow evaluation per step
+    plus the first under pc.
     A flow call's arguments show the rows marched: two per substream under
     antithetic sampling, or one where the mirror is the drawn path negated."""
 
-    N_PATHS, DT, CHUNK = 64, 0.02, 8  # 32 substreams in 4 chunks of 50 steps
+    N_PATHS, DT, CHUNK = 64, 0.02, 8  # 32 substreams of group 0 in 4 chunks of 50 steps
 
     def count(self, monkeypatch, module, name, calls):
         inner = getattr(module, name)
@@ -931,7 +984,7 @@ class TestTracedBoundaries:
         self.count(monkeypatch, model, "revenue_f", revenue)
         self.count(monkeypatch, model, "social_cost_g", cost)
         principal_path_payoffs(params, v, cfg, scheme, self.CHUNK)
-        assert sorted(args[1] for args in draws) == list(range(self.N_PATHS // 2))
+        assert draws == [(33, 0, 50)] * 4  # (seed, group, steps), once per chunk
         assert len(revenue) == len(cost) == self.flow_calls(scheme)
         # from x0 = 0 too, both halves of each pair: B(t) is not 0, so the
         # principal's mirrors are not its drawn paths negated
@@ -946,8 +999,18 @@ class TestTracedBoundaries:
         self.count(monkeypatch, mc, "path_increments", draws)
         self.count(monkeypatch, mc, "payoff_rate", flows)
         nash_path_payoffs(params, strategies, cfg, None, scheme, self.CHUNK)
-        assert sorted(args[1] for args in draws) == list(range(self.N_PATHS // 2))
+        assert draws == [(34, 0, 50)] * 4
         assert len(flows) == self.flow_calls(scheme)
+
+    def test_each_chunk_draws_the_groups_it_touches(self, monkeypatch, pinned_models):
+        # 300 substreams in chunks of 100: 0-99, 100-199 and 200-299
+        params, strategies = pinned_models["nash"]
+        cfg = SimConfig(n_paths=600, dt=0.1, seed=38)
+        draws = []
+        evict_chunk_memo()
+        self.count(monkeypatch, mc, "path_increments", draws)
+        nash_path_payoffs(params, strategies, cfg, chunk_size=100)
+        assert [args[1] for args in draws] == [0, 1, 1, 2, 3, 3, 4]
 
     def nash_rows(self, pinned_models, antithetic=True, x0=(0.0, 0.0), deviation=None, strategies=None):
         """The rows each ``payoff_rate`` call of a pc game run sees."""

@@ -291,6 +291,24 @@ class TestFusedKernel:
         with pytest.raises(ValueError, match=message):
             riccati._compile(OdeTable("bad", states, (), derivs, consts))
 
+    @pytest.mark.parametrize("expr", [
+        "w" + " + w" * 400,    # deep enough for the tree walks and ast.unparse to recurse too far
+        "w" + " + w" * 3000,   # deep enough for ast.parse itself
+        "-" * 100_000 + "w",   # deep enough for the parser's own stack
+        "w" + " + w" * 100,    # one level past the bound
+    ], ids=["sum400", "sum3000", "neg100000", "sum101"])
+    def test_nesting_is_bounded(self, expr):
+        for consts, deriv in (((), expr), ((("k", expr),), "k")):
+            with pytest.raises(ValueError, match="'deep': an expression nests deeper than 100 levels"):
+                riccati._compile(OdeTable("deep", ("w",), (), (deriv,), consts))
+
+    def test_nesting_to_the_bound_compiles(self):
+        # a sum of 100 terms nests 100 levels; so does 99 negations of a name
+        table = OdeTable("deep", ("w", "v"), (), ("w" + " + w" * 99, "-" * 99 + "v"))
+        assert table.rhs(())(0.0, (0.5, 2.0)) == (50.0, -2.0)
+        traj = rk4_backward(table, (), np.array([1.0, 1.0]), TimeGrid(1e-3, 3))
+        assert np.isfinite(traj).all()
+
     @pytest.mark.parametrize("consts", [
         (("k", "2.0 * w"),),                 # a state
         (("k", "2.0 * x"),),                 # the drive

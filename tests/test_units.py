@@ -433,3 +433,80 @@ def test_rates_with_a_field_left_in_the_old_quantity_unit_break_the_identity(fix
     v = np.array([0.7, -0.3])
     wrong = rates(rescaled(params, quantity=2.0, keep=keep), v / 2.0).as_array()
     assert not np.array_equal(wrong, rates(params, v).as_array() / 2.0)
+
+
+# a frozen-seed run off the origin, so the game marches both halves of each pair
+SIM = dict(n_paths=64, dt=0.02, seed=11, x0=(0.1, -0.2), y0=0.3)
+PRINCIPAL_FIXTURES = pytest.mark.parametrize("fixture", [SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE],
+                                             ids=["single-firm", "two-firm"])
+
+
+def estimate_bits(estimates) -> bytes:
+    """The bits of each estimate's mean and standard error, in order."""
+    return np.array([(e.mean, e.std_err) for e in estimates]).tobytes()
+
+
+def simulated_principal(params, scheme: str, x0=SIM["x0"], y0=SIM["y0"]):
+    """Every utility estimate of a frozen-seed run of the principal's model."""
+    cfg = mc.SimConfig(**dict(SIM, x0=x0, y0=y0))
+    principal, agents = mc.simulate_principal(params, solve_principal(params, 201), cfg, scheme)
+    return principal, *agents
+
+
+def simulated_game(params, scheme: str, deviation=None, x0=SIM["x0"]):
+    strategies = nash.feedback_strategies(solve_nash(params, 201), params)
+    return mc.simulate_nash(params, strategies, mc.SimConfig(**dict(SIM, x0=x0)), deviation, scheme)
+
+
+class TestFrozenSeedMonteCarlo:
+    """A utility -exp(-eta*Z) carries no unit: in a money unit c times
+    smaller every payoff Z (and the initial payment y0) scales by c and eta
+    by 1/c, so with c a power of two each estimate keeps its bits.  In a
+    quantity unit L times smaller the state, its noise and each effort scale
+    by L and each incentive rate by 1/L, so every money flow, and so every
+    estimate, keeps its bits too.  The draws are the same on both sides, so
+    no sampling error enters."""
+
+    SCHEMES = pytest.mark.parametrize("scheme", ["pc", "euler"])
+    UNITS = pytest.mark.parametrize("unit", [0.25, 2.0, 8.0])
+    DEVIATIONS = pytest.mark.parametrize("shift", [None, -0.05], ids=["eq", "dev"])
+
+    @SCHEMES
+    @PRINCIPAL_FIXTURES
+    @UNITS
+    def test_principal_estimates_keep_their_bits_in_money(self, fixture, scheme, unit):
+        params = validate_params(fixture)
+        base = simulated_principal(params, scheme)
+        scaled = simulated_principal(rescaled(params, money=unit), scheme, y0=unit * SIM["y0"])
+        assert estimate_bits(scaled) == estimate_bits(base)
+
+    @SCHEMES
+    @PRINCIPAL_FIXTURES
+    @UNITS
+    def test_principal_estimates_keep_their_bits_in_quantity(self, fixture, scheme, unit):
+        params = validate_params(fixture)
+        base = simulated_principal(params, scheme)
+        scaled = simulated_principal(rescaled(params, quantity=unit), scheme, x0=tuple(unit * x for x in SIM["x0"]))
+        assert estimate_bits(scaled) == estimate_bits(base)
+
+    @SCHEMES
+    @UNITS
+    @DEVIATIONS
+    def test_game_estimates_keep_their_bits_in_money(self, scheme, unit, shift):
+        # a deviation's effort shift carries no money
+        params = validate_params(NASH_FIXTURE)
+        deviation = None if shift is None else mc.Deviation(2, 1.1, shift)
+        base = simulated_game(params, scheme, deviation)
+        assert estimate_bits(simulated_game(rescaled(params, money=unit), scheme, deviation)) == estimate_bits(base)
+
+    @SCHEMES
+    @UNITS
+    @DEVIATIONS
+    def test_game_estimates_keep_their_bits_in_quantity(self, scheme, unit, shift):
+        # an effort shift is a quantity per time
+        params = validate_params(NASH_FIXTURE)
+        base = simulated_game(params, scheme, None if shift is None else mc.Deviation(2, 1.1, shift))
+        scaled = simulated_game(rescaled(params, quantity=unit), scheme,
+                                None if shift is None else mc.Deviation(2, 1.1, unit * shift),
+                                x0=tuple(unit * x for x in SIM["x0"]))
+        assert estimate_bits(scaled) == estimate_bits(base)
