@@ -159,16 +159,14 @@ def lambda_pair(params: ModelParams) -> tuple[float, float]:
     return lam12, lam21
 
 
-def _closed_form_rates(factors: tuple, v: np.ndarray, out: np.ndarray, cross: bool = True) -> np.ndarray:
+def _closed_form_rates(factors: tuple, v: np.ndarray) -> np.ndarray:
     """Unchecked rates of the gradients ``v`` from :func:`_rate_factors` at ``v.ndim``,
-    into ``out`` laid out as :func:`rates_single` or :func:`rates_two` (by the
-    number of factors) lay them out; ``cross=False`` skips the cross rates."""
+    laid out as :func:`rates_single` or :func:`rates_two` (by the number of
+    factors) lay them out."""
+    own = factors[0] * v  # Lambda_ij * v_i
     if len(factors) == 1:
-        return np.multiply(factors[0], v, out=out)
-    own = np.multiply(factors[0], v, out=out[0])  # Lambda_ij * v_i
-    if cross:  # eta_ip * (v_j - z_jj)
-        np.multiply(factors[1], np.subtract(v[::-1], own[::-1], out=out[1]), out=out[1])
-    return out
+        return own
+    return np.stack([own, factors[1] * (v[::-1] - own[::-1])])  # eta_ip * (v_j - z_jj)
 
 
 def rates_single(params: ModelParams, grad_v: Sequence[float]) -> SingleFirmRates:
@@ -179,7 +177,7 @@ def rates_single(params: ModelParams, grad_v: Sequence[float]) -> SingleFirmRate
     """
     _require_kind(params, Kind.SINGLE_FIRM)
     v = np.asarray(grad_v, dtype=float)
-    z = _closed_form_rates(_rate_factors(params, v.ndim), v, np.empty(v.shape))
+    z = _closed_form_rates(_rate_factors(params, v.ndim), v)
     return SingleFirmRates(z1=z[0], z2=z[1])
 
 
@@ -193,7 +191,7 @@ def rates_two(params: ModelParams, grad_v: Sequence[float]) -> TwoFirmRates:
     """
     _require_kind(params, Kind.TWO_FIRM_REGULATED)
     v = np.asarray(grad_v, dtype=float)
-    own, cross = _closed_form_rates(_rate_factors(params, v.ndim), v, np.empty((2,) + v.shape))
+    own, cross = _closed_form_rates(_rate_factors(params, v.ndim), v)
     return TwoFirmRates(z11=own[0], z12=cross[0], z21=cross[1], z22=own[1])
 
 

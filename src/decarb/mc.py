@@ -12,117 +12,127 @@ independent samples.
 
 The draws of a chunk of up to 4096 substreams are laid out step-major, shape
 (n_steps, 2, count), so each step reads one contiguous (2, count) slab; each
-group's columns are copied in, and a chunk that does not start or end on a
-multiple of 64 draws its first and last groups whole and keeps the columns it
-owns.  Each thread keeps the last chunk it drew in a one-entry memo, read-only
-and keyed by (seed, first substream, count, n_steps, refinement), and hands it
-out again for the same key: an equilibrium run and its deviation runs on
-common random numbers draw once.  The memo retains ``n_steps * 2 * 8`` bytes
-per substream (64 MiB for 4096 substreams at 1000 steps) until a different
-chunk is drawn; it is emptied before that chunk is allocated, and the engine's
-reference ends with the march of its chunk, so no two chunks are ever alive
-together.
+group's columns are copied in.  A run keeps the last group it drew in one
+64-column slab, so a group that two chunks share (a chunk size that is not a
+multiple of 64) is drawn once per run, with the same bits.  Each thread keeps
+the last chunk it drew in a one-entry memo, read-only and keyed by (seed,
+first substream, count, n_steps, refinement), and hands it out again for the
+same key: an equilibrium run and its deviation runs on common random numbers
+draw once.  The memo retains ``n_steps * 2 * 8`` bytes per substream (64 MiB
+for 4096 substreams at 1000 steps) until a different chunk is drawn; it is
+emptied before that chunk is allocated, and the engine's reference ends with
+the march of its chunk, so no two chunks are ever alive together.
 
 Both simulators run on one path engine, which owns chunking, antithetic
-mirroring, path order, stepping, the accumulation and the non-finite
-checks; each model supplies only a small step (its rates or controls, the
-drift they induce, its flows).  Two stepping schemes are available.
+mirroring, path order, stepping, the accumulation and the non-finite checks.
+Under every solved policy the drift is affine in the state S = (x, y) and
+every running flow quadratic, so a model supplies no per-step code, only its
+functions of the state, which the engine reads once per run into
+coefficients per time node.  Two stepping schemes are available.
 ``scheme="pc"`` (default) is an Euler-Maruyama step with a drift
 predictor-corrector and trapezoidal quadrature of all running flows; the
 state noise is additive, so this is weak order 2 and its bias is negligible
-against the Monte Carlo error at the default resolution.  A pc step makes 2
-evaluations, one of them with flows: the end-of-step one is carried over as
-the next step's start.  ``scheme="euler"`` is the classic left-point scheme
-(weak order 1); under it the agents' utility estimates are exactly unbiased
-(the payment compensators telescope against the Gaussian increments step by
-step), which the indifference tests exploit.
+against the Monte Carlo error at the default resolution.  ``scheme="euler"``
+is the classic left-point scheme (weak order 1); under it the agents' utility
+estimates are exactly unbiased (the payment compensators telescope against
+the Gaussian increments step by step), which the indifference tests exploit.
 
-The step contract.  ``make_step(nodes)`` returns a step with ``sigma`` (the
+The model contract.  ``make_step(nodes)`` returns a model with ``sigma`` (the
 state volatilities as a (2, 1) column), ``acc0`` (initial accumulator
 values), ``n_checked`` (how many leading accumulators are checked for
 finiteness with the state), ``n_payoffs`` (how many payoff arrays it
 returns), ``odd`` (whether its drift is odd and its flows even under
-``S -> -S``; see the half-width march below) and four members that hold
-no per-chunk state.  ``slots(drift, flow)`` takes the engine's two slots, for
-the start and the end of a step, of ``drift`` (shape (2, 2, rows)) and
-``flow`` (one row per accumulator), and returns per-slot views, with the
-rates next to them.  ``evaluate(k, S, slot, scratch=None)`` fills one slot
-in place from the state S of shape (2, rows) at time node k: the rates and
-the drift, and the flows too when it is given ``scratch`` (the pc predictor
-gives none: it reads only the drift).
-``payment_noise(slot, dW, scratch)``, or None, adds the payment noise to
-the slot's flows.  ``payoffs(acc)`` returns the per-path payoffs.  The
-engine accumulates: it multiplies the slot's flows by dt (under pc, the sum
-of both slots' flows by ``0.5*dt``), calls ``payment_noise`` and adds them
-to the stacked accumulators.  ``scratch`` is a pair of (2, rows) engine buffers
-whose contents are spent at that point of the step (the state noise and a
-state no longer needed), and ``evaluate`` uses its own slot's drift or flow
-before filling it, so the working set stays small enough for the processor
-caches at a full chunk.  Per-firm rows are stacked as (2, rows) arrays ((1,
-rows) for the single agent) and per-firm constants as (2, 1) columns, so
-one ufunc call serves both firms.  One call marches a chunk: it allocates
-every buffer of the chunk as a local (the state, the next state, the
-increments, the noise, the accumulators, the slots), marches with ``out=``
-and swaps the current and next buffers instead of binding new arrays, so a
-step allocates nothing of path length and no buffer outlives its chunk.
+``S -> -S``; see the half-width march below), ``payoffs(acc)`` (the per-path
+payoffs of the final accumulators) and ``evaluate(X)``.  Given states X of
+shape (points, 2) it returns, at every time node at once, the drift (2,
+nodes, points), the flows, one per accumulator (accumulators, nodes,
+points), and for the principal the payment-noise rates (2, agents, nodes,
+points), agent i's rate on state j at [j, i], or None.  The engine calls it
+once per run on the fixed stencil ``_STENCIL``, scaled by the power of two at
+or above the larger volatility, and reads off (:func:`_fit`) the drift as
+``K_k S + k_k``, the rates as affine rows and the flows as rows over the
+features ``[1, x, y, x*x, x*y, y*y]``.  The polynomials must reproduce the
+functions at the stencil's remaining states to rounding, so a flow that is
+not quadratic raises ``ValueError`` instead of passing silently; and with a
+power-of-two scale a quantity unit that is a power of two scales every
+coefficient exactly.
 The model algebra stays in :mod:`decarb.contract`, :mod:`decarb.model` and
-:mod:`decarb.nash`, whose functions write into ``out=`` buffers.
+:mod:`decarb.nash`, and each formula is written there once.
 
-What a step still calls: the views it reads are made once per chunk, and
-the rates call the unchecked closed form that the public rate functions
-share, on factors bound once per run.  Three boundaries stay calls through
-module attributes, so a wrapper on one sees every call (``tests/test_mc.py``
-counts them): :func:`path_increments` once per group of 64 substreams that a
-drawn chunk touches, and per flow evaluation ``model.revenue_f`` and
+The scheme folds into one affine map per step on the noise ``xi_k =
+sigma*sqrt(dt)*Z_k``, ``S_{k+1} = M_k S_k + N_k xi_k + m_k``.  Under pc,
+``M = I + dt/2 (K_k + K_{k+1} + dt K_{k+1} K_k)``, ``N = I + dt/2 K_{k+1}``
+and ``m = dt/2 (k_k + k_{k+1} + dt K_{k+1} k_k)``: the predictor
+``S + (K_k S + k_k) dt + xi`` and the corrector that averages the drifts
+at both ends, multiplied out.  Under euler ``M = I + dt K_k``, ``N = I`` and
+``m = dt k_k``.  The trapezoid (pc) or left-point (euler) weights fold into
+the flow rows, so the running integrals are sums of node flows.  A chunk's
+rows live in two buffers of eight rows, ``[xi; 1; S; x*x, x*y, y*y]``, one
+for the step's start and one for its end, which swap roles each step.  A
+step scales the draws into the start's ``xi`` and negates them into the
+mirrors; the principal adds its payment noise, each agent's rates at the
+start (one (2*agents, 3) matmul on ``[1; S]``) times the ``xi_j`` they
+price; the end state is one (2, 5) matmul on ``[xi; 1; S]`` and its three
+features two products; and the flows of one node, one (accumulators, 6)
+matmul on ``[1; S; x*x, x*y, y*y]``, are added to the accumulators: the end
+node under pc (whose start node, at step 0, is added before the march), the
+start node under euler.  Every buffer of a chunk is a local allocated once.
+
+What a march calls: every product and sum is a numpy call on whole
+buffers.  The model's functions are reached once per run, and three
+boundaries are calls through module attributes, so a wrapper on one sees
+every call (``tests/test_mc.py`` counts them): :func:`path_increments` once
+per group of 64 substreams a run draws, and ``model.revenue_f`` and
 ``model.social_cost_g`` (principal) or this module's ``payoff_rate`` (the
-game).
+game) once per run, on the stencil.
 
-Why the bits do not depend on this layout: an elementwise ufunc computes
-each element with the same IEEE operation whether it allocates its result
-or writes into a buffer, and whether an operand is a row of its own or a
-row of a stacked array broadcast against a column.  Every expression keeps
-its left-to-right order (``0.5*gamma1*z11*z11`` is ``((0.5*gamma1)*z11)*z11``),
-so the in-place step makes the same operations on the same operands as the
-plain per-row expressions would.  Two steps differ from those expressions
-and keep the bits.  The pc drift average and trapezoid flow are a sum times
-``0.5*dt``, not half the sum times dt: halving is exact, so both round the
-same real product, unless ``0.5*s`` would be subnormal (``|s| < 2**-1021``).
-Without payment noise (the game) the state noise is made on the drawn half,
-``(sqdt*inc)*sigma``, and negated into the mirror, as ``(-d)*sigma`` is
-``-(d*sigma)`` exactly.  ``tests/test_mc.py`` pins the SHA-256 of every
-payoff array over the engine's options.
+Why the bits do not depend on the chunking: the engine multiplies no single
+column.  OpenBLAS computes a one-column product with gemv and a wider one
+with gemm, which round differently, while a gemm column's bits depend
+neither on the product's width nor on the column's place in it (measured at
+every width and offset tried, from 2 to 8192 columns).  A one-column chunk
+is padded to two, the pad a copy of the path, and the pad's values are never
+read.  ``tests/test_mc.py`` pins
+the SHA-256 of every payoff array over the engine's options and checks that
+every chunk size, and one or two BLAS threads, give the same bits.
 
 The half-width march.  Under antithetic sampling from ``x0 = 0`` with an odd
-step, each mirror is its drawn path negated with the same payoffs, so the
+model, each mirror is its drawn path negated with the same payoffs, so the
 march holds only the drawn rows and writes each payoff into both slots of
-its pair.  The game's step is odd when every interpolated intercept ``k0``
-is zero and a deviation, if any, has no shift; the principal's never is, as
-B(t) is not 0.  The bits are those of a full march, by induction over the
-steps.  ``k0`` is exactly zero, so an effort ``-gamma*(kx*x + ky*y + k0)``,
-scaled by a deviation, is the drawn one negated: negation is exact, and
-round-to-nearest rounds a sum or product of negated operands to the negated
-result.  So are ``drift*dt`` and the next state ``S + drift*dt + noise``,
-whose noise is negated too.  The flows are then equal, as
-``(p*(-x))*(-x)``, ``(c*(-x))*(-y)`` and ``a*a`` (of the negated effort)
-round the same products as ``(p*x)*x``, ``(c*x)*y`` and the drawn ``a*a``.
-The one inexact negation is a sum that cancels to zero, which is +0 on both
-paths, so the mirror may hold +0 where the negated path holds -0.  A zero's
-sign changes no nonzero result of an addition or multiplication, only the
-sign of a zero one, and the accumulators start at +0, which stays +0 when a
-zero of either sign is added: zero signs cannot reach a payoff.  A path and
-its mirror turn non-finite at the same step (inf negates to -inf, NaN stays
+its pair.  The game is odd when every interpolated intercept ``k0`` is zero
+and a deviation, if any, has no shift; the principal's never is, as B(t) is
+not 0.  Then the drift at the stencil's origin is a zero and the flows at
+``+e`` and ``-e`` are equal, as their efforts are exact negations, so
+``k_k``, ``m_k`` and the linear flow rows are zeros, read off exactly.  The
+bits are those of a full march, by induction over the steps.  A mirror's
+input column ``[xi; 1; S]`` is its drawn column negated but for the
+constant 1, whose coefficient ``m_k`` is a zero.  Round-to-nearest is
+symmetric, so each rounded product, sum or fused multiply-add of gemm's
+chain (``fma(a, -b, -c) = -fma(a, b, c)``), and so the whole chain, gives
+the drawn path's result negated; a zero term changes no nonzero sum.  The
+features ``x*x``, ``x*y`` and ``y*y`` of the negated state round the same
+products, so the flow rows, whose linear coefficients are zeros, give the
+same flows.  The one inexact negation is
+a sum that cancels to zero, which may hold either sign; a zero's sign
+changes no nonzero result of an addition or multiplication, only the sign of
+a zero one, and the accumulators start at +0, which stays +0 when a zero of
+either sign is added: zero signs cannot reach a payoff.  A path and its
+mirror turn non-finite at the same step (inf negates to -inf, NaN stays
 NaN), so the report names the drawn path 2j, the lower index, as a full
 march would.
 
 The non-finite checks.  A march checks the state and the checked
 accumulators after every ``_CHECK``-th step and after its last, not after
-every step.  Each is updated by adding to itself (``S + drift*dt + noise``,
-``acc + flow``), and a non-finite value plus anything is non-finite, so a
-path that turns non-finite stays so and a block's check sees every failure
-in it.  A failed check re-marches the chunk from step 0 up to the checked
-step, checking every step; the same operations on the same draws fail at
-the same step, which names the earliest step and the lowest canonical
-index failing at it, as a check after every step would.
+every step.  A non-finite value stays so: each accumulator is updated by
+adding to itself, and a non-finite input still gives a non-finite output
+column of a matmul, since gemm forms every product of the column, and a
+product of an infinity or NaN with any coefficient, zero included, is
+non-finite, as is every sum that holds one.  So a path that turns
+non-finite stays so and a block's check sees every failure in it.  A
+failed check re-marches the chunk from step 0 up to the checked step,
+checking every step; the same operations on the same draws fail at the
+same step, which names the earliest step and the lowest canonical index
+failing at it, as a check after every step would.
 
 :class:`SimConfig` and :class:`Deviation` check their fields at construction;
 what needs the model too (``dt`` dividing the horizon into steps that can be
@@ -163,6 +173,12 @@ _GROUP = 64  # substreams drawn together, one column each, from one generator
 _SCHEMES = ("pc", "euler")
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest array size numpy can index
+# States at which the engine reads a model's functions: the first five fix an
+# affine function of (x, y) by central differences, the first six a quadratic,
+# and the rest check the fit
+_STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0],
+                     [0.375, -0.625], [-1.25, 0.5], [2.0, 1.75]])
+_FIT_TOL = 1e-12  # the largest misfit at a check state, relative to the size of its terms
 
 
 @dataclass(frozen=True)
@@ -293,13 +309,29 @@ def _interp_coeffs(v: QuadraticValueFn, ts: np.ndarray) -> tuple[np.ndarray, np.
     return A.transpose(0, 2, 1), np.array([b1, b2]).T[:, :, None]
 
 
-def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int) -> np.ndarray:
+class _Slab:
+    """The draws of the last group of 64 substreams a run drew, so that a group
+    two chunks of the run share is drawn once."""
+
+    def __init__(self, seed: int, n_draws: int):
+        self.seed, self.group = seed, None
+        self.draws = np.empty((n_draws, 2, _GROUP))
+
+    def of(self, group: int) -> np.ndarray:
+        if group != self.group:
+            path_increments(self.seed, group, self.draws.shape[0], out=self.draws)
+            self.group = group
+        return self.draws
+
+
+def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int,
+                slab: _Slab | None = None) -> np.ndarray:
     """Per-step normals (n_steps, 2, count) for substreams start..start+count-1,
     read-only and memoized per thread (see the module docstring).
 
-    Each group of 64 substreams the chunk touches is drawn step-major into one
-    slab, whose columns are copied into place; the first and last groups are
-    clipped to the chunk.
+    Each group of 64 substreams the chunk touches is drawn step-major into the
+    run's ``slab`` (a new one if None), whose columns are copied into place;
+    the first and last groups are clipped to the chunk.
 
     ``refinement`` draws that many sub-normals per step and aggregates them,
     which keeps the underlying Brownian path fixed across a ladder of step
@@ -311,13 +343,12 @@ def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int
         return memo[1]
     _local.chunk = memo = None  # free the old chunk before allocating this one
     inc = np.empty((n_steps, 2, count))
-    slab = np.empty((n_steps * refinement, 2, _GROUP))
+    slab = _Slab(seed, n_steps * refinement) if slab is None else slab
     stop = start + count
     for group in range(start // _GROUP, (stop - 1) // _GROUP + 1):
         first = group * _GROUP
         lo, hi = max(start, first), min(stop, first + _GROUP)
-        path_increments(seed, group, slab.shape[0], out=slab)
-        cols, into = slab[:, :, lo - first:hi - first], inc[:, :, lo - start:hi - start]
+        cols, into = slab.of(group)[:, :, lo - first:hi - first], inc[:, :, lo - start:hi - start]
         if refinement == 1:
             into[...] = cols
         else:
@@ -328,11 +359,108 @@ def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int
     return inc
 
 
-def _advance(S: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = S + drift*dt + noise, evaluated left to right."""
-    np.multiply(drift, dt, out=out)
-    np.add(S, out, out=out)
-    return np.add(out, noise, out=out)
+def _stencil_scale(sigma: np.ndarray) -> float:
+    """The power of two at or just above the larger volatility (1 without
+    noise), which scales the stencil to the size of the paths' states."""
+    top = float(np.max(sigma))
+    return math.ldexp(1.0, math.frexp(top)[1]) if top > 0.0 else 1.0
+
+
+def _fit(values: np.ndarray, degree: int, h: float) -> np.ndarray:
+    """Coefficients, on a last axis, of functions of the state over ``[1, x, y]``
+    (``degree`` 1) or ``[1, x, y, x*x, x*y, y*y]`` (2), from their ``values``
+    at the states ``h * _STENCIL``, on a last axis.
+
+    The coefficients are read in units of the power of two ``h`` and
+    divided by its powers, which is exact.  Raises ``ValueError`` unless they
+    reproduce the values at the stencil's remaining states within
+    ``_FIT_TOL`` of the size of their terms.  A non-finite misfit passes: its
+    paths fail as non-finite.
+    """
+    v = np.moveaxis(values, -1, 0)
+    terms = [v[0], 0.5 * (v[1] - v[2]), 0.5 * (v[3] - v[4])]
+    if degree == 2:
+        xx, yy = 0.5 * (v[1] + v[2]) - v[0], 0.5 * (v[3] + v[4]) - v[0]
+        terms += [xx, v[5] - v[0] - terms[1] - terms[2] - xx - yy, yy]
+    coeffs = np.stack(terms, axis=-1)
+    n_fixed = 4 + degree
+    x, y = _STENCIL[n_fixed:].T
+    features = np.array([np.ones_like(x), x, y, x * x, x * y, y * y])[:len(terms)]
+    misfit = np.abs(coeffs @ features - values[..., n_fixed:])
+    if np.any(misfit > _FIT_TOL * (np.abs(coeffs) @ np.abs(features))):
+        raise ValueError(f"a model function is not a polynomial of degree {degree} in the state: "
+                         f"misfit {np.nanmax(misfit):.3g} off the stencil")
+    return coeffs / np.array([1.0, h, h, h * h, h * h, h * h])[:len(terms)]
+
+
+def _state_maps(K: np.ndarray, k: np.ndarray, dt: float, pc: bool) -> np.ndarray:
+    """The affine map of each step, ``S_{k+1} = M_k S_k + N_k xi_k + m_k``, as
+    rows ``[N_k | m_k | M_k]`` over a march's input rows ``[xi; 1; S]``, shape
+    (n_steps, 2, 5), from the drift ``K S + k`` per node, K (nodes, 2, 2) and
+    k (nodes, 2); see the module docstring."""
+    K0, K1, k0, k1 = K[:-1], K[1:], k[:-1, :, None], k[1:, :, None]
+    eye = np.eye(2)
+    if pc:
+        half_dt = 0.5 * dt
+        M = eye + half_dt * (K0 + K1 + dt * (K1 @ K0))
+        N = eye + half_dt * K1
+        m = half_dt * (k0 + k1 + dt * (K1 @ k0))
+    else:
+        M, N, m = eye + dt * K0, np.broadcast_to(eye, K0.shape), dt * k0
+    return np.concatenate([N, m, M], axis=2)
+
+
+def _flow_rows(C: np.ndarray, dt: float, pc: bool) -> np.ndarray:
+    """The flow rows ``C`` (accumulators, nodes, 6) of each node times its
+    quadrature weight, shape (nodes, accumulators, 6): the trapezoid (pc) or
+    the left point (euler, where the last node weighs nothing)."""
+    weights = np.full(C.shape[1], dt)
+    weights[-1] = 0.5 * dt if pc else 0.0
+    if pc:
+        weights[0] = 0.5 * dt
+    return weights[:, None, None] * np.moveaxis(C, 1, 0)
+
+
+def _read_off(step) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The model's drift (2, nodes, 3), flows (accumulators, nodes, 6) and
+    rates (2, agents, nodes, 3) as coefficients over the features, read at
+    the stencil scaled to the paths' states."""
+    h = _stencil_scale(step.sigma)
+    drift, flows, rates = step.evaluate(h * _STENCIL)
+    return _fit(drift, 1, h), _fit(flows, 2, h), None if rates is None else _fit(rates, 1, h)
+
+
+class _Tables:
+    """A model's coefficients on a run's nodes, read once per run: the state
+    maps, the weighted flow rows and the payment-noise rate rows (or None)."""
+
+    def __init__(self, step, dt: float, pc: bool):
+        K, C, R = _read_off(step)  # the values read are freed before the tables are made
+        self.maps = _state_maps(np.moveaxis(K[..., 1:], 1, 0), K[..., 0].T, dt, pc)
+        self.flows = _flow_rows(C, dt, pc)
+        # per node, the rows (state j, agent i) over [1, x, y]
+        self.rates = None if R is None else np.ascontiguousarray(
+            np.moveaxis(R, 2, 0).reshape(R.shape[2], -1, 3))
+
+
+class _Rows:
+    """One of a march's two buffers, rows (xi_1, xi_2, 1, x, y, x*x, x*y, y*y),
+    with the views a step reads or writes."""
+
+    def __init__(self, m: int, rows: int, cols: int):
+        self.buf = buf = np.empty((8, cols))
+        buf[2] = 1.0
+        self.xi, self.inputs, self.affine, self.features = buf[:2], buf[:5], buf[2:5], buf[2:]
+        self.state = buf[3:5]
+        self.marched = buf[3:5, :rows]  # the state of the rows marched, not of a pad
+        # a one-column chunk broadcasts its draws into the pad column too
+        self.drawn, self.mirrored = (buf[:2, :m], buf[:2, m:]) if rows > 1 else (buf[:2], None)
+
+    def square(self) -> None:
+        """The state's quadratic features: (x*x, y*x), then y*y."""
+        buf = self.buf
+        np.multiply(buf[3:5], buf[3], out=buf[5:7])
+        np.multiply(buf[4], buf[4], out=buf[7])
 
 
 def _first_non_finite(S: np.ndarray, checked: np.ndarray, start: int, m: int, antithetic: bool) -> int:
@@ -346,7 +474,7 @@ def _first_non_finite(S: np.ndarray, checked: np.ndarray, start: int, m: int, an
     return int(np.min(2 * (start + local % m) + local // m if antithetic else start + local))
 
 
-def _march(step, inc: np.ndarray, cfg: SimConfig, pc: bool, n_steps: int, start: int,
+def _march(step, tables: _Tables, inc: np.ndarray, cfg: SimConfig, pc: bool, n_steps: int, start: int,
            outs: Sequence[np.ndarray], every: int = _CHECK) -> tuple[int, int] | None:
     """March one chunk of paths, drawn as ``inc``, through ``n_steps`` steps and
     write their payoffs into ``outs``; return (steps done, canonical index) of
@@ -360,68 +488,50 @@ def _march(step, inc: np.ndarray, cfg: SimConfig, pc: bool, n_steps: int, start:
     """
     m = inc.shape[2]
     pair = 2 if cfg.antithetic else 1  # paths per substream
-    # an odd step from the origin makes each mirror its drawn path negated,
+    # an odd model from the origin makes each mirror its drawn path negated,
     # with the same payoffs, so only the drawn half is marched
     width = 1 if step.odd and not any(cfg.x0) else pair
     rows = width * m
-    dt, half_dt, sqdt = cfg.dt, 0.5 * cfg.dt, math.sqrt(cfg.dt)
-    sigma, payment_noise = step.sigma, step.payment_noise
-    S, S_next, dW, noise = np.empty((4, 2, rows))
-    # the game's noise is made on the drawn half and negated into the mirror,
-    # as (-d)*sigma == -(d*sigma); the principal's payment noise reads dW itself
-    halved = noise if payment_noise is None else dW
-    drawn, mirrored = halved[:, :m], halved[:, m:]
-    S[...] = np.array(cfg.x0)[:, None]
-    acc = np.empty((len(step.acc0), rows))
-    checked = acc[:step.n_checked]
+    cols = max(rows, 2)  # never a one-column product: gemv rounds unlike gemm
+    scale = step.sigma * math.sqrt(cfg.dt)
+    maps, flow_rows, rate_rows = tables.maps, tables.flows, tables.rates
+    ends = _Rows(m, rows, cols), _Rows(m, rows, cols)  # the start and the end of a step
+    ends[0].state[...] = np.array(cfg.x0)[:, None]
+    ends[0].square()
+    acc = np.empty((len(step.acc0), cols))
     acc[...] = np.array(step.acc0)[:, None]
-    finite = np.empty((2, rows), dtype=bool)
-    finite_checked = finite[:step.n_checked]
-    # two slots, for the start and the end of a step; one flow row per accumulator
-    drift, flow = np.empty((2, 2, rows)), np.empty((2, *acc.shape))
-    slots = step.slots(drift, flow)
-    drift, flow = tuple(drift), tuple(flow)
-    cur, nxt = 0, 1
+    flow = np.empty(acc.shape)
+    if rate_rows is not None:
+        noise = np.empty((2, rate_rows.shape[1] // 2, cols))  # (state j, agent i)
+        noise_rows, paid = noise.reshape(-1, cols), acc[:noise.shape[1]]
+    checked = acc[:step.n_checked, :rows]
+    finite, finite_checked = np.empty((2, rows), dtype=bool), np.empty(checked.shape, dtype=bool)
+    if pc:
+        np.add(acc, np.matmul(flow_rows[0], ends[0].features, out=flow), out=acc)
     for k in range(n_steps):
-        if k == 0 or not pc:
-            # before the draw, the noise and the next state are free scratch
-            step.evaluate(k, S, slots[cur], (noise, S_next))
-        np.multiply(sqdt, inc[k], out=drawn)
-        if payment_noise is None:
-            np.multiply(drawn, sigma, out=drawn)
+        now, end = ends[k % 2], ends[1 - k % 2]
+        np.multiply(scale, inc[k], out=now.drawn)
         if width == 2:
-            np.negative(drawn, out=mirrored)
-        if payment_noise is not None:
-            np.multiply(dW, sigma, out=noise)
+            np.negative(now.drawn, out=now.mirrored)
+        if rate_rows is not None:
+            # each agent's rates at the start times the noise xi_j they price
+            np.matmul(rate_rows[k], now.affine, out=noise_rows)
+            np.multiply(noise, now.xi[:, None], out=noise)
+            np.add(paid, np.add(noise[0], noise[1], out=noise[0]), out=paid)
+        if not pc:
+            np.add(acc, np.matmul(flow_rows[k], now.features, out=flow), out=acc)
+        np.matmul(maps[k], now.inputs, out=end.state)
+        end.square()
         if pc:
-            # the predictor's state and drift are consumed before the
-            # corrector's overwrite them, and only its drift is read
-            step.evaluate(k + 1, _advance(S, drift[cur], dt, noise, S_next), slots[nxt])
-            # the mean drift times dt, as the sum times 0.5*dt
-            d_sum = np.add(drift[cur], drift[nxt], out=drift[nxt])
-            _advance(S, d_sum, half_dt, noise, S_next)
-            # the state noise and the old state are spent: they are scratch
-            step.evaluate(k + 1, S_next, slots[nxt], (noise, S))
-            # trapezoid: the start flow slot becomes the step's mean flow times dt
-            np.add(flow[cur], flow[nxt], out=flow[cur])
-            np.multiply(flow[cur], half_dt, out=flow[cur])
-        else:
-            _advance(S, drift[cur], dt, noise, S_next)
-            np.multiply(flow[cur], dt, out=flow[cur])
-        if payment_noise is not None:
-            payment_noise(slots[cur], dW, (noise, S))
-        np.add(acc, flow[cur], out=acc)
-        if pc:
-            cur, nxt = nxt, cur
-        S, S_next = S_next, S
+            np.add(acc, np.matmul(flow_rows[k + 1], end.features, out=flow), out=acc)
         if (k + 1) % every and k + 1 < n_steps:
             continue
-        if not (np.logical_and.reduce(np.isfinite(S, out=finite), axis=None)
+        if not (np.logical_and.reduce(np.isfinite(end.marched, out=finite), axis=None)
                 and np.logical_and.reduce(np.isfinite(checked, out=finite_checked), axis=None)):
             if every > 1:
-                return _march(step, inc, cfg, pc, k + 1, start, (), every=1)
-            return k + 1, _first_non_finite(S, checked, start, m, cfg.antithetic)
-    for out, pay in zip(outs, step.payoffs(acc)):
+                return _march(step, tables, inc, cfg, pc, k + 1, start, (), every=1)
+            return k + 1, _first_non_finite(end.marched, checked, start, m, cfg.antithetic)
+    for out, pay in zip(outs, step.payoffs(acc[:, :rows])):
         out.reshape(-1, pair)[start:start + m] = pay.reshape(width, m).T
     return None
 
@@ -431,8 +541,8 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
     """Per-path payoffs of one model in canonical order (pair-interleaved under
     antithetic sampling), bit-identical for every chunking.
 
-    ``make_step(nodes)`` builds the model's step on the grid's time nodes; see
-    the module docstring for its contract.  :class:`NonFinitePath` names the
+    ``make_step(nodes)`` builds the model on the grid's time nodes; see the
+    module docstring for its contract.  :class:`NonFinitePath` names the
     earliest time any path turns non-finite and the lowest path failing then.
     """
     if scheme not in _SCHEMES:
@@ -443,14 +553,20 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
     chunk = _CHUNK if chunk_size is None else integer("chunk_size", chunk_size, 1)
     refinement = integer("brownian_refinement", brownian_refinement, 1)
     step = make_step(nodes)
+    pc = scheme == "pc"
+    tables = _Tables(step, cfg.dt, pc)
     # before any chunk is drawn, so an impossible n_paths fails at once
     with holding("n_paths", cfg.n_paths):
         outs = [np.empty(cfg.n_paths) for _ in range(step.n_payoffs)]
+    # chunks whose size is not a multiple of 64 share groups, which the run
+    # draws once into its own slab; aligned chunks each draw into a slab of their own
+    slab = _Slab(cfg.seed, n_steps * refinement) if chunk % _GROUP else None
     failure = None  # (steps done, canonical index) of the earliest non-finite value
     for start in range(0, n_sub, chunk):
         # after a failure, later chunks only look for an earlier or equal one
-        found = _march(step, _draw_chunk(cfg.seed, start, min(chunk, n_sub - start), n_steps, refinement),
-                       cfg, scheme == "pc", n_steps if failure is None else failure[0], start,
+        found = _march(step, tables, _draw_chunk(cfg.seed, start, min(chunk, n_sub - start), n_steps,
+                                                 refinement, slab),
+                       cfg, pc, n_steps if failure is None else failure[0], start,
                        outs if failure is None else ())
         if found is not None and (failure is None or found < failure):
             failure = found
@@ -468,10 +584,13 @@ class _PrincipalStep:
     """Optimal incentive rates and flows of one principal model.
 
     Accumulators: the payment Y_i per agent, the revenue-less-cost flow F_i
-    per agent, then the social cost G.  The rates of a slot are (z1, z2) for
-    the single firm and the own rates (z11, z22) over the cross rates
-    (z12, z21) for two firms, as ``contract.rates_single`` and ``rates_two``
-    lay them out.
+    per agent, then the social cost G.  Agent i's rate on state j is the
+    contract's z_j (single firm) or z_ij (two firms); agent i controls
+    state j, with effort gamma_j times that rate, when the firm is single or
+    i = j.  Both kinds share one flow shape: agent i's payment drift is its
+    effort cost plus its risk premium less its revenue, the effort cost
+    ``0.5*sum_j gamma_j z_ij^2`` over the states it controls and the risk
+    premium ``0.5*eta_i*sum_j sigma_j^2 z_ij^2``.
     """
 
     odd = False  # B(t) is not 0
@@ -482,83 +601,30 @@ class _PrincipalStep:
         self.n_agents = self.n_checked = len(y0)
         self.n_payoffs = 1 + self.n_agents
         self.acc0 = (*y0, *(0.0 for _ in y0), 0.0)
-        self.factors = contract._rate_factors(params, 2)
+        self.factors = contract._rate_factors(params, 3)
         self.sigma = _pair(params.sigma1, params.sigma2)
-        self.gamma = _pair(params.gamma1, params.gamma2)
-        s1, s2 = params.sigma1 * params.sigma1, params.sigma2 * params.sigma2
-        self.sq = _pair(s1, s2)
-        if not self.single:
-            self.half_gamma = _pair(0.5 * params.gamma1, 0.5 * params.gamma2)
-            self.half_eta = _pair(0.5 * params.eta1, 0.5 * params.eta2)
-            self.sq_cross = _pair(s2, s1)
-            self.sigma_cross = _pair(params.sigma2, params.sigma1)
+        self.sq = _pair(params.sigma1 * params.sigma1, params.sigma2 * params.sigma2)
+        # gamma_j where agent i controls state j, else 0, at [j, i]
+        self.effort = _pair(params.gamma1, params.gamma2) * (1.0 if self.single else np.eye(2))
+        self.etas = np.array(params.agent_aversions())
         self.A_T, self.B_t = _interp_coeffs(v, nodes)
 
-    def slots(self, drift: np.ndarray, flow: np.ndarray) -> tuple:
-        """Per slot: the drift, all rates, the rates that set the drift (the own
-        rates for two firms), the cross rates (two firms only) and the flows."""
-        rows = drift.shape[-1]
-        rates = np.empty((2, 2, rows) if self.single else (2, 2, 2, rows))
-        return tuple((d, z, z, None, f) if self.single else (d, z, z[0], z[1], f)
-                     for d, z, f in zip(drift, rates, flow))
-
-    def evaluate(self, k: int, S: np.ndarray, slot: tuple, w=None) -> None:
-        """The rates and drift at S, then, given scratch ``w``, the flows:
-        (payment drift per agent, revenue-less-cost flow per agent, social cost)."""
-        drift, z, own, cross, flow = slot
-        # the gradient lives in the slot's drift until the drift overwrites it
-        np.matmul(self.A_T[k], S, out=drift)
-        np.add(drift, self.B_t[k], out=drift)
-        # the cross rates do not enter the drift
-        contract._closed_form_rates(self.factors, drift, z, cross=w is not None)
-        np.multiply(self.gamma, own, out=drift)
-        if w is None:
-            return
-        p, X = self.p, S.T
-        model.social_cost_g(p, X, out=flow[-1], scratch=w[0][0])
-        if self.single:
-            f, c, risk = flow[1], w[0][0], w[1][0]
-            model.revenue_f(p, X, out=f, scratch=c)
-            np.multiply(self.gamma, z, out=w[0])
-            np.multiply(w[0], z, out=w[0])
-            np.add(w[0][0], w[0][1], out=c)
-            np.multiply(0.5, c, out=c)
-            np.multiply(self.sq, z, out=w[1])
-            np.multiply(w[1], z, out=w[1])
-            np.add(w[1][0], w[1][1], out=risk)
-            np.multiply(0.5 * p.eta_a, risk, out=risk)
-            np.add(risk, c, out=flow[0])
-            np.subtract(flow[0], f, out=flow[0])
-            np.subtract(f, c, out=f)
-            return
-        d, f, c, risk = flow[:2], flow[2:4], w[0], w[1]
-        model.revenue_f(p, X, per_firm=True, out=f.T)
-        np.multiply(self.half_gamma, own, out=c)
-        np.multiply(c, own, out=c)
-        np.multiply(self.sq, own, out=risk)
-        np.multiply(risk, own, out=risk)
-        np.multiply(self.sq_cross, cross, out=d)
-        np.multiply(d, cross, out=d)
-        np.add(risk, d, out=risk)
-        np.multiply(self.half_eta, risk, out=risk)
-        np.subtract(c, f, out=d)
-        np.add(d, risk, out=d)
-        np.subtract(f, c, out=f)
-
-    def payment_noise(self, slot: tuple, dW: np.ndarray, w) -> None:
-        """Add to each agent's payment flow its rates times the state increments they price."""
-        _, z, own, cross, flow = slot
-        if self.single:
-            np.multiply(self.sigma, z, out=w[0])
-            np.multiply(w[0], dW, out=w[0])
-            noise = np.add(w[0][0], w[0][1], out=w[0][0])
-        else:
-            noise = np.multiply(self.sigma, own, out=w[0])
-            np.multiply(noise, dW, out=noise)
-            np.multiply(self.sigma_cross, cross, out=w[1])
-            np.multiply(w[1], dW[::-1], out=w[1])
-            np.add(noise, w[1], out=noise)
-        np.add(flow[:self.n_agents], noise, out=flow[:self.n_agents])
+    def evaluate(self, X: np.ndarray):
+        """At the states X (points, 2) and every node: the drift, the flows
+        (payment drift per agent, revenue less effort cost per agent, social
+        cost) and the rates, agent i's on state j at [j, i]."""
+        p = self.p
+        grad = np.moveaxis(self.A_T @ X.T + self.B_t, 1, 0)  # (2, nodes, points)
+        z = contract._closed_form_rates(self.factors, grad)
+        # (own, cross) rates of two firms: z11 and z21 price state 1, z12 and z22 state 2
+        rates = z[:, None] if self.single else np.array([[z[0, 0], z[1, 1]], [z[1, 0], z[0, 1]]])
+        effort, sq = self.effort[..., None, None], rates * rates
+        cost = 0.5 * (effort * sq).sum(axis=0)
+        risk = 0.5 * self.etas[:, None, None] * (self.sq[..., None, None] * sq).sum(axis=0)
+        f = (model.revenue_f(p, X)[None] if self.single else model.revenue_f(p, X, per_firm=True).T)[:, None]
+        g = np.broadcast_to(model.social_cost_g(p, X), cost.shape[1:])
+        flows = np.concatenate([cost + risk - f, f - cost, g[None]])
+        return (effort * rates).sum(axis=1), flows, rates
 
     def payoffs(self, acc: np.ndarray):
         n = self.n_agents
@@ -620,23 +686,22 @@ def simulate_principal(
 class _NashStep:
     """Feedback controls and payoff flows of the two-firm game.
 
-    The state is (x, y); the accumulators are the payoff flows Z1, Z2.  The
-    rates of a slot are both firms' efforts, which are also the drift.
+    The state is (x, y); the accumulators are the payoff flows Z1, Z2.  Both
+    firms' efforts are the drift.
     """
 
     acc0 = (0.0, 0.0)
     n_checked = n_payoffs = 2
-    payment_noise = None
 
     def __init__(self, params: ModelParams, strategies: tuple[FeedbackStrategy, FeedbackStrategy],
                  deviation: Deviation | None, nodes: np.ndarray):
         self.p = params
         self.deviation = deviation
         self.sigma = _pair(params.sigma1, params.sigma2)
-        self.neg_gamma = _pair(-strategies[0].gamma, -strategies[1].gamma)
-        # gains of both firms per time node, as (n, 2, 1) columns
+        self.neg_gamma = np.array([-strategies[0].gamma, -strategies[1].gamma])[:, None, None]
+        # gains of both firms per time node, as (2, nodes, 1)
         self.kx, self.ky, self.k0 = (
-            np.array([np.interp(nodes, s.nodes, getattr(s, name)) for s in strategies]).T[:, :, None]
+            np.array([np.interp(nodes, s.nodes, getattr(s, name)) for s in strategies])[:, :, None]
             for name in ("kx", "ky", "k0"))
 
     @property
@@ -644,21 +709,14 @@ class _NashStep:
         """Whether the efforts are odd in the state: no intercept, and no shift."""
         return not self.k0.any() and (self.deviation is None or self.deviation.shift == 0.0)
 
-    def slots(self, drift: np.ndarray, flow: np.ndarray) -> tuple:
-        return tuple(zip(drift, flow))
-
-    def evaluate(self, k: int, S: np.ndarray, slot: tuple, w=None) -> None:
-        # the slot's flow is scratch until it is filled, given scratch ``w``
-        a, flow = slot
-        np.multiply(self.kx[k], S[0], out=a)
-        np.multiply(self.ky[k], S[1], out=flow)
-        np.add(a, flow, out=a)
-        np.add(a, self.k0[k], out=a)
-        np.multiply(self.neg_gamma, a, out=a)
+    def evaluate(self, X: np.ndarray):
+        """At the states X (points, 2) and every node: both firms' efforts, which
+        are the drift, and their payoff flows; no payment noise."""
+        x, y = X.T
+        a = self.neg_gamma * (self.kx * x + self.ky * y + self.k0)
         if self.deviation is not None:
             self.deviation.apply(a)
-        if w is not None:
-            payoff_rate(self.p, S[0], S[1], a, out=flow, scratch=w[0])
+        return a, payoff_rate(self.p, x, y, a), None
 
     def payoffs(self, acc: np.ndarray):
         return acc

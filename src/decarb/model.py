@@ -176,52 +176,39 @@ def price(params: ModelParams, x):
     """Common price factor p0 - p1*x1 - p2*x2, the one :func:`revenue_f` uses
     (+p2*x2 for the single firm under ``literal_signs``)."""
     x1, x2 = _split_state(x)
-    return _price_factor(params, x1, x2, np.empty(x1.shape), np.empty(x1.shape))[()]
+    return _price_factor(params, x1, x2)[()]
 
 
-def _price_factor(params: ModelParams, x1, x2, out, scratch):
-    np.multiply(params.p1, x1, out=out)
-    np.subtract(params.p0, out, out=out)
-    np.multiply(params.p2, x2, out=scratch)
+def _price_factor(params: ModelParams, x1, x2):
+    p = params.p0 - params.p1 * x1
     # Single-firm literal convention flips the slope of the clean technology.
     if params.literal_signs and params.kind is Kind.SINGLE_FIRM:
-        return np.add(out, scratch, out=out)
-    return np.subtract(out, scratch, out=out)
+        return p + params.p2 * x2
+    return p - params.p2 * x2
 
 
-def revenue_f(params: ModelParams, x, per_firm: bool = False, out=None, scratch=None):
+def revenue_f(params: ModelParams, x, per_firm: bool = False):
     """Revenue flow: the price factor times the produced quantity.
 
     By default the quantity is x1 + x2, the whole market.  ``per_firm=True``
     gives the two firm revenues, each weighted by its own coordinate, stacked
-    on a last axis of length 2 like the state.  ``out`` receives the result
-    and ``scratch``, shaped like one state coordinate, holds an intermediate;
-    each is allocated when None.
+    on a last axis of length 2 like the state.
     """
     x1, x2 = _split_state(x)
+    p = _price_factor(params, x1, x2)
     if per_firm:
-        out = np.empty(x1.shape + (2,)) if out is None else out
-        f1, f2 = out[..., 0], out[..., 1]
-        p = _price_factor(params, x1, x2, f1, f2)
-        np.multiply(p, x2, out=f2)
-        np.multiply(p, x1, out=f1)
-        return out
-    out = np.empty(x1.shape) if out is None else out
-    scratch = np.empty(x1.shape) if scratch is None else scratch
-    p = _price_factor(params, x1, x2, out, scratch)
-    return np.multiply(p, np.add(x1, x2, out=scratch), out=out)
+        return np.stack([p * x1, p * x2], axis=-1)
+    return p * (x1 + x2)
 
 
-def social_cost_g(params: ModelParams, x, out=None, scratch=None):
+def social_cost_g(params: ModelParams, x):
     """Regulator's running social cost.
 
     Default form for both principal models:
     ``0.5*kappa*x_d^2 + 0.5*lambda*(x1 + x2 - delta)^2`` where the penalized
     coordinate x_d is x1 for the single-firm model and x2 for the two-firm
     model.  Under ``literal_signs`` the single-firm deviation term carries
-    weight lambda instead of lambda/2.  ``out`` receives the result and
-    ``scratch``, shaped like it, holds an intermediate; each is allocated
-    when None.
+    weight lambda instead of lambda/2.
     """
     if params.kind not in PRINCIPAL_KINDS:
         _require_kind(params, *PRINCIPAL_KINDS)
@@ -232,13 +219,6 @@ def social_cost_g(params: ModelParams, x, out=None, scratch=None):
     else:
         xd = x2
         w = 0.5 * params.lambda_
-    out = np.empty(x1.shape) if out is None else out
-    dev = np.empty(x1.shape) if scratch is None else scratch
-    np.add(x1, x2, out=dev)
-    np.subtract(dev, params.delta, out=dev)
-    np.multiply(w, dev, out=out)
-    np.multiply(out, dev, out=out)
-    quad = np.multiply(0.5 * params.kappa, xd, out=dev)
-    np.multiply(quad, xd, out=quad)
-    return np.add(quad, out, out=out)
+    dev = x1 + x2 - params.delta
+    return 0.5 * params.kappa * xd * xd + w * dev * dev
 

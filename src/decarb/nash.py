@@ -320,21 +320,7 @@ def certainty_surface(coeffs: BestResponseCoeffs | NashCoeffs, firm: int, t: flo
     return 0.5 * a * x * x + 0.5 * b * y * y + c * x * y + d * x + e * y + f
 
 
-@functools.lru_cache(maxsize=64)
-def _payoff_factors(p1: float, p2: float, gamma1: float, gamma2: float,
-                    ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cross price slope and doubled effort efficiency of each firm, as
-    read-only columns over the firm rows of an ``ndim``-dimensional flow.
-    Cached, on plain numbers, because a simulation evaluates the flows once
-    per step."""
-    shape = (2,) + (1,) * (ndim - 1)
-    columns = np.reshape([p2, p1], shape), np.reshape([2.0 * gamma1, 2.0 * gamma2], shape)
-    for c in columns:
-        c.flags.writeable = False
-    return columns
-
-
-def payoff_rate(params: ModelParams, x, y, a, out=None, scratch=None):
+def payoff_rate(params: ModelParams, x, y, a):
     """Running payoff flows of both firms, priced by the equilibrium value functions.
 
     The solved W_i measure the CARA certainty equivalent of exactly this flow:
@@ -343,28 +329,17 @@ def payoff_rate(params: ModelParams, x, y, a, out=None, scratch=None):
     ``p1*x*x + p2*x*y - p0 - a*a/(2*gamma1)`` and firm 2's its mirror
     ``p2*y*y + p1*x*y - p0 - a*a/(2*gamma2)``.  ``a`` holds firm 1's and
     firm 2's efforts on a leading axis of length 2, and so does the result.
-    ``out`` receives the flows and ``scratch``, shaped like it, holds an
-    intermediate; each is allocated when None.
     """
     _require_kind(params, Kind.TWO_FIRM_NASH)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = np.asarray(a, dtype=float)
-    if out is None:
-        out = np.empty(a.shape[:1] + np.broadcast_shapes(x.shape, y.shape, a.shape[1:]))
-    scratch = np.empty(out.shape) if scratch is None else scratch
-    cross, two_gamma = _payoff_factors(params.p1, params.p2, params.gamma1, params.gamma2, out.ndim)
-    for i, (own, slope) in enumerate(((x, params.p1), (y, params.p2))):
-        row = np.multiply(slope, own, out=out[i, ...])  # a view even of a 0-d row
-        np.multiply(row, own, out=row)
-    np.multiply(cross, x, out=scratch)
-    np.multiply(scratch, y, out=scratch)
-    np.add(out, scratch, out=out)
-    np.subtract(out, params.p0, out=out)
-    np.multiply(a, a, out=scratch)
-    np.divide(scratch, two_gamma, out=scratch)
-    np.subtract(out, scratch, out=out)
-    return out
+    shape = np.broadcast_shapes(x.shape, y.shape, a.shape[1:])
+    column = (2,) + (1,) * len(shape)  # per firm, over the rest
+    own = np.stack([np.broadcast_to(params.p1 * x * x, shape), np.broadcast_to(params.p2 * y * y, shape)])
+    cross = np.reshape([params.p2, params.p1], column)
+    two_gamma = np.reshape([2.0 * params.gamma1, 2.0 * params.gamma2], column)
+    return own + cross * x * y - params.p0 - a * a / two_gamma
 
 
 def ode_residual(coeffs: BestResponseCoeffs | NashCoeffs, params: ModelParams) -> float:

@@ -1,9 +1,12 @@
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -27,7 +30,7 @@ from decarb import (
     solve_principal,
     validate_params,
 )
-from decarb import mc, model
+from decarb import contract, mc, model
 from decarb.mc import nash_path_payoffs, paired_difference, path_increments, principal_path_payoffs
 from decarb.nash import FeedbackStrategy
 from decarb.riccati import QuadraticValueFn, TimeGrid
@@ -49,6 +52,23 @@ def estimate_utility(payoffs, eta, label="", seed=0):
     z = np.asarray(payoffs, dtype=float)
     [est] = mc._estimates(SimConfig(n_paths=z.size, seed=seed, antithetic=False), [label], [eta], [z])
     return est
+
+
+def record_checked_rows(patch, record) -> None:
+    """Patch the engine's numpy so ``record(rows)`` sees the row count of every
+    state the march checks for finiteness: the rows it marches."""
+    isfinite = np.isfinite
+
+    class Numpy:  # numpy as the engine sees it
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+        def isfinite(self, a, out=None):
+            if out is not None and a.shape[0] == 2 and out.shape[0] == 2 and out.dtype == bool:
+                record(a.shape[1])
+            return isfinite(a, out=out)
+
+    patch.setattr(mc, "np", Numpy())
 
 
 class TestEstimateUtility:
@@ -186,12 +206,13 @@ class TestPrincipalSimulation:
             simulate_principal(two_firm, v, SimConfig(n_paths=4, dt=0.01), **{field: value})
         assert exc.value.field == field
 
-    @pytest.mark.parametrize("antithetic,expected", [(True, (6, 629)), (False, (3, 629))])
+    @pytest.mark.parametrize("antithetic,expected", [(True, (6, 635)), (False, (3, 635))])
     def test_non_finite_path_reported_exactly(self, two_firm, antithetic, expected):
         # a value function whose gradient grows with the state makes every
         # path explode; paths overflow a few steps apart, so the report is the
         # earliest step and the lowest canonical index failing at it, for
-        # every chunking
+        # every chunking.  A path fails when a weighted node flow, such as the
+        # effort cost's dt*c*x*x, overflows
         A = np.zeros((2, 2, 2))
         A[:, 0, 0] = A[:, 1, 1] = 400.0
         runaway = QuadraticValueFn(TimeGrid(1.0, 2), A, np.zeros((2, 2)), np.zeros(2),
@@ -277,7 +298,7 @@ class TestNashSimulation:
                                   chunk_size=chunk_size)
             assert (exc.value.path_index, exc.value.t) == (0, 23 * cfg.dt)
 
-    @pytest.mark.parametrize("antithetic,expected", [(True, (0, 423)), (False, (0, 423))])
+    @pytest.mark.parametrize("antithetic,expected", [(True, (6, 427)), (False, (3, 427))])
     def test_non_finite_path_index_is_chunk_independent(self, nash_params, antithetic, expected):
         # a milder runaway from x0 = 0: the noise sets each path's scale, so
         # paths overflow at different steps and the report is the earliest
@@ -359,83 +380,85 @@ class TestNashSimulation:
                           deviation=Deviation(firm=3))
 
 
-class PlantedStep:
-    """A step that follows the engine's contract and turns chosen paths
-    non-finite at chosen steps.
+class PlantedModel:
+    """A model that follows the engine's contract; the test turns chosen paths
+    non-finite at chosen steps through the draws (:meth:`planted`).
 
+    Its drift is ``-S``, its flows ``x*y`` into the checked accumulator and
+    0 into the unchecked one, and each accumulator takes payment noise at the
+    rate ``RATE`` on its own state's noise, as a principal's agents do.
     ``plants`` holds (kind, step, canonical path index): a ``"state"`` plant
-    makes a NaN drift in one state row, so the path's state is NaN after that
-    many steps; a ``"checked"`` plant an infinite flow into the checked
-    accumulator, which is infinite after that many steps; an ``"unchecked"``
-    plant the same in the unchecked accumulator, which the engine ignores.
-    Each plant is made by the evaluation with flows at the node whose drift
-    or flow first enters that step (see the module docstring of ``mc``).
+    draws a NaN, so the path's state is NaN after that many steps; a
+    ``"checked"`` plant a draw whose noise times ``RATE`` overflows, so the
+    checked accumulator is infinite after that many steps; an
+    ``"unchecked"`` plant the same in the unchecked accumulator, which the
+    engine ignores.  Under antithetic sampling a path and its mirror share
+    their draws, so a plant fails the pair, whose lower index is reported.
     """
 
     sigma = np.array([[0.5], [0.25]])
     acc0 = (0.0, 1.0)  # checked, unchecked
     n_checked = n_payoffs = 1
-    payment_noise = None
     odd = False
+    RATE, SPIKE = 1e300, 1e10  # a normal draw's payment noise is finite, a spike's is not
+    STATE_OF = {"state": 0, "checked": 0, "unchecked": 1}  # the noise each kind plants in
 
-    def __init__(self, plants, pc: bool, antithetic: bool):
-        self.plants = {}
-        for kind, step, index in plants:
-            # the flows of a pc step are the trapezoid of its two end nodes
-            node = step - 1 if kind == "state" or not pc else step
-            self.plants.setdefault(node, []).append((kind, step, index))
-        self.antithetic = antithetic
-        self.chunk = None  # (first substream, count) of the chunk being marched
+    def __init__(self, plants, antithetic: bool):
+        self.plants, self.antithetic = plants, antithetic
 
-    def slots(self, drift, flow):
-        return tuple(zip(drift, flow))
+    def on(self, nodes):
+        self.n_nodes = len(nodes)
+        return self
 
-    def rows(self, index: int) -> list[int]:
-        """This chunk's row of the canonical path ``index``, if it holds one."""
-        start, count = self.chunk
-        sub, mirror = divmod(index, 2) if self.antithetic else (index, 0)
-        return [sub - start + mirror * count] if start <= sub < start + count else []
-
-    def evaluate(self, k, S, slot, w=None):
-        drift, flow = slot
-        np.negative(S, out=drift)
-        if w is None:
-            return
-        np.multiply(S[0], S[1], out=flow[0])
-        flow[1] = 0.0
-        for kind, step, index in self.plants.get(k, ()):
-            if kind == "state":
-                drift[step % 2, self.rows(index)] = np.nan
-            else:
-                flow[int(kind == "unchecked"), self.rows(index)] = np.inf
+    def evaluate(self, X):
+        S = np.broadcast_to(X.T[:, None, :], (2, self.n_nodes, len(X)))
+        flows = np.stack([S[0] * S[1], np.zeros(S.shape[1:])])
+        rates = np.zeros((2, 2, *S.shape[1:]))
+        rates[0, 0] = rates[1, 1] = self.RATE
+        return -S, flows, rates
 
     def payoffs(self, acc):
         return acc[:1]
 
+    def value(self, kind: str) -> float:
+        return np.nan if kind == "state" else self.SPIKE
 
-class SymmetricPlantedStep(PlantedStep):
-    """A :class:`PlantedStep` that is odd, as its drift ``-S`` is odd and its
-    flow ``x*y`` even in the state, for antithetic sampling.
+    def planted(self, inc, start: int, count: int):
+        """A copy of a chunk's draws with this model's plants."""
+        inc = inc.copy()
+        for kind, step, index in self.plants:
+            sub = index // 2 if self.antithetic else index
+            if start <= sub < start + count:
+                inc[step - 1, self.STATE_OF[kind], sub - start] = self.value(kind)
+        return inc
 
-    Each plant ``(kind, step, substream)`` turns the drawn path and its
-    mirror non-finite together, as an odd step's mirror follows its drawn
-    path; under the half-width march the mirror is not marched.  ``widths``
-    records the march widths seen, in rows per substream.
+
+class SymmetricPlantedModel(PlantedModel):
+    """A :class:`PlantedModel` that is odd, with no payment noise: its drift
+    ``-S`` is odd, and its flows ``x*y + Q*x*x`` (checked) and ``Q*y*y``
+    (unchecked) even in the state.
+
+    Each plant turns a drawn path and its mirror non-finite together.  A
+    ``"checked"`` or ``"unchecked"`` plant
+    is a draw whose state's square times ``Q`` overflows; it enters the flow
+    of the node after the step, which pc adds in that step and euler in the
+    next (:meth:`fails_at`).
     """
 
-    def __init__(self, plants, pc: bool, odd: bool):
-        super().__init__(plants, pc, antithetic=True)
+    Q, SPIKE = 1e290, 1e12
+
+    def __init__(self, plants, odd: bool):
+        super().__init__(plants, antithetic=True)
         self.odd = odd
-        self.widths = set()
 
-    def rows(self, sub: int) -> list[int]:
-        start, count = self.chunk
-        return [sub - start + h * count for h in range(self.width)] if start <= sub < start + count else []
+    def evaluate(self, X):
+        drift, _, _ = super().evaluate(X)
+        S = -drift
+        return drift, np.stack([S[0] * S[1] + self.Q * S[0] * S[0], self.Q * S[1] * S[1]]), None
 
-    def evaluate(self, k, S, slot, w=None):
-        self.width = S.shape[1] // self.chunk[1]
-        self.widths.add(self.width)
-        super().evaluate(k, S, slot, w)
+    @staticmethod
+    def fails_at(kind: str, step: int, pc: bool) -> int:
+        return step if kind == "state" or pc else step + 1
 
 
 class TestBlockChecks:
@@ -447,31 +470,36 @@ class TestBlockChecks:
     DT = 1.0 / N_STEPS  # on the unit horizon of NASH_FIXTURE
     CHUNK_SIZES = (1, 3, None)
 
-    def run(self, stub, scheme, antithetic, chunk_size):
+    def run(self, model, scheme, antithetic, chunk_size, widths=None):
+        """The model's payoffs, marched with its plants in the draws; ``widths``
+        collects the rows per substream that the march checks."""
         cfg = SimConfig(n_paths=self.N_PATHS, dt=self.DT, seed=37, antithetic=antithetic)
         draw = mc._draw_chunk
+        counts = []
 
-        def recorded(seed, start, count, *rest):
-            stub.chunk = (start, count)
-            return draw(seed, start, count, *rest)
+        def planted(seed, start, count, *rest):
+            counts.append(count)
+            return model.planted(draw(seed, start, count, *rest), start, count)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mc, "_draw_chunk", recorded)
-            return mc._run_paths(lambda nodes: stub, validate_params(NASH_FIXTURE), cfg, scheme,
-                                 chunk_size, 1)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(mc, "_draw_chunk", planted)
+            if widths is not None:
+                record_checked_rows(patch, lambda rows: widths.add(rows // counts[-1]))
+            return mc._run_paths(model.on, validate_params(NASH_FIXTURE), cfg, scheme, chunk_size, 1)
 
     def check(self, plants, scheme, antithetic):
         """Every chunking reports the earliest planted (step, index) of the
         state or the checked accumulator, or returns finite payoffs."""
-        failing = [(step, index) for kind, step, index in plants if kind != "unchecked"]
+        failing = [(step, 2 * (index // 2) if antithetic else index)
+                   for kind, step, index in plants if kind != "unchecked"]
         for chunk_size in self.CHUNK_SIZES:
-            stub = PlantedStep(plants, scheme == "pc", antithetic)
+            model = PlantedModel(plants, antithetic)
             if not failing:
-                [payoffs] = self.run(stub, scheme, antithetic, chunk_size)
+                [payoffs] = self.run(model, scheme, antithetic, chunk_size)
                 assert np.isfinite(payoffs).all()
                 continue
             with pytest.raises(NonFinitePath) as exc:
-                self.run(stub, scheme, antithetic, chunk_size)
+                self.run(model, scheme, antithetic, chunk_size)
             step, index = min(failing)
             assert (exc.value.path_index, exc.value.t) == (index, step * self.DT), chunk_size
 
@@ -504,6 +532,21 @@ class TestBlockChecks:
         self.check(plants, scheme, antithetic)
 
     @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    @pytest.mark.parametrize("step", [1, 32, 33, 70])
+    def test_a_mirror_failing_alone_is_named(self, scheme, step):
+        # the checked accumulator starts near the largest float, and a spike
+        # in substream 2's draws pushes the mirror (path 5) over it, while
+        # its drawn path (4) falls back: the report names the mirror
+        class Offset(PlantedModel):
+            acc0 = (1.5e308, 1.0)
+            SPIKE = -0.5e308 / (PlantedModel.RATE * 0.5 * math.sqrt(self.DT))
+
+        for chunk_size in self.CHUNK_SIZES:
+            with pytest.raises(NonFinitePath) as exc:
+                self.run(Offset([("checked", step, 4)], True), scheme, True, chunk_size)
+            assert (exc.value.path_index, exc.value.t) == (5, step * self.DT), chunk_size
+
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
     @pytest.mark.parametrize("plants", [
         [("state", 1, 1)],
         [("state", 31, 2), ("state", 32, 0)],
@@ -512,27 +555,46 @@ class TestBlockChecks:
         [("state", 40, 0), ("state", 5, 4), ("checked", 5, 3)],
         [("checked", 33, 2), ("unchecked", 2, 0)],
         [("unchecked", 1, 0)],
+        # euler adds the flow of the last node to nothing
+        [("checked", 70, 1)],
     ], ids=lambda plants: "-".join(f"{kind}{step}s{sub}" for kind, step, sub in plants))
     def test_half_width_march_reports_as_the_full(self, plants, scheme):
-        # an odd step from the origin marches only the drawn rows; a path
+        # an odd model from the origin marches only the drawn rows; a path
         # failing there fails with its mirror, so the report names the
         # drawn path, the lower index, at the same step as a full march
-        failing = [(step, 2 * sub) for kind, step, sub in plants if kind != "unchecked"]
+        pc = scheme == "pc"
+        failing = [(SymmetricPlantedModel.fails_at(kind, step, pc), 2 * sub)
+                   for kind, step, sub in plants if kind != "unchecked"]
+        failing = [(step, index) for step, index in failing if step <= self.N_STEPS]
         for chunk_size in self.CHUNK_SIZES:
             outcomes = []
             for odd in (True, False):
-                stub = SymmetricPlantedStep(plants, scheme == "pc", odd)
+                model, widths = SymmetricPlantedModel([(k, s, 2 * sub) for k, s, sub in plants], odd), set()
                 try:
-                    outcomes.append(self.run(stub, scheme, True, chunk_size)[0])
+                    outcomes.append(self.run(model, scheme, True, chunk_size, widths)[0])
                 except NonFinitePath as exc:
                     outcomes.append((exc.path_index, exc.t))
-                assert stub.widths == {1 if odd else 2}
+                assert widths == {1 if odd else 2}
             half, full = outcomes
             if failing:
                 step, index = min(failing)
                 assert half == full == (index, step * self.DT), chunk_size
             else:
                 assert np.array_equal(half.view(np.int64), full.view(np.int64)), chunk_size
+
+
+@pytest.mark.parametrize("rows,antithetic,index", [
+    # a chunk of 3 substreams from substream 5: under antithetic sampling rows
+    # 0-2 are paths 10, 12 and 14 and rows 3-5 their mirrors 11, 13 and 15
+    ((4,), True, 13), ((2,), True, 14), ((5,), True, 15), ((5, 1), True, 12), ((4, 3), True, 11),
+    ((4,), False, 9), ((5, 1), False, 6),
+])
+def test_first_non_finite_names_drawn_and_mirror_rows(rows, antithetic, index):
+    for value, in_state in ((np.nan, True), (np.inf, True), (-np.inf, False)):
+        S, checked = np.zeros((2, 6)), np.zeros((1, 6))
+        for row in rows:
+            (S[row % 2] if in_state else checked[0])[row] = value
+        assert mc._first_non_finite(S, checked, 5, 3, antithetic) == index
 
 
 # Payoff means of a 64-path run per model and engine setting, recorded on the
@@ -588,67 +650,67 @@ def payoff_digest(payoffs) -> str:
 # changes the digest.  Every chunking must give
 # the same digest.  Keys: model/scheme-sampling-r<brownian_refinement>.
 PINNED_DIGESTS = {
-    "single/pc-anti-r1": "2600d0d7a41dc6edc198c66c9e8ddd9d5ea72a2745abf1e0d7f7ea2c6daed2bf",
-    "single/pc-anti-r2": "0bec7b4bb362bd2b5fedf02216355f38e388c5d1d9deaa87278a5ec51409b6eb",
-    "single/pc-plain-r1": "ca35b9c6f1aa70ba328e0780cda80764983c3b24e50b5d5e81d64bcbdfb5b9e7",
-    "single/pc-plain-r2": "bcfeae199462ae9dc9c4d11c4b6ec3db14fbefcbbdd38b31293039730c21138e",
-    "single/euler-anti-r1": "88c8ffc77b4dbc0098e253e66b0273a73b636e3ed57480e5f5d5a9567e562686",
-    "single/euler-anti-r2": "65a62a130f900b76110446efb6439cec5771a30a135538db3e55f5f0e4e450ce",
-    "single/euler-plain-r1": "2b1ab00fc61874125828dbb3e37e370d3d93545238d5f4f1e6e72c0866a59ecd",
-    "single/euler-plain-r2": "f19224124415dc18a1cb7506bbcbe26db4e4852e3c4ad0ba4d65dc5a4d34a888",
-    "literal/pc-anti-r1": "9968b571c337f3049a0ef63e61be8342ec181720f7b9d7d0bdc2602851cd9243",
-    "literal/pc-anti-r2": "d2e0c5d96cec34421f848947fc4bade8e9b49466c8dba8283bb8a2862f0e5d4d",
-    "literal/pc-plain-r1": "4b9a8d4a889867b836ccd17bde4832bd01070d89ee2eecafdae32a195d03e1e5",
-    "literal/pc-plain-r2": "73d8635a0f404e101ae3d8c4d5d34882b974217b98bd84e856d62b75761c6d8c",
-    "literal/euler-anti-r1": "545e49cd148435c76fcf3625094f626dfb68a9494d05dafcf746398fc3ba974f",
-    "literal/euler-anti-r2": "86ba6992e4286084032958232efe2f75e28716b3771135db31a86c5f55b5ed89",
-    "literal/euler-plain-r1": "fb4e804e2e7568f23f319ed9614dad2034584603235c1b8fbe792e7a9f3e284f",
-    "literal/euler-plain-r2": "33a2aa562b529c8899e877f4f8e3b7fe16d93947dbf39ae903574c6f1bc725c4",
-    "two/pc-anti-r1": "58f596d59ce8a256a9aa102a2d647644791c116250ae4ca2fb0edff68349cdab",
-    "two/pc-anti-r2": "e46c67183bc7b79ee4cd4726f605387d04d65f9d6a85367b3624d2547e6d5c79",
-    "two/pc-plain-r1": "93a35aa93ec259f786df65dc42a3723bf3893741a1a5c5be19c350d9858fe3a0",
-    "two/pc-plain-r2": "4c0b95bf26f761bf8d9c511de9152c5f2a1ad2d1f4d11ca434dd1b32a8b100f4",
-    "two/euler-anti-r1": "5a37988ce65d718021a740476b3d8f45fde558e663012f1b8cf74cf288e0b903",
-    "two/euler-anti-r2": "4e9678bb6026925d8cc1eae6599e9c4d80140e8d42793fee083e6ac4bba0d94f",
-    "two/euler-plain-r1": "7a2be9265a26658a5e82d1360d29658d34ab853bb78775b59b9de454d9ec5056",
-    "two/euler-plain-r2": "bf3d6efd7525060a963227ab7998bc420526c6b5b2d123fe06ebee90d34210af",
-    "nash/pc-anti-r1": "7f46d8f37a4d4aa732bf8c939360b2d91968ce2d49d022487c584ead3b03a1bf",
-    "nash/pc-anti-r2": "f27ced5a95d82dc1efb6fccac1214af5c2198e497c00c0853eab8de788fb637e",
-    "nash/pc-plain-r1": "b24972833069e7360d5bdfb16333683effee67a3bf13dbe2d9d379e5f52fb027",
-    "nash/pc-plain-r2": "76d508240f5717867065b5e7ea738a3b77c0ad1b2fd18a7207ba1c5eb5e6f482",
-    "nash/euler-anti-r1": "0c46432df164df8589053e3006672c353c3a0eec58d6df3cf52968d2cb1945a2",
-    "nash/euler-anti-r2": "474a70892cc9ecb646316df0d666ac0029d48d64edfb6b923c4efad02ca549ff",
-    "nash/euler-plain-r1": "f7490e3f384a7669958114121836f55629b7d3dac1746e97c4887b6cbdbbe673",
-    "nash/euler-plain-r2": "ed5682a68e1a7ab2b4e353dfa1327d612d9e2bb2ae858f21221fb19f8f6605bf",
-    "nashdev/pc-anti-r1": "1d45f21e2111d2405c64be67337c775e540f7bd86f0316ab52e1033989cf0e7e",
-    "nashdev/pc-anti-r2": "58d9f2334191100df1f1308c24f6f365b0dd7e92484a8293ca11735455ba598e",
-    "nashdev/pc-plain-r1": "cfc37c3deafd06b2b2c648d0b8c19cc4cb45838e6cf22643fb5b2f162a4d520b",
-    "nashdev/pc-plain-r2": "92872bc5a97d694b62db602eb73397d92ddcff9f752caaa3b8d438eab8fbe6cb",
-    "nashdev/euler-anti-r1": "14328f66cf7f0ae189aa4ddc3fdb0b932e16129af30fe1932ff970247ec6f687",
-    "nashdev/euler-anti-r2": "e20f91389059524150b4f956419ac16007f9a8d5c11fb33ebb7bcea0fafdb049",
-    "nashdev/euler-plain-r1": "d0a2f4997271c767e7bfd6d8e4ea7ae430944b58a56fd2cc17ce5f254091d600",
-    "nashdev/euler-plain-r2": "78f32c76cb84c73f1ce075435dc5740f62699c90aa5ebf9d3ba0ce3b95652582",
+    "single/pc-anti-r1": "85d7964334309e0c53cfdcbebb13f3fb16aa58eb2dfd080dda394e8a30ec24fc",
+    "single/pc-anti-r2": "b14c1979be4e813870b02f1be477a6891776907a2e0a6ecf276fd4c40d908754",
+    "single/pc-plain-r1": "d50462cec118c9b212b42d6df54c418bf9bbfff6258ec3e837842b6bd5444ff7",
+    "single/pc-plain-r2": "963232c042a1a2c746899150611f8dcae8ec678bdcf69b6a90f1e0f8db101a78",
+    "single/euler-anti-r1": "eba9c39041bd209edc3b9f77af86f52e12f9d8d06129cfda1c3358b56b8acd7c",
+    "single/euler-anti-r2": "5ba9fb9e79341dc7a7b1447ba0f2cce0e9e04a3d792b9ffb657996737fad36df",
+    "single/euler-plain-r1": "417255b641d47849d813b042b5b99fd390c1019ff4c69abd8c5cf71fc47f13d5",
+    "single/euler-plain-r2": "7b285011ea96e774c4d89909171cea1427404435cb6fb183a8adab558260e97b",
+    "literal/pc-anti-r1": "b52bfa88329c7b03c990fad111d1fb2662c8f6590302a4cca2a90580ddab3951",
+    "literal/pc-anti-r2": "22606249455d12515d4c19315f06c6dc57a7ce78dae1f9add938e0cf940b3816",
+    "literal/pc-plain-r1": "9b9342a6c121251a70f1013c89dbed33f8815f40a668dec23bb3897eec9d10ff",
+    "literal/pc-plain-r2": "79d0c6d19177bbf79124a78640e2cee35e16f1e0dc21b2e5157d605b2217d215",
+    "literal/euler-anti-r1": "bfe39557ababb25b5645dcbbf323530cf3534bb554bf0b50b5314585ca4dd391",
+    "literal/euler-anti-r2": "d84ca138a3cf76e4523adc41cd4be2e07c87be1f99fdf970972269d440a52f5c",
+    "literal/euler-plain-r1": "a477e2ef16c41496866ed119021699bf0c79e4e8dfa6cdaa9fabb59f5b07a12a",
+    "literal/euler-plain-r2": "bf5984a3ff5f302c4cfc28edfb13ddaeac215ae5bb5fe8bd127d72220598c233",
+    "two/pc-anti-r1": "9adf460e6caee67cd5089131198dd54d959066934542242be287852ebf934715",
+    "two/pc-anti-r2": "84eec4c8ab20cf1eeb49995039ef9b8efe4540497ddf46d1405c8eff90678986",
+    "two/pc-plain-r1": "691133f04056992b3893757a5e7745b12b2cc82daf29005c69f458a945d230af",
+    "two/pc-plain-r2": "eac409373cefca7db3b09361a3fad370051fd18dd1f510ca03ee41b0ca5e870d",
+    "two/euler-anti-r1": "c17e3c3e53706f2f7218745b6c102aa2235b1c2acc4845a631dabe7e0874d3ac",
+    "two/euler-anti-r2": "57a085ce92af5a0092f4b4738baec0ca603310b108db5fd1682866c87247cffa",
+    "two/euler-plain-r1": "21972e98b9afa9d34b7dff45e6e1c5b721cbeeaa6849fcc9669b4628dbdda944",
+    "two/euler-plain-r2": "ed0457edc342eb25a9e6cc39cd0604db8c53eeab5542427416a05540cfaef215",
+    "nash/pc-anti-r1": "a0ad5d5ef301148807fcee615e1d7e29af24ac1b4f68b961846cea02205342a5",
+    "nash/pc-anti-r2": "47ca7a8c5aec602bb78ecc5b01456c5b61743bec8d4696e472d1f215502ff39a",
+    "nash/pc-plain-r1": "d4e32b788e357dbff297f3f31a009d0ad0a8a61b68d0af5271573dcf8ca7896c",
+    "nash/pc-plain-r2": "6ee37a7d01792a5bc742d5cf8bb2417201d5aa4d1e69935927b858bd0cb82115",
+    "nash/euler-anti-r1": "d87363f3c7c38232ced67cd5d28ffd076cdc134190b231aabf91a3443c17cb1a",
+    "nash/euler-anti-r2": "2d83bfe7657d1d821e5e89f28994c4a8cb416b67f7eb782024697afab99c7f38",
+    "nash/euler-plain-r1": "a3889afe2b387f19d47d68021960fc46d5c485220668f086ac30b52077d5aeff",
+    "nash/euler-plain-r2": "89b7d59de77e9d0ff42fdf3e1a784761680d57b351d32585383041b993f6325f",
+    "nashdev/pc-anti-r1": "c3784495b8730805ed2dc374c425f772697364265f62347fb24aa2a3b94f5133",
+    "nashdev/pc-anti-r2": "12f6992bba6405af1be4fa2de5601a9cb2f31706ad13df3d27fa2b16a9226d58",
+    "nashdev/pc-plain-r1": "1f4c9241bd55237f57bb62febe92799cb4de5094c74aaae399ac3d246b1184f7",
+    "nashdev/pc-plain-r2": "7dac51eb4356a43060269cc62e0e1ea0fd757216b64f86788399eca97f8d8b98",
+    "nashdev/euler-anti-r1": "2672fdb1438d533d78a506e01570ecce231fd1fa437aacc032b00be0601dff5a",
+    "nashdev/euler-anti-r2": "c9796b73ca94a4909c11cf7c4072a860bcc5f6875ef19916ff4bd173361696d3",
+    "nashdev/euler-plain-r1": "8f748129540acfaeb921f5e43b740a4429aa381cf1ff4ee8a846c3c3554a62dd",
+    "nashdev/euler-plain-r2": "5d6be25633a0658cf5814fa8278563234e672f967f4034fd09d6c5cbbaa14d95",
 }
 # two-firm principal at the benchmark's mc_long shape: one full chunk of 1000 pc steps
-PINNED_LONG_DIGEST = "0608dd73a0d4637fd87cf8b5d6c0402198dbedfb3de657b10dadd002c72112b2"
+PINNED_LONG_DIGEST = "c769154e05cf959b4d2549e28a638b88b4811285f6cbbab7faec28c17cb7561d"
 # The game's digests from x0 = (0, 0) under antithetic sampling, where every
 # mirror is its drawn path negated and only the drawn half is marched
 # (TestHalfWidthMarch checks that against a march of both halves).
 # Keys: run/scheme-r<brownian_refinement>, the run one of ORIGIN_DEVIATIONS.
 ORIGIN_DEVIATIONS = {"eq": None, "dev1": Deviation(1, 0.9), "dev2": Deviation(2, 1.1)}
 PINNED_ORIGIN_DIGESTS = {
-    "eq/pc-r1": "231eff8b5bc94670a9a1c0885fcb82c275177b95e72a63aee9548d6c4f98c266",
-    "eq/pc-r2": "bf8cc30ea37660ace3c3140205784a955b64add9b231bc06be1f0ea45591f86a",
-    "eq/euler-r1": "8216cb013cdcbd970a45518060727c43667dda73f4e0113d87d0dc8756069573",
-    "eq/euler-r2": "3ad04aa792b02cf856c10deaa1a07c98c110e4d3f781dcceadcd8fed31743ff4",
-    "dev1/pc-r1": "9475895c8495fdddc5625256619d1ac8749cb7247599a4da584058f55cb7967d",
-    "dev1/pc-r2": "3110a4d9c4b94f3c5817f3958f99605fb83abf34c0296d8501c1968e9de26ead",
-    "dev1/euler-r1": "ca20ba72b27d9d5a415d7bc25ad12ef23886af79b4089424a5898e2adf181d75",
-    "dev1/euler-r2": "1fc85e2038b18922538cfc0f7f5a117a2bfaf7e675187c9966cbc8621af458f8",
-    "dev2/pc-r1": "d8fac57114aefc2132def5fd393b6f0cd82e7f4d77b38ff5cf57266dd88df2f0",
-    "dev2/pc-r2": "8a5d7207e84a8ee3df4a42f7cda155e0ce3c6d281df80deb7b8a43d79b2d2eae",
-    "dev2/euler-r1": "74be30345f9109d90b78b36648928c2ffe6077a05dadaf1291647592c2bc7ead",
-    "dev2/euler-r2": "689edb83e908e20e9ede7ca4cc84628ba2b6282689e8fac77f197f41a3301a0f",
+    "eq/pc-r1": "ee6963ab76b7af91c907bcb9dd0d8ddbd34b87acc6b5c59c1bfe4ed24acb90d1",
+    "eq/pc-r2": "1c647a430a974c412665ba36b48b38afc21b5d6429e5611ac4b138504a73b0a9",
+    "eq/euler-r1": "a80397bd1edddfdae53a3054a23127d75dddc374e73eaaa6629d56784db07478",
+    "eq/euler-r2": "c73183b6e75875d24a58cf0ce5640ce2cd7ab494795977d2cb234a51771d6f5e",
+    "dev1/pc-r1": "83fa54ee96b6aede34cbdda339263686589f535da4136b85fd081b9d4f607b21",
+    "dev1/pc-r2": "5f5d2088fd5b220d399cc8da36177d1b265770f3ca709502d210ef94c2487858",
+    "dev1/euler-r1": "7f3cbf1980e40de0f87d406d0622dd8424553cde97fd574a297bc7b3b1c023d9",
+    "dev1/euler-r2": "347189e71e1d4370a2a986abd3321911fbb95d68f7c133e62f642ed056b74028",
+    "dev2/pc-r1": "afac295a4e04f695f72d5ccbcf5006118e0084ee7858413283e1f4195a0d791b",
+    "dev2/pc-r2": "7ff49ec5d0a6ac7a4c527a7fc8a68dd33a5d0488e0c267209c5551e11b422ec2",
+    "dev2/euler-r1": "4529edcb5b4edc24b24b3289a577e5ee568900534081c4c513a7411bb1432bae",
+    "dev2/euler-r2": "737192164360526e98e6d07fe2c7eb8f315aa3919bd3421f1b013cb31fdb3629",
 }
 
 
@@ -870,9 +932,9 @@ class TestDrawChunk:
         assert got[0] is not mine and np.array_equal(got[0], mine)
         assert mc._draw_chunk(*key) is mine
 
-    def test_no_two_chunks_alive_together(self, monkeypatch, two_firm):
-        v = solve_principal(two_firm, 201)
-        cfg = SimConfig(n_paths=64, dt=0.02, seed=31)
+    def track_chunks(self, monkeypatch) -> list[list]:
+        """Record each np.empty of the engine by the chunk drawn last, and
+        check at each draw that every array of an earlier chunk is freed."""
         draw, increments, chunks = mc._draw_chunk, mc.path_increments, []
 
         class Numpy:  # numpy as the engine sees it, recording each np.empty by chunk
@@ -891,7 +953,7 @@ class TestDrawChunk:
 
         def checked_increments(*args, **kwargs):
             # the new chunk is allocated by now: every array of an earlier one
-            # (its draws, the engine's buffers, the step's slots) must be freed
+            # (its draws, the engine's buffers) must be freed
             assert [ref() for chunk in chunks[:-1] for ref in chunk if ref() is not None] == []
             return increments(*args, **kwargs)
 
@@ -899,8 +961,28 @@ class TestDrawChunk:
         monkeypatch.setattr(mc, "np", Numpy())
         monkeypatch.setattr(mc, "_draw_chunk", tracked_draw)
         monkeypatch.setattr(mc, "path_increments", checked_increments)
+        return chunks
+
+    def test_no_two_chunks_alive_together(self, monkeypatch, two_firm):
+        v = solve_principal(two_firm, 201)
+        cfg = SimConfig(n_paths=64, dt=0.02, seed=31)
+        chunks = self.track_chunks(monkeypatch)
         principal_path_payoffs(two_firm, v, cfg, chunk_size=8)
         assert len(chunks) == 4 and all(len(chunk) >= 8 for chunk in chunks)
+
+    def test_a_shared_group_is_the_runs_not_a_chunks(self, monkeypatch, two_firm):
+        # 128 substreams in chunks of 40: group 0 is drawn with the first
+        # chunk, group 1 with the second, and the slab that keeps a group for
+        # the next chunk belongs to the run, so no chunk outlives its march
+        v = solve_principal(two_firm, 201)
+        cfg = SimConfig(n_paths=256, dt=0.02, seed=31)
+        whole, _ = principal_path_payoffs(two_firm, v, cfg)
+        draws, chunks = [], self.track_chunks(monkeypatch)
+        checked = mc.path_increments
+        monkeypatch.setattr(mc, "path_increments", lambda *a, **k: draws.append(a[1]) or checked(*a, **k))
+        chunked, _ = principal_path_payoffs(two_firm, v, cfg, chunk_size=40)
+        assert len(chunks) == 4 and draws == [0, 1]
+        assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
 
     def test_common_random_number_runs_draw_once(self, monkeypatch, nash_params):
         strategies = feedback_strategies(solve_nash(nash_params, 201), nash_params)
@@ -925,9 +1007,9 @@ class TestDrawChunk:
 
 
 def test_nash_step_neither_hashes_nor_compares_params(pinned_models):
-    # the flows' factors are cached on plain numbers: a step that keyed a
-    # cache on ModelParams would run its generated __hash__ (and __eq__ for
-    # an equal copy) once per step
+    # the flows are read once per run: a step that keyed a cache on
+    # ModelParams would run its generated __hash__ (and __eq__ for an equal
+    # copy) once per step
     params, strategies = pinned_models["nash"]
     watched = {ModelParams.__hash__.__code__, ModelParams.__eq__.__code__}
 
@@ -952,10 +1034,10 @@ def test_nash_step_neither_hashes_nor_compares_params(pinned_models):
 class TestTracedBoundaries:
     """The engine reaches the RNG and the flow functions through these module
     attributes, so wrapping one counts every call: once per group of 64
-    substreams each drawn chunk touches, and one flow evaluation per step
-    plus the first under pc.
-    A flow call's arguments show the rows marched: two per substream under
-    antithetic sampling, or one where the mirror is the drawn path negated."""
+    substreams a run draws, and one flow evaluation per run, on the stencil.
+    The states the march checks show the rows marched: two per substream
+    under antithetic sampling, or one where the mirror is the drawn path
+    negated."""
 
     N_PATHS, DT, CHUNK = 64, 0.02, 8  # 32 substreams of group 0 in 4 chunks of 50 steps
 
@@ -968,27 +1050,25 @@ class TestTracedBoundaries:
 
         monkeypatch.setattr(module, name, counted)
 
-    def flow_calls(self, scheme):
-        n_steps = round(1.0 / self.DT)
-        n_chunks = self.N_PATHS // 2 // self.CHUNK
-        return n_chunks * (n_steps + 1 if scheme == "pc" else n_steps)
-
     @pytest.mark.parametrize("scheme", ["pc", "euler"])
     @pytest.mark.parametrize("name", ["single", "two"])
     def test_principal(self, monkeypatch, pinned_models, name, scheme):
         params, v = pinned_models[name]
         cfg = SimConfig(n_paths=self.N_PATHS, dt=self.DT, seed=33)
-        draws, revenue, cost = [], [], []
+        draws, revenue, cost, rows = [], [], [], set()
         evict_chunk_memo()
         self.count(monkeypatch, mc, "path_increments", draws)
         self.count(monkeypatch, model, "revenue_f", revenue)
         self.count(monkeypatch, model, "social_cost_g", cost)
+        record_checked_rows(monkeypatch, rows.add)
         principal_path_payoffs(params, v, cfg, scheme, self.CHUNK)
-        assert draws == [(33, 0, 50)] * 4  # (seed, group, steps), once per chunk
-        assert len(revenue) == len(cost) == self.flow_calls(scheme)
+        assert draws == [(33, 0, 50)]  # (seed, group, steps): the four chunks share group 0
+        # once per run, at the stencil's states
+        assert len(revenue) == len(cost) == 1
+        assert revenue[0][1] is cost[0][1] and revenue[0][1].shape == mc._STENCIL.shape
         # from x0 = 0 too, both halves of each pair: B(t) is not 0, so the
         # principal's mirrors are not its drawn paths negated
-        assert {args[1].shape[0] for args in revenue} == {2 * self.CHUNK}
+        assert rows == {2 * self.CHUNK}
 
     @pytest.mark.parametrize("scheme", ["pc", "euler"])
     def test_nash(self, monkeypatch, pinned_models, scheme):
@@ -999,30 +1079,31 @@ class TestTracedBoundaries:
         self.count(monkeypatch, mc, "path_increments", draws)
         self.count(monkeypatch, mc, "payoff_rate", flows)
         nash_path_payoffs(params, strategies, cfg, None, scheme, self.CHUNK)
-        assert draws == [(34, 0, 50)] * 4
-        assert len(flows) == self.flow_calls(scheme)
+        assert draws == [(34, 0, 50)]
+        assert len(flows) == 1
 
     def test_each_chunk_draws_the_groups_it_touches(self, monkeypatch, pinned_models):
-        # 300 substreams in chunks of 100: 0-99, 100-199 and 200-299
+        # 300 substreams in chunks of 100: 0-99, 100-199 and 200-299; groups 1
+        # and 3 straddle two chunks and are drawn once, kept by the run
         params, strategies = pinned_models["nash"]
         cfg = SimConfig(n_paths=600, dt=0.1, seed=38)
         draws = []
         evict_chunk_memo()
         self.count(monkeypatch, mc, "path_increments", draws)
         nash_path_payoffs(params, strategies, cfg, chunk_size=100)
-        assert [args[1] for args in draws] == [0, 1, 1, 2, 3, 3, 4]
+        assert [args[1] for args in draws] == [0, 1, 2, 3, 4]
 
     def nash_rows(self, pinned_models, antithetic=True, x0=(0.0, 0.0), deviation=None, strategies=None):
-        """The rows each ``payoff_rate`` call of a pc game run sees."""
+        """The rows a pc game run marches, as the states it checks show them."""
         params, equilibrium = pinned_models["nash"]
         cfg = SimConfig(n_paths=self.N_PATHS, dt=self.DT, seed=34, x0=x0, antithetic=antithetic)
-        flows = []
+        flows, rows = [], set()
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.count(monkeypatch, mc, "payoff_rate", flows)
+            record_checked_rows(monkeypatch, rows.add)
             nash_path_payoffs(params, strategies or equilibrium, cfg, deviation, "pc", self.CHUNK)
-        # one flow evaluation per step and the first, per chunk
-        assert len(flows) == self.flow_calls("pc") * (1 if antithetic else 2)
-        return {args[1].shape[-1] for args in flows}
+        assert len(flows) == 1  # one flow evaluation per run
+        return rows
 
     def test_nash_from_the_origin_marches_the_drawn_rows(self, pinned_models):
         # each chunk holds CHUNK substreams: their pairs are marched once
@@ -1092,3 +1173,114 @@ class TestHalfWidthMarch:
             full = nash_path_payoffs(*args)
         for a, b in zip(half, full):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def bits(payoffs) -> list[bytes]:
+    return [np.ascontiguousarray(z).tobytes() for z in payoffs]
+
+
+class TestChunkSizesKeepTheBits:
+    """A path's payoffs depend on its substream only: every chunk size gives
+    the same bits, and so does a one-column march, which the engine pads to
+    two columns (OpenBLAS computes a one-column product with gemv, which
+    rounds unlike gemm)."""
+
+    CHUNKS = (1, 2, 3, 7, 64, 100, None)
+
+    def payoffs(self, models, name, cfg, scheme, chunk_size):
+        if name == "nash":
+            params, strategies = models["nash"]
+            return nash_path_payoffs(params, strategies, cfg, None, scheme, chunk_size)
+        params, v = models[name]
+        pay_p, pays_a = principal_path_payoffs(params, v, cfg, scheme, chunk_size)
+        return [pay_p, *pays_a]
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    @pytest.mark.parametrize("name", ["single", "two", "nash"])
+    def test_every_chunk_size(self, pinned_models, name, scheme, antithetic):
+        # 130 or 260 substreams; the game from the origin marches half width
+        x0 = (0.0, 0.0) if name == "nash" else (0.1, -0.2)
+        cfg = SimConfig(n_paths=260, dt=0.05, seed=43, x0=x0, antithetic=antithetic)
+        whole = bits(self.payoffs(pinned_models, name, cfg, scheme, None))
+        for chunk_size in self.CHUNKS:
+            assert bits(self.payoffs(pinned_models, name, cfg, scheme, chunk_size)) == whole, chunk_size
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    @pytest.mark.parametrize("name", ["single", "two", "nash"])
+    def test_two_paths_are_the_first_two_of_a_wide_run(self, pinned_models, name, scheme, antithetic):
+        # a one-substream chunk: half width for the antithetic game from the
+        # origin, and one column under plain sampling with chunk_size 1
+        cfg = SimConfig(n_paths=2, dt=0.05, seed=43, x0=(0.0, 0.0), antithetic=antithetic)
+        wide = bits(z[:2] for z in self.payoffs(pinned_models, name, replace(cfg, n_paths=260), scheme, None))
+        for chunk_size in self.CHUNKS:
+            assert bits(self.payoffs(pinned_models, name, cfg, scheme, chunk_size)) == wide, chunk_size
+
+
+def test_blas_threads_keep_the_digests():
+    # the engine's products must not depend on how many threads OpenBLAS
+    # splits them over: one 64-path case and the long one, each in a fresh
+    # process with one and with two threads
+    code = """if True:
+        import hashlib, numpy as np
+        from decarb import SimConfig, solve_principal, validate_params
+        from decarb.mc import principal_path_payoffs
+        from conftest import TWO_FIRM_FIXTURE
+        two = validate_params(TWO_FIRM_FIXTURE)
+        for n_nodes, cfg in ((201, SimConfig(n_paths=64, dt=0.02, seed=11, x0=(0.1, -0.2), y0=0.3)),
+                             (1001, SimConfig(n_paths=8192, dt=1e-3, seed=11, x0=(0.1, -0.2), y0=0.3))):
+            pay_p, pays_a = principal_path_payoffs(two, solve_principal(two, n_nodes), cfg)
+            h = hashlib.sha256()
+            for z in (pay_p, *pays_a):
+                h.update(np.ascontiguousarray(z).tobytes())
+            print(h.hexdigest())
+    """
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(Path(mc.__file__).parents[1]), str(tests)])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=300, cwd=tests)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [PINNED_DIGESTS["two/pc-anti-r1"], PINNED_LONG_DIGEST], threads
+
+
+class TestReadOff:
+    """The engine reads each model's functions once per run, at the stencil's
+    states, and refuses a function that its polynomial does not reproduce
+    at the remaining states."""
+
+    def test_a_flow_that_is_not_quadratic_is_refused(self, monkeypatch, pinned_models):
+        params, v = pinned_models["two"]
+        cost = model.social_cost_g
+        monkeypatch.setattr(model, "social_cost_g",
+                            lambda p, X: cost(p, X) + 1e-6 * X[:, 0] * X[:, 0] * X[:, 0])
+        with pytest.raises(ValueError, match="not a polynomial of degree 2"):
+            principal_path_payoffs(params, v, SimConfig(n_paths=4, dt=0.02))
+
+    def test_a_game_flow_that_is_not_quadratic_is_refused(self, monkeypatch, pinned_models):
+        params, strategies = pinned_models["nash"]
+        rate = mc.payoff_rate
+        monkeypatch.setattr(mc, "payoff_rate", lambda p, x, y, a: rate(p, x, y, a) + 1e-6 * y * y * y * y)
+        with pytest.raises(ValueError, match="not a polynomial of degree 2"):
+            nash_path_payoffs(params, strategies, SimConfig(n_paths=4, dt=0.02))
+
+    def test_a_drift_that_is_not_affine_is_refused(self, monkeypatch, pinned_models):
+        params, v = pinned_models["single"]
+        rates = contract._closed_form_rates
+        monkeypatch.setattr(contract, "_closed_form_rates",
+                            lambda factors, grad: rates(factors, grad) + 1e-6 * grad * grad)
+        with pytest.raises(ValueError, match="not a polynomial of degree 1"):
+            principal_path_payoffs(params, v, SimConfig(n_paths=4, dt=0.02))
+
+    def test_a_quadratic_change_is_accepted(self, monkeypatch, pinned_models):
+        # a social cost changed by a quadratic term is still read, and moves
+        # the principal's payoffs
+        params, v = pinned_models["two"]
+        cfg = SimConfig(n_paths=64, dt=0.02, seed=44, x0=(0.1, -0.2))
+        base, _ = principal_path_payoffs(params, v, cfg)
+        cost = model.social_cost_g
+        monkeypatch.setattr(model, "social_cost_g", lambda p, X: cost(p, X) + 0.5 * X[:, 0] * X[:, 1])
+        changed, _ = principal_path_payoffs(params, v, cfg)
+        assert not np.array_equal(changed, base) and np.all(np.abs(changed - base) < 0.5)
