@@ -11,17 +11,17 @@ paths the negated draws; statistics then treat pair averages as the
 independent samples.
 
 The draws of a chunk of up to 4096 substreams are laid out step-major, shape
-(n_steps, 2, count), so each step reads one contiguous (2, count) slab; each
-group's columns are copied in.  A run keeps the last group it drew in one
-64-column slab, so a group that two chunks share (a chunk size that is not a
-multiple of 64) is drawn once per run, with the same bits.  Each thread keeps
-the last chunk it drew in a one-entry memo, read-only and keyed by (seed,
-first substream, count, n_steps, refinement), and hands it out again for the
-same key: an equilibrium run and its deviation runs on common random numbers
-draw once.  The memo retains ``n_steps * 2 * 8`` bytes per substream (64 MiB
-for 4096 substreams at 1000 steps) until a different chunk is drawn; it is
-emptied before that chunk is allocated, and the engine's reference ends with
-the march of its chunk, so no two chunks are ever alive together.
+(n_steps, 2, count), so each step reads one contiguous (2, count) block.  The
+chunk draws each group it touches into one 64-column buffer of its own and
+copies the group's columns in, so a group that two chunks share (a chunk size
+that is not a multiple of 64) is drawn by each, with the same bits.  Each
+thread keeps the last chunk it drew in a one-entry memo, read-only and keyed
+by (seed, first substream, count, n_steps, refinement), and hands it out again
+for the same key: an equilibrium run and its deviation runs on common random
+numbers draw once.  The memo retains ``n_steps * 2 * 8`` bytes per substream
+(64 MiB for 4096 substreams at 1000 steps) until a different chunk is drawn;
+it is emptied before that chunk is allocated, and the engine's reference ends
+with the march of its chunk, so no two chunks are ever alive together.
 
 Both simulators run on one path engine, which owns chunking, antithetic
 mirroring, path order, stepping, the accumulation and the non-finite checks.
@@ -38,21 +38,19 @@ estimates are exactly unbiased (the payment compensators telescope against
 the Gaussian increments step by step), which the indifference tests exploit.
 
 The model contract.  ``make_step(nodes)`` returns a model with ``sigma`` (the
-state volatilities as a (2, 1) column), ``acc0`` (initial accumulator
-values), ``n_checked`` (how many leading accumulators are checked for
-finiteness with the state), ``n_payoffs`` (how many payoff arrays it
-returns), ``odd`` (whether its drift is odd and its flows even under
-``S -> -S``; see the half-width march below), ``payoffs(acc)`` (the per-path
-payoffs of the final accumulators) and ``evaluate(X)``.  Given states X of
-shape (points, 2) it returns, at every time node at once, the drift (2,
-nodes, points), the flows, one per accumulator (accumulators, nodes,
-points), and for the principal the payment-noise rates (2, agents, nodes,
-points), agent i's rate on state j at [j, i], or None.  The engine calls it
-once per run on the fixed stencil ``_STENCIL``, scaled by the power of two at
-or above the larger volatility, and reads off (:func:`_fit`) the drift as
-``K_k S + k_k``, the rates as affine rows and the flows as rows over the
-features ``[1, x, y, x*x, x*y, y*y]``.  The polynomials must reproduce the
-functions at the stencil's remaining states to rounding, so a flow that is
+state volatilities as a (2, 1) column), ``acc0`` (initial accumulator values),
+``n_checked`` (how many leading accumulators are checked for finiteness with
+the state), ``n_payoffs`` (how many payoff arrays it returns),
+``payoffs(acc)`` (the per-path payoffs of the final accumulators) and
+``evaluate(X)``.  Given states X of shape (points, 2) it returns, at every time
+node at once, the drift (2, nodes, points), the flows, one per accumulator
+(accumulators, nodes, points), and for the principal the payment-noise rates
+(2, agents, nodes, points), agent i's rate on state j at [j, i], or None.  The
+engine calls it once per run on the fixed stencil ``_STENCIL``, scaled by the
+power of two at or above the larger volatility, and reads off (:func:`_fit`)
+the drift as ``K_k S + k_k``, the rates as affine rows and the flows as rows
+over the features ``[1, x, y, x*x, x*y, y*y]``.  The polynomials must reproduce
+the functions at the stencil's remaining states to rounding, so a flow that is
 not quadratic raises ``ValueError`` instead of passing silently; and with a
 power-of-two scale a quantity unit that is a power of two scales every
 coefficient exactly.
@@ -66,23 +64,25 @@ and ``m = dt/2 (k_k + k_{k+1} + dt K_{k+1} k_k)``: the predictor
 ``S + (K_k S + k_k) dt + xi`` and the corrector that averages the drifts
 at both ends, multiplied out.  Under euler ``M = I + dt K_k``, ``N = I`` and
 ``m = dt k_k``.  The trapezoid (pc) or left-point (euler) weights fold into
-the flow rows, so the running integrals are sums of node flows.  A chunk's
-rows live in two buffers of eight rows, ``[xi; 1; S; x*x, x*y, y*y]``, one
-for the step's start and one for its end, which swap roles each step.  A
-step scales the draws into the start's ``xi`` and negates them into the
-mirrors; the principal adds its payment noise, each agent's rates at the
-start (one (2*agents, 3) matmul on ``[1; S]``) times the ``xi_j`` they
-price; the end state is one (2, 5) matmul on ``[xi; 1; S]`` and its three
-features two products; and the flows of one node, one (accumulators, 6)
-matmul on ``[1; S; x*x, x*y, y*y]``, are added to the accumulators: the end
-node under pc (whose start node, at step 0, is added before the march), the
-start node under euler.  Every buffer of a chunk is a local allocated once.
+the flow rows, so the running integrals are sums of node flows; euler's
+last node weighs 0.  So the schemes differ only in their tables, and one
+march serves both.  A chunk's rows live in two buffers of eight rows,
+``[xi; 1; S; x*x, x*y, y*y]``, one for the step's start and one for its
+end, which swap roles each step.  Node 0's flows are added before the first
+step.  A step scales the draws into the start's ``xi`` and negates them
+into the mirrors; the principal adds its payment noise, each agent's rates
+at the start (one (2*agents, 3) matmul on ``[1; S]``) times the ``xi_j``
+they price; the end state is one (2, 5) matmul on ``[xi; 1; S]`` and its
+three features two products; and the end node's flows, one (accumulators,
+6) matmul on ``[1; S; x*x, x*y, y*y]``, are added to the accumulators.  The
+payment noise is spent before the flows are made, so one scratch buffer
+holds both.  Every buffer of a chunk is a local allocated once.
 
 What a march calls: every product and sum is a numpy call on whole
 buffers.  The model's functions are reached once per run, and three
 boundaries are calls through module attributes, so a wrapper on one sees
 every call (``tests/test_mc.py`` counts them): :func:`path_increments` once
-per group of 64 substreams a run draws, and ``model.revenue_f`` and
+per group of 64 substreams a chunk touches, and ``model.revenue_f`` and
 ``model.social_cost_g`` (principal) or this module's ``payoff_rate`` (the
 game) once per run, on the stencil.
 
@@ -96,15 +96,17 @@ read.  ``tests/test_mc.py`` pins
 the SHA-256 of every payoff array over the engine's options and checks that
 every chunk size, and one or two BLAS threads, give the same bits.
 
-The half-width march.  Under antithetic sampling from ``x0 = 0`` with an odd
-model, each mirror is its drawn path negated with the same payoffs, so the
-march holds only the drawn rows and writes each payoff into both slots of
-its pair.  The game is odd when every interpolated intercept ``k0`` is zero
-and a deviation, if any, has no shift; the principal's never is, as B(t) is
-not 0.  Then the drift at the stencil's origin is a zero and the flows at
-``+e`` and ``-e`` are equal, as their efforts are exact negations, so
-``k_k``, ``m_k`` and the linear flow rows are zeros, read off exactly.  The
-bits are those of a full march, by induction over the steps.  A mirror's
+The half-width march.  Under antithetic sampling from ``x0 = 0``, tables with
+no payment-noise rates, no constant ``m_k`` in any state map and no linear
+term in any weighted flow row (``_Tables.mirrors_negate``) make each mirror
+its drawn path negated with the same payoffs, so the march holds only the
+drawn rows and writes each payoff into both slots of its pair.  The game's
+tables are such when every interpolated intercept ``k0`` is zero and a
+deviation, if any, has no shift: the drift at the stencil's origin is a zero
+and the flows at ``+e`` and ``-e`` are equal, as their efforts are exact
+negations, so ``k_k``, ``m_k`` and the linear flow rows are read off as exact
+zeros.  The principal's never are: it has payment noise, and B(t) is not 0.
+The bits are those of a full march, by induction over the steps.  A mirror's
 input column ``[xi; 1; S]`` is its drawn column negated but for the
 constant 1, whose coefficient ``m_k`` is a zero.  Round-to-nearest is
 symmetric, so each rounded product, sum or fused multiply-add of gemm's
@@ -132,7 +134,11 @@ non-finite stays so and a block's check sees every failure in it.  A
 failed check re-marches the chunk from step 0 up to the checked step,
 checking every step; the same operations on the same draws fail at the
 same step, which names the earliest step and the lowest canonical index
-failing at it, as a check after every step would.
+failing at it, as a check after every step would.  As node k's flows are
+added in step k - 1 under both schemes, a flow that turns non-finite at
+node k is reported at t_k.  Euler's zero weight on the last node adds
+nothing for a finite state feature, but NaN for an infinite one (a state
+above about 1.3e154 in size), so such a path fails at the horizon.
 
 :class:`SimConfig` and :class:`Deviation` check their fields at construction;
 what needs the model too (``dt`` dividing the horizon into steps that can be
@@ -179,6 +185,7 @@ _MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest array size numpy can inde
 _STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0],
                      [0.375, -0.625], [-1.25, 0.5], [2.0, 1.75]])
 _FIT_TOL = 1e-12  # the largest misfit at a check state, relative to the size of its terms
+_FIT_FLOOR = math.ldexp(1.0, -1060)  # and in subnormal numbers, where that bound underflows
 
 
 @dataclass(frozen=True)
@@ -248,11 +255,11 @@ class Deviation:
 
 def _step_times(horizon: float, dt: float) -> np.ndarray:
     """The time nodes 0, dt, ..., horizon of a run.  A ``dt`` that does not
-    divide the horizon, or that makes more steps than can be held, raises
-    :class:`ConfigMismatch` naming ``dt``."""
+    divide the horizon to within 1e-9 of it, or that makes more steps than
+    can be held, raises :class:`ConfigMismatch` naming ``dt``."""
     try:
         n = round(horizon / dt)  # OverflowError once the ratio overflows to inf
-        if n >= 1 and abs(horizon - n * dt) <= 1e-9:
+        if n >= 1 and abs(horizon - n * dt) <= 1e-9 * horizon:
             return np.arange(n + 1) * dt
     except (OverflowError, ValueError, MemoryError) as exc:
         raise ConfigMismatch(f"dt {dt} makes more steps over horizon {horizon} than can be held: {exc}",
@@ -309,29 +316,13 @@ def _interp_coeffs(v: QuadraticValueFn, ts: np.ndarray) -> tuple[np.ndarray, np.
     return A.transpose(0, 2, 1), np.array([b1, b2]).T[:, :, None]
 
 
-class _Slab:
-    """The draws of the last group of 64 substreams a run drew, so that a group
-    two chunks of the run share is drawn once."""
-
-    def __init__(self, seed: int, n_draws: int):
-        self.seed, self.group = seed, None
-        self.draws = np.empty((n_draws, 2, _GROUP))
-
-    def of(self, group: int) -> np.ndarray:
-        if group != self.group:
-            path_increments(self.seed, group, self.draws.shape[0], out=self.draws)
-            self.group = group
-        return self.draws
-
-
-def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int,
-                slab: _Slab | None = None) -> np.ndarray:
+def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int) -> np.ndarray:
     """Per-step normals (n_steps, 2, count) for substreams start..start+count-1,
     read-only and memoized per thread (see the module docstring).
 
-    Each group of 64 substreams the chunk touches is drawn step-major into the
-    run's ``slab`` (a new one if None), whose columns are copied into place;
-    the first and last groups are clipped to the chunk.
+    Each group of 64 substreams the chunk touches is drawn step-major into one
+    buffer of the chunk's, whose columns are copied into place; the first and
+    last groups are clipped to the chunk.
 
     ``refinement`` draws that many sub-normals per step and aggregates them,
     which keeps the underlying Brownian path fixed across a ladder of step
@@ -343,12 +334,13 @@ def _draw_chunk(seed: int, start: int, count: int, n_steps: int, refinement: int
         return memo[1]
     _local.chunk = memo = None  # free the old chunk before allocating this one
     inc = np.empty((n_steps, 2, count))
-    slab = _Slab(seed, n_steps * refinement) if slab is None else slab
+    drawn = np.empty((n_steps * refinement, 2, _GROUP))
     stop = start + count
     for group in range(start // _GROUP, (stop - 1) // _GROUP + 1):
         first = group * _GROUP
         lo, hi = max(start, first), min(stop, first + _GROUP)
-        cols, into = slab.of(group)[:, :, lo - first:hi - first], inc[:, :, lo - start:hi - start]
+        path_increments(seed, group, len(drawn), out=drawn)
+        cols, into = drawn[:, :, lo - first:hi - first], inc[:, :, lo - start:hi - start]
         if refinement == 1:
             into[...] = cols
         else:
@@ -374,8 +366,10 @@ def _fit(values: np.ndarray, degree: int, h: float) -> np.ndarray:
     The coefficients are read in units of the power of two ``h`` and
     divided by its powers, which is exact.  Raises ``ValueError`` unless they
     reproduce the values at the stencil's remaining states within
-    ``_FIT_TOL`` of the size of their terms.  A non-finite misfit passes: its
-    paths fail as non-finite.
+    ``_FIT_TOL`` of the size of their terms, plus ``_FIT_FLOOR`` for the
+    rounding of subnormal values (each operation there may be off by half of
+    2**-1074, whatever the size of its terms).  A non-finite misfit passes:
+    its paths fail as non-finite.
     """
     v = np.moveaxis(values, -1, 0)
     terms = [v[0], 0.5 * (v[1] - v[2]), 0.5 * (v[3] - v[4])]
@@ -387,7 +381,7 @@ def _fit(values: np.ndarray, degree: int, h: float) -> np.ndarray:
     x, y = _STENCIL[n_fixed:].T
     features = np.array([np.ones_like(x), x, y, x * x, x * y, y * y])[:len(terms)]
     misfit = np.abs(coeffs @ features - values[..., n_fixed:])
-    if np.any(misfit > _FIT_TOL * (np.abs(coeffs) @ np.abs(features))):
+    if np.any(misfit > _FIT_TOL * (np.abs(coeffs) @ np.abs(features)) + _FIT_FLOOR):
         raise ValueError(f"a model function is not a polynomial of degree {degree} in the state: "
                          f"misfit {np.nanmax(misfit):.3g} off the stencil")
     return coeffs / np.array([1.0, h, h, h * h, h * h, h * h])[:len(terms)]
@@ -415,9 +409,7 @@ def _flow_rows(C: np.ndarray, dt: float, pc: bool) -> np.ndarray:
     quadrature weight, shape (nodes, accumulators, 6): the trapezoid (pc) or
     the left point (euler, where the last node weighs nothing)."""
     weights = np.full(C.shape[1], dt)
-    weights[-1] = 0.5 * dt if pc else 0.0
-    if pc:
-        weights[0] = 0.5 * dt
+    weights[[0, -1]] = (0.5 * dt, 0.5 * dt) if pc else (dt, 0.0)
     return weights[:, None, None] * np.moveaxis(C, 1, 0)
 
 
@@ -442,6 +434,13 @@ class _Tables:
         self.rates = None if R is None else np.ascontiguousarray(
             np.moveaxis(R, 2, 0).reshape(R.shape[2], -1, 3))
 
+    @property
+    def mirrors_negate(self) -> bool:
+        """Whether, from the origin, each antithetic mirror is its drawn path
+        negated: no payment noise, and no constant in any state map or linear
+        term in any flow row (see the module docstring)."""
+        return self.rates is None and not self.maps[:, :, 2].any() and not self.flows[:, :, 1:3].any()
+
 
 class _Rows:
     """One of a march's two buffers, rows (xi_1, xi_2, 1, x, y, x*x, x*y, y*y),
@@ -465,16 +464,13 @@ class _Rows:
 
 def _first_non_finite(S: np.ndarray, checked: np.ndarray, start: int, m: int, antithetic: bool) -> int:
     """Lowest canonical index of a row with a non-finite value in ``S`` or ``checked``."""
-    finite = np.isfinite(S).all(axis=0)
-    for a in checked:
-        finite &= np.isfinite(a)
-    local = np.flatnonzero(~finite)
+    local = np.flatnonzero(~(np.isfinite(S).all(axis=0) & np.isfinite(checked).all(axis=0)))
     # under antithetic sampling row j < m is path 2*(start+j), row m+j its
     # mirror; a half-width march has only the former, each failing with its mirror
     return int(np.min(2 * (start + local % m) + local // m if antithetic else start + local))
 
 
-def _march(step, tables: _Tables, inc: np.ndarray, cfg: SimConfig, pc: bool, n_steps: int, start: int,
+def _march(step, tables: _Tables, inc: np.ndarray, cfg: SimConfig, n_steps: int, start: int,
            outs: Sequence[np.ndarray], every: int = _CHECK) -> tuple[int, int] | None:
     """March one chunk of paths, drawn as ``inc``, through ``n_steps`` steps and
     write their payoffs into ``outs``; return (steps done, canonical index) of
@@ -488,9 +484,9 @@ def _march(step, tables: _Tables, inc: np.ndarray, cfg: SimConfig, pc: bool, n_s
     """
     m = inc.shape[2]
     pair = 2 if cfg.antithetic else 1  # paths per substream
-    # an odd model from the origin makes each mirror its drawn path negated,
-    # with the same payoffs, so only the drawn half is marched
-    width = 1 if step.odd and not any(cfg.x0) else pair
+    # where each mirror is its drawn path negated, with the same payoffs, only
+    # the drawn half is marched
+    width = 1 if tables.mirrors_negate and not any(cfg.x0) else pair
     rows = width * m
     cols = max(rows, 2)  # never a one-column product: gemv rounds unlike gemm
     scale = step.sigma * math.sqrt(cfg.dt)
@@ -500,36 +496,33 @@ def _march(step, tables: _Tables, inc: np.ndarray, cfg: SimConfig, pc: bool, n_s
     ends[0].square()
     acc = np.empty((len(step.acc0), cols))
     acc[...] = np.array(step.acc0)[:, None]
-    flow = np.empty(acc.shape)
-    if rate_rows is not None:
-        noise = np.empty((2, rate_rows.shape[1] // 2, cols))  # (state j, agent i)
-        noise_rows, paid = noise.reshape(-1, cols), acc[:noise.shape[1]]
+    agents = 0 if rate_rows is None else rate_rows.shape[1] // 2
+    # a step spends its payment noise before it makes the flows: one buffer serves both
+    scratch = np.empty((max(2 * agents, len(acc)), cols))
+    flow, noise_rows = scratch[:len(acc)], scratch[:2 * agents]
+    noise, paid = noise_rows.reshape(2, agents, cols), acc[:agents]  # noise (state j, agent i)
     checked = acc[:step.n_checked, :rows]
     finite, finite_checked = np.empty((2, rows), dtype=bool), np.empty(checked.shape, dtype=bool)
-    if pc:
-        np.add(acc, np.matmul(flow_rows[0], ends[0].features, out=flow), out=acc)
+    np.add(acc, np.matmul(flow_rows[0], ends[0].features, out=flow), out=acc)
     for k in range(n_steps):
         now, end = ends[k % 2], ends[1 - k % 2]
         np.multiply(scale, inc[k], out=now.drawn)
         if width == 2:
             np.negative(now.drawn, out=now.mirrored)
-        if rate_rows is not None:
+        if agents:
             # each agent's rates at the start times the noise xi_j they price
             np.matmul(rate_rows[k], now.affine, out=noise_rows)
             np.multiply(noise, now.xi[:, None], out=noise)
             np.add(paid, np.add(noise[0], noise[1], out=noise[0]), out=paid)
-        if not pc:
-            np.add(acc, np.matmul(flow_rows[k], now.features, out=flow), out=acc)
         np.matmul(maps[k], now.inputs, out=end.state)
         end.square()
-        if pc:
-            np.add(acc, np.matmul(flow_rows[k + 1], end.features, out=flow), out=acc)
+        np.add(acc, np.matmul(flow_rows[k + 1], end.features, out=flow), out=acc)
         if (k + 1) % every and k + 1 < n_steps:
             continue
         if not (np.logical_and.reduce(np.isfinite(end.marched, out=finite), axis=None)
                 and np.logical_and.reduce(np.isfinite(checked, out=finite_checked), axis=None)):
             if every > 1:
-                return _march(step, tables, inc, cfg, pc, k + 1, start, (), every=1)
+                return _march(step, tables, inc, cfg, k + 1, start, (), every=1)
             return k + 1, _first_non_finite(end.marched, checked, start, m, cfg.antithetic)
     for out, pay in zip(outs, step.payoffs(acc[:, :rows])):
         out.reshape(-1, pair)[start:start + m] = pay.reshape(width, m).T
@@ -553,21 +546,16 @@ def _run_paths(make_step, params: ModelParams, cfg: SimConfig, scheme: str,
     chunk = _CHUNK if chunk_size is None else integer("chunk_size", chunk_size, 1)
     refinement = integer("brownian_refinement", brownian_refinement, 1)
     step = make_step(nodes)
-    pc = scheme == "pc"
-    tables = _Tables(step, cfg.dt, pc)
+    tables = _Tables(step, cfg.dt, scheme == "pc")
     # before any chunk is drawn, so an impossible n_paths fails at once
     with holding("n_paths", cfg.n_paths):
         outs = [np.empty(cfg.n_paths) for _ in range(step.n_payoffs)]
-    # chunks whose size is not a multiple of 64 share groups, which the run
-    # draws once into its own slab; aligned chunks each draw into a slab of their own
-    slab = _Slab(cfg.seed, n_steps * refinement) if chunk % _GROUP else None
     failure = None  # (steps done, canonical index) of the earliest non-finite value
     for start in range(0, n_sub, chunk):
         # after a failure, later chunks only look for an earlier or equal one
-        found = _march(step, tables, _draw_chunk(cfg.seed, start, min(chunk, n_sub - start), n_steps,
-                                                 refinement, slab),
-                       cfg, pc, n_steps if failure is None else failure[0], start,
-                       outs if failure is None else ())
+        found = _march(step, tables,
+                       _draw_chunk(cfg.seed, start, min(chunk, n_sub - start), n_steps, refinement),
+                       cfg, n_steps if failure is None else failure[0], start, outs if failure is None else ())
         if found is not None and (failure is None or found < failure):
             failure = found
     if failure is not None:
@@ -592,8 +580,6 @@ class _PrincipalStep:
     ``0.5*sum_j gamma_j z_ij^2`` over the states it controls and the risk
     premium ``0.5*eta_i*sum_j sigma_j^2 z_ij^2``.
     """
-
-    odd = False  # B(t) is not 0
 
     def __init__(self, params: ModelParams, v: QuadraticValueFn, nodes: np.ndarray, y0: tuple[float, ...]):
         self.p = params
@@ -703,11 +689,6 @@ class _NashStep:
         self.kx, self.ky, self.k0 = (
             np.array([np.interp(nodes, s.nodes, getattr(s, name)) for s in strategies])[:, :, None]
             for name in ("kx", "ky", "k0"))
-
-    @property
-    def odd(self) -> bool:
-        """Whether the efforts are odd in the state: no intercept, and no shift."""
-        return not self.k0.any() and (self.deviation is None or self.deviation.shift == 0.0)
 
     def evaluate(self, X: np.ndarray):
         """At the states X (points, 2) and every node: both firms' efforts, which

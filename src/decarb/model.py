@@ -101,10 +101,10 @@ def _require_kind(params: ModelParams, *kinds: Kind) -> None:
 def _require_solved_for(params: ModelParams, what: str, t_end: float, kind: Kind | None = None) -> None:
     """Raise :class:`ConfigMismatch` unless ``what``, solved on [0, ``t_end``] for
     ``kind`` (None when it records none), belongs to ``params``: the same kind,
-    and a horizon within 1e-9."""
+    and a horizon within 1e-9 of the model's."""
     if kind is not None and kind is not params.kind:
         raise ConfigMismatch(f"{what} solved for {kind.value}, params are {params.kind.value}")
-    if abs(t_end - params.horizon) > 1e-9:
+    if abs(t_end - params.horizon) > 1e-9 * params.horizon:
         raise ConfigMismatch(f"{what} horizon {t_end} != params horizon {params.horizon}")
 
 

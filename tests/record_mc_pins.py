@@ -7,10 +7,10 @@ Usage, from the root of a checkout::
 
     PYTHONPATH=src python tests/record_mc_pins.py > pins.json
 
-Before re-pinning, run a copy of it in a checkout of the commit before the
-change: it must print the pins that commit's tests hold, which shows it
-records what the tests check.  Every digest is recorded with ``chunk_size``
-None and 7, which must agree.
+CI runs it on every commit and requires each digest it prints to equal the
+pin the tests hold, so it records what the tests check and a re-pin can
+copy its output.  Every digest is recorded with ``chunk_size`` None and 7,
+which must agree.
 """
 
 import hashlib

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import os
@@ -36,6 +37,7 @@ from decarb.nash import FeedbackStrategy
 from decarb.riccati import QuadraticValueFn, TimeGrid
 
 from conftest import NASH_FIXTURE, SINGLE_FIRM_FIXTURE, TWO_FIRM_FIXTURE
+from test_reference_march import TOLERANCE, Game, reference_payoffs, worst_gap
 
 # engine arguments that must be rejected at the boundary, with the field named
 BAD_ENGINE_ARGS = [
@@ -399,7 +401,6 @@ class PlantedModel:
     sigma = np.array([[0.5], [0.25]])
     acc0 = (0.0, 1.0)  # checked, unchecked
     n_checked = n_payoffs = 1
-    odd = False
     RATE, SPIKE = 1e300, 1e10  # a normal draw's payment noise is finite, a spike's is not
     STATE_OF = {"state": 0, "checked": 0, "unchecked": 1}  # the noise each kind plants in
 
@@ -434,22 +435,22 @@ class PlantedModel:
 
 
 class SymmetricPlantedModel(PlantedModel):
-    """A :class:`PlantedModel` that is odd, with no payment noise: its drift
-    ``-S`` is odd, and its flows ``x*y + Q*x*x`` (checked) and ``Q*y*y``
-    (unchecked) even in the state.
+    """A :class:`PlantedModel` with no payment noise, whose drift ``-S`` is
+    odd and whose flows ``x*y + Q*x*x`` (checked) and ``Q*y*y`` (unchecked)
+    are even in the state, so from the origin each mirror is its drawn path
+    negated.
 
     Each plant turns a drawn path and its mirror non-finite together.  A
-    ``"checked"`` or ``"unchecked"`` plant
-    is a draw whose state's square times ``Q`` overflows; it enters the flow
-    of the node after the step, which pc adds in that step and euler in the
-    next (:meth:`fails_at`).
+    ``"checked"`` or ``"unchecked"`` plant is a draw whose state's square
+    times ``Q`` overflows; it enters the flow of the node after the step,
+    which both schemes add in that step, and which euler weighs at 0 after
+    the last step (:meth:`fails`).
     """
 
     Q, SPIKE = 1e290, 1e12
 
-    def __init__(self, plants, odd: bool):
+    def __init__(self, plants):
         super().__init__(plants, antithetic=True)
-        self.odd = odd
 
     def evaluate(self, X):
         drift, _, _ = super().evaluate(X)
@@ -457,8 +458,10 @@ class SymmetricPlantedModel(PlantedModel):
         return drift, np.stack([S[0] * S[1] + self.Q * S[0] * S[0], self.Q * S[1] * S[1]]), None
 
     @staticmethod
-    def fails_at(kind: str, step: int, pc: bool) -> int:
-        return step if kind == "state" or pc else step + 1
+    def fails(kind: str, unweighed: bool) -> bool:
+        """Whether a plant of ``kind`` fails its path at its step; ``unweighed``
+        if the node after that step weighs 0 (euler's last)."""
+        return kind == "state" or kind == "checked" and not unweighed
 
 
 class TestBlockChecks:
@@ -555,26 +558,26 @@ class TestBlockChecks:
         [("state", 40, 0), ("state", 5, 4), ("checked", 5, 3)],
         [("checked", 33, 2), ("unchecked", 2, 0)],
         [("unchecked", 1, 0)],
-        # euler adds the flow of the last node to nothing
+        # euler weighs the flow of the last node at 0
         [("checked", 70, 1)],
     ], ids=lambda plants: "-".join(f"{kind}{step}s{sub}" for kind, step, sub in plants))
     def test_half_width_march_reports_as_the_full(self, plants, scheme):
-        # an odd model from the origin marches only the drawn rows; a path
-        # failing there fails with its mirror, so the report names the
-        # drawn path, the lower index, at the same step as a full march
-        pc = scheme == "pc"
-        failing = [(SymmetricPlantedModel.fails_at(kind, step, pc), 2 * sub)
-                   for kind, step, sub in plants if kind != "unchecked"]
-        failing = [(step, index) for step, index in failing if step <= self.N_STEPS]
+        # from the origin, a model whose mirrors are its drawn paths negated
+        # marches only the drawn rows; a path failing there fails with its
+        # mirror, so the report names the drawn path, the lower index, at the
+        # same step as a full march
+        failing = [(step, 2 * sub) for kind, step, sub in plants
+                   if SymmetricPlantedModel.fails(kind, scheme == "euler" and step == self.N_STEPS)]
         for chunk_size in self.CHUNK_SIZES:
             outcomes = []
-            for odd in (True, False):
-                model, widths = SymmetricPlantedModel([(k, s, 2 * sub) for k, s, sub in plants], odd), set()
-                try:
-                    outcomes.append(self.run(model, scheme, True, chunk_size, widths)[0])
-                except NonFinitePath as exc:
-                    outcomes.append((exc.path_index, exc.t))
-                assert widths == {1 if odd else 2}
+            for forced in (False, True):  # the engine's own decision, then a full march
+                model, widths = SymmetricPlantedModel([(k, s, 2 * sub) for k, s, sub in plants]), set()
+                with patch.object(mc._Tables, "mirrors_negate", False) if forced else contextlib.nullcontext():
+                    try:
+                        outcomes.append(self.run(model, scheme, True, chunk_size, widths)[0])
+                    except NonFinitePath as exc:
+                        outcomes.append((exc.path_index, exc.t))
+                assert widths == {2 if forced else 1}
             half, full = outcomes
             if failing:
                 step, index = min(failing)
@@ -654,26 +657,26 @@ PINNED_DIGESTS = {
     "single/pc-anti-r2": "b14c1979be4e813870b02f1be477a6891776907a2e0a6ecf276fd4c40d908754",
     "single/pc-plain-r1": "d50462cec118c9b212b42d6df54c418bf9bbfff6258ec3e837842b6bd5444ff7",
     "single/pc-plain-r2": "963232c042a1a2c746899150611f8dcae8ec678bdcf69b6a90f1e0f8db101a78",
-    "single/euler-anti-r1": "eba9c39041bd209edc3b9f77af86f52e12f9d8d06129cfda1c3358b56b8acd7c",
-    "single/euler-anti-r2": "5ba9fb9e79341dc7a7b1447ba0f2cce0e9e04a3d792b9ffb657996737fad36df",
-    "single/euler-plain-r1": "417255b641d47849d813b042b5b99fd390c1019ff4c69abd8c5cf71fc47f13d5",
-    "single/euler-plain-r2": "7b285011ea96e774c4d89909171cea1427404435cb6fb183a8adab558260e97b",
+    "single/euler-anti-r1": "ec4b07839ab6b81c4950409b89e31fa16269c34c2ea0c44ed1cd0172007b83c6",
+    "single/euler-anti-r2": "3602da321eaa787136158ffac32585629fe8c86de4a50439340f99d36c4680da",
+    "single/euler-plain-r1": "d56502ca074e2bda4788a20d5717d59ba6929224c9264c2c99461b7e134c7c40",
+    "single/euler-plain-r2": "92721fd2738d5d1b6830e2ac22237b5d4c7fab41da690a9e1246d5bfb1ec4dbe",
     "literal/pc-anti-r1": "b52bfa88329c7b03c990fad111d1fb2662c8f6590302a4cca2a90580ddab3951",
     "literal/pc-anti-r2": "22606249455d12515d4c19315f06c6dc57a7ce78dae1f9add938e0cf940b3816",
     "literal/pc-plain-r1": "9b9342a6c121251a70f1013c89dbed33f8815f40a668dec23bb3897eec9d10ff",
     "literal/pc-plain-r2": "79d0c6d19177bbf79124a78640e2cee35e16f1e0dc21b2e5157d605b2217d215",
-    "literal/euler-anti-r1": "bfe39557ababb25b5645dcbbf323530cf3534bb554bf0b50b5314585ca4dd391",
-    "literal/euler-anti-r2": "d84ca138a3cf76e4523adc41cd4be2e07c87be1f99fdf970972269d440a52f5c",
-    "literal/euler-plain-r1": "a477e2ef16c41496866ed119021699bf0c79e4e8dfa6cdaa9fabb59f5b07a12a",
-    "literal/euler-plain-r2": "bf5984a3ff5f302c4cfc28edfb13ddaeac215ae5bb5fe8bd127d72220598c233",
+    "literal/euler-anti-r1": "5c01761a3a88514eb6b43d6e53632bc2bd13e37fda600c71fec53b22d1726a92",
+    "literal/euler-anti-r2": "362e96ace6969a4dbecd9ab905c84ee68fe09175846c487ee86923f9e042f956",
+    "literal/euler-plain-r1": "b9056eb055c5ff202ad50bd717038e58726945139f45a0599fbcbd9ac4f507e7",
+    "literal/euler-plain-r2": "d4361fdaa0d49ecbd34626821e8c1927a8ea0e0b8bcae25cab62f3ef8228febb",
     "two/pc-anti-r1": "9adf460e6caee67cd5089131198dd54d959066934542242be287852ebf934715",
     "two/pc-anti-r2": "84eec4c8ab20cf1eeb49995039ef9b8efe4540497ddf46d1405c8eff90678986",
     "two/pc-plain-r1": "691133f04056992b3893757a5e7745b12b2cc82daf29005c69f458a945d230af",
     "two/pc-plain-r2": "eac409373cefca7db3b09361a3fad370051fd18dd1f510ca03ee41b0ca5e870d",
-    "two/euler-anti-r1": "c17e3c3e53706f2f7218745b6c102aa2235b1c2acc4845a631dabe7e0874d3ac",
-    "two/euler-anti-r2": "57a085ce92af5a0092f4b4738baec0ca603310b108db5fd1682866c87247cffa",
-    "two/euler-plain-r1": "21972e98b9afa9d34b7dff45e6e1c5b721cbeeaa6849fcc9669b4628dbdda944",
-    "two/euler-plain-r2": "ed0457edc342eb25a9e6cc39cd0604db8c53eeab5542427416a05540cfaef215",
+    "two/euler-anti-r1": "b9749c922461a038a6995dea0baa76f3ae358bb9f20f853cae5056998fb5c807",
+    "two/euler-anti-r2": "bd002ed33e7da3228d54cdfcda04a6c5523b38bd2bf07024422bdafc6e651c81",
+    "two/euler-plain-r1": "b9cd09b1cf24e3c92c84dd0ccabb21ad0b0d89ac66351c7282c42dc16b039b05",
+    "two/euler-plain-r2": "11e04184a2e2569aea6822e6ae832f5e1d395863ad65b74fd80bc77e26545e64",
     "nash/pc-anti-r1": "a0ad5d5ef301148807fcee615e1d7e29af24ac1b4f68b961846cea02205342a5",
     "nash/pc-anti-r2": "47ca7a8c5aec602bb78ecc5b01456c5b61743bec8d4696e472d1f215502ff39a",
     "nash/pc-plain-r1": "d4e32b788e357dbff297f3f31a009d0ad0a8a61b68d0af5271573dcf8ca7896c",
@@ -968,12 +971,15 @@ class TestDrawChunk:
         cfg = SimConfig(n_paths=64, dt=0.02, seed=31)
         chunks = self.track_chunks(monkeypatch)
         principal_path_payoffs(two_firm, v, cfg, chunk_size=8)
-        assert len(chunks) == 4 and all(len(chunk) >= 8 for chunk in chunks)
+        # per chunk: its draws, the buffer its group is drawn into, the
+        # march's two row buffers, its accumulators, the scratch of payment
+        # noise and flows, and the two finiteness masks
+        assert len(chunks) == 4 and all(len(chunk) == 8 for chunk in chunks)
 
-    def test_a_shared_group_is_the_runs_not_a_chunks(self, monkeypatch, two_firm):
-        # 128 substreams in chunks of 40: group 0 is drawn with the first
-        # chunk, group 1 with the second, and the slab that keeps a group for
-        # the next chunk belongs to the run, so no chunk outlives its march
+    def test_a_shared_group_is_drawn_by_each_chunk(self, monkeypatch, two_firm):
+        # 128 substreams in chunks of 40: each chunk draws every group it
+        # touches into a buffer of its own, so a group two chunks share is
+        # drawn by both, with the same bits, and no chunk outlives its march
         v = solve_principal(two_firm, 201)
         cfg = SimConfig(n_paths=256, dt=0.02, seed=31)
         whole, _ = principal_path_payoffs(two_firm, v, cfg)
@@ -981,7 +987,7 @@ class TestDrawChunk:
         checked = mc.path_increments
         monkeypatch.setattr(mc, "path_increments", lambda *a, **k: draws.append(a[1]) or checked(*a, **k))
         chunked, _ = principal_path_payoffs(two_firm, v, cfg, chunk_size=40)
-        assert len(chunks) == 4 and draws == [0, 1]
+        assert len(chunks) == 4 and draws == [0, 0, 1, 1, 1]
         assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
 
     def test_common_random_number_runs_draw_once(self, monkeypatch, nash_params):
@@ -1034,7 +1040,7 @@ def test_nash_step_neither_hashes_nor_compares_params(pinned_models):
 class TestTracedBoundaries:
     """The engine reaches the RNG and the flow functions through these module
     attributes, so wrapping one counts every call: once per group of 64
-    substreams a run draws, and one flow evaluation per run, on the stencil.
+    substreams a chunk touches, and one flow evaluation per run, on the stencil.
     The states the march checks show the rows marched: two per substream
     under antithetic sampling, or one where the mirror is the drawn path
     negated."""
@@ -1062,7 +1068,8 @@ class TestTracedBoundaries:
         self.count(monkeypatch, model, "social_cost_g", cost)
         record_checked_rows(monkeypatch, rows.add)
         principal_path_payoffs(params, v, cfg, scheme, self.CHUNK)
-        assert draws == [(33, 0, 50)]  # (seed, group, steps): the four chunks share group 0
+        # (seed, group, steps): each of the four chunks draws group 0
+        assert draws == [(33, 0, 50)] * 4
         # once per run, at the stencil's states
         assert len(revenue) == len(cost) == 1
         assert revenue[0][1] is cost[0][1] and revenue[0][1].shape == mc._STENCIL.shape
@@ -1079,19 +1086,19 @@ class TestTracedBoundaries:
         self.count(monkeypatch, mc, "path_increments", draws)
         self.count(monkeypatch, mc, "payoff_rate", flows)
         nash_path_payoffs(params, strategies, cfg, None, scheme, self.CHUNK)
-        assert draws == [(34, 0, 50)]
+        assert draws == [(34, 0, 50)] * 4
         assert len(flows) == 1
 
     def test_each_chunk_draws_the_groups_it_touches(self, monkeypatch, pinned_models):
         # 300 substreams in chunks of 100: 0-99, 100-199 and 200-299; groups 1
-        # and 3 straddle two chunks and are drawn once, kept by the run
+        # and 3 straddle two chunks, and each of the two draws them
         params, strategies = pinned_models["nash"]
         cfg = SimConfig(n_paths=600, dt=0.1, seed=38)
         draws = []
         evict_chunk_memo()
         self.count(monkeypatch, mc, "path_increments", draws)
         nash_path_payoffs(params, strategies, cfg, chunk_size=100)
-        assert [args[1] for args in draws] == [0, 1, 2, 3, 4]
+        assert [args[1] for args in draws] == [0, 1, 1, 2, 3, 3, 4]
 
     def nash_rows(self, pinned_models, antithetic=True, x0=(0.0, 0.0), deviation=None, strategies=None):
         """The rows a pc game run marches, as the states it checks show them."""
@@ -1125,14 +1132,90 @@ def zero_or(values):
     return st.one_of(st.just(0.0), values)
 
 
+def with_intercept(strategy: FeedbackStrategy, node: int) -> FeedbackStrategy:
+    """The strategy with an intercept of 1e-300 at one of its nodes."""
+    k0 = strategy.k0.copy()
+    k0[node] = 1e-300
+    return replace(strategy, k0=k0)
+
+
 class TestHalfWidthMarch:
-    """From x0 = 0 with antithetic sampling, an odd step (the game with no
-    intercept and no shifted deviation) marches each pair once."""
+    """From x0 = 0 with antithetic sampling, tables with no payment noise, no
+    constant in a state map and no linear term in a flow row (the game with
+    no intercept and no shifted deviation) march each pair once."""
+
+    CFG = SimConfig(n_paths=64, dt=0.02, seed=36, x0=(0.0, 0.0))  # one chunk of 32 substreams
+
+    @staticmethod
+    def marched(simulate, *args):
+        """The rows per substream that ``simulate(*args)`` marches, and its result."""
+        rows = set()
+        with pytest.MonkeyPatch.context() as patch:
+            record_checked_rows(patch, rows.add)
+            result = simulate(*args)
+        return {r // 32 for r in rows}, result
+
+    @pytest.mark.parametrize("deviation,x0,width", [
+        (None, (0.0, 0.0), 1),
+        (Deviation(1, 0.9), (0.0, 0.0), 1),
+        (Deviation(2, -1.3), (0.0, 0.0), 1),
+        (Deviation(1, 1.0, 0.05), (0.0, 0.0), 2),
+        (Deviation(2, 1.1, -0.05), (0.0, 0.0), 2),
+        (None, (0.5, 0.0), 2),
+        (Deviation(1, 0.9), (0.0, -0.25), 2),
+    ], ids=["equilibrium", "scaled1", "scaled2", "shifted1", "shifted2", "x0", "scaled1-x0"])
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    def test_the_game_marches_the_width_its_tables_allow(self, pinned_models, deviation, x0, width, scheme):
+        params, strategies = pinned_models["nash"]
+        cfg = replace(self.CFG, x0=x0)
+        widths, _ = self.marched(nash_path_payoffs, params, strategies, cfg, deviation, scheme)
+        assert widths == {width}
+
+    @pytest.mark.parametrize("name", ["single", "two"])
+    def test_the_principal_marches_full_width(self, pinned_models, name):
+        # payment noise, and B(t) puts constants into the state maps
+        params, v = pinned_models[name]
+        widths, _ = self.marched(principal_path_payoffs, params, v, self.CFG)
+        assert widths == {2}
+
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    def test_a_tiny_intercept_at_a_simulation_node_marches_full_width(self, pinned_models, scheme):
+        # the strategies hold 201 nodes on the unit horizon, the run 51: the
+        # strategy's node 40 is the run's node 10
+        params, (first, second) = pinned_models["nash"]
+        strategies = (first, with_intercept(second, 40))
+        widths, payoffs = self.marched(nash_path_payoffs, params, strategies, self.CFG, None, scheme)
+        assert widths == {2}
+        reference = reference_payoffs(Game(params, strategies, None), params, self.CFG, scheme)
+        assert worst_gap(payoffs, reference) <= TOLERANCE
+
+    @pytest.mark.parametrize("scheme", ["pc", "euler"])
+    def test_a_tiny_intercept_between_simulation_nodes_marches_half_width(self, pinned_models, scheme):
+        # the strategy's node 42 lies between the run's nodes 10 and 11,
+        # where the intercept interpolates to zero
+        params, equilibrium = pinned_models["nash"]
+        strategies = (with_intercept(equilibrium[0], 42), equilibrium[1])
+        widths, payoffs = self.marched(nash_path_payoffs, params, strategies, self.CFG, None, scheme)
+        assert widths == {1}
+        assert bits(payoffs) == bits(nash_path_payoffs(params, equilibrium, self.CFG, None, scheme))
+
+    def test_an_intercept_at_the_last_node_alone_is_not_read_under_euler(self, pinned_models):
+        # euler's maps read the left point of each step and its flow rows
+        # weigh the last node 0, so its tables hold no trace of the intercept
+        # and the half-width march keeps the full march's bits
+        params, (first, second) = pinned_models["nash"]
+        strategies = (first, with_intercept(second, 200))
+        widths, half = self.marched(nash_path_payoffs, params, strategies, self.CFG, None, "euler")
+        assert widths == {1}
+        with patch.object(mc._Tables, "mirrors_negate", False):
+            assert bits(half) == bits(nash_path_payoffs(params, strategies, self.CFG, None, "euler"))
+        widths, _ = self.marched(nash_path_payoffs, params, strategies, self.CFG, None, "pc")
+        assert widths == {2}
 
     def test_pairs_are_equal_only_when_odd_from_the_origin(self, pinned_models):
         params, strategies = pinned_models["nash"]
-        cfg = SimConfig(n_paths=64, dt=0.02, seed=36, x0=(0.0, 0.0))
-        with patch.object(mc._NashStep, "odd", False):  # a full-width march
+        cfg = self.CFG
+        with patch.object(mc._Tables, "mirrors_negate", False):  # a full-width march
             for run, equal in ((dict(), True), (dict(deviation=Deviation(1, -0.7)), True),
                                (dict(deviation=Deviation(1, 1.0, 0.1)), False),
                                (dict(cfg=replace(cfg, x0=(0.5, 0.5))), False)):
@@ -1169,7 +1252,7 @@ class TestHalfWidthMarch:
         cfg = SimConfig(n_paths=2 * n_pairs, dt=params.horizon / n_steps, seed=seed, x0=x0)
         args = (params, strategies, cfg, deviation, scheme, chunk_size, refinement)
         half = nash_path_payoffs(*args)
-        with patch.object(mc._NashStep, "odd", False):
+        with patch.object(mc._Tables, "mirrors_negate", False):
             full = nash_path_payoffs(*args)
         for a, b in zip(half, full):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -1273,6 +1356,18 @@ class TestReadOff:
                             lambda factors, grad: rates(factors, grad) + 1e-6 * grad * grad)
         with pytest.raises(ValueError, match="not a polynomial of degree 1"):
             principal_path_payoffs(params, v, SimConfig(n_paths=4, dt=0.02))
+
+    def test_a_deviation_scaled_into_subnormal_efforts_is_read(self):
+        # the deviating firm's efforts are about 1e-311: halving their
+        # differences rounds in the last subnormal place, which a bound
+        # relative to their size alone refused as a misfit
+        params = replace(validate_params(NASH_FIXTURE), gamma1=1.0, gamma2=1.0, eta1=1.0, eta2=1.0,
+                         sigma1=0.0, sigma2=0.0, p0=0.0, p1=0.0, p2=1.0, horizon=0.56)
+        strategies = feedback_strategies(solve_nash(params, 201), params)
+        cfg = SimConfig(n_paths=2, dt=0.14, seed=0, x0=(0.0, 0.0))
+        for deviation in (Deviation(1, 2.225073858507e-311), Deviation(1, 0.0)):
+            z1, z2 = nash_path_payoffs(params, strategies, cfg, deviation, "pc", 1)
+            assert np.isfinite(z1).all() and np.isfinite(z2).all()
 
     def test_a_quadratic_change_is_accepted(self, monkeypatch, pinned_models):
         # a social cost changed by a quadratic term is still read, and moves

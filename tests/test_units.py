@@ -510,3 +510,61 @@ class TestFrozenSeedMonteCarlo:
                                 None if shift is None else mc.Deviation(2, 1.1, unit * shift),
                                 x0=tuple(unit * x for x in SIM["x0"]))
         assert estimate_bits(scaled) == estimate_bits(base)
+
+
+class TestHorizonTolerances:
+    """A run's ``dt`` must divide the horizon, and a solved trajectory's
+    horizon must be the model's, each within 1e-9 of the horizon: in a time
+    unit 2^k times smaller every duration scales by 2^k, exactly, and so
+    does every decision."""
+
+    TIME_UNITS = [2.0 ** k for k in (-60, -27, -1, 0, 1, 27, 60)]
+
+    @staticmethod
+    def steps(horizon: float, dt: float) -> bool:
+        try:
+            mc._step_times(horizon, dt)
+        except decarb.ConfigMismatch as exc:
+            assert exc.field == "dt"
+            return False
+        return True
+
+    @staticmethod
+    def matches(t_end: float, horizon: float) -> bool:
+        params = replace(validate_params(NASH_FIXTURE), horizon=horizon)
+        try:
+            decarb.model._require_solved_for(params, "strategy", t_end)
+        except decarb.ConfigMismatch:
+            return False
+        return True
+
+    @pytest.mark.parametrize("unit", TIME_UNITS)
+    @pytest.mark.parametrize("horizon,dt,divides", [
+        (1.0, 0.32, False), (1e-8, 3.2e-9, False), (1.0, 1e-3, True), (1e-8, 2.5e-9, True),
+        (1.0, 1.0 / 3.0, True), (1.0, 0.1 * (1.0 + 1e-11), True), (1.0, 0.1 * (1.0 + 1e-8), False),
+        (5.0, 5.0, True), (5.0, 7.0, False),
+    ])
+    def test_dt_decisions_keep_in_every_time_unit(self, unit, horizon, dt, divides):
+        assert self.steps(unit * horizon, unit * dt) == divides
+
+    @pytest.mark.parametrize("unit", TIME_UNITS)
+    @pytest.mark.parametrize("t_end,horizon,same", [
+        (1.0, 1.0, True), (1.0 + 1e-12, 1.0, True), (1.0 + 1e-8, 1.0, False),
+        (5e-10, 1e-10, False), (1e-10 * (1.0 + 1e-12), 1e-10, True), (0.5, 1.0, False),
+    ])
+    def test_horizon_decisions_keep_in_every_time_unit(self, unit, t_end, horizon, same):
+        assert self.matches(unit * t_end, unit * horizon) == same
+
+    def test_a_dt_that_misses_a_short_horizon_is_refused(self):
+        # 3 steps of 3.2e-9 stop at 9.6e-9, short of the horizon 1e-8
+        params = replace(validate_params(TWO_FIRM_FIXTURE), horizon=1e-8)
+        v = solve_principal(params, 11)
+        with pytest.raises(decarb.ConfigMismatch, match="not an integer multiple") as exc:
+            mc.simulate_principal(params, v, mc.SimConfig(n_paths=4, dt=3.2e-9))
+        assert exc.value.field == "dt"
+
+    def test_a_solve_on_another_short_horizon_is_refused(self):
+        params = replace(validate_params(TWO_FIRM_FIXTURE), horizon=1e-10)
+        v = solve_principal(replace(params, horizon=5e-10), 11)
+        with pytest.raises(decarb.ConfigMismatch, match="value function horizon 5e-10"):
+            mc.simulate_principal(params, v, mc.SimConfig(n_paths=4, dt=1e-11))
